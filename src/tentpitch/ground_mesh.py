@@ -2,14 +2,14 @@
 
 The ground mesh is the d-dimensional spatial input (d in {1,2,3}).  All
 geometric quantities the advancing front needs per lift are computed once
-here: vertex altitudes, the per-vertex minimum altitude, projection
-clearance ratios, per-face gradient caps for d = 3, and flattened scalar
-records that let the hot loop evaluate every bound without array math.
+here, as array code over all elements: vertex altitudes, the per-vertex
+minimum altitude, projection clearance ratios and per-face gradient caps
+for d = 3, and flattened scalar records that let the hot loop evaluate
+every bound without array math.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import geometry
 from .errors import MeshValidationError
-from .geometry import SimplexGeometry
 
 SpeedSchedule = Callable[[int, float], float]
 
@@ -43,8 +42,8 @@ class GroundMesh:
         speed_schedule: Optional[SpeedSchedule] = None,
         allow_isolated: bool = False,
     ):
-        if dim not in (1, 2, 3):
-            raise MeshValidationError(f"unsupported dimension {dim} (need 1, 2 or 3)")
+        if isinstance(dim, bool) or dim not in (1, 2, 3):
+            raise MeshValidationError(f"unsupported dimension {dim!r} (need 1, 2 or 3)")
         self.dim = dim
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
@@ -66,11 +65,13 @@ class GroundMesh:
             raise MeshValidationError(
                 f"element {bad[0]} references vertex index out of range"
             )
-        for e, elem in enumerate(self.elements):
-            if len(set(elem.tolist())) != dim + 1:
+        repeats = (np.diff(np.sort(self.elements, axis=1), axis=1) == 0).any(axis=1)
+        bad = repeats | geometry.degenerate_mask(self.vertices[self.elements])
+        if bad.any():
+            e = int(np.argmax(bad))
+            if repeats[e]:
                 raise MeshValidationError(f"element {e} repeats a vertex")
-            if SimplexGeometry(self.vertices[elem]).is_degenerate:
-                raise MeshValidationError(f"element {e} is degenerate (zero measure)")
+            raise MeshValidationError(f"element {e} is degenerate (zero measure)")
 
         if speeds is None:
             self.speeds = np.ones(len(self.elements))
@@ -89,12 +90,14 @@ class GroundMesh:
             if self.initial_times.shape != (n,):
                 raise MeshValidationError("initial_times must supply one value per vertex")
 
-        # stars[v] holds (element id, local index of v) pairs
-        self.stars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, elem in enumerate(self.elements):
-            for li, v in enumerate(elem.tolist()):
-                self.stars[v].append((e, li))
-        isolated = [v for v in range(n) if not self.stars[v]]
+        # stars[v] holds (element id, local index of v) pairs in element
+        # order: a stable sort of the flattened element array by vertex
+        k1 = dim + 1
+        order = np.argsort(self.elements.ravel(), kind="stable")
+        pairs = list(zip((order // k1).tolist(), (order % k1).tolist()))
+        degree = np.bincount(self.elements.ravel(), minlength=n)
+        self.stars: list[list[tuple[int, int]]] = _split(pairs, degree)
+        isolated = np.flatnonzero(degree == 0).tolist()
         if isolated:
             if allow_isolated:
                 warnings.warn(f"mesh has isolated vertices {isolated}", stacklevel=2)
@@ -103,14 +106,16 @@ class GroundMesh:
                     f"isolated vertex {isolated[0]} can never be advanced"
                 )
 
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for elem in self.elements:
-            vs = elem.tolist()
-            for a in vs:
-                for b in vs:
-                    if a != b:
-                        neighbor_sets[a].add(b)
-        self.neighbors = [sorted(s) for s in neighbor_sets]
+        # neighbors[v]: sorted distinct vertices sharing an element with v,
+        # from the distinct (v, w) keys over every ordered pair of an
+        # element (sorted and deduplicated by hand: np.unique imports
+        # numpy.ma, which adds about 1.5 MB to the CLI's peak RSS)
+        a, b = np.nonzero(~np.eye(k1, dtype=bool))
+        keys = np.sort((self.elements[:, a] * n + self.elements[:, b]).ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.neighbors: list[list[int]] = _split(
+            (keys % n).tolist(), np.bincount(keys // n, minlength=n)
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -141,13 +146,21 @@ class GroundMesh:
         return 1.0 / self.speed_at(e, time)
 
 
+def _split(items: list, counts: np.ndarray) -> list[list]:
+    """Cut a flat list into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[end - c:end] for end, c in zip(ends, counts.tolist())]
+
+
 def load(raw: dict) -> GroundMesh:
     """Build a GroundMesh from the parsed json-mesh structure."""
     for key in ("dim", "vertices", "elements"):
         if key not in raw:
             raise MeshValidationError(f"mesh description missing '{key}'")
+    dim = raw["dim"]
     return GroundMesh(
-        int(raw["dim"]),
+        # int() would turn True into 1; GroundMesh rejects a bool
+        dim if isinstance(dim, bool) else int(dim),
         raw["vertices"],
         raw["elements"],
         speeds=raw.get("speeds"),
@@ -168,18 +181,19 @@ class MeshConstants:
       (j, k, beta, inv_len, w_face, kappa).
     * slope_recs[e] / face_state_recs[e]: inverse-Gram data used to
       re-validate the front state after each lift.
+
+    The clearance ratios sigma and the face caps kappa exist for d = 3
+    only; no bound reads them in lower dimensions.
     """
 
     epsilon: float
     dim: int
     altitudes: np.ndarray            # (m, d+1)
     omega: np.ndarray                # (n,) min altitude over incident elements
-    omega_speed: np.ndarray          # (n,) min altitude/speed (progress floor, d<=2)
-    progress_floor: np.ndarray       # (n,) floor incl. capped faces for d=3
-    sigma: Optional[np.ndarray]      # (m, d+1) clearance ratios, d >= 2
-    kappa: Optional[np.ndarray]      # (m, d+1) cap of face opposite vertex l, d=3
-    element_measure: np.ndarray      # (m,)
-    element_perimeter: np.ndarray    # (m,) sum of facet measures
+    omega_speed: np.ndarray          # (n,) min altitude/speed; sets the patch budget
+    progress_floor: np.ndarray       # (n,) omega_speed, for d=3 also min over capped faces
+    sigma: Optional[np.ndarray]      # (m, 4) clearance ratio of vertex l, d=3 only
+    kappa: Optional[np.ndarray]      # (m, 4) cap of face opposite vertex l, d=3 only
     cone_recs: list = field(repr=False, default_factory=list)
     progress_recs: Optional[list] = field(repr=False, default=None)
     face_recs: Optional[list] = field(repr=False, default=None)
@@ -191,6 +205,36 @@ class MeshConstants:
         return float(np.sum(1.0 / self.omega))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product.  Stacked matmul rounds exactly like the 1-D
+    `a @ b` of a per-element loop, which a multiply-and-sum does not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _edge_feet(Xi, Xj, Xk):
+    """Foot of each point i on the line through edge (j, k), batched.
+
+    Returns (beta, inv_len, w): the foot is j + beta * (k - j), inv_len is
+    1/|k - j| and w the distance from i to the foot.
+    """
+    edge = Xk - Xj
+    L2 = _dot(edge, edge)
+    beta = _dot(Xi - Xj, edge) / L2
+    foot = Xj + beta[..., None] * edge
+    return beta, 1.0 / np.sqrt(L2), np.sqrt(_dot(Xi - foot, Xi - foot))
+
+
+def _records(*cols: np.ndarray, depth: int) -> list:
+    """Zip arrays that share their first `depth` axes into per-entry
+    tuples (one .tolist() per array), nested in lists along those axes;
+    an array with more axes contributes a list per entry."""
+    shape = cols[0].shape[:depth]
+    recs = list(zip(*(c.reshape(-1, *c.shape[depth:]).tolist() for c in cols)))
+    for size in reversed(shape[1:]):
+        recs = [recs[i:i + size] for i in range(0, len(recs), size)]
+    return recs
+
+
 def _triangle_records(coords, ids):
     """Per-vertex (j, k, beta, inv_len, w) records for one triangle.
 
@@ -198,21 +242,23 @@ def _triangle_records(coords, ids):
     cone ceiling is t_j + beta*(t_k - t_j) + w*sqrt(cap^2 - mu^2) with
     mu = (t_k - t_j)*inv_len.
     """
-    recs = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        edge = coords[k] - coords[j]
-        L2 = float(edge @ edge)
-        beta = float((coords[i] - coords[j]) @ edge) / L2
-        foot = coords[j] + beta * edge
-        w = float(np.linalg.norm(coords[i] - foot))
-        recs.append((int(ids[j]), int(ids[k]), beta, 1.0 / math.sqrt(L2), w))
-    return recs
+    X = np.asarray(coords, dtype=float)
+    opp = geometry.facet_index(2)
+    ids = np.asarray(ids, dtype=int)
+    return _records(ids[opp[:, 0]], ids[opp[:, 1]],
+                    *_edge_feet(X, X[opp[:, 0]], X[opp[:, 1]]), depth=1)
 
 
 def _sym2_inverse(g11, g12, g22):
     det = g11 * g22 - g12 * g12
     return (g22 / det, -g12 / det, g11 / det)
+
+
+def _vertex_min(n: int, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-vertex minimum of values scattered to the vertex ids."""
+    out = np.full(n, np.inf)
+    np.minimum.at(out, np.broadcast_to(ids, values.shape).ravel(), values.ravel())
+    return out
 
 
 def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
@@ -223,150 +269,91 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     (1 - epsilon) * sigma[e][l], instantiating the strictest-constraint
     rule one recursion level deep (deeper levels would only matter for
     d >= 4 meshes, which are rejected at load).
+
+    Everything is array code over the stacked element coordinates
+    X = vertices[elements], shape (m, d+1, d); the hot loop's tuples are
+    made at the end with one .tolist() per array.
     """
     if not 0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
     d = mesh.dim
-    m, n = mesh.n_elements, mesh.n_vertices
-    altitudes = np.zeros((m, d + 1))
-    sigma = np.zeros((m, d + 1)) if d >= 2 else None
-    kappa = np.zeros((m, d + 1)) if d == 3 else None
-    measures = np.zeros(m)
-    perimeters = np.zeros(m)
-    cone_recs: list = []
-    progress_recs: list | None = [] if d == 2 else None
-    face_recs: list | None = [] if d == 3 else None
-    slope_recs: list = []
-    face_state_recs: list | None = [] if d == 3 else None
+    n = mesh.n_vertices
+    ids = mesh.elements
+    X = mesh.vertices[ids]
+    opp = geometry.facet_index(d)    # (d+1, d) local vertices opposite i
+    F = X[:, opp]                    # (m, d+1, d, d) facet opposite vertex i
 
-    for e in range(m):
-        ids = mesh.elements[e]
-        coords = mesh.vertices[ids]
-        simplex = SimplexGeometry(coords)
-        measures[e] = simplex.measure
-        facet_measures = [simplex.facet(i).measure for i in range(d + 1)]
-        perimeters[e] = sum(facet_measures)
-        for i in range(d + 1):
-            # altitude = k * |simplex| / |opposite facet|
-            altitudes[e, i] = d * simplex.measure / facet_measures[i]
-            if d >= 2:
-                sigma[e, i] = geometry.clearance_ratio(coords[i], simplex.facet(i))
-        if d == 3:
-            kappa[e] = (1.0 - epsilon) * sigma[e]
+    # altitude = d * |simplex| / |opposite facet|
+    altitudes = (d * geometry.simplex_measures(X)[:, None]
+                 / geometry.simplex_measures(F))
+    scaled = altitudes / mesh.speeds[:, None]
+    omega = _vertex_min(n, ids, altitudes)
+    omega_speed = _vertex_min(n, ids, scaled)
+    progress_floor = omega_speed
+    sigma = kappa = progress_recs = face_recs = face_state_recs = None
+    E = X[:, 1:] - X[:, :1]
 
-        if d == 1:
-            L = float(np.linalg.norm(coords[1] - coords[0]))
-            cone_recs.append(
-                [(int(ids[1]), L), (int(ids[0]), L)]
-            )
-            slope_recs.append((int(ids[0]), int(ids[1]), 1.0 / L))
-        elif d == 2:
-            tri = _triangle_records(coords, ids)
-            cone_recs.append(tri)
-            progress_recs.append([(j, k, w) for (j, k, _, _, w) in tri])
-            E = simplex.edges
-            g = E @ E.T
-            h11, h12, h22 = _sym2_inverse(g[0, 0], g[0, 1], g[1, 1])
-            slope_recs.append(
-                (int(ids[0]), int(ids[1]), int(ids[2]), h11, h12, h22)
-            )
-        else:
-            elem_cone = []
-            elem_faces = []
-            for i in range(4):
-                others = [x for x in range(4) if x != i]
-                # full-element cone record: project vertex i onto the
-                # opposite facet plane, cache the Gram inverse of the facet
-                # edge basis and the foot's edge-coordinates.
-                fverts = coords[others]
-                u1 = fverts[1] - fverts[0]
-                u2 = fverts[2] - fverts[0]
-                g11, g12, g22 = (
-                    float(u1 @ u1),
-                    float(u1 @ u2),
-                    float(u2 @ u2),
-                )
-                h11, h12, h22 = _sym2_inverse(g11, g12, g22)
-                rel = coords[i] - fverts[0]
-                c1, c2 = float(u1 @ rel), float(u2 @ rel)
-                a1 = h11 * c1 + h12 * c2
-                a2 = h12 * c1 + h22 * c2
-                foot = fverts[0] + a1 * u1 + a2 * u2
-                w = float(np.linalg.norm(coords[i] - foot))
-                b1 = float(u1 @ (foot - fverts[0]))
-                b2 = float(u2 @ (foot - fverts[0]))
-                elem_cone.append(
-                    (
-                        int(ids[others[0]]),
-                        int(ids[others[1]]),
-                        int(ids[others[2]]),
-                        h11,
-                        h12,
-                        h22,
-                        b1,
-                        b2,
-                        w,
-                    )
-                )
-                # triangular faces of e containing vertex i: one per
-                # excluded vertex l != i; the face inherits cap kappa[e][l]
-                frecs = []
-                for l in others:
-                    face_local = [x for x in range(4) if x != l]
-                    fc = coords[face_local]
-                    fids = ids[face_local]
-                    tri = _triangle_records(fc, fids)
-                    pos = face_local.index(i)
-                    j, k, beta, inv_len, wf = tri[pos]
-                    frecs.append((j, k, beta, inv_len, wf, float(kappa[e, l])))
-                elem_faces.append(frecs)
-            cone_recs.append(elem_cone)
-            face_recs.append(elem_faces)
+    if d == 1:
+        L = np.sqrt(_dot(E[:, 0], E[:, 0]))
+        cone_recs = _records(ids[:, ::-1], np.stack([L, L], axis=1), depth=2)
+        slope_recs = _records(ids[:, 0], ids[:, 1], 1.0 / L, depth=1)
+    elif d == 2:
+        J, K = ids[:, opp[:, 0]], ids[:, opp[:, 1]]
+        beta, inv_len, w = _edge_feet(X, X[:, opp[:, 0]], X[:, opp[:, 1]])
+        cone_recs = _records(J, K, beta, inv_len, w, depth=2)
+        progress_recs = _records(J, K, w, depth=2)
+        g = E @ np.swapaxes(E, 1, 2)
+        h = _sym2_inverse(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])
+        slope_recs = _records(ids[:, 0], ids[:, 1], ids[:, 2], *h, depth=1)
+    else:
+        # full-element cone record for vertex i: project it onto the
+        # opposite facet plane, cache the Gram inverse of the facet edge
+        # basis and the foot's edge-coordinates
+        f0 = F[:, :, 0]
+        u1, u2 = F[:, :, 1] - f0, F[:, :, 2] - f0
+        h11, h12, h22 = _sym2_inverse(_dot(u1, u1), _dot(u1, u2), _dot(u2, u2))
+        c1, c2 = _dot(u1, X - f0), _dot(u2, X - f0)
+        a1 = h11 * c1 + h12 * c2
+        a2 = h12 * c1 + h22 * c2
+        foot = f0 + a1[..., None] * u1 + a2[..., None] * u2
+        w = np.sqrt(_dot(X - foot, X - foot))
+        fids = ids[:, opp]
+        cone_recs = _records(
+            fids[..., 0], fids[..., 1], fids[..., 2], h11, h12, h22,
+            _dot(u1, foot - f0), _dot(u2, foot - f0), w, depth=2,
+        )
 
-            E = simplex.edges
-            g = E @ E.T
-            slope_recs.append(
-                (tuple(int(x) for x in ids), np.linalg.inv(g))
-            )
-            fstates = []
-            for l in range(4):
-                face_local = [x for x in range(4) if x != l]
-                fc = coords[face_local]
-                fids = ids[face_local]
-                u1, u2 = fc[1] - fc[0], fc[2] - fc[0]
-                h11, h12, h22 = _sym2_inverse(
-                    float(u1 @ u1), float(u1 @ u2), float(u2 @ u2)
-                )
-                tri = _triangle_records(fc, fids)
-                ws = (tri[0][4], tri[1][4], tri[2][4])
-                fstates.append(
-                    (
-                        int(fids[0]),
-                        int(fids[1]),
-                        int(fids[2]),
-                        h11,
-                        h12,
-                        h22,
-                        float(kappa[e, l]),
-                        ws,
-                    )
-                )
-            face_state_recs.append(fstates)
+        sigma = geometry.clearance_ratios(X, F)
+        kappa = (1.0 - epsilon) * sigma
+        # triangular faces of e containing vertex i: one per excluded
+        # vertex l = opp[i, s] != i, with edge (j, k) = face l minus i; the
+        # face inherits cap kappa[e][l]
+        jk = np.array([[[x for x in opp[l] if x != i] for l in opp[i]]
+                       for i in range(4)])                    # (4, 3, 2)
+        fbeta, finv_len, wf = _edge_feet(
+            X[:, :, None], X[:, jk[..., 0]], X[:, jk[..., 1]]
+        )
+        fkappa = kappa[:, opp]
+        face_recs = _records(ids[:, jk[..., 0]], ids[:, jk[..., 1]],
+                             fbeta, finv_len, wf, fkappa, depth=3)
+        progress_floor = np.minimum(
+            omega_speed,
+            _vertex_min(n, ids[:, :, None],
+                        fkappa * wf / mesh.speeds[:, None, None]),
+        )
 
-    omega = np.full(n, np.inf)
-    omega_speed = np.full(n, np.inf)
-    progress_floor = np.full(n, np.inf)
-    for v in range(n):
-        for e, li in mesh.stars[v]:
-            omega[v] = min(omega[v], altitudes[e, li])
-            scaled = altitudes[e, li] / mesh.speeds[e]
-            omega_speed[v] = min(omega_speed[v], scaled)
-            progress_floor[v] = min(progress_floor[v], scaled)
-            if d == 3:
-                for (_, _, _, _, wf, kap) in face_recs[e][li]:
-                    progress_floor[v] = min(
-                        progress_floor[v], kap * wf / mesh.speeds[e]
-                    )
+        slope_recs = list(zip(map(tuple, ids.tolist()),
+                              np.linalg.inv(E @ np.swapaxes(E, 1, 2))))
+        # face l's state record: its Gram inverse is the cone record's of
+        # vertex l; the in-face altitude of its vertex i = opp[l][p] is
+        # wf[:, i, s] at the slot s where opp[i][s] == l
+        slot = np.array([[list(opp[i]).index(l) for i in opp[l]]
+                         for l in range(4)])
+        ws = wf[:, opp, slot]
+        face_state_recs = _records(
+            fids[..., 0], fids[..., 1], fids[..., 2], h11, h12, h22, kappa,
+            ws, depth=2,
+        )
 
     return MeshConstants(
         epsilon=epsilon,
@@ -377,8 +364,6 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         progress_floor=progress_floor,
         sigma=sigma,
         kappa=kappa,
-        element_measure=measures,
-        element_perimeter=perimeters,
         cone_recs=cone_recs,
         progress_recs=progress_recs,
         face_recs=face_recs,

@@ -159,7 +159,8 @@ def parse_json_mesh(text: str) -> dict:
     if "dim" not in data:
         raise ParseError("$.dim: missing")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim not in (1, 2, 3):
+    # bool is a subclass of int, but `true` is not a dimension
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2, 3):
         raise ParseError(f"$.dim: unsupported dimension {dim!r} (need 1, 2 or 3)")
     for key in ("vertices", "elements"):
         if key not in data or not isinstance(data[key], list):

@@ -50,8 +50,10 @@ class PitchConfig:
             raise ValueError(
                 f"epsilon must be in (0, 1/2], got {self.epsilon}"
             )
-        if not self.target_time >= 0.0:
-            raise ValueError("target time must be nonnegative")
+        if not 0.0 <= self.target_time < math.inf:
+            raise ValueError(
+                f"target time must be finite and nonnegative, got {self.target_time}"
+            )
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
 

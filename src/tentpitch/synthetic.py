@@ -13,25 +13,25 @@ import math
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import SimplexGeometry
+from .geometry import degenerate_mask, facet_index, simplex_measures
 from .ground_mesh import GroundMesh
+
+
+def _min_altitudes(dim, X) -> np.ndarray:
+    """Smallest altitude of each simplex in the stack X, shape
+    (m, dim+1, dim); -inf where the simplex is degenerate."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alts = (dim * simplex_measures(X)[:, None]
+                / simplex_measures(X[:, facet_index(dim)]))
+    return np.where(degenerate_mask(X), -np.inf, alts.min(axis=1))
 
 
 def _filter_quality(dim, points, simplices, min_altitude):
     """Drop elements whose smallest altitude is below min_altitude, then
     drop vertices that became unused and reindex."""
-    kept = []
-    for el in simplices:
-        s = SimplexGeometry(points[el])
-        if s.is_degenerate:
-            continue
-        alts = [dim * s.measure / s.facet(i).measure for i in range(dim + 1)]
-        if min(alts) >= min_altitude:
-            kept.append(list(el))
-    used = sorted({v for el in kept for v in el})
-    remap = {v: i for i, v in enumerate(used)}
-    elements = [[remap[v] for v in el] for el in kept]
-    return points[used], elements
+    kept = simplices[_min_altitudes(dim, points[simplices]) >= min_altitude]
+    used, elements = np.unique(kept, return_inverse=True)
+    return points[used], elements.reshape(kept.shape).tolist()
 
 
 def delaunay_mesh(n_points: int, rng: np.random.Generator,
@@ -65,17 +65,9 @@ def sweepline_mesh(n_points: int, rng: np.random.Generator,
         triangles = _sweep_triangulate(pts)
         if triangles is None:
             continue
-        ok = True
-        for el in triangles:
-            s = SimplexGeometry(pts[el])
-            if s.is_degenerate:
-                ok = False
-                break
-            alts = [2 * s.measure / s.facet(i).measure for i in range(3)]
-            if min(alts) < min_altitude:
-                ok = False
-                break
-        if ok and triangles:
+        if triangles and np.all(
+            _min_altitudes(2, pts[np.array(triangles)]) >= min_altitude
+        ):
             return GroundMesh(2, pts, triangles)
 
 

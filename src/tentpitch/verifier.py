@@ -234,31 +234,25 @@ def check_causality(mesh: SpaceTimeMesh) -> CheckResult:
 
 def _element_scalars(ground: GroundMesh):
     """Per-(element, vertex) static scalars for the liftability ceiling,
-    derived directly from raw coordinates."""
-    table = []
+    derived directly from raw coordinates (batched hull feet)."""
     d = ground.dim
-    for e in range(ground.n_elements):
-        ids = ground.elements[e]
-        coords = ground.vertices[ids]
-        per_vertex = []
-        for i in range(d + 1):
-            others = [x for x in range(d + 1) if x != i]
-            if d == 1:
-                w = float(np.linalg.norm(coords[others[0]] - coords[i]))
-                per_vertex.append((int(ids[others[0]]), w))
-            else:
-                facet = SimplexGeometry(coords[others])
-                foot, _ = geometry._hull_foot(coords[i], facet)
-                w = float(np.linalg.norm(coords[i] - foot))
-                E = facet.edges
-                gram = E @ E.T
-                ginv = np.linalg.inv(gram)
-                b = E @ (foot - facet.vertices[0])
-                per_vertex.append(
-                    (tuple(int(ids[o]) for o in others), ginv, b, w)
-                )
-        table.append(per_vertex)
-    return table
+    X = ground.vertices[ground.elements]
+    opp = geometry.facet_index(d)
+    others = ground.elements[:, opp].tolist()
+    F = X[:, opp]
+    if d == 1:
+        w = np.linalg.norm(F[:, :, 0] - X, axis=-1).tolist()
+        return [[(o[0], wi) for o, wi in zip(oe, we)]
+                for oe, we in zip(others, w)]
+    foot, _ = geometry.hull_feet(X, F)
+    E = F[..., 1:, :] - F[..., :1, :]
+    ginv = np.linalg.inv(E @ np.swapaxes(E, -1, -2))
+    b = np.einsum("...ij,...j->...i", E, foot - F[..., 0, :])
+    w = np.linalg.norm(X - foot, axis=-1).tolist()
+    return [
+        [(tuple(oe[i]), ginv[e, i], b[e, i], we[i]) for i in range(d + 1)]
+        for e, (oe, we) in enumerate(zip(others, w))
+    ]
 
 
 def _liftability_ceiling(rec, times, cap, dim):
@@ -330,8 +324,9 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
 
 def _oracle_static(ground: GroundMesh, v: int):
     """Time-independent data for the feasibility predicate: altitudes via
-    direct projection and face caps via clearance ratios, both re-derived
-    from the geometry primitives."""
+    direct projection, face caps via clearance ratios and the gradient
+    operator of each star element and face, all re-derived from the
+    geometry primitives."""
     d = ground.dim
     entries = []
     for e, li in ground.stars[v]:
@@ -348,8 +343,10 @@ def _oracle_static(ground: GroundMesh, v: int):
                 kappa = geometry.clearance_ratio(coords[l], fs)
                 pos = face_local.index(li)
                 wf = geometry.altitude_distance(fs, pos)
-                faces.append((face_local, pos, kappa, wf))
-        entries.append((e, li, ids, coords, w, faces))
+                faces.append((face_local, pos, kappa, wf,
+                              geometry.gradient_operators(fs.vertices)))
+        entries.append((e, li, ids, w, geometry.gradient_operators(coords),
+                        faces))
     return entries
 
 
@@ -357,11 +354,11 @@ def _oracle_feasible(ground: GroundMesh, static, times, v: int, t_new: float,
                      epsilon: float, slack: float = 1e-12) -> bool:
     d = ground.dim
     pf = 1.0 - epsilon
-    for e, li, ids, coords, w, faces in static:
+    for e, li, ids, w, grad_op, faces in static:
         ts = [times[u] for u in ids]
         ts[li] = t_new
         cap = ground.slope_cap(e, times[v])
-        grad = geometry.time_gradient(coords, ts)
+        grad = grad_op @ np.subtract(ts[1:], ts[0])
         if float(np.linalg.norm(grad)) > cap * (1.0 + slack):
             return False
         if d == 2:
@@ -369,10 +366,10 @@ def _oracle_feasible(ground: GroundMesh, static, times, v: int, t_new: float,
             if t_new > top + pf * w * cap * (1.0 + slack) + slack:
                 return False
         elif d == 3:
-            for face_local, pos, sigma, wf in faces:
+            for face_local, pos, sigma, wf, face_op in faces:
                 kappa = pf * sigma
                 fts = [ts[x] for x in face_local]
-                fgrad = geometry.time_gradient(coords[face_local], fts)
+                fgrad = face_op @ np.subtract(fts[1:], fts[0])
                 if float(np.linalg.norm(fgrad)) > kappa * cap * (1.0 + slack):
                     return False
                 top = max(t for i, t in enumerate(fts) if i != pos)
@@ -388,7 +385,7 @@ def oracle_max_lift(ground: GroundMesh, times, v: int, epsilon: float,
     static = _oracle_static(ground, v)
     lo = times[v]
     scale = max(w * ground.slope_cap(e, times[v])
-                for e, _, _, _, w, _ in static)
+                for e, _, _, w, _, _ in static)
     step = max(scale, 1e-12)
     hi = lo + step
     grow = 0

@@ -8,8 +8,14 @@ from tentpitch.geometry import (
     SimplexGeometry,
     altitude_distance,
     clearance_ratio,
+    clearance_ratios,
     closest_point_in_facet,
+    closest_points,
+    degenerate_mask,
+    gradient_operators,
+    hull_feet,
     project_to_hyperplane,
+    simplex_measures,
     time_gradient,
 )
 
@@ -234,3 +240,41 @@ class TestRigidMotionInvariance:
             g1 = np.linalg.norm(time_gradient(simplex.vertices, times))
             g2 = np.linalg.norm(time_gradient(move(simplex.vertices), times))
             assert g2 == pytest.approx(g1, rel=1e-9, abs=1e-12)
+
+
+class TestBatchedKernels:
+    def test_stack_matches_rows(self, rng):
+        # one call over a (rows, 2) stack agrees with the scalar API per row
+        for k, d in ((1, 2), (1, 3), (2, 3)):
+            F = np.array([[random_simplex(rng, k, d).vertices
+                           for _ in range(2)] for _ in range(30)])
+            P = rng.normal(scale=1.5, size=(30, 2, d))
+            feet, bary = hull_feet(P, F)
+            ratios = clearance_ratios(P, F)
+            nearest = closest_points(P, F)
+            ops = gradient_operators(F)
+            times = rng.normal(size=(30, 2, k + 1))
+            for idx in np.ndindex(30, 2):
+                facet = SimplexGeometry(F[idx])
+                assert feet[idx] == pytest.approx(
+                    project_to_hyperplane(P[idx], facet), rel=1e-12, abs=1e-12)
+                assert bary[idx].sum() == pytest.approx(1.0)
+                assert ratios[idx] == clearance_ratio(P[idx], facet)
+                assert nearest[idx] == pytest.approx(
+                    closest_point_in_facet(P[idx], facet), abs=1e-12)
+                assert ops[idx] @ (times[idx][1:] - times[idx][0]) == \
+                    pytest.approx(time_gradient(F[idx], times[idx]), abs=1e-12)
+            assert np.any(ratios < 1.0) and np.any(ratios == 1.0)
+
+    def test_measures_and_degeneracy(self, rng):
+        X = rng.normal(size=(20, 4, 3))
+        X[3] = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]]
+        X[7, 3] = X[7, 0]
+        measures = simplex_measures(X)
+        degenerate = degenerate_mask(X)
+        for x, m, deg in zip(X, measures, degenerate):
+            s = SimplexGeometry(x)
+            assert m == s.measure
+            assert deg == s.is_degenerate
+        assert np.flatnonzero(degenerate).tolist() == [3, 7]
+        assert simplex_measures(X[:, :1]).tolist() == [1.0] * 20

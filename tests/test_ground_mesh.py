@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
-from tentpitch.geometry import SimplexGeometry, _hull_foot
+from tentpitch.geometry import (
+    SimplexGeometry,
+    _hull_foot,
+    altitude_distance,
+    clearance_ratio,
+)
+from tentpitch.synthetic import delaunay_mesh, path_mesh_1d, random_tet_mesh
 
 
 class TestLoad:
@@ -31,6 +37,17 @@ class TestLoad:
             load({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
                   "elements": [[0, 1, 1]]})
 
+    def test_first_offending_element_reported(self):
+        verts = [[0, 0], [1, 0], [0, 1], [2, 0]]
+        with pytest.raises(MeshValidationError,
+                           match=r"^element 1 is degenerate"):
+            load({"dim": 2, "vertices": verts,
+                  "elements": [[0, 1, 2], [0, 1, 3], [1, 2, 2]]})
+        with pytest.raises(MeshValidationError,
+                           match=r"^element 1 repeats a vertex"):
+            load({"dim": 2, "vertices": verts,
+                  "elements": [[0, 1, 2], [1, 2, 2], [0, 1, 3]]})
+
     def test_collinear_degenerate(self):
         with pytest.raises(MeshValidationError, match="degenerate"):
             load({"dim": 2, "vertices": [[0, 0], [1, 0], [2, 0]],
@@ -49,6 +66,12 @@ class TestLoad:
     def test_unsupported_dim(self):
         with pytest.raises(MeshValidationError, match="dimension"):
             GroundMesh(5, np.zeros((6, 5)), [[0, 1, 2, 3, 4, 5]])
+
+    def test_boolean_dim_rejected(self):
+        # a bool is an int, but True is not dimension 1
+        with pytest.raises(MeshValidationError, match="dimension True"):
+            load({"dim": True, "vertices": [[0.0], [1.0]],
+                  "elements": [[0, 1]]})
 
     def test_nonpositive_speed(self):
         with pytest.raises(MeshValidationError, match="wave speed"):
@@ -77,6 +100,17 @@ class TestStar:
 
     def test_corner(self, right_triangle):
         assert right_triangle.star(0) == [0]
+
+    def test_adjacency_matches_element_loop(self, rng):
+        mesh = delaunay_mesh(40, rng)
+        stars = [[] for _ in range(mesh.n_vertices)]
+        neighbors = [set() for _ in range(mesh.n_vertices)]
+        for e, elem in enumerate(mesh.elements.tolist()):
+            for li, v in enumerate(elem):
+                stars[v].append((e, li))
+                neighbors[v].update(u for u in elem if u != v)
+        assert mesh.stars == stars
+        assert mesh.neighbors == [sorted(s) for s in neighbors]
 
     def test_invalid_index(self, right_triangle):
         with pytest.raises(IndexError):
@@ -117,41 +151,44 @@ class TestPrecompute:
         assert np.all(cons.kappa[0] <= 1.0)
 
     def test_omega_brute_force(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
-
-        mesh = delaunay_mesh(30, rng)
-        cons = precompute(mesh)
-        for v in range(mesh.n_vertices):
-            dists = []
-            for e in mesh.star(v):
-                ids = [int(x) for x in mesh.elements[e]]
-                i = ids.index(v)
-                s = SimplexGeometry(mesh.vertices[ids])
-                foot, _ = _hull_foot(mesh.vertices[v], s.facet(i))
-                dists.append(float(np.linalg.norm(mesh.vertices[v] - foot)))
-            assert cons.omega[v] == pytest.approx(min(dists), rel=1e-12)
+        for mesh in (delaunay_mesh(30, rng), random_tet_mesh(12, rng)):
+            cons = precompute(mesh)
+            for v in range(mesh.n_vertices):
+                dists = []
+                for e in mesh.star(v):
+                    ids = [int(x) for x in mesh.elements[e]]
+                    i = ids.index(v)
+                    s = SimplexGeometry(mesh.vertices[ids])
+                    foot, _ = _hull_foot(mesh.vertices[v], s.facet(i))
+                    dists.append(float(np.linalg.norm(mesh.vertices[v] - foot)))
+                assert cons.omega[v] == pytest.approx(min(dists), rel=1e-12)
 
     def test_reordering_invariance(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
-
-        mesh = delaunay_mesh(25, rng)
-        cons = precompute(mesh)
-        vperm = rng.permutation(mesh.n_vertices)
-        eperm = rng.permutation(mesh.n_elements)
-        inv = np.empty_like(vperm)
-        inv[vperm] = np.arange(mesh.n_vertices)
-        verts2 = mesh.vertices[vperm]
-        elements2 = inv[mesh.elements][eperm]
-        mesh2 = GroundMesh(2, verts2, elements2)
-        cons2 = precompute(mesh2)
-        for new_e, old_e in enumerate(eperm):
-            assert cons2.altitudes[new_e] == pytest.approx(
-                cons.altitudes[old_e], rel=1e-12
-            )
-        for old_v in range(mesh.n_vertices):
-            assert cons2.omega[inv[old_v]] == pytest.approx(
-                cons.omega[old_v], rel=1e-12
-            )
+        for mesh in (delaunay_mesh(25, rng), random_tet_mesh(12, rng)):
+            cons = precompute(mesh)
+            vperm = rng.permutation(mesh.n_vertices)
+            eperm = rng.permutation(mesh.n_elements)
+            inv = np.empty_like(vperm)
+            inv[vperm] = np.arange(mesh.n_vertices)
+            verts2 = mesh.vertices[vperm]
+            elements2 = inv[mesh.elements][eperm]
+            mesh2 = GroundMesh(mesh.dim, verts2, elements2)
+            cons2 = precompute(mesh2)
+            for new_e, old_e in enumerate(eperm):
+                assert cons2.altitudes[new_e] == pytest.approx(
+                    cons.altitudes[old_e], rel=1e-12
+                )
+                if mesh.dim == 3:
+                    assert cons2.kappa[new_e] == pytest.approx(
+                        cons.kappa[old_e], rel=1e-12
+                    )
+            for old_v in range(mesh.n_vertices):
+                assert cons2.omega[inv[old_v]] == pytest.approx(
+                    cons.omega[old_v], rel=1e-12
+                )
+                assert cons2.progress_floor[inv[old_v]] == pytest.approx(
+                    cons.progress_floor[old_v], rel=1e-12
+                )
 
     def test_inverse_omega_sum_reproducible(self, right_triangle):
         a = precompute(right_triangle).inverse_omega_sum
@@ -171,6 +208,130 @@ class TestPrecompute:
                           speeds=[2.0])
         cons = precompute(mesh)
         assert cons.omega_speed[0] == pytest.approx(cons.omega[0] / 2.0)
+
+
+def _reference_constants(mesh, epsilon):
+    """The records precompute documents, built element by element from the
+    scalar geometry primitives (hull feet, altitudes, clearance ratios)."""
+    d = mesh.dim
+    ref = {"altitudes": [], "cone_recs": [], "slope_recs": [],
+           "progress_recs": [], "sigma": [], "face_recs": [],
+           "face_state_recs": []}
+    face_floor = np.full(mesh.n_vertices, np.inf)
+
+    def edge_record(p, a, b):
+        # foot of p on the line ab as (beta, 1/|ab|, distance)
+        seg = SimplexGeometry([a, b])
+        foot, bary = _hull_foot(p, seg)
+        return bary[1], 1.0 / seg.measure, float(np.linalg.norm(p - foot))
+
+    def gram_inverse(s):
+        return np.linalg.inv(s.edges @ s.edges.T)
+
+    for e, ids in enumerate(mesh.elements.tolist()):
+        X = mesh.vertices[ids]
+        s = SimplexGeometry(X)
+        alt = [altitude_distance(s, i) for i in range(d + 1)]
+        ref["altitudes"].append(alt)
+        opp = [[x for x in range(d + 1) if x != i] for i in range(d + 1)]
+        if d == 1:
+            ref["cone_recs"].append([(ids[1], alt[0]), (ids[0], alt[1])])
+            ref["slope_recs"].append((ids[0], ids[1], 1.0 / alt[0]))
+            continue
+        if d == 2:
+            recs = [(ids[o[0]], ids[o[1]]) + edge_record(X[i], *X[o])
+                    for i, o in enumerate(opp)]
+            ref["cone_recs"].append(recs)
+            ref["progress_recs"].append([(j, k, w) for j, k, _, _, w in recs])
+            h = gram_inverse(s)
+            ref["slope_recs"].append(
+                (ids[0], ids[1], ids[2], h[0, 0], h[0, 1], h[1, 1]))
+            continue
+        sig = [clearance_ratio(X[i], s.facet(i)) for i in range(4)]
+        kap = [(1.0 - epsilon) * x for x in sig]
+        ref["sigma"].append(sig)
+        cone, faces = [], []
+        for i, o in enumerate(opp):
+            facet = s.facet(i)
+            foot, _ = _hull_foot(X[i], facet)
+            h = gram_inverse(facet)
+            b = facet.edges @ (foot - facet.vertices[0])
+            cone.append((ids[o[0]], ids[o[1]], ids[o[2]],
+                         h[0, 0], h[0, 1], h[1, 1], b[0], b[1], alt[i]))
+            frecs = []
+            for l in o:
+                j, k = [x for x in opp[l] if x != i]
+                beta, inv_len, wf = edge_record(X[i], X[j], X[k])
+                frecs.append((ids[j], ids[k], beta, inv_len, wf, kap[l]))
+                face_floor[ids[i]] = min(face_floor[ids[i]],
+                                         kap[l] * wf / mesh.speeds[e])
+            faces.append(frecs)
+        ref["cone_recs"].append(cone)
+        ref["face_recs"].append(faces)
+        ref["slope_recs"].append((tuple(ids), gram_inverse(s)))
+        states = []
+        for l, o in enumerate(opp):
+            face = s.facet(l)
+            h = gram_inverse(face)
+            ws = [altitude_distance(face, p) for p in range(3)]
+            states.append((ids[o[0]], ids[o[1]], ids[o[2]],
+                           h[0, 0], h[0, 1], h[1, 1], kap[l], ws))
+        ref["face_state_recs"].append(states)
+
+    alt = np.array(ref["altitudes"])
+    ref["altitudes"] = alt
+    ref["omega"] = np.array([min(alt[e, li] for e, li in mesh.stars[v])
+                             for v in range(mesh.n_vertices)])
+    ref["omega_speed"] = np.array([
+        min(alt[e, li] / mesh.speeds[e] for e, li in mesh.stars[v])
+        for v in range(mesh.n_vertices)
+    ])
+    ref["progress_floor"] = np.minimum(ref["omega_speed"], face_floor)
+    if d == 3:
+        ref["sigma"] = np.array(ref["sigma"])
+        ref["kappa"] = (1.0 - epsilon) * ref["sigma"]
+    else:
+        ref["sigma"] = ref["kappa"] = ref["face_recs"] = None
+        ref["face_state_recs"] = None
+    if d != 2:
+        ref["progress_recs"] = None
+    return ref
+
+
+def _assert_records_close(got, want, path):
+    if want is None:
+        assert got is None, path
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for n, (g, w) in enumerate(zip(got, want)):
+            _assert_records_close(g, w, f"{path}[{n}]")
+    elif isinstance(want, int):
+        assert type(got) is int and got == want, path
+    else:
+        assert np.asarray(got, dtype=float) == pytest.approx(
+            np.asarray(want, dtype=float), rel=1e-12), path
+
+
+class TestBatchedRecords:
+    """precompute's array code against a per-element reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_field_matches_reference(self, dim, rng):
+        if dim == 1:
+            base = path_mesh_1d(np.cumsum(rng.uniform(0.2, 1.0, size=9)))
+        elif dim == 2:
+            base = delaunay_mesh(40, rng)
+        else:
+            base = random_tet_mesh(12, rng)
+        mesh = GroundMesh(dim, base.vertices, base.elements,
+                          speeds=rng.uniform(0.5, 2.0, size=base.n_elements))
+        cons = precompute(mesh, epsilon=0.2)
+        ref = _reference_constants(mesh, 0.2)
+        if dim == 3:
+            # the clearance branch outside the facet must be exercised
+            assert np.any(cons.sigma < 1.0)
+        for name, want in ref.items():
+            _assert_records_close(getattr(cons, name), want, name)
 
 
 class TestSpeedSchedule:

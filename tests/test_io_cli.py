@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,33 @@ class TestCli:
         }))
         rc = main(["pitch", "--input", str(bad), "--target-time", "1"])
         assert rc == 1
+
+    def test_infinite_target_time_is_exit_one(self):
+        # in a child with a timeout: an accepted inf target never finishes
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tentpitch.cli", "pitch",
+             "--input", str(DATA / "single_triangle.node"),
+             "--target-time", "inf"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: target time must be finite")
+        assert proc.stderr.count("\n") == 1
+
+    def test_boolean_dim_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bool_dim.json"
+        bad.write_text(json.dumps({
+            "dim": True, "vertices": [[0.0], [1.0]], "elements": [[0, 1]],
+        }))
+        rc = main(["info", "--input", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.dim: unsupported dimension True")
+        assert err.count("\n") == 1
 
     def test_deterministic_output_files(self, tmp_path):
         files = []
