@@ -37,7 +37,7 @@ def facet_index(k: int) -> np.ndarray:
                     dtype=int)
 
 
-def _edges(X: np.ndarray) -> np.ndarray:
+def edge_bases(X: np.ndarray) -> np.ndarray:
     """Edge bases: rows vertex[i] - vertex[0], shape (..., k, d)."""
     return X[..., 1:, :] - X[..., :1, :]
 
@@ -51,7 +51,7 @@ def simplex_measures(X) -> np.ndarray:
     k = X.shape[-2] - 1
     if k == 0:
         return np.ones(X.shape[:-2])
-    E = _edges(X)
+    E = edge_bases(X)
     det = np.linalg.det(E @ np.swapaxes(E, -1, -2))
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
 
@@ -87,7 +87,7 @@ def hull_feet(P, F):
     if k == 0:
         feet = np.broadcast_arrays(P, v0)[1].copy()
         return feet, np.ones(feet.shape[:-1] + (1,))
-    E = _edges(F)
+    E = edge_bases(F)
     # pinv (SVD) rather than normal equations: the foot stays accurate on
     # badly conditioned facets
     pinv = np.linalg.pinv(np.swapaxes(E, -1, -2))
@@ -151,7 +151,7 @@ def gradient_operators(X) -> np.ndarray:
     minimal-norm solution of E g = dt, the vector lying in the simplex's
     affine hull; SVD keeps full accuracy on badly conditioned simplices.
     """
-    return np.linalg.pinv(_edges(np.asarray(X, dtype=float)))
+    return np.linalg.pinv(edge_bases(np.asarray(X, dtype=float)))
 
 
 # -- scalar API ----------------------------------------------------------------
@@ -181,7 +181,7 @@ class SimplexGeometry:
     @cached_property
     def edges(self) -> np.ndarray:
         """Edge basis: rows are vertex[i] - vertex[0], shape (k, dim)."""
-        return _edges(self.vertices)
+        return edge_bases(self.vertices)
 
     @cached_property
     def measure(self) -> float:

@@ -236,17 +236,18 @@ def _records(*cols: np.ndarray, depth: int) -> list:
 
 
 def _triangle_records(coords, ids):
-    """Per-vertex (j, k, beta, inv_len, w) records for one triangle.
+    """Per-vertex (j, k, beta, inv_len, w) records of triangles.
 
-    beta places the foot of the altitude along the opposite edge, so the
-    cone ceiling is t_j + beta*(t_k - t_j) + w*sqrt(cap^2 - mu^2) with
-    mu = (t_k - t_j)*inv_len.
+    coords has shape (..., 3, 2) and ids (..., 3); the records are nested
+    in lists along the leading batch axes.  beta places the foot of the
+    altitude along the opposite edge, so the cone ceiling is
+    t_j + beta*(t_k - t_j) + w*sqrt(cap^2 - mu^2) with mu = (t_k - t_j)*inv_len.
     """
     X = np.asarray(coords, dtype=float)
-    opp = geometry.facet_index(2)
     ids = np.asarray(ids, dtype=int)
-    return _records(ids[opp[:, 0]], ids[opp[:, 1]],
-                    *_edge_feet(X, X[opp[:, 0]], X[opp[:, 1]]), depth=1)
+    j, k = geometry.facet_index(2).T
+    return _records(ids[..., j], ids[..., k],
+                    *_edge_feet(X, X[..., j, :], X[..., k, :]), depth=ids.ndim)
 
 
 def _sym2_inverse(g11, g12, g22):
@@ -291,17 +292,16 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     omega_speed = _vertex_min(n, ids, scaled)
     progress_floor = omega_speed
     sigma = kappa = progress_recs = face_recs = face_state_recs = None
-    E = X[:, 1:] - X[:, :1]
+    E = geometry.edge_bases(X)
 
     if d == 1:
         L = np.sqrt(_dot(E[:, 0], E[:, 0]))
         cone_recs = _records(ids[:, ::-1], np.stack([L, L], axis=1), depth=2)
         slope_recs = _records(ids[:, 0], ids[:, 1], 1.0 / L, depth=1)
     elif d == 2:
-        J, K = ids[:, opp[:, 0]], ids[:, opp[:, 1]]
-        beta, inv_len, w = _edge_feet(X, X[:, opp[:, 0]], X[:, opp[:, 1]])
-        cone_recs = _records(J, K, beta, inv_len, w, depth=2)
-        progress_recs = _records(J, K, w, depth=2)
+        cone_recs = _triangle_records(X, ids)
+        progress_recs = [[(j, k, w) for j, k, _, _, w in recs]
+                         for recs in cone_recs]
         g = E @ np.swapaxes(E, 1, 2)
         h = _sym2_inverse(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])
         slope_recs = _records(ids[:, 0], ids[:, 1], ids[:, 2], *h, depth=1)
@@ -310,7 +310,8 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         # opposite facet plane, cache the Gram inverse of the facet edge
         # basis and the foot's edge-coordinates
         f0 = F[:, :, 0]
-        u1, u2 = F[:, :, 1] - f0, F[:, :, 2] - f0
+        U = geometry.edge_bases(F)
+        u1, u2 = U[..., 0, :], U[..., 1, :]
         h11, h12, h22 = _sym2_inverse(_dot(u1, u1), _dot(u1, u2), _dot(u2, u2))
         c1, c2 = _dot(u1, X - f0), _dot(u2, X - f0)
         a1 = h11 * c1 + h12 * c2

@@ -75,7 +75,7 @@ def _facet_slopes(ground: GroundMesh, facets, st_times) -> np.ndarray:
     verts = np.array([f.vertices for f in facets])
     coords = ground.vertices[ground.elements[gels]]
     times = st_times[verts]
-    E = coords[:, 1:, :] - coords[:, :1, :]
+    E = geometry.edge_bases(coords)
     dt = times[:, 1:] - times[:, :1]
     G = E @ np.transpose(E, (0, 2, 1))
     y = np.linalg.solve(G, dt[..., None])[..., 0]
@@ -245,7 +245,7 @@ def _element_scalars(ground: GroundMesh):
         return [[(o[0], wi) for o, wi in zip(oe, we)]
                 for oe, we in zip(others, w)]
     foot, _ = geometry.hull_feet(X, F)
-    E = F[..., 1:, :] - F[..., :1, :]
+    E = geometry.edge_bases(F)
     ginv = np.linalg.inv(E @ np.swapaxes(E, -1, -2))
     b = np.einsum("...ij,...j->...i", E, foot - F[..., 0, :])
     w = np.linalg.norm(X - foot, axis=-1).tolist()
