@@ -140,8 +140,15 @@ class Front:
 
     def _check_progress_state(self, e, ids, ws, cap, kap) -> None:
         t = self.times
-        order = sorted(range(len(ids)), key=lambda i: t[ids[i]])
-        top, mid = order[-1], order[-2]
+        # top and middle of the three vertices, picked as the last two of a
+        # stable ascending sort would be: a tie goes to the higher index
+        t0, t1, t2 = t[ids[0]], t[ids[1]], t[ids[2]]
+        if t2 >= t1 and t2 >= t0:
+            top, mid = 2, (1 if t1 >= t0 else 0)
+        elif t1 >= t0:
+            top, mid = 1, (2 if t2 >= t0 else 0)
+        else:
+            top, mid = 0, (2 if t2 >= t1 else 1)
         gap = t[ids[top]] - t[ids[mid]]
         allowed = (1.0 - self.epsilon) * ws[top] * cap * kap
         if gap > allowed * (1.0 + self.tol):

@@ -42,6 +42,13 @@ def edge_bases(X: np.ndarray) -> np.ndarray:
     return X[..., 1:, :] - X[..., :1, :]
 
 
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis.  Stacked matmul rounds
+    exactly like the 1-D `a @ b` of a per-row loop, which a multiply-and-sum
+    does not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def simplex_measures(X) -> np.ndarray:
     """k-dimensional volume of each simplex; a 0-simplex has measure 1.
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MeshValidationError
+from .geometry import dots
 
 SpeedSchedule = Callable[[int, float], float]
 
@@ -79,9 +80,12 @@ class GroundMesh:
             self.speeds = np.asarray(speeds, dtype=float)
             if self.speeds.shape != (len(self.elements),):
                 raise MeshValidationError("speeds must supply one value per element")
-            if not np.all(self.speeds > 0):
-                bad = int(np.argwhere(self.speeds <= 0)[0][0])
-                raise MeshValidationError(f"element {bad} has non-positive wave speed")
+            finite = np.isfinite(self.speeds)
+            bad = ~(finite & (self.speeds > 0))
+            if bad.any():
+                e = int(np.argmax(bad))
+                kind = "non-positive" if finite[e] else "non-finite"
+                raise MeshValidationError(f"element {e} has {kind} wave speed")
         self.speed_schedule = speed_schedule
 
         self.initial_times = None
@@ -90,12 +94,17 @@ class GroundMesh:
             if self.initial_times.shape != (n,):
                 raise MeshValidationError("initial_times must supply one value per vertex")
 
-        # stars[v] holds (element id, local index of v) pairs in element
-        # order: a stable sort of the flattened element array by vertex
+        # stars in CSR form, from a stable sort of the flattened element
+        # array by vertex: star_elements/star_locals[star_offsets[v]:
+        # star_offsets[v+1]] are the elements containing v, in element
+        # order, and v's local index in each; stars[v] lists the same pairs
         k1 = dim + 1
         order = np.argsort(self.elements.ravel(), kind="stable")
-        pairs = list(zip((order // k1).tolist(), (order % k1).tolist()))
+        self.star_elements = order // k1
+        self.star_locals = order % k1
         degree = np.bincount(self.elements.ravel(), minlength=n)
+        self.star_offsets = np.concatenate([[0], np.cumsum(degree)])
+        pairs = list(zip(self.star_elements.tolist(), self.star_locals.tolist()))
         self.stars: list[list[tuple[int, int]]] = _split(pairs, degree)
         isolated = np.flatnonzero(degree == 0).tolist()
         if isolated:
@@ -144,6 +153,14 @@ class GroundMesh:
     def slope_cap(self, e: int, time: float) -> float:
         """Admissible time-gradient norm on element e near the given time."""
         return 1.0 / self.speed_at(e, time)
+
+    def slope_caps(self, elements: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """slope_cap of each element at the matching time; one array
+        division unless a speed schedule must be called per element."""
+        if self.speed_schedule is None:
+            return 1.0 / self.speeds[elements]
+        return np.array([self.slope_cap(e, t)
+                         for e, t in zip(elements.tolist(), times.tolist())])
 
 
 def _split(items: list, counts: np.ndarray) -> list[list]:
@@ -205,12 +222,6 @@ class MeshConstants:
         return float(np.sum(1.0 / self.omega))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product.  Stacked matmul rounds exactly like the 1-D
-    `a @ b` of a per-element loop, which a multiply-and-sum does not."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _edge_feet(Xi, Xj, Xk):
     """Foot of each point i on the line through edge (j, k), batched.
 
@@ -218,10 +229,10 @@ def _edge_feet(Xi, Xj, Xk):
     1/|k - j| and w the distance from i to the foot.
     """
     edge = Xk - Xj
-    L2 = _dot(edge, edge)
-    beta = _dot(Xi - Xj, edge) / L2
+    L2 = dots(edge, edge)
+    beta = dots(Xi - Xj, edge) / L2
     foot = Xj + beta[..., None] * edge
-    return beta, 1.0 / np.sqrt(L2), np.sqrt(_dot(Xi - foot, Xi - foot))
+    return beta, 1.0 / np.sqrt(L2), np.sqrt(dots(Xi - foot, Xi - foot))
 
 
 def _records(*cols: np.ndarray, depth: int) -> list:
@@ -295,7 +306,7 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     E = geometry.edge_bases(X)
 
     if d == 1:
-        L = np.sqrt(_dot(E[:, 0], E[:, 0]))
+        L = np.sqrt(dots(E[:, 0], E[:, 0]))
         cone_recs = _records(ids[:, ::-1], np.stack([L, L], axis=1), depth=2)
         slope_recs = _records(ids[:, 0], ids[:, 1], 1.0 / L, depth=1)
     elif d == 2:
@@ -312,16 +323,16 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         f0 = F[:, :, 0]
         U = geometry.edge_bases(F)
         u1, u2 = U[..., 0, :], U[..., 1, :]
-        h11, h12, h22 = _sym2_inverse(_dot(u1, u1), _dot(u1, u2), _dot(u2, u2))
-        c1, c2 = _dot(u1, X - f0), _dot(u2, X - f0)
+        h11, h12, h22 = _sym2_inverse(dots(u1, u1), dots(u1, u2), dots(u2, u2))
+        c1, c2 = dots(u1, X - f0), dots(u2, X - f0)
         a1 = h11 * c1 + h12 * c2
         a2 = h12 * c1 + h22 * c2
         foot = f0 + a1[..., None] * u1 + a2[..., None] * u2
-        w = np.sqrt(_dot(X - foot, X - foot))
+        w = np.sqrt(dots(X - foot, X - foot))
         fids = ids[:, opp]
         cone_recs = _records(
             fids[..., 0], fids[..., 1], fids[..., 2], h11, h12, h22,
-            _dot(u1, foot - f0), _dot(u2, foot - f0), w, depth=2,
+            dots(u1, foot - f0), dots(u2, foot - f0), w, depth=2,
         )
 
         sigma = geometry.clearance_ratios(X, F)

@@ -206,6 +206,70 @@ def write_json_mesh(mesh: GroundMesh) -> str:
     return dumps(payload)
 
 
+# -- reading parsed JSON ---------------------------------------------------------
+
+# what converting parsed JSON raises on a missing or mistyped field
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+
+
+class _Tracked:
+    """Stand-in for parsed JSON that records the path of the last field
+    read, so that a failed conversion re-run on it can name that field."""
+
+    def __init__(self, value, path: str, last: list):
+        self._value, self._path, self._last = value, path, last
+
+    def _child(self, value, path: str):
+        self._last[0] = path
+        if isinstance(value, (dict, list)):
+            return _Tracked(value, path, self._last)
+        return value
+
+    def __getitem__(self, key):
+        if isinstance(self._value, list):
+            path = f"{self._path}[{key}]"
+        else:
+            path = f"{self._path}.{key}"
+        self._last[0] = path
+        return self._child(self._value[key], path)
+
+    def get(self, key, default=None):
+        return self[key] if key in self._value else default
+
+    def __iter__(self):
+        for i, item in enumerate(self._value):
+            yield self._child(item, f"{self._path}[{i}]")
+
+
+def _load_object(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("$: not an object")
+    return data
+
+
+def _convert(convert, data: dict, *args):
+    """convert(data, *args); a missing or malformed field becomes a
+    ParseError naming its JSON path, found by re-running the conversion on
+    a path-recording stand-in (so a good file never pays for it)."""
+    try:
+        return convert(data, *args)
+    except (ParseError, MeshValidationError):
+        raise
+    except _MALFORMED as exc:
+        error = exc
+    last = ["$"]
+    try:
+        convert(_Tracked(data, "$", last), *args)
+    except _MALFORMED as exc:
+        error = exc
+    what = "missing" if isinstance(error, (KeyError, IndexError)) else "malformed"
+    raise ParseError(f"{last[0]}: {what}") from None
+
+
 # -- space-time mesh json ------------------------------------------------------
 
 
@@ -214,7 +278,7 @@ def _facet_to_list(f: Facet):
 
 
 def _facet_from_list(data) -> Facet:
-    return Facet(int(data[0]), tuple(int(x) for x in data[1]), int(data[2]))
+    return Facet(int(data[0]), tuple(map(int, data[1])), int(data[2]))
 
 
 def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
@@ -243,11 +307,7 @@ def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
     return dumps(payload)
 
 
-def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+def _spacetime_from_dict(data, ground: GroundMesh) -> SpaceTimeMesh:
     if data.get("format") != "tentpitch-stmesh":
         raise ParseError("$.format: not a tentpitch space-time mesh file")
     if data["ground_dim"] != ground.dim:
@@ -256,12 +316,12 @@ def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
             f"ground mesh has {ground.dim}"
         )
     mesh = SpaceTimeMesh(ground)
-    mesh.vertices = [tuple(float(x) for x in v) for v in data["vertices"]]
-    mesh.vertex_ground = [int(x) for x in data["vertex_ground"]]
-    mesh.elements = [tuple(int(x) for x in e) for e in data["elements"]]
-    mesh.element_patch = [int(x) for x in data["element_patch"]]
-    mesh.initial_facets = [_facet_from_list(f) for f in data["initial_facets"]]
-    mesh.frontier = [_facet_from_list(f) for f in data["frontier"]]
+    mesh.vertices = [tuple(map(float, v)) for v in data["vertices"]]
+    mesh.vertex_ground = list(map(int, data["vertex_ground"]))
+    mesh.elements = [tuple(map(int, e)) for e in data["elements"]]
+    mesh.element_patch = list(map(int, data["element_patch"]))
+    mesh.initial_facets = list(map(_facet_from_list, data["initial_facets"]))
+    mesh.frontier = list(map(_facet_from_list, data["frontier"]))
     mesh.current_vertex = list(range(ground.n_vertices))
     for p in data["patches"]:
         patch = Patch(
@@ -269,13 +329,17 @@ def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
             vertex=int(p["vertex"]),
             base=int(p["base"]),
             apex=int(p["apex"]),
-            elements=[int(x) for x in p["elements"]],
-            inflow=[_facet_from_list(f) for f in p["inflow"]],
-            outflow=[_facet_from_list(f) for f in p["outflow"]],
+            elements=list(map(int, p["elements"])),
+            inflow=list(map(_facet_from_list, p["inflow"])),
+            outflow=list(map(_facet_from_list, p["outflow"])),
         )
         mesh.patches.append(patch)
         mesh.current_vertex[patch.vertex] = patch.apex
     return mesh
+
+
+def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
+    return _convert(_spacetime_from_dict, _load_object(text), ground)
 
 
 # -- trace json -----------------------------------------------------------------
@@ -288,12 +352,7 @@ def write_trace_json(trace: RunTrace) -> str:
 
 
 def read_trace_json(text: str) -> RunTrace:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    data.setdefault("build_seconds", 0.0)
-    return RunTrace.from_dict(data)
+    return _convert(RunTrace.from_dict, _load_object(text))
 
 
 # -- legacy VTK export -----------------------------------------------------------

@@ -358,7 +358,7 @@ class RunTrace:
             tolerance=float(data["tolerance"]),
             strategy=data["strategy"],
             seed=int(data["seed"]),
-            initial_times=[float(x) for x in data["initial_times"]],
+            initial_times=list(map(float, data["initial_times"])),
             build_seconds=float(data.get("build_seconds", 0.0)),
         )
         for r in data["lifts"]:

@@ -5,6 +5,14 @@ facet slopes are re-derived from raw coordinates (batched Gram solves),
 the liftability replay rebuilds its own per-element scalars, and a random
 sample of lifts is re-derived from scratch with a bisection feasibility
 oracle built on the geometry primitives alone.
+
+The two replaying checks are whole-trace array kernels rather than loops
+over lifts.  The lifts are sorted once by (vertex, lift index), so the
+front time of any vertex just after any lift is one searchsorted lookup.
+The liftability replay checks every recorded old time in one pass and
+evaluates the (lift, star element) ceilings in batched passes, reporting
+the first failure in lift order; the sampled lifts are bisected together
+over flattened (sample, star element) rows.
 """
 
 from __future__ import annotations
@@ -229,46 +237,109 @@ def check_causality(mesh: SpaceTimeMesh) -> CheckResult:
     )
 
 
+# -- whole-trace replay --------------------------------------------------------
+
+
+class _Replay:
+    """Front times anywhere in a trace without stepping through it.
+
+    The lifts are sorted once by (vertex, lift index), so the time of
+    vertex u just after lift i, the new time of u's last lift up to i or
+    else u's initial time, is one searchsorted lookup.  A sentinel key of
+    -1 in front keeps every lookup position in range.
+    """
+
+    def __init__(self, trace: RunTrace):
+        lifts = trace.lifts
+        self.initial = np.asarray(trace.initial_times, dtype=float)
+        self.vertex = np.array([r.vertex for r in lifts], dtype=np.int64)
+        self.old = np.array([r.old_time for r in lifts], dtype=float)
+        new = np.array([r.new_time for r in lifts], dtype=float)
+        order = np.argsort(self.vertex, kind="stable")
+        self._n = len(lifts)
+        self._owner = np.concatenate([[-1], self.vertex[order]])
+        self._keys = np.concatenate([[-1], self.vertex[order] * self._n + order])
+        self._new = np.concatenate([[math.nan], new[order]])
+
+    def times_after(self, u, i) -> np.ndarray:
+        """Times of vertices u just after lift i (broadcast together);
+        i = -1 gives the initial times."""
+        pos = np.searchsorted(self._keys, u * self._n + i, side="right") - 1
+        return np.where(self._owner[pos] == u, self._new[pos], self.initial[u])
+
+
+def _star_rows(ground: GroundMesh, verts: np.ndarray):
+    """The stars of verts as rows (owner, element, local index): owner is
+    the position in verts, stars follow each other in that order and each
+    lists its elements in element order, like ground.stars."""
+    start = ground.star_offsets[verts]
+    count = ground.star_offsets[verts + 1] - start
+    owner = np.repeat(np.arange(len(verts)), count)
+    pos = np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count,
+                                            count)
+    return owner, ground.star_elements[pos], ground.star_locals[pos]
+
+
+def _recorded_time(trace: RunTrace, v: int, end: int):
+    """Time of v before lift `end`, as the trace holds it (for messages)."""
+    return next((r.new_time for r in reversed(trace.lifts[:end])
+                 if r.vertex == v), trace.initial_times[v])
+
+
 # -- liftability replay ------------------------------------------------------
+
+# lifts per batched pass of the replay: bounds the memory of its row arrays
+REPLAY_CHUNK = 1024
 
 
 def _element_scalars(ground: GroundMesh):
     """Per-(element, vertex) static scalars for the liftability ceiling,
-    derived directly from raw coordinates (batched hull feet)."""
+    derived directly from raw coordinates (batched hull feet).
+
+    Returns (w, ginv, b): the altitude w (m, d+1) of each vertex over its
+    opposite facet and, for d >= 2, the Gram inverse (m, d+1, d-1, d-1) of
+    that facet's edge basis and the foot's edge coordinates (m, d+1, d-1).
+    """
     d = ground.dim
     X = ground.vertices[ground.elements]
-    opp = geometry.facet_index(d)
-    others = ground.elements[:, opp].tolist()
-    F = X[:, opp]
+    F = X[:, geometry.facet_index(d)]
     if d == 1:
-        w = np.linalg.norm(F[:, :, 0] - X, axis=-1).tolist()
-        return [[(o[0], wi) for o, wi in zip(oe, we)]
-                for oe, we in zip(others, w)]
+        return np.linalg.norm(F[:, :, 0] - X, axis=-1), None, None
     foot, _ = geometry.hull_feet(X, F)
     E = geometry.edge_bases(F)
     ginv = np.linalg.inv(E @ np.swapaxes(E, -1, -2))
     b = np.einsum("...ij,...j->...i", E, foot - F[..., 0, :])
-    w = np.linalg.norm(X - foot, axis=-1).tolist()
-    return [
-        [(tuple(oe[i]), ginv[e, i], b[e, i], we[i]) for i in range(d + 1)]
-        for e, (oe, we) in enumerate(zip(others, w))
-    ]
+    return np.linalg.norm(X - foot, axis=-1), ginv, b
 
 
-def _liftability_ceiling(rec, times, cap, dim):
-    """Cone ceiling for the recorded vertex over its fixed opposite facet."""
-    if dim == 1:
-        other, w = rec
-        return times[other] + w * cap
-    ids, ginv, b, w = rec
-    t0 = times[ids[0]]
-    dt = np.array([times[u] - t0 for u in ids[1:]])
-    y = ginv @ dt
-    slope2 = float(y @ dt)
-    rad = cap * cap - slope2
-    if rad < 0:
-        return -math.inf
-    return t0 + float(y @ b) + w * math.sqrt(rad)
+def _liftability_margins(ground: GroundMesh, table, elems, T):
+    """Margin by which each row's lowest vertex can clear its middle one.
+
+    Row r is element elems[r] with vertex times T[r]; the lowest vertex's
+    cone ceiling over its fixed opposite facet is compared with the middle
+    vertex's time.  Returns (margins, lowest local indices, middle times).
+    """
+    w, ginv, b = table
+    rows = np.arange(len(elems))
+    order = np.argsort(T, axis=1, kind="stable")
+    low, mid = order[:, 0], order[:, 1]
+    cap = ground.slope_caps(elems, T[rows, low])
+    FT = np.take_along_axis(T, geometry.facet_index(ground.dim)[low], axis=1)
+    wl = w[elems, low]
+    if ground.dim == 1:
+        ceiling = FT[:, 0] + wl * cap
+    else:
+        t0 = FT[:, 0]
+        dt = FT[:, 1:] - t0[:, None]
+        y = (ginv[elems, low] @ dt[..., None])[..., 0]
+        rad = cap * cap - geometry.dots(y, dt)
+        ceiling = np.where(
+            rad < 0, -math.inf,
+            t0 + geometry.dots(y, b[elems, low])
+            + wl * np.sqrt(np.maximum(rad, 0.0)),
+        )
+    t_mid = T[rows, mid]
+    return ceiling - t_mid, low, t_mid
 
 
 def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
@@ -276,134 +347,184 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     """Replay the run; after every lift, each touched element's lowest
     vertex must still be liftable above its middle vertex within the cone
     constraint.  This is the invariant that guarantees the front never
-    converges short of the target."""
-    times = list(trace.initial_times)
-    table = _element_scalars(ground)
-    d = ground.dim
-    worst = math.inf
-    for idx, r in enumerate(trace.lifts):
-        if times[r.vertex] != r.old_time:
-            return CheckResult(
-                "front_snapshots", False,
-                f"trace inconsistent at lift {idx}: vertex {r.vertex} was at "
-                f"{times[r.vertex]}, trace says {r.old_time}",
-            )
-        times[r.vertex] = r.new_time
-        for e, _ in ground.stars[r.vertex]:
-            ids = [int(x) for x in ground.elements[e]]
-            order = sorted(range(len(ids)), key=lambda i: times[ids[i]])
-            low, mid = order[0], order[1]
-            cap = ground.slope_cap(e, times[ids[low]])
-            ceiling = _liftability_ceiling(table[e][low], times, cap, d)
-            margin = ceiling - times[ids[mid]]
-            worst = min(worst, margin)
-            if margin < -tol * (1.0 + abs(times[ids[mid]])):
-                return CheckResult(
-                    "front_snapshots", False,
-                    f"after lift {idx} (vertex {r.vertex}), element {e} "
-                    f"lowest vertex {ids[low]} cannot clear the middle "
-                    f"vertex (margin {margin:g})",
-                    details={"lift": idx, "element": e, "margin": margin},
-                )
-    unfinished = [v for v, t in enumerate(times) if t != trace.target_time]
-    if unfinished and trace.target_time > 0:
+    converges short of the target.
+
+    The replay is batched: every lift's recorded old time is compared with
+    the replayed one in one pass, and the (lift, star element) ceilings are
+    evaluated REPLAY_CHUNK lifts at a time, in lift order, so the first
+    failure reported is the one a lift-by-lift replay meets first.
+    """
+    name = "front_snapshots"
+    n = ground.n_vertices
+    n_lifts = len(trace.lifts)
+    replay = _Replay(trace)
+    verts = replay.vertex
+    if len(replay.initial) != n:
         return CheckResult(
-            "front_snapshots", False,
+            name, False,
+            f"trace has {len(replay.initial)} initial times for a ground "
+            f"mesh of {n} vertices",
+        )
+    foreign = np.flatnonzero((verts < 0) | (verts >= n))
+    if len(foreign):
+        idx = int(foreign[0])
+        return CheckResult(
+            name, False,
+            f"lift {idx} moves vertex {trace.lifts[idx].vertex}, which the "
+            f"ground mesh does not have",
+        )
+    prev = replay.times_after(verts, np.arange(n_lifts) - 1)
+    stale = np.flatnonzero(prev != replay.old)
+    stop = int(stale[0]) if len(stale) else n_lifts
+    table = _element_scalars(ground)
+    worst = math.inf
+    for start in range(0, stop, REPLAY_CHUNK):
+        lifts = np.arange(start, min(start + REPLAY_CHUNK, stop))
+        owner, elems, _ = _star_rows(ground, verts[lifts])
+        lift = lifts[owner]
+        ids = ground.elements[elems]
+        T = replay.times_after(ids, lift[:, None])
+        margin, low, t_mid = _liftability_margins(ground, table, elems, T)
+        worst = float(np.fmin.reduce(margin, initial=worst))
+        bad = np.flatnonzero(margin < -tol * (1.0 + np.abs(t_mid)))
+        if len(bad):
+            r = bad[0]
+            idx, e, m = int(lift[r]), int(elems[r]), float(margin[r])
+            return CheckResult(
+                name, False,
+                f"after lift {idx} (vertex {trace.lifts[idx].vertex}), "
+                f"element {e} lowest vertex {int(ids[r, low[r]])} cannot "
+                f"clear the middle vertex (margin {m:g})",
+                details={"lift": idx, "element": e, "margin": m},
+            )
+    if stop < n_lifts:
+        r = trace.lifts[stop]
+        return CheckResult(
+            name, False,
+            f"trace inconsistent at lift {stop}: vertex {r.vertex} was at "
+            f"{_recorded_time(trace, r.vertex, stop)}, trace says {r.old_time}",
+        )
+    final = replay.times_after(np.arange(n), n_lifts - 1)
+    unfinished = np.flatnonzero(final != trace.target_time)
+    if len(unfinished) and trace.target_time > 0:
+        v = int(unfinished[0])
+        return CheckResult(
+            name, False,
             f"replay ended with {len(unfinished)} vertices not at the "
-            f"target time (first: {unfinished[0]} at {times[unfinished[0]]})",
+            f"target time (first: {v} at {_recorded_time(trace, v, n_lifts)})",
         )
     return CheckResult(
-        "front_snapshots", True,
-        f"replayed {len(trace.lifts)} lifts, worst liftability margin "
-        f"{worst:.3g}" if trace.lifts else "empty trace",
+        name, True,
+        f"replayed {n_lifts} lifts, worst liftability margin "
+        f"{worst:.3g}" if n_lifts else "empty trace",
     )
 
 
 # -- sampled bisection oracle ------------------------------------------------
 
 
-def _oracle_static(ground: GroundMesh, v: int):
-    """Time-independent data for the feasibility predicate: altitudes via
-    direct projection, face caps via clearance ratios and the gradient
-    operator of each star element and face, all re-derived from the
-    geometry primitives."""
-    d = ground.dim
-    entries = []
-    for e, li in ground.stars[v]:
-        ids = ground.elements[e]
-        coords = ground.vertices[ids]
-        w = geometry.altitude_distance(SimplexGeometry(coords), li)
-        faces = []
-        if d == 3:
-            for l in range(4):
-                if l == li:
-                    continue
-                face_local = [x for x in range(4) if x != l]
-                fs = SimplexGeometry(coords[face_local])
-                kappa = geometry.clearance_ratio(coords[l], fs)
-                pos = face_local.index(li)
-                wf = geometry.altitude_distance(fs, pos)
-                faces.append((face_local, pos, kappa, wf,
-                              geometry.gradient_operators(fs.vertices)))
-        entries.append((e, li, ids, w, geometry.gradient_operators(coords),
-                        faces))
-    return entries
+def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
+                      epsilon: float, iters: int = 60):
+    """Largest admissible lift of each vertex in verts, all found together
+    by bisection on the feasibility predicate.
 
+    times_of(u, s) gives the times of vertices u in the front state of
+    sample s (broadcast together).  The predicate is evaluated over the
+    flattened (sample, star element) rows: altitudes by direct projection,
+    face caps by clearance ratios and gradient operators of each element
+    and d = 3 face, all re-derived from the geometry primitives.  Each
+    sample grows its bracket and bisects as a lone bisection would.
 
-def _oracle_feasible(ground: GroundMesh, static, times, v: int, t_new: float,
-                     epsilon: float, slack: float = 1e-12) -> bool:
+    Returns (max lifts, minimum altitude over each vertex's star).
+    """
     d = ground.dim
+    slack = 1e-12  # the predicate's relative and absolute slack
     pf = 1.0 - epsilon
-    for e, li, ids, w, grad_op, faces in static:
-        ts = [times[u] for u in ids]
-        ts[li] = t_new
-        cap = ground.slope_cap(e, times[v])
-        grad = grad_op @ np.subtract(ts[1:], ts[0])
-        if float(np.linalg.norm(grad)) > cap * (1.0 + slack):
-            return False
+    n_samples = len(verts)
+    owner, elems, li = _star_rows(ground, verts)
+    rows = np.arange(len(owner))
+    ids = ground.elements[elems]
+    X = ground.vertices[ids]                       # (R, d+1, d)
+    T = times_of(ids, owner[:, None])              # (R, d+1)
+    t_v = times_of(verts, np.arange(n_samples))
+    cap = ground.slope_caps(elems, t_v[owner])
+    lifted = li[:, None] == np.arange(d + 1)
+    opp = geometry.facet_index(d)
+
+    P = X[rows, li]
+    foot, _ = geometry.hull_feet(P, X[rows[:, None], opp[li]])
+    w = np.sqrt(geometry.dots(P - foot, P - foot))
+    G = geometry.gradient_operators(X)
+    cone_cap = cap * (1.0 + slack)
+    if d == 2:
+        top = np.where(lifted, -math.inf, T).max(axis=1)
+        progress_cap = top + pf * w * cap * (1.0 + slack) + slack
+    elif d == 3:
+        # the three triangular faces containing the lifted vertex: face l
+        # (opposite vertex l != li), its in-face altitude of li over the
+        # edge formed by its two other vertices
+        face_of = opp[li]                          # (R, 3) the l's
+        face = opp[face_of]                        # (R, 3, 3) face locals
+        edge = face[face != li[:, None, None]].reshape(-1, 3, 2)
+        XF = X[rows[:, None, None], face]          # (R, 3, 3, 3)
+        kappa = pf * geometry.clearance_ratios(X[rows[:, None], face_of], XF)
+        ffoot, _ = geometry.hull_feet(P[:, None], X[rows[:, None, None], edge])
+        wf = np.sqrt(geometry.dots(P[:, None] - ffoot, P[:, None] - ffoot))
+        GF = geometry.gradient_operators(XF)
+        face_cap = kappa * cap[:, None] * (1.0 + slack)
+        ftop = T[rows[:, None, None], edge].max(axis=-1)
+        face_progress_cap = (ftop + pf * wf * kappa * cap[:, None]
+                             * (1.0 + slack) + slack)
+
+    def feasible(t_new: np.ndarray) -> np.ndarray:
+        tr = t_new[owner]
+        ts = np.where(lifted, tr[:, None], T)
+        grad = (G @ (ts[:, 1:] - ts[:, :1])[..., None])[..., 0]
+        bad = np.sqrt(geometry.dots(grad, grad)) > cone_cap
         if d == 2:
-            top = max(t for i, t in enumerate(ts) if i != li)
-            if t_new > top + pf * w * cap * (1.0 + slack) + slack:
-                return False
+            bad |= tr > progress_cap
         elif d == 3:
-            for face_local, pos, sigma, wf, face_op in faces:
-                kappa = pf * sigma
-                fts = [ts[x] for x in face_local]
-                fgrad = face_op @ np.subtract(fts[1:], fts[0])
-                if float(np.linalg.norm(fgrad)) > kappa * cap * (1.0 + slack):
-                    return False
-                top = max(t for i, t in enumerate(fts) if i != pos)
-                if t_new > top + pf * wf * kappa * cap * (1.0 + slack) + slack:
-                    return False
-    return True
+            fts = ts[rows[:, None, None], face]
+            fgrad = (GF @ (fts[..., 1:] - fts[..., :1])[..., None])[..., 0]
+            bad |= (np.sqrt(geometry.dots(fgrad, fgrad)) > face_cap).any(axis=1)
+            bad |= (tr[:, None] > face_progress_cap).any(axis=1)
+        ok = np.ones(n_samples, dtype=bool)
+        ok[owner[bad]] = False
+        return ok
+
+    lo = t_v
+    scale = np.full(n_samples, -math.inf)
+    np.maximum.at(scale, owner, w * cap)
+    step = np.maximum(scale, 1e-12)
+    hi = lo + step
+    growing = np.ones(n_samples, dtype=bool)
+    for _ in range(60):
+        growing &= feasible(hi)
+        if not growing.any():
+            break
+        lo = np.where(growing, hi, lo)
+        hi = np.where(growing, lo + step, hi)
+        step = np.where(growing, 2.0 * step, step)
+    for _ in range(iters):
+        midpt = 0.5 * (lo + hi)
+        ok = feasible(midpt)
+        lo = np.where(ok, midpt, lo)
+        hi = np.where(ok, hi, midpt)
+    omega = np.full(n_samples, math.inf)
+    np.minimum.at(omega, owner, w)
+    return lo, omega
 
 
 def oracle_max_lift(ground: GroundMesh, times, v: int, epsilon: float,
                     iters: int = 60) -> float:
     """Largest admissible lift found by bisection on the feasibility
-    predicate; shares only the geometry primitives with the pitcher."""
-    static = _oracle_static(ground, v)
-    lo = times[v]
-    scale = max(w * ground.slope_cap(e, times[v])
-                for e, _, _, w, _, _ in static)
-    step = max(scale, 1e-12)
-    hi = lo + step
-    grow = 0
-    while (
-        _oracle_feasible(ground, static, times, v, hi, epsilon)
-        and grow < 60
-    ):
-        lo = hi
-        hi = lo + step
-        step *= 2.0
-        grow += 1
-    for _ in range(iters):
-        midpt = 0.5 * (lo + hi)
-        if _oracle_feasible(ground, static, times, v, midpt, epsilon):
-            lo = midpt
-        else:
-            hi = midpt
-    return lo
+    predicate; shares only the geometry primitives with the pitcher.
+
+    A batch of one of the kernel check_lift_bounds_sampled runs."""
+    t = np.asarray(times, dtype=float)
+    lifts, _ = _oracle_max_lifts(ground, np.array([v]), lambda u, s: t[u],
+                                 epsilon, iters)
+    return float(lifts[0])
 
 
 def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
@@ -412,33 +533,37 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
     """Re-derive a random sample of lift bounds by bisection and compare.
 
     Clamped lifts only need the oracle to allow reaching the target; all
-    others must match the recorded new time to rel_tol.
+    others must match the recorded new time to rel_tol, relative to the
+    recorded time plus the vertex's minimum altitude.  The sampled lifts
+    are bisected together, each in the front state just before it.
     """
     n = len(trace.lifts)
     if n == 0:
         return CheckResult("lift_bounds_sampled", True, "empty trace")
     rng = np.random.default_rng(seed)
     k = max(1, int(round(fraction * n)))
-    sample = set(rng.choice(n, size=min(k, n), replace=False).tolist())
-    times = list(trace.initial_times)
+    sample = np.sort(rng.choice(n, size=min(k, n), replace=False))
+    replay = _Replay(trace)
+    oracles, omegas = _oracle_max_lifts(
+        ground, replay.vertex[sample],
+        lambda u, s: replay.times_after(u, sample[s] - 1), trace.epsilon,
+    )
     worst = 0.0
     offenders = []
-    cons = precompute(ground, trace.epsilon)
-    for idx, r in enumerate(trace.lifts):
-        if idx in sample:
-            oracle = oracle_max_lift(ground, times, r.vertex, trace.epsilon)
-            scale = abs(r.new_time) + cons.omega[r.vertex]
-            if r.new_time >= trace.target_time:
-                err = max(0.0, (r.new_time - oracle) / scale)
-            else:
-                err = abs(oracle - r.new_time) / scale
-            worst = max(worst, err)
-            if err > rel_tol:
-                offenders.append(
-                    {"lift": idx, "vertex": r.vertex,
-                     "recorded": r.new_time, "oracle": oracle}
-                )
-        times[r.vertex] = r.new_time
+    for idx, oracle, omega in zip(sample.tolist(), oracles.tolist(),
+                                  omegas.tolist()):
+        r = trace.lifts[idx]
+        scale = abs(r.new_time) + omega
+        if r.new_time >= trace.target_time:
+            err = max(0.0, (r.new_time - oracle) / scale)
+        else:
+            err = abs(oracle - r.new_time) / scale
+        worst = max(worst, err)
+        if err > rel_tol:
+            offenders.append(
+                {"lift": idx, "vertex": r.vertex,
+                 "recorded": r.new_time, "oracle": oracle}
+            )
     return CheckResult(
         "lift_bounds_sampled",
         not offenders,

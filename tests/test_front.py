@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,6 +17,37 @@ from tentpitch import (
 
 def make_front(mesh, target=10.0, epsilon=0.1, initial=None):
     return Front(mesh, precompute(mesh, epsilon), target, initial_times=initial)
+
+
+def _sorted_progress_message(front, e, ids, ws, cap, kap):
+    """The sort-based top/middle pick that _check_progress_state replaced;
+    returns the violation message, or None."""
+    t = front.times
+    order = sorted(range(len(ids)), key=lambda i: t[ids[i]])
+    top, mid = order[-1], order[-2]
+    gap = t[ids[top]] - t[ids[mid]]
+    allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
+    if gap > allowed * (1.0 + front.tol):
+        return (f"element {e} violates the progress constraint: vertex "
+                f"{ids[top]} is {gap:g} above the middle vertex "
+                f"(allowed {allowed:g})")
+    return None
+
+
+class TestProgressState:
+    @pytest.mark.parametrize("times", list(itertools.product(
+        [0.0, 0.3, 2.0], repeat=3)))
+    def test_matches_sorted_pick_with_ties(self, right_triangle, times):
+        front = make_front(right_triangle)
+        front.times = list(times)
+        ids, ws = [0, 1, 2], [0.5, 1.0, 2.0]
+        want = _sorted_progress_message(front, 0, ids, ws, 1.0, 1.0)
+        if want is None:
+            front._check_progress_state(0, ids, ws, 1.0, 1.0)
+        else:
+            with pytest.raises(FrontInvariantError) as excinfo:
+                front._check_progress_state(0, ids, ws, 1.0, 1.0)
+            assert str(excinfo.value) == want
 
 
 class TestInit:

@@ -280,6 +280,49 @@ class TestCli:
         assert err.startswith("error: $.dim: unsupported dimension True")
         assert err.count("\n") == 1
 
+    def _pitched(self, tmp_path):
+        out, trace = tmp_path / "st.json", tmp_path / "trace.json"
+        rc = main(["pitch", "--input", str(DATA / "single_triangle.node"),
+                   "--target-time", "2", "--out", str(out),
+                   "--trace", str(trace)])
+        assert rc == 0
+        return out, trace
+
+    def _verify_error(self, capsys, out, trace):
+        rc = main(["verify", "--mesh", str(out), "--trace", str(trace),
+                   "--ground", str(DATA / "single_triangle.node")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_mesh_without_patch_inflow_is_exit_one(self, tmp_path, capsys):
+        out, trace = self._pitched(tmp_path)
+        data = json.loads(out.read_text())
+        del data["patches"][0]["inflow"]
+        out.write_text(json.dumps(data))
+        err = self._verify_error(capsys, out, trace)
+        assert err == "error: $.patches[0].inflow: missing\n"
+
+    def test_trace_without_lift_vertex_is_exit_one(self, tmp_path, capsys):
+        out, trace = self._pitched(tmp_path)
+        data = json.loads(trace.read_text())
+        del data["lifts"][0]["vertex"]
+        trace.write_text(json.dumps(data))
+        err = self._verify_error(capsys, out, trace)
+        assert err == "error: $.lifts[0].vertex: missing\n"
+
+    def test_infinite_speed_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "inf_speed.json"
+        bad.write_text(
+            '{"dim": 2, "vertices": [[0, 1], [0, 0], [1, 0], [1, 1]], '
+            '"elements": [[0, 1, 2], [0, 2, 3]], "speeds": [1.0, Infinity]}'
+        )
+        rc = main(["pitch", "--input", str(bad), "--target-time", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: element 1 has non-finite wave speed\n"
+
     def test_deterministic_output_files(self, tmp_path):
         files = []
         for tag in ("a", "b"):

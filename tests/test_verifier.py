@@ -1,8 +1,23 @@
-import pytest
+import copy
+import math
 
-from tentpitch import GroundMesh, PitchConfig, run, verify
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tentpitch import GroundMesh, PitchConfig, precompute, run, verifier, verify
+from tentpitch.geometry import (
+    SimplexGeometry,
+    altitude_distance,
+    clearance_ratio,
+    facet_index,
+    gradient_operators,
+)
 from tentpitch.pitcher import LiftRecord, RunTrace
 from tentpitch.verifier import (
+    CheckResult,
+    _element_scalars,
     check_causality,
     check_cone_facets,
     check_front_snapshots,
@@ -184,3 +199,260 @@ class TestVerifyOrchestration:
         g, _, trace = small_run
         report = verify(ground=g, trace=trace, sample_fraction=0.02)
         assert report.passed
+
+
+# -- batched replay and oracle against lift-by-lift references ---------------
+
+
+def reference_front_snapshots(trace, ground, tol=1e-9):
+    """The lift-by-lift replay that check_front_snapshots batches."""
+    w, ginv, b = _element_scalars(ground)
+    opp = facet_index(ground.dim)
+    times = list(trace.initial_times)
+    worst = math.inf
+    for idx, r in enumerate(trace.lifts):
+        if times[r.vertex] != r.old_time:
+            return CheckResult(
+                "front_snapshots", False,
+                f"trace inconsistent at lift {idx}: vertex {r.vertex} was at "
+                f"{times[r.vertex]}, trace says {r.old_time}",
+            )
+        times[r.vertex] = r.new_time
+        for e, _ in ground.stars[r.vertex]:
+            ids = [int(x) for x in ground.elements[e]]
+            order = sorted(range(len(ids)), key=lambda i: times[ids[i]])
+            low, mid = order[0], order[1]
+            cap = ground.slope_cap(e, times[ids[low]])
+            others = [ids[j] for j in opp[low]]
+            if ground.dim == 1:
+                ceiling = times[others[0]] + w[e, low] * cap
+            else:
+                t0 = times[others[0]]
+                dt = np.array([times[u] - t0 for u in others[1:]])
+                y = ginv[e, low] @ dt
+                rad = cap * cap - float(y @ dt)
+                ceiling = (-math.inf if rad < 0 else
+                           t0 + float(y @ b[e, low]) + w[e, low] * math.sqrt(rad))
+            margin = float(ceiling - times[ids[mid]])
+            worst = min(worst, margin)
+            if margin < -tol * (1.0 + abs(times[ids[mid]])):
+                return CheckResult(
+                    "front_snapshots", False,
+                    f"after lift {idx} (vertex {r.vertex}), element {e} "
+                    f"lowest vertex {ids[low]} cannot clear the middle "
+                    f"vertex (margin {margin:g})",
+                    details={"lift": idx, "element": e, "margin": margin},
+                )
+    unfinished = [v for v, t in enumerate(times) if t != trace.target_time]
+    if unfinished and trace.target_time > 0:
+        return CheckResult(
+            "front_snapshots", False,
+            f"replay ended with {len(unfinished)} vertices not at the "
+            f"target time (first: {unfinished[0]} at {times[unfinished[0]]})",
+        )
+    return CheckResult(
+        "front_snapshots", True,
+        f"replayed {len(trace.lifts)} lifts, worst liftability margin "
+        f"{worst:.3g}" if trace.lifts else "empty trace",
+    )
+
+
+def _reference_oracle_static(ground, v):
+    d = ground.dim
+    entries = []
+    for e, li in ground.stars[v]:
+        ids = ground.elements[e]
+        coords = ground.vertices[ids]
+        w = altitude_distance(SimplexGeometry(coords), li)
+        faces = []
+        if d == 3:
+            for l in range(4):
+                if l == li:
+                    continue
+                face_local = [x for x in range(4) if x != l]
+                fs = SimplexGeometry(coords[face_local])
+                sigma = clearance_ratio(coords[l], fs)
+                pos = face_local.index(li)
+                wf = altitude_distance(fs, pos)
+                faces.append((face_local, pos, sigma, wf,
+                              gradient_operators(fs.vertices)))
+        entries.append((e, li, ids, w, gradient_operators(coords), faces))
+    return entries
+
+
+def _reference_feasible(ground, static, times, v, t_new, epsilon,
+                        slack=1e-12):
+    pf = 1.0 - epsilon
+    for e, li, ids, w, grad_op, faces in static:
+        ts = [times[u] for u in ids]
+        ts[li] = t_new
+        cap = ground.slope_cap(e, times[v])
+        grad = grad_op @ np.subtract(ts[1:], ts[0])
+        if float(np.linalg.norm(grad)) > cap * (1.0 + slack):
+            return False
+        if ground.dim == 2:
+            top = max(t for i, t in enumerate(ts) if i != li)
+            if t_new > top + pf * w * cap * (1.0 + slack) + slack:
+                return False
+        for face_local, pos, sigma, wf, face_op in faces:
+            kappa = pf * sigma
+            fts = [ts[x] for x in face_local]
+            fgrad = face_op @ np.subtract(fts[1:], fts[0])
+            if float(np.linalg.norm(fgrad)) > kappa * cap * (1.0 + slack):
+                return False
+            top = max(t for i, t in enumerate(fts) if i != pos)
+            if t_new > top + pf * wf * kappa * cap * (1.0 + slack) + slack:
+                return False
+    return True
+
+
+def reference_oracle_max_lift(ground, times, v, epsilon, iters=60):
+    """The one-vertex bisection the batched oracle kernel replaced."""
+    static = _reference_oracle_static(ground, v)
+    lo = times[v]
+    step = max(max(w * ground.slope_cap(e, times[v])
+                   for e, _, _, w, _, _ in static), 1e-12)
+    hi = lo + step
+    grow = 0
+    while (_reference_feasible(ground, static, times, v, hi, epsilon)
+           and grow < 60):
+        lo = hi
+        hi = lo + step
+        step *= 2.0
+        grow += 1
+    for _ in range(iters):
+        midpt = 0.5 * (lo + hi)
+        if _reference_feasible(ground, static, times, v, midpt, epsilon):
+            lo = midpt
+        else:
+            hi = midpt
+    return lo
+
+
+def _scheduled_triangle_mesh():
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=2)
+    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
+    return g
+
+
+def _line_mesh():
+    return GroundMesh(1, [[0.0], [0.8], [2.1], [3.0], [3.4]],
+                      [[0, 1], [1, 2], [2, 3], [3, 4]])
+
+
+def _tet_mesh():
+    from tentpitch.synthetic import random_tet_mesh
+
+    return random_tet_mesh(9, np.random.default_rng(3))
+
+
+def _grid_mesh():
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    return jittered_grid_mesh(4, 3, seed=5)
+
+
+MESHES = {
+    "d1": (_line_mesh, 3.0),
+    "d2": (_grid_mesh, 1.0),
+    "d3": (_tet_mesh, 0.4),
+    "schedule": (_scheduled_triangle_mesh, 1.0),
+}
+
+
+def _tampered(trace, kind, pos):
+    """A copy of the trace with one defect at lift pos (mod its length)."""
+    trace = copy.deepcopy(trace)
+    j = pos % len(trace.lifts)
+    r = trace.lifts[j]
+    if kind == "old_time":
+        r.old_time += 0.25
+    elif kind == "liftability":
+        r.new_time += 5.0
+    elif kind == "truncate":
+        del trace.lifts[j:]
+    return trace
+
+
+def _same_result(a, b):
+    assert a.line() == b.line()
+    assert a.details == b.details
+    assert a.passed == b.passed
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    @pytest.mark.parametrize("kind", [None, "old_time", "liftability",
+                                      "truncate"])
+    def test_matches_lift_by_lift_replay(self, mesh, kind):
+        make, target = MESHES[mesh]
+        g = make()
+        _, trace = run(g, PitchConfig(target_time=target))
+        if kind is not None:
+            trace = _tampered(trace, kind, len(trace.lifts) // 3)
+        want = reference_front_snapshots(trace, g)
+        assert want.passed == (kind is None)
+        _same_result(check_front_snapshots(trace, g), want)
+
+    def test_chunks_keep_lift_order(self, monkeypatch):
+        # a liftability break past several chunks is found, and an old-time
+        # mismatch in an earlier chunk still wins over it
+        g = _grid_mesh()
+        _, trace = run(g, PitchConfig(target_time=1.0))
+        monkeypatch.setattr(verifier, "REPLAY_CHUNK", 7)
+        late = _tampered(trace, "liftability", len(trace.lifts) - 5)
+        _same_result(check_front_snapshots(late, g),
+                     reference_front_snapshots(late, g))
+        both = _tampered(late, "old_time", 9)
+        got = check_front_snapshots(both, g)
+        assert "inconsistent at lift 9" in got.message
+        _same_result(got, reference_front_snapshots(both, g))
+
+    def test_trace_not_of_this_mesh_fails(self, right_triangle):
+        _, trace = run(right_triangle, PitchConfig(target_time=0.5))
+        trace.lifts[1].vertex = 3
+        result = check_front_snapshots(trace, right_triangle)
+        assert not result.passed
+        assert "lift 1 moves vertex 3" in result.message
+        trace.initial_times = [0.0, 0.0]
+        result = check_front_snapshots(trace, right_triangle)
+        assert not result.passed
+        assert "trace has 2 initial times" in result.message
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(2, 5), ny=st.integers(2, 4),
+           seed=st.integers(0, 10_000),
+           kind=st.sampled_from([None, "old_time", "liftability", "truncate"]),
+           pos=st.integers(0, 10_000))
+    def test_property_random_grids(self, nx, ny, seed, kind, pos):
+        from tentpitch.synthetic import jittered_grid_mesh
+
+        g = jittered_grid_mesh(nx, ny, seed=seed)
+        _, trace = run(g, PitchConfig(target_time=0.6))
+        if kind is not None:
+            trace = _tampered(trace, kind, pos)
+        _same_result(check_front_snapshots(trace, g),
+                     reference_front_snapshots(trace, g))
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    def test_matches_scalar_bisection(self, mesh):
+        make, target = MESHES[mesh]
+        g = make()
+        _, trace = run(g, PitchConfig(target_time=target))
+        replay = verifier._Replay(trace)
+        lifts = np.arange(len(trace.lifts))
+        got, omega = verifier._oracle_max_lifts(
+            g, replay.vertex, lambda u, s: replay.times_after(u, lifts[s] - 1),
+            trace.epsilon,
+        )
+        times = list(trace.initial_times)
+        cons = precompute(g, trace.epsilon)
+        for idx, r in enumerate(trace.lifts):
+            want = reference_oracle_max_lift(g, times, r.vertex, trace.epsilon)
+            assert got[idx] == pytest.approx(want, rel=1e-12, abs=0)
+            assert omega[idx] == pytest.approx(cons.omega[r.vertex], rel=1e-12)
+            times[r.vertex] = r.new_time
