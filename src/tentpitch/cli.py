@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -144,6 +145,13 @@ def _cmd_info(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The pipeline makes no reference cycles (measured: gc.collect() after
+    # pitch, the writers, the readers and verify finds nothing), so every
+    # pass of the cyclic collector over the live mesh objects is wasted.
+    # On a 32k-element mesh the full passes that the writers' allocations
+    # set off took about a fifth of `pitch`.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "pitch":
             return _cmd_pitch(args)
@@ -159,6 +167,9 @@ def main(argv=None) -> int:
     except (FrontInvariantError, StallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,13 +8,18 @@ written with 17 significant digits so doubles round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
+from functools import partial
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import MeshValidationError, ParseError
 from .ground_mesh import GroundMesh
-from .pitcher import RunTrace
-from .spacetime import Facet, Patch, SpaceTimeMesh
+from .pitcher import LiftRecord, RunTrace
+from .spacetime import Facet, Patch, SpaceTimeMesh, element_durations
 
 
 def _fmt(x: float) -> str:
@@ -240,6 +245,9 @@ class _Tracked:
         for i, item in enumerate(self._value):
             yield self._child(item, f"{self._path}[{i}]")
 
+    def __len__(self):
+        return len(self._value)
+
 
 def _load_object(text: str) -> dict:
     try:
@@ -270,15 +278,98 @@ def _convert(convert, data: dict, *args):
     raise ParseError(f"{last[0]}: {what}") from None
 
 
+# Bulk checks of parsed JSON columns.  A good column costs a few passes of
+# builtins over it; only a bad one is scanned again, for the JSON path of
+# its first bad entry (path_of(k) names entry k).
+
+_NUMBER = {int, float}
+
+
+def _first_bad(values, ok):
+    """(position, value) of the first of values that is not ok."""
+    return next((k, x) for k, x in enumerate(values) if not ok(x))
+
+
+def _ints(values, path_of, lo=-math.inf, hi=math.inf):
+    """values, each checked to be a JSON integer (not a bool, float or
+    string) in [lo, hi)."""
+    if values and (set(map(type, values)) != {int}
+                   or min(values) < lo or max(values) >= hi):
+        k, x = _first_bad(values, lambda x: type(x) is int and lo <= x < hi)
+        what = (f"{x} is out of range [{lo}, {hi})" if type(x) is int
+                else f"{x!r} is not an integer")
+        raise ParseError(f"{path_of(k)}: {what}")
+    return values
+
+
+def _floats(values, path_of) -> list[float]:
+    """values as floats, each checked to be a finite JSON number; integers
+    count, since the writers emit 0 for 0.0."""
+    if set(map(type, values)) <= _NUMBER:
+        try:
+            floats = list(map(float, values))
+            if all(map(math.isfinite, floats)):
+                return floats
+        except OverflowError:
+            pass
+    k, x = _first_bad(values, _finite_number)
+    raise ParseError(f"{path_of(k)}: {x!r} is not a finite number")
+
+
+def _finite_number(x) -> bool:
+    try:
+        return type(x) in _NUMBER and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _arrays(rows, row_path, width=None) -> None:
+    """Check that each row is an array (of width entries, if given)."""
+    try:
+        lengths = set(map(len, rows))
+    except TypeError:
+        k, _ = _first_bad(rows, lambda r: hasattr(r, "__len__"))
+        raise ParseError(f"{row_path(k)}: not an array") from None
+    if width is not None and rows and lengths != {width}:
+        k, row = _first_bad(rows, lambda r: len(r) == width)
+        raise ParseError(f"{row_path(k)}: {len(row)} entries, "
+                         f"expected {width}")
+
+
+def _flatten(rows, row_path, width=None):
+    """The entries of the arrays in rows as one list, and the path_of
+    function of that list."""
+    _arrays(rows, row_path, width)
+
+    def path_of(j: int) -> str:
+        ends = list(accumulate(map(len, rows)))
+        k = bisect_right(ends, j)
+        return f"{row_path(k)}[{j - ends[k] + len(rows[k])}]"
+
+    return list(chain.from_iterable(rows)), path_of
+
+
+def _tuples(flat: list, width: int) -> list[tuple]:
+    """flat cut into tuples of width entries."""
+    return list(zip(*[iter(flat)] * width))
+
+
+def _columns(rows, keys) -> list:
+    """One column per key over the objects in rows (each row read once)."""
+    if not rows:
+        return [()] * len(keys)
+    return list(zip(*map(itemgetter(*keys), rows)))
+
+
+def _entry_path(array: str, key: str):
+    return lambda k: f"{array}[{k}].{key}"
+
+
 # -- space-time mesh json ------------------------------------------------------
 
 
 def _facet_to_list(f: Facet):
     return [f.ground_element, list(f.vertices), f.producer]
-
-
-def _facet_from_list(data) -> Facet:
-    return Facet(int(data[0]), tuple(map(int, data[1])), int(data[2]))
 
 
 def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
@@ -307,34 +398,74 @@ def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
     return dumps(payload)
 
 
+# Facet from an (element, vertices, producer) row, without the Python-level
+# NamedTuple constructor: the reader makes one per facet record
+_new_facet = partial(tuple.__new__, Facet)
+
+_PATCH_KEYS = ("id", "vertex", "base", "apex", "elements", "inflow", "outflow")
+
+
+def _facet_group_path(g: int) -> str:
+    """Path of facet group g: the initial facets, the frontier, then each
+    patch's inflow and outflow."""
+    if g < 2:
+        return ("$.initial_facets", "$.frontier")[g]
+    return f"$.patches[{(g - 2) // 2}].{('inflow', 'outflow')[g % 2]}"
+
+
 def _spacetime_from_dict(data, ground: GroundMesh) -> SpaceTimeMesh:
+    """The mesh, with every id checked to be a JSON integer in its range:
+    ground vertices and elements, space-time vertices, elements and
+    patches, and -1 or a patch as a facet's producer."""
     if data.get("format") != "tentpitch-stmesh":
         raise ParseError("$.format: not a tentpitch space-time mesh file")
-    if data["ground_dim"] != ground.dim:
+    (ground_dim,) = _ints([data["ground_dim"]], lambda _: "$.ground_dim")
+    if ground_dim != ground.dim:
         raise MeshValidationError(
-            f"space-time mesh has ground dimension {data['ground_dim']}, "
+            f"space-time mesh has ground dimension {ground_dim}, "
             f"ground mesh has {ground.dim}"
         )
+    d = ground.dim
     mesh = SpaceTimeMesh(ground)
-    mesh.vertices = [tuple(map(float, v)) for v in data["vertices"]]
-    mesh.vertex_ground = list(map(int, data["vertex_ground"]))
-    mesh.elements = [tuple(map(int, e)) for e in data["elements"]]
-    mesh.element_patch = list(map(int, data["element_patch"]))
-    mesh.initial_facets = list(map(_facet_from_list, data["initial_facets"]))
-    mesh.frontier = list(map(_facet_from_list, data["frontier"]))
+    mesh.vertices = _tuples(_floats(*_flatten(
+        data["vertices"], "$.vertices[{}]".format, d + 1)), d + 1)
+    n_vertices = len(mesh.vertices)
+    mesh.vertex_ground = _ints(list(data["vertex_ground"]),
+                               "$.vertex_ground[{}]".format,
+                               0, ground.n_vertices)
+    mesh.elements = _tuples(_ints(*_flatten(
+        data["elements"], "$.elements[{}]".format, d + 2), 0, n_vertices), d + 2)
+    patches = data["patches"]
+    n_patches = len(patches)
+    mesh.element_patch = _ints(list(data["element_patch"]),
+                               "$.element_patch[{}]".format, 0, n_patches)
+    col = dict(zip(_PATCH_KEYS, _columns(patches, _PATCH_KEYS)))
+    at = partial(_entry_path, "$.patches")
+    _ints(col["id"], at("id"), 0, n_patches)
+    _ints(col["vertex"], at("vertex"), 0, ground.n_vertices)
+    _ints(col["base"], at("base"), 0, n_vertices)
+    _ints(col["apex"], at("apex"), 0, n_vertices)
+    _ints(*_flatten(col["elements"], at("elements")), 0, len(mesh.elements))
+
+    groups = [data["initial_facets"], data["frontier"],
+              *chain.from_iterable(zip(col["inflow"], col["outflow"]))]
+    records, path = _flatten(groups, _facet_group_path)
+    _arrays(records, path, 3)
+    element, vertices, producer = (list(map(itemgetter(i), records))
+                                   for i in range(3))
+    _ints(element, lambda k: f"{path(k)}[0]", 0, ground.n_elements)
+    _ints(*_flatten(vertices, lambda k: f"{path(k)}[1]", d + 1), 0, n_vertices)
+    _ints(producer, lambda k: f"{path(k)}[2]", -1, n_patches)
+    facets = map(_new_facet, zip(element, map(tuple, vertices), producer))
+    parts = [list(islice(facets, len(g))) for g in groups]
+
+    mesh.initial_facets, mesh.frontier = parts[0], parts[1]
+    mesh.patches = list(map(Patch, col["id"], col["vertex"], col["base"],
+                            col["apex"], map(list, col["elements"]),
+                            parts[2::2], parts[3::2]))
     mesh.current_vertex = list(range(ground.n_vertices))
-    for p in data["patches"]:
-        patch = Patch(
-            id=int(p["id"]),
-            vertex=int(p["vertex"]),
-            base=int(p["base"]),
-            apex=int(p["apex"]),
-            elements=list(map(int, p["elements"])),
-            inflow=list(map(_facet_from_list, p["inflow"])),
-            outflow=list(map(_facet_from_list, p["outflow"])),
-        )
-        mesh.patches.append(patch)
-        mesh.current_vertex[patch.vertex] = patch.apex
+    for v, apex in zip(col["vertex"], col["apex"]):
+        mesh.current_vertex[v] = apex
     return mesh
 
 
@@ -345,14 +476,74 @@ def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
 # -- trace json -----------------------------------------------------------------
 
 
+def _lift_row(r: LiftRecord) -> str:
+    element = "null" if r.element is None else r.element
+    face = "null" if r.face is None else f"[{', '.join(map(str, r.face))}]"
+    return (f'{{"vertex": {r.vertex}, "old_time": {_fmt(r.old_time)}, '
+            f'"new_time": {_fmt(r.new_time)}, "kind": {json.dumps(r.kind)}, '
+            f'"element": {element}, "face": {face}, "patch": {r.patch}}}')
+
+
 def write_trace_json(trace: RunTrace) -> str:
-    payload = trace.to_dict()
-    del payload["build_seconds"]  # wall clock; kept out for byte determinism
-    return dumps(payload)
+    """The trace as JSON, formatted one lift per row.  build_seconds is
+    wall clock and is left out, so that the file is byte-deterministic."""
+    return (
+        f'{{"epsilon": {_fmt(trace.epsilon)}, '
+        f'"target_time": {_fmt(trace.target_time)}, '
+        f'"tolerance": {_fmt(trace.tolerance)}, '
+        f'"strategy": {json.dumps(trace.strategy)}, "seed": {trace.seed}, '
+        f'"initial_times": [{", ".join(map(_fmt, trace.initial_times))}], '
+        f'"lifts": [{", ".join(map(_lift_row, trace.lifts))}]}}\n'
+    )
+
+
+_LIFT_KEYS = ("vertex", "old_time", "new_time", "kind", "element", "face",
+              "patch")
+
+
+def _trace_from_dict(data) -> RunTrace:
+    """The trace, with every integer field checked to be a JSON integer
+    and every real one a JSON number.  Vertex ids (of lifts and faces)
+    must index the initial times and patch ids the lifts; whether the
+    vertices are those of a given ground mesh is for the verifier."""
+    def number(key, value):
+        return _floats([value], lambda _: f"$.{key}")[0]
+
+    initial_times = _floats(list(data["initial_times"]),
+                            "$.initial_times[{}]".format)
+    n_vertices = len(initial_times)
+    lifts = data["lifts"]
+    col = dict(zip(_LIFT_KEYS, _columns(lifts, _LIFT_KEYS)))
+    at = partial(_entry_path, "$.lifts")
+    _ints(col["vertex"], at("vertex"), 0, n_vertices)
+    _ints(col["patch"], at("patch"), 0, len(lifts))
+    # null: a lift bound by the target has no element, one bound in
+    # d < 3 no face
+    _ints([0 if e is None else e for e in col["element"]], at("element"))
+    faces = [() if f is None else f for f in col["face"]]
+    ids, path = _flatten(faces, at("face"))
+    _ints(ids, path, 0, n_vertices)
+    return RunTrace(
+        epsilon=number("epsilon", data["epsilon"]),
+        target_time=number("target_time", data["target_time"]),
+        tolerance=number("tolerance", data["tolerance"]),
+        strategy=data["strategy"],
+        seed=_ints([data["seed"]], lambda _: "$.seed")[0],
+        initial_times=initial_times,
+        lifts=list(map(
+            LiftRecord, col["vertex"],
+            _floats(col["old_time"], at("old_time")),
+            _floats(col["new_time"], at("new_time")),
+            col["kind"], col["element"],
+            [None if f is None else tuple(f) for f in col["face"]],
+            col["patch"],
+        )),
+        build_seconds=number("build_seconds", data.get("build_seconds", 0.0)),
+    )
 
 
 def read_trace_json(text: str) -> RunTrace:
-    return _convert(RunTrace.from_dict, _load_object(text))
+    return _convert(_trace_from_dict, _load_object(text))
 
 
 # -- legacy VTK export -----------------------------------------------------------
@@ -375,29 +566,23 @@ def write_vtk(mesh: SpaceTimeMesh, title: str = "space-time mesh") -> str:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(mesh.vertices)} double",
     ]
-    for v in mesh.vertices:
-        if d == 2:
-            x, y, t = v
-            lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(t)}")
-        else:
-            x, t = v
-            lines.append(f"{_fmt(x)} {_fmt(t)} 0")
+    if d == 2:
+        lines.extend(f"{x:.17g} {y:.17g} {t:.17g}" for x, y, t in mesh.vertices)
+    else:
+        lines.extend(f"{x:.17g} {t:.17g} 0" for x, t in mesh.vertices)
     n_el = len(mesh.elements)
     per = d + 2
     lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
-    for e in mesh.elements:
-        lines.append(f"{per} " + " ".join(str(v) for v in e))
+    cell = str(per) + " %d" * per
+    lines.extend(cell % e for e in mesh.elements)
     lines.append(f"CELL_TYPES {n_el}")
     cell_type = "10" if d == 2 else "5"
     lines.extend([cell_type] * n_el)
     lines.append(f"CELL_DATA {n_el}")
     lines.append("SCALARS patch_id int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(p) for p in mesh.element_patch)
+    lines.extend(map(str, mesh.element_patch))
     lines.append("SCALARS duration double 1")
     lines.append("LOOKUP_TABLE default")
-    times = mesh.times_array()
-    for e in mesh.elements:
-        ts = times[list(e)]
-        lines.append(_fmt(float(ts.max() - ts.min())))
+    lines.extend(f"{x:.17g}" for x in element_durations(mesh).tolist())
     return "\n".join(lines) + "\n"

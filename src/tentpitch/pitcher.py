@@ -327,54 +327,6 @@ class RunTrace:
     lifts: list[LiftRecord] = field(default_factory=list)
     build_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "target_time": self.target_time,
-            "tolerance": self.tolerance,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "initial_times": list(self.initial_times),
-            "build_seconds": self.build_seconds,
-            "lifts": [
-                {
-                    "vertex": r.vertex,
-                    "old_time": r.old_time,
-                    "new_time": r.new_time,
-                    "kind": r.kind,
-                    "element": r.element,
-                    "face": list(r.face) if r.face is not None else None,
-                    "patch": r.patch,
-                }
-                for r in self.lifts
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunTrace":
-        trace = cls(
-            epsilon=float(data["epsilon"]),
-            target_time=float(data["target_time"]),
-            tolerance=float(data["tolerance"]),
-            strategy=data["strategy"],
-            seed=int(data["seed"]),
-            initial_times=list(map(float, data["initial_times"])),
-            build_seconds=float(data.get("build_seconds", 0.0)),
-        )
-        for r in data["lifts"]:
-            trace.lifts.append(
-                LiftRecord(
-                    vertex=int(r["vertex"]),
-                    old_time=float(r["old_time"]),
-                    new_time=float(r["new_time"]),
-                    kind=r["kind"],
-                    element=r["element"] if r["element"] is None else int(r["element"]),
-                    face=tuple(r["face"]) if r["face"] is not None else None,
-                    patch=int(r["patch"]),
-                )
-            )
-        return trace
-
 
 def run(
     ground: GroundMesh,

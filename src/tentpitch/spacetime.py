@@ -190,14 +190,18 @@ class MeshStats:
         }
 
 
+def element_durations(mesh: SpaceTimeMesh) -> np.ndarray:
+    """Time extent (latest minus earliest vertex time) of every element,
+    from one (m, d+2) gather of the vertex times."""
+    if not mesh.elements:
+        return np.zeros(0)
+    et = mesh.times_array()[np.array(mesh.elements)]
+    return et.max(axis=1) - et.min(axis=1)
+
+
 def stats(mesh: SpaceTimeMesh) -> MeshStats:
     """Summary counts and element-duration spread of a finished mesh."""
-    durations = np.zeros(len(mesh.elements))
-    times = mesh.times_array()
-    if len(mesh.elements):
-        elem = np.array(mesh.elements)
-        et = times[elem]
-        durations = et.max(axis=1) - et.min(axis=1)
+    durations = element_durations(mesh)
     hist: dict[int, int] = {}
     for p in mesh.patches:
         size = len(p.elements)

@@ -136,6 +136,23 @@ def check_cone_facets(mesh: SpaceTimeMesh, ground: Optional[GroundMesh] = None,
 # -- progress guarantees from the trace -----------------------------------
 
 
+def _foreign_trace(trace: RunTrace, ground: GroundMesh,
+                   verts: np.ndarray) -> Optional[str]:
+    """Why a trace whose lifts move verts cannot be a run on ground, or
+    None: its initial times are not one per ground vertex, or a lift moves
+    a vertex the ground mesh does not have."""
+    n = ground.n_vertices
+    if len(trace.initial_times) != n:
+        return (f"trace has {len(trace.initial_times)} initial times for a "
+                f"ground mesh of {n} vertices")
+    foreign = np.flatnonzero((verts < 0) | (verts >= n))
+    if len(foreign):
+        idx = int(foreign[0])
+        return (f"lift {idx} moves vertex {trace.lifts[idx].vertex}, which "
+                f"the ground mesh does not have")
+    return None
+
+
 def check_progress_trace(trace: RunTrace, ground: GroundMesh,
                          tol: float = 1e-9) -> CheckResult:
     """Per-lift advance floor plus the worst-case patch and element budgets.
@@ -146,6 +163,10 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     Total patches are bounded by (T/eps) * sum(1/omega) and, for d = 2,
     total elements by six times that.
     """
+    verts = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
+    foreign = _foreign_trace(trace, ground, verts)
+    if foreign:
+        return CheckResult("progress_trace", False, foreign)
     cons = precompute(ground, trace.epsilon)
     eps = trace.epsilon
     T = trace.target_time
@@ -359,20 +380,9 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     n_lifts = len(trace.lifts)
     replay = _Replay(trace)
     verts = replay.vertex
-    if len(replay.initial) != n:
-        return CheckResult(
-            name, False,
-            f"trace has {len(replay.initial)} initial times for a ground "
-            f"mesh of {n} vertices",
-        )
-    foreign = np.flatnonzero((verts < 0) | (verts >= n))
-    if len(foreign):
-        idx = int(foreign[0])
-        return CheckResult(
-            name, False,
-            f"lift {idx} moves vertex {trace.lifts[idx].vertex}, which the "
-            f"ground mesh does not have",
-        )
+    foreign = _foreign_trace(trace, ground, verts)
+    if foreign:
+        return CheckResult(name, False, foreign)
     prev = replay.times_after(verts, np.arange(n_lifts) - 1)
     stale = np.flatnonzero(prev != replay.old)
     stop = int(stale[0]) if len(stale) else n_lifts
@@ -540,10 +550,13 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
     n = len(trace.lifts)
     if n == 0:
         return CheckResult("lift_bounds_sampled", True, "empty trace")
+    replay = _Replay(trace)
+    foreign = _foreign_trace(trace, ground, replay.vertex)
+    if foreign:
+        return CheckResult("lift_bounds_sampled", False, foreign)
     rng = np.random.default_rng(seed)
     k = max(1, int(round(fraction * n)))
     sample = np.sort(rng.choice(n, size=min(k, n), replace=False))
-    replay = _Replay(trace)
     oracles, omegas = _oracle_max_lifts(
         ground, replay.vertex[sample],
         lambda u, s: replay.times_after(u, sample[s] - 1), trace.epsilon,

@@ -1,13 +1,26 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tentpitch import GroundMesh, ParseError, PitchConfig, load, run, stats
+from tentpitch import (
+    GroundMesh,
+    MeshValidationError,
+    ParseError,
+    PitchConfig,
+    load,
+    run,
+    stats,
+)
 from tentpitch.cli import main
 from tentpitch.io_formats import (
     dumps,
@@ -312,6 +325,62 @@ class TestCli:
         err = self._verify_error(capsys, out, trace)
         assert err == "error: $.lifts[0].vertex: missing\n"
 
+    @pytest.mark.parametrize("file, where, value, message", [
+        # ids outside their ranges
+        pytest.param("trace", ("lifts", 2, "vertex"), 7,
+                     "$.lifts[2].vertex: 7 is out of range [0, 3)",
+                     id="trace_vertex_past_end"),
+        pytest.param("trace", ("lifts", 2, "vertex"), -1,
+                     "$.lifts[2].vertex: -1 is out of range [0, 3)",
+                     id="trace_vertex_negative"),
+        pytest.param("mesh", ("patches", 0, "inflow", 0), [0, [99999, 1, 2], 0],
+                     "$.patches[0].inflow[0][1][0]: 99999 is out of range "
+                     "[0, 10)",
+                     id="facet_vertex"),
+        pytest.param("mesh", ("frontier", 0, 0), 5,
+                     "$.frontier[0][0]: 5 is out of range [0, 1)",
+                     id="facet_ground_element"),
+        pytest.param("mesh", ("initial_facets", 0, 2), 7,
+                     "$.initial_facets[0][2]: 7 is out of range [-1, 7)",
+                     id="facet_producer"),
+        pytest.param("mesh", ("elements", 3, 1), -2,
+                     "$.elements[3][1]: -2 is out of range [0, 10)",
+                     id="element_vertex"),
+        pytest.param("mesh", ("patches", 1, "vertex"), 3,
+                     "$.patches[1].vertex: 3 is out of range [0, 3)",
+                     id="patch_vertex"),
+        # values of the wrong type
+        pytest.param("trace", ("lifts", 2, "vertex"), 2.7,
+                     "$.lifts[2].vertex: 2.7 is not an integer",
+                     id="trace_vertex_float"),
+        pytest.param("trace", ("lifts", 2, "vertex"), "2",
+                     "$.lifts[2].vertex: '2' is not an integer",
+                     id="trace_vertex_string"),
+        pytest.param("trace", ("lifts", 1, "patch"), True,
+                     "$.lifts[1].patch: True is not an integer",
+                     id="trace_patch_bool"),
+        pytest.param("trace", ("lifts", 0, "new_time"), "1.5",
+                     "$.lifts[0].new_time: '1.5' is not a finite number",
+                     id="trace_time_string"),
+        pytest.param("mesh", ("patches", 2, "outflow", 0, 1, 2), 3.5,
+                     "$.patches[2].outflow[0][1][2]: 3.5 is not an integer",
+                     id="facet_vertex_float"),
+        pytest.param("mesh", ("ground_dim",), True,
+                     "$.ground_dim: True is not an integer",
+                     id="ground_dim_bool"),
+        pytest.param("mesh", ("vertices", 5, 2), float("nan"),
+                     "$.vertices[5][2]: nan is not a finite number",
+                     id="vertex_time_nan"),
+    ])
+    def test_bad_value_is_exit_one(self, tmp_path, capsys, file, where,
+                                   value, message):
+        out, trace = self._pitched(tmp_path)
+        path = out if file == "mesh" else trace
+        data = json.loads(path.read_text())
+        _put(data, where, value)
+        path.write_text(json.dumps(data))
+        assert self._verify_error(capsys, out, trace) == f"error: {message}\n"
+
     def test_infinite_speed_is_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "inf_speed.json"
         bad.write_text(
@@ -350,3 +419,79 @@ class TestCli:
             "--out", str(out),
         ])
         assert rc == 0
+
+
+def _put(data, where, value):
+    """Set the value at a JSON path given as a key/index sequence."""
+    for key in where[:-1]:
+        data = data[key]
+    data[where[-1]] = value
+
+
+# -- randomly damaged files --------------------------------------------------
+
+GROUND = DATA / "single_triangle.node"
+
+
+@lru_cache(maxsize=None)
+def _valid_files() -> dict:
+    """Parsed space-time mesh and trace JSON of a small valid run."""
+    ground = load(parse_triangle(GROUND.read_text(),
+                                 GROUND.with_suffix(".ele").read_text()))
+    mesh, trace = run(ground, PitchConfig(target_time=2.0))
+    return {"mesh": json.loads(write_spacetime_json(mesh)),
+            "trace": json.loads(write_trace_json(trace))}
+
+
+RETYPED = ["x", "2", True, False, None, 2.5, -0.5, [], [1], {}, {"a": 1}]
+OUT_OF_RANGE = [-1, -2, 3, 7, 99999, 10**30]
+
+
+@st.composite
+def damaged_files(draw):
+    """A valid file with one damage at a random place: a dropped key or
+    entry, a value of another type, or an id outside its range."""
+    which = draw(st.sampled_from(["mesh", "trace"]))
+    doc = copy.deepcopy(_valid_files()[which])
+    node = doc
+    while True:
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child
+                and draw(st.booleans())):
+            break
+        node = child
+    damage = draw(st.sampled_from(["drop", "retype", "out_of_range"]))
+    if damage == "drop":
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(
+            RETYPED if damage == "retype" else OUT_OF_RANGE))
+    return which, doc
+
+
+class TestDamagedFiles:
+    @settings(max_examples=80, deadline=None)
+    @given(damaged=damaged_files())
+    def test_readers_and_verify_fail_cleanly(self, damaged):
+        which, doc = damaged
+        files = dict(_valid_files())
+        files[which] = doc
+        ground = load(parse_triangle(GROUND.read_text(),
+                                     GROUND.with_suffix(".ele").read_text()))
+        texts = {k: json.dumps(v) for k, v in files.items()}
+        try:
+            read_spacetime_json(texts["mesh"], ground)
+            read_trace_json(texts["trace"])
+        except (ParseError, MeshValidationError):
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {k: Path(tmp) / f"{k}.json" for k in texts}
+            for k, text in texts.items():
+                paths[k].write_text(text)
+            # any other exception escapes main() as a traceback
+            rc = main(["verify", "--mesh", str(paths["mesh"]),
+                       "--trace", str(paths["trace"]),
+                       "--ground", str(GROUND)])
+        assert rc in (0, 1)

@@ -1,0 +1,249 @@
+"""The row-formatting trace and VTK writers against the generic writers
+they replaced, and the no-cycles property that lets the CLI run with the
+cyclic garbage collector off."""
+
+import gc
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tentpitch import GroundMesh, PitchConfig, run, stats, verify
+from tentpitch.cli import main
+from tentpitch.front import MISPhases
+from tentpitch.io_formats import (
+    dumps,
+    read_spacetime_json,
+    read_trace_json,
+    write_spacetime_json,
+    write_trace_json,
+    write_vtk,
+)
+
+DATA = Path(__file__).parent / "data"
+
+
+# -- reference: the generic writers as they were ------------------------------
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _dump(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(k)))
+            out.append(": ")
+            _dump(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _dump(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_trace_json(trace) -> str:
+    payload = {
+        "epsilon": trace.epsilon,
+        "target_time": trace.target_time,
+        "tolerance": trace.tolerance,
+        "strategy": trace.strategy,
+        "seed": trace.seed,
+        "initial_times": list(trace.initial_times),
+        "lifts": [
+            {
+                "vertex": r.vertex,
+                "old_time": r.old_time,
+                "new_time": r.new_time,
+                "kind": r.kind,
+                "element": r.element,
+                "face": list(r.face) if r.face is not None else None,
+                "patch": r.patch,
+            }
+            for r in trace.lifts
+        ],
+    }
+    out: list = []
+    _dump(payload, out)
+    return "".join(out) + "\n"
+
+
+def reference_vtk(mesh, title="space-time mesh") -> str:
+    d = mesh.ground.dim
+    lines = [
+        "# vtk DataFile Version 2.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {len(mesh.vertices)} double",
+    ]
+    for v in mesh.vertices:
+        if d == 2:
+            x, y, t = v
+            lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(t)}")
+        else:
+            x, t = v
+            lines.append(f"{_fmt(x)} {_fmt(t)} 0")
+    n_el = len(mesh.elements)
+    per = d + 2
+    lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
+    for e in mesh.elements:
+        lines.append(f"{per} " + " ".join(str(v) for v in e))
+    lines.append(f"CELL_TYPES {n_el}")
+    lines.extend(["10" if d == 2 else "5"] * n_el)
+    lines.append(f"CELL_DATA {n_el}")
+    lines.append("SCALARS patch_id int 1")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(str(p) for p in mesh.element_patch)
+    lines.append("SCALARS duration double 1")
+    lines.append("LOOKUP_TABLE default")
+    times = mesh.times_array()
+    for e in mesh.elements:
+        ts = times[list(e)]
+        lines.append(_fmt(float(ts.max() - ts.min())))
+    return "\n".join(lines) + "\n"
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def _line():
+    return GroundMesh(1, [[0.0], [0.8], [2.1], [3.0], [3.4]],
+                      [[0, 1], [1, 2], [2, 3], [3, 4]])
+
+
+def _delaunay():
+    from tentpitch.synthetic import delaunay_mesh
+
+    return delaunay_mesh(14, np.random.default_rng(5))
+
+
+def _scheduled():
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=2)
+    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
+    return g
+
+
+def _tets():
+    from tentpitch.synthetic import random_tet_mesh
+
+    return random_tet_mesh(9, np.random.default_rng(3))
+
+
+# name: (ground mesh, target time, strategy)
+RUNS = {
+    "d1": (_line, 2.0, None),
+    "d2": (_delaunay, 1.0, None),
+    "d2_mis": (_delaunay, 1.0, MISPhases(seed=4)),
+    "d2_speed_schedule": (_scheduled, 1.0, None),
+    "d3": (_tets, 0.6, None),
+}
+
+
+def _run(name):
+    make, target, strategy = RUNS[name]
+    g = make()
+    config = PitchConfig(target_time=target)
+    if strategy is not None:
+        config = PitchConfig(target_time=target, strategy=strategy)
+    return g, *run(g, config)
+
+
+class TestRowWriters:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_trace_bytes_equal_generic_writer(self, name):
+        _, _, trace = _run(name)
+        assert write_trace_json(trace) == reference_trace_json(trace)
+
+    @pytest.mark.parametrize("name", sorted(n for n in RUNS if n != "d3"))
+    def test_vtk_bytes_equal_generic_writer(self, name):
+        _, mesh, _ = _run(name)
+        assert write_vtk(mesh) == reference_vtk(mesh)
+        assert write_vtk(mesh, "t") == reference_vtk(mesh, "t")
+
+    def test_runs_cover_every_lift_row_shape(self):
+        # lifts with and without a binding element and a d = 3 face
+        shapes = set()
+        for name in RUNS:
+            _, _, trace = _run(name)
+            shapes |= {(r.element is None, r.face is None) for r in trace.lifts}
+        assert shapes == {(True, True), (False, True), (False, False)}
+
+    def test_empty_trace_and_mesh(self, right_triangle):
+        mesh, trace = run(right_triangle, PitchConfig(target_time=0.0))
+        assert not trace.lifts and not mesh.elements
+        assert write_trace_json(trace) == reference_trace_json(trace)
+        assert write_vtk(mesh) == reference_vtk(mesh)
+
+    def test_read_back_trace_writes_the_same_bytes(self):
+        _, _, trace = _run("d3")
+        text = write_trace_json(trace)
+        assert write_trace_json(read_trace_json(text)) == text
+
+
+# -- no reference cycles -------------------------------------------------------
+
+
+def _pipeline(name):
+    """Everything `pitch` and `verify` do, from a ground mesh to a report."""
+    g, mesh, trace = _run(name)
+    st = stats(mesh)
+    stmesh, trace_text = write_spacetime_json(mesh), write_trace_json(trace)
+    if g.dim < 3:
+        write_vtk(mesh)
+    dumps(st.to_dict())
+    report = verify(read_spacetime_json(stmesh, g), g,
+                    read_trace_json(trace_text))
+    assert report.passed
+
+
+class TestNoCycles:
+    @pytest.mark.parametrize("name", ["d1", "d2", "d2_speed_schedule", "d3"])
+    def test_pipeline_leaves_nothing_for_the_cyclic_collector(self, name):
+        _pipeline(name)  # first run: lazy imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            _pipeline(name)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_gc_state_as_it_found_it(self, enabled, tmp_path):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["info", "--input",
+                         str(DATA / "single_triangle.node")]) == 0
+            assert gc.isenabled() is enabled
+            # an error exit too
+            assert main(["info", "--input", str(tmp_path / "none.node")]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

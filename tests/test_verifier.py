@@ -411,15 +411,19 @@ class TestBatchedReplay:
         _same_result(got, reference_front_snapshots(both, g))
 
     def test_trace_not_of_this_mesh_fails(self, right_triangle):
-        _, trace = run(right_triangle, PitchConfig(target_time=0.5))
-        trace.lifts[1].vertex = 3
-        result = check_front_snapshots(trace, right_triangle)
-        assert not result.passed
-        assert "lift 1 moves vertex 3" in result.message
-        trace.initial_times = [0.0, 0.0]
-        result = check_front_snapshots(trace, right_triangle)
-        assert not result.passed
-        assert "trace has 2 initial times" in result.message
+        checks = [check_front_snapshots, check_progress_trace,
+                  lambda t, g: check_lift_bounds_sampled(t, g, fraction=1.0)]
+        for check in checks:
+            for vertex in (3, -1):
+                _, trace = run(right_triangle, PitchConfig(target_time=0.5))
+                trace.lifts[1].vertex = vertex
+                result = check(trace, right_triangle)
+                assert not result.passed
+                assert f"lift 1 moves vertex {vertex}," in result.message
+            trace.initial_times = [0.0, 0.0]
+            result = check(trace, right_triangle)
+            assert not result.passed
+            assert "trace has 2 initial times" in result.message
 
     @settings(max_examples=25, deadline=None)
     @given(nx=st.integers(2, 5), ny=st.integers(2, 4),
