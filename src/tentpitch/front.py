@@ -214,11 +214,11 @@ class Front:
         self.phase_counter += 1
         return self._phase.popleft()
 
-    def apply_lift(self, v: int, t_new: float, check: bool = True) -> None:
+    def apply_lift(self, v: int, t_new: float) -> None:
         """Move vertex v forward to time t_new.
 
-        The caller must supply a bound from the pitcher; with check=True the
-        star of v is re-validated and any violation (a pitcher bug) raises
+        The caller must supply a bound from the pitcher; the star of v is
+        re-validated and any violation (a pitcher bug) raises
         FrontInvariantError with the state rolled back.
         """
         t_old = self.times[v]
@@ -230,10 +230,9 @@ class Front:
             self.finished[v] = True
         else:
             heapq.heappush(self._heap, (t_new, v))
-        if check:
-            try:
-                self.validate_star(v)
-            except FrontInvariantError:
-                self.times[v] = t_old
-                self.finished[v] = t_old >= self.target_time
-                raise
+        try:
+            self.validate_star(v)
+        except FrontInvariantError:
+            self.times[v] = t_old
+            self.finished[v] = t_old >= self.target_time
+            raise

@@ -192,12 +192,14 @@ class MeshConstants:
     Flattened per-(element, vertex) records drive the lift-bound hot loop:
 
     * cone_recs[e][i]: scalar data for the full-element cone ceiling when
-      lifting local vertex i (layout depends on dim, see pitcher).
-    * progress_recs[e][i] (d = 2): (j, k, w) with w the altitude of i.
+      lifting local vertex i, and for d = 2 also its progress ceiling.
     * face_recs[e][i] (d = 3): per triangular face of e containing i,
       (j, k, beta, inv_len, w_face, kappa).
     * slope_recs[e] / face_state_recs[e]: inverse-Gram data used to
       re-validate the front state after each lift.
+
+    pitcher._star_constraints documents the cone_recs and face_recs
+    layouts, per dimension.
 
     The clearance ratios sigma and the face caps kappa exist for d = 3
     only; no bound reads them in lower dimensions.
@@ -212,7 +214,6 @@ class MeshConstants:
     sigma: Optional[np.ndarray]      # (m, 4) clearance ratio of vertex l, d=3 only
     kappa: Optional[np.ndarray]      # (m, 4) cap of face opposite vertex l, d=3 only
     cone_recs: list = field(repr=False, default_factory=list)
-    progress_recs: Optional[list] = field(repr=False, default=None)
     face_recs: Optional[list] = field(repr=False, default=None)
     slope_recs: list = field(repr=False, default_factory=list)
     face_state_recs: Optional[list] = field(repr=False, default=None)
@@ -302,7 +303,7 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     omega = _vertex_min(n, ids, altitudes)
     omega_speed = _vertex_min(n, ids, scaled)
     progress_floor = omega_speed
-    sigma = kappa = progress_recs = face_recs = face_state_recs = None
+    sigma = kappa = face_recs = face_state_recs = None
     E = geometry.edge_bases(X)
 
     if d == 1:
@@ -311,8 +312,6 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         slope_recs = _records(ids[:, 0], ids[:, 1], 1.0 / L, depth=1)
     elif d == 2:
         cone_recs = _triangle_records(X, ids)
-        progress_recs = [[(j, k, w) for j, k, _, _, w in recs]
-                         for recs in cone_recs]
         g = E @ np.swapaxes(E, 1, 2)
         h = _sym2_inverse(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])
         slope_recs = _records(ids[:, 0], ids[:, 1], ids[:, 2], *h, depth=1)
@@ -377,7 +376,6 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         sigma=sigma,
         kappa=kappa,
         cone_recs=cone_recs,
-        progress_recs=progress_recs,
         face_recs=face_recs,
         slope_recs=slope_recs,
         face_state_recs=face_state_recs,

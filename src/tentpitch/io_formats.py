@@ -152,6 +152,20 @@ def parse_triangle(node_text: str, ele_text: str) -> dict:
 # -- json mesh ----------------------------------------------------------------
 
 
+def _check_reals(values: list, path: str) -> None:
+    """Raise ParseError unless every entry is a JSON number (not `true` or
+    `false`) that a float can hold; an integer literal can be any length."""
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"{path}[{i}]: not a number")
+        if isinstance(x, int):
+            try:
+                float(x)
+            except OverflowError:
+                raise ParseError(
+                    f"{path}[{i}]: integer too large for a float") from None
+
+
 def parse_json_mesh(text: str) -> dict:
     """Parse and validate the json-mesh schema, reporting the JSON path of
     any violation."""
@@ -173,23 +187,23 @@ def parse_json_mesh(text: str) -> dict:
     for i, v in enumerate(data["vertices"]):
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"$.vertices[{i}]: expected {dim} coordinates")
-        for j, x in enumerate(v):
-            if not isinstance(x, (int, float)):
-                raise ParseError(f"$.vertices[{i}][{j}]: not a number")
+        _check_reals(v, f"$.vertices[{i}]")
+    n = len(data["vertices"])
     for i, el in enumerate(data["elements"]):
         if not isinstance(el, list) or len(el) != dim + 1:
             raise ParseError(f"$.elements[{i}]: expected {dim + 1} vertex indices")
         for j, x in enumerate(el):
-            if not isinstance(x, int):
+            if isinstance(x, bool) or not isinstance(x, int):
                 raise ParseError(f"$.elements[{i}][{j}]: not an integer")
+            if not 0 <= x < n:
+                raise ParseError(
+                    f"$.elements[{i}][{j}]: {x} is out of range [0, {n})")
     for key in ("speeds", "initial_times"):
         if key in data:
             arr = data[key]
             if not isinstance(arr, list):
                 raise ParseError(f"$.{key}: not an array")
-            for i, x in enumerate(arr):
-                if not isinstance(x, (int, float)):
-                    raise ParseError(f"$.{key}[{i}]: not a number")
+            _check_reals(arr, f"$.{key}")
     return {
         "dim": dim,
         "vertices": data["vertices"],

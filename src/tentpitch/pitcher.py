@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
 from typing import Optional
-
-import numpy as np
 
 from .errors import FrontInvariantError, StallError
 from .front import Front, GreedyLowest, MISPhases, Strategy
@@ -43,7 +42,6 @@ class PitchConfig:
     epsilon: float = 0.1
     tolerance: float = 1e-9
     strategy: Strategy = GreedyLowest()
-    check_lifts: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
@@ -73,92 +71,8 @@ class LiftBound:
 
 
 def _slacked(x: float) -> float:
-    return x - abs(x) * BOUND_SLACK
-
-
-def edge_cone_ceiling(p, a, b, ta, tb, cap=1.0) -> float:
-    """Cone ceiling for lifting p over the fixed lifted segment a@ta, b@tb.
-
-    Pure closed form from raw coordinates; both orderings of (a, b) agree,
-    which the tests verify numerically.
-    """
-    p = np.asarray(p, float)
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    edge = b - a
-    L2 = float(edge @ edge)
-    L = math.sqrt(L2)
-    beta = float((p - a) @ edge) / L2
-    foot = a + beta * edge
-    w = float(np.linalg.norm(p - foot))
-    mu = (tb - ta) / L
-    rad = cap * cap - mu * mu
-    if rad < 0:
-        raise FrontInvariantError("segment already violates the cone constraint")
-    return ta + beta * (tb - ta) + w * math.sqrt(rad)
-
-
-def cone_bound(front: Front, v: int, e: int, cap: Optional[float] = None) -> float:
-    """Largest new time for v keeping element e's gradient within its cap."""
-    t = front.times
-    if cap is None:
-        cap = front.ground.slope_cap(e, t[v])
-    li = _local_index(front.ground, e, v)
-    rec = front.constants.cone_recs[e][li]
-    d = front.ground.dim
-    if d == 1:
-        return t[rec[0]] + rec[1] * cap
-    if d == 2:
-        return _cone2(rec, t, cap, front.tol, e)
-    return _cone3(rec, t, cap, front.tol, e)
-
-
-def progress_bound(front: Front, v: int, e: int, epsilon: Optional[float] = None) -> float:
-    """Progress ceiling t(top) + (1-eps) * altitude * cap on triangle e."""
-    if front.ground.dim != 2:
-        raise ValueError("progress_bound applies to triangle elements")
-    t = front.times
-    eps = front.epsilon if epsilon is None else epsilon
-    cap = front.ground.slope_cap(e, t[v])
-    li = _local_index(front.ground, e, v)
-    j, k, w = front.constants.progress_recs[e][li]
-    return max(t[j], t[k]) + (1.0 - eps) * w * cap
-
-
-def face_cap_bound(front: Front, v: int, e: int, face) -> float:
-    """Cone ceiling on a triangular face of tetrahedron e, with the face's
-    gradient cap in place of the full cone."""
-    rec = _find_face_rec(front, v, e, face)
-    t = front.times
-    cap = front.ground.slope_cap(e, t[v])
-    j, k, beta, inv_len, wf, kap = rec
-    return _edge_cone_scalar(t[j], t[k], beta, inv_len, wf, kap * cap, front.tol, e)
-
-
-def face_progress_bound(front: Front, v: int, e: int, face) -> float:
-    """Progress ceiling on a triangular face of tetrahedron e, slopes scaled
-    by the face's gradient cap."""
-    rec = _find_face_rec(front, v, e, face)
-    t = front.times
-    cap = front.ground.slope_cap(e, t[v])
-    j, k, _, _, wf, kap = rec
-    return max(t[j], t[k]) + (1.0 - front.epsilon) * wf * kap * cap
-
-
-def _local_index(ground: GroundMesh, e: int, v: int) -> int:
-    for e2, li in ground.stars[v]:
-        if e2 == e:
-            return li
-    raise ValueError(f"vertex {v} is not part of element {e}")
-
-
-def _find_face_rec(front: Front, v: int, e: int, face):
-    li = _local_index(front.ground, e, v)
-    want = set(int(x) for x in face)
-    for rec in front.constants.face_recs[e][li]:
-        if {v, rec[0], rec[1]} == want:
-            return rec
-    raise ValueError(f"face {face} does not contain vertex {v} in element {e}")
+    # an unbounded lift stays unbounded; inf - inf would be nan
+    return x - abs(x) * BOUND_SLACK if x < math.inf else x
 
 
 def _edge_cone_scalar(tj, tk, beta, inv_len, w, cap, tol, e) -> float:
@@ -173,11 +87,6 @@ def _edge_cone_scalar(tj, tk, beta, inv_len, w, cap, tol, e) -> float:
             )
         rad = 0.0
     return tj + beta * dt + w * math.sqrt(rad)
-
-
-def _cone2(rec, t, cap, tol, e) -> float:
-    j, k, beta, inv_len, w = rec
-    return _edge_cone_scalar(t[j], t[k], beta, inv_len, w, cap, tol, e)
 
 
 def _cone3(rec, t, cap, tol, e) -> float:
@@ -198,63 +107,83 @@ def _cone3(rec, t, cap, tol, e) -> float:
     return t[j] + a1 * b1 + a2 * b2 + w * math.sqrt(rad)
 
 
-def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
-    """Maximal admissible lift for local-minimum vertex v.
+def _star_constraints(front: Front, v: int, tol: float):
+    """Yield every constraint on lifting vertex v as (value, kind, element,
+    face), each element's cap taken at v's time.
 
-    Returns the minimum over all incident cone, progress and face
-    constraints, clamped at the target time.  Raises StallError when the
-    result fails to advance the vertex, which would mean the progress
-    invariant was broken upstream.
+    The order is star order and, within an element, the cone ceiling, the
+    progress ceiling (d = 2), then the cone and progress ceilings of each
+    triangular face (v, j, k) containing v (d = 3); face is None for a
+    whole-element constraint.  The records read, for local vertex i of
+    element e, are:
+
+    * cone_recs[e][i], d = 1: (j, L), the other end and the length;
+    * cone_recs[e][i], d = 2: (j, k, beta, inv_len, w), the opposite edge,
+      the foot of the altitude at j + beta * (k - j), 1/|k - j| and the
+      altitude w;
+    * cone_recs[e][i], d = 3: (j, k, l, h11, h12, h22, b1, b2, w), the
+      opposite facet, the inverse Gram matrix of its edge basis
+      (k - j, l - j), the foot's offset from j dotted with that basis, and
+      the altitude w;
+    * face_recs[e][i], d = 3: (j, k, beta, inv_len, w, kappa) per face, in
+      the d = 2 edge form with w the in-face altitude and kappa the face's
+      cap as a fraction of the element's.
+
+    d = 2 keeps the edge form rather than the Gram form: the two round
+    differently, and lift times would change in their last digit.
     """
-    ground, cons = front.ground, front.constants
-    if cons.epsilon != config.epsilon:
-        raise ValueError(
-            "mesh constants were precomputed with a different epsilon"
-        )
-    t = front.times
-    tv = t[v]
-    if not front.is_local_minimum(v):
-        raise ValueError(f"vertex {v} is not a local minimum of the front")
+    ground, cons, t = front.ground, front.constants, front.times
     d = ground.dim
-    pf = 1.0 - config.epsilon
-    tol = config.tolerance
-    best = math.inf
-    kind = "cone"
-    best_elem: Optional[int] = None
-    best_face: Optional[tuple[int, ...]] = None
-
+    pf = 1.0 - front.epsilon
+    tv = t[v]
     for e, li in ground.stars[v]:
         cap = ground.slope_cap(e, tv)
         rec = cons.cone_recs[e][li]
         if d == 1:
-            cb = t[rec[0]] + rec[1] * cap
+            j, length = rec
+            yield t[j] + length * cap, "cone", e, None
         elif d == 2:
-            cb = _cone2(rec, t, cap, tol, e)
-        else:
-            cb = _cone3(rec, t, cap, tol, e)
-        if cb < best:
-            best, kind, best_elem, best_face = cb, "cone", e, None
-        if d == 2:
-            j, k, w = cons.progress_recs[e][li]
+            j, k, beta, inv_len, w = rec
+            yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, w, cap, tol, e),
+                   "cone", e, None)
             top = t[j] if t[j] > t[k] else t[k]
-            pb = top + pf * w * cap
-            if pb < best:
-                best, kind, best_elem, best_face = pb, "progress", e, None
-        elif d == 3:
+            yield top + pf * w * cap, "progress", e, None
+        else:
+            yield _cone3(rec, t, cap, tol, e), "cone", e, None
             for j, k, beta, inv_len, wf, kap in cons.face_recs[e][li]:
                 fcap = kap * cap
-                fb = _edge_cone_scalar(t[j], t[k], beta, inv_len, wf, fcap, tol, e)
-                if fb < best:
-                    best, kind, best_elem, best_face = fb, "cone", e, (v, j, k)
+                face = (v, j, k)
+                yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, wf, fcap,
+                                         tol, e), "cone", e, face)
                 top = t[j] if t[j] > t[k] else t[k]
-                pb = top + pf * wf * fcap
-                if pb < best:
-                    best, kind, best_elem, best_face = pb, "progress", e, (v, j, k)
+                yield top + pf * wf * fcap, "progress", e, face
 
+
+def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
+    """Maximal admissible lift for local-minimum vertex v.
+
+    Returns the first smallest of the constraints _star_constraints
+    yields, clamped at the target time; a vertex without elements goes
+    straight to the target.  Raises StallError when the result fails to
+    advance the vertex, which would mean the progress invariant was broken
+    upstream.
+    """
+    if front.constants.epsilon != config.epsilon:
+        raise ValueError(
+            "mesh constants were precomputed with a different epsilon"
+        )
+    if not front.is_local_minimum(v):
+        raise ValueError(f"vertex {v} is not a local minimum of the front")
+    tol = config.tolerance
+    best, kind, best_elem, best_face = min(
+        _star_constraints(front, v, tol), key=itemgetter(0),
+        default=(math.inf, "cone", None, None),
+    )
     best = _slacked(best)
     if best >= config.target_time:
         return LiftBound(config.target_time, "target")
-    if best <= tv + tol * cons.omega[v]:
+    tv = front.times[v]
+    if best <= tv + tol * front.constants.omega[v]:
         raise StallError(
             f"lift of vertex {v} stalled at t={tv:.17g} "
             f"(bound {best:.17g} from {kind} on element {best_elem})",
@@ -365,7 +294,7 @@ def run(
     while (v := front.next_vertex(strategy)) is not None:
         bound = compute_lift(v, front, config)
         old = front.times[v]
-        front.apply_lift(v, bound.value, check=config.check_lifts)
+        front.apply_lift(v, bound.value)
         patch = pitch_tent(mesh, v, bound.value)
         trace.lifts.append(
             LiftRecord(v, old, bound.value, bound.kind, bound.element,

@@ -116,7 +116,8 @@ def check_cone_facets(mesh: SpaceTimeMesh, ground: Optional[GroundMesh] = None,
         return CheckResult("cone_facets", True, "no facets (empty mesh)")
     ratio = slopes / caps
     worst = float(ratio.max())
-    bad = np.nonzero(ratio > 1.0 + tol)[0]
+    # written so that a NaN ratio counts as a violation
+    bad = np.flatnonzero(~(ratio <= 1.0 + tol))
     offenders = [
         {"ground_element": int(facets[i].ground_element),
          "vertices": list(facets[i].vertices),

@@ -22,8 +22,7 @@ from tentpitch import (
     stats,
 )
 from tentpitch.geometry import time_gradient
-from tentpitch.ground_mesh import _triangle_records
-from tentpitch.pitcher import _cone2
+from tentpitch.pitcher import _star_constraints
 from tentpitch.synthetic import (
     delaunay_mesh,
     jittered_grid_mesh,
@@ -198,26 +197,33 @@ def test_criterion_05_per_lift_progress(pool):
 
 def test_criterion_06_oracle_equivalence():
     rng = np.random.default_rng(4321)
-    # (a) closed-form equivalence on 10^4 planar instances
-    worst_a = 0.0
-    count = 0
-    while count < 10_000:
-        coords = rng.normal(scale=2.0, size=(3, 2))
-        e1 = coords[2] - coords[1]
-        area2 = abs(e1[0] * (coords[0] - coords[1])[1]
-                    - e1[1] * (coords[0] - coords[1])[0])
+    # (a) closed-form equivalence on 10^4 planar instances: triangle i of
+    # one mesh, its vertex 3i lifted over the edge (3i+1, 3i+2)
+    coords, times, wants = [], [], []
+    while len(wants) < 10_000:
+        tri = rng.normal(scale=2.0, size=(3, 2))
+        e1 = tri[2] - tri[1]
+        area2 = abs(e1[0] * (tri[0] - tri[1])[1]
+                    - e1[1] * (tri[0] - tri[1])[0])
         L = float(np.linalg.norm(e1))
         if area2 < 1e-3 or L < 1e-3:
             continue
         tq = float(rng.normal())
         tr = tq + float(rng.uniform(-0.95, 0.95)) * L
-        recs = _triangle_records(coords, [0, 1, 2])
-        got = _cone2(recs[0], [0.0, tq, tr], 1.0, TOL, 0)
         w_p = area2 / L
-        want = (tq + (tr - tq) / L**2 * float((coords[0] - coords[1]) @ e1)
-                + math.sqrt(L**2 - (tr - tq) ** 2) / L * w_p)
+        wants.append(tq + (tr - tq) / L**2 * float((tri[0] - tri[1]) @ e1)
+                     + math.sqrt(L**2 - (tr - tq) ** 2) / L * w_p)
+        coords.append(tri)
+        times += [0.0, tq, tr]
+    ground = GroundMesh(2, np.concatenate(coords),
+                        np.arange(3 * len(wants)).reshape(-1, 3))
+    front = Front(ground, precompute(ground, EPS), TARGET)
+    front.times = times  # the instances need not form a valid front
+    worst_a = 0.0
+    for i, want in enumerate(wants):
+        got = next(value for value, kind, _, _
+                   in _star_constraints(front, 3 * i, TOL) if kind == "cone")
         worst_a = max(worst_a, abs(got - want) / max(1.0, abs(want)))
-        count += 1
     ok_a = worst_a <= 1e-9
 
     # (b) bisection feasibility oracle on 10^3 states drawn from live runs
@@ -240,7 +246,7 @@ def test_criterion_06_oracle_equivalence():
                     err = abs(oracle - bound.value) / scale
                 worst_b = max(worst_b, err)
                 checked += 1
-            front.apply_lift(v, bound.value, check=False)
+            front.apply_lift(v, bound.value)
 
     total = 0
     seeds = iter(range(1000))

@@ -139,7 +139,7 @@ class TestApplyLift:
             from tentpitch import compute_lift
 
             bound = compute_lift(v, front, PitchConfig(target_time=10.0))
-            front.apply_lift(v, bound.value)  # check=True re-validates
+            front.apply_lift(v, bound.value)  # re-validates the star
             front.validate_star(v)
 
 

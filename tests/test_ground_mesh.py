@@ -215,8 +215,7 @@ def _reference_constants(mesh, epsilon):
     scalar geometry primitives (hull feet, altitudes, clearance ratios)."""
     d = mesh.dim
     ref = {"altitudes": [], "cone_recs": [], "slope_recs": [],
-           "progress_recs": [], "sigma": [], "face_recs": [],
-           "face_state_recs": []}
+           "sigma": [], "face_recs": [], "face_state_recs": []}
     face_floor = np.full(mesh.n_vertices, np.inf)
 
     def edge_record(p, a, b):
@@ -242,7 +241,6 @@ def _reference_constants(mesh, epsilon):
             recs = [(ids[o[0]], ids[o[1]]) + edge_record(X[i], *X[o])
                     for i, o in enumerate(opp)]
             ref["cone_recs"].append(recs)
-            ref["progress_recs"].append([(j, k, w) for j, k, _, _, w in recs])
             h = gram_inverse(s)
             ref["slope_recs"].append(
                 (ids[0], ids[1], ids[2], h[0, 0], h[0, 1], h[1, 1]))
@@ -293,8 +291,6 @@ def _reference_constants(mesh, epsilon):
     else:
         ref["sigma"] = ref["kappa"] = ref["face_recs"] = None
         ref["face_state_recs"] = None
-    if d != 2:
-        ref["progress_recs"] = None
     return ref
 
 

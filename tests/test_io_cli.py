@@ -392,6 +392,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: element 1 has non-finite wave speed\n"
 
+    @pytest.mark.parametrize("where, value, message", [
+        # 10**400 is a valid JSON integer that no float can hold
+        pytest.param(("vertices", 1, 0), 10**400,
+                     "$.vertices[1][0]: integer too large for a float",
+                     id="vertex_huge"),
+        pytest.param(("speeds", 0), 10**400,
+                     "$.speeds[0]: integer too large for a float",
+                     id="speed_huge"),
+        pytest.param(("initial_times", 2), 10**400,
+                     "$.initial_times[2]: integer too large for a float",
+                     id="initial_time_huge"),
+        pytest.param(("vertices", 0, 1), True,
+                     "$.vertices[0][1]: not a number", id="vertex_bool"),
+        pytest.param(("elements", 0, 1), True,
+                     "$.elements[0][1]: not an integer", id="element_bool"),
+        pytest.param(("elements", 0, 1), 10**30,
+                     f"$.elements[0][1]: {10**30} is out of range [0, 3)",
+                     id="element_past_int64"),
+    ])
+    def test_bad_ground_value_is_exit_one(self, tmp_path, capsys, where,
+                                          value, message):
+        doc = {"dim": 2, "vertices": [[0, 1], [0, 0], [1, 0]],
+               "elements": [[0, 1, 2]], "speeds": [1],
+               "initial_times": [0, 0, 0]}
+        _put(doc, where, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["info", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_deterministic_output_files(self, tmp_path):
         files = []
         for tag in ("a", "b"):
@@ -435,23 +465,25 @@ GROUND = DATA / "single_triangle.node"
 
 @lru_cache(maxsize=None)
 def _valid_files() -> dict:
-    """Parsed space-time mesh and trace JSON of a small valid run."""
+    """Parsed JSON ground mesh, space-time mesh and trace of a small valid
+    run."""
     ground = load(parse_triangle(GROUND.read_text(),
                                  GROUND.with_suffix(".ele").read_text()))
     mesh, trace = run(ground, PitchConfig(target_time=2.0))
-    return {"mesh": json.loads(write_spacetime_json(mesh)),
+    return {"ground": json.loads(write_json_mesh(ground)),
+            "mesh": json.loads(write_spacetime_json(mesh)),
             "trace": json.loads(write_trace_json(trace))}
 
 
 RETYPED = ["x", "2", True, False, None, 2.5, -0.5, [], [1], {}, {"a": 1}]
-OUT_OF_RANGE = [-1, -2, 3, 7, 99999, 10**30]
+OUT_OF_RANGE = [-1, -2, 3, 7, 99999, 10**30, 10**400]
 
 
 @st.composite
 def damaged_files(draw):
     """A valid file with one damage at a random place: a dropped key or
-    entry, a value of another type, or an id outside its range."""
-    which = draw(st.sampled_from(["mesh", "trace"]))
+    entry, a value of another type, or an id or value outside its range."""
+    which = draw(st.sampled_from(["ground", "mesh", "trace"]))
     doc = copy.deepcopy(_valid_files()[which])
     node = doc
     while True:
@@ -478,20 +510,19 @@ class TestDamagedFiles:
         which, doc = damaged
         files = dict(_valid_files())
         files[which] = doc
-        ground = load(parse_triangle(GROUND.read_text(),
-                                     GROUND.with_suffix(".ele").read_text()))
         texts = {k: json.dumps(v) for k, v in files.items()}
         try:
+            ground = load(parse_json_mesh(texts["ground"]))
             read_spacetime_json(texts["mesh"], ground)
             read_trace_json(texts["trace"])
         except (ParseError, MeshValidationError):
             pass
         with tempfile.TemporaryDirectory() as tmp:
-            paths = {k: Path(tmp) / f"{k}.json" for k in texts}
+            paths = {k: str(Path(tmp) / f"{k}.json") for k in texts}
             for k, text in texts.items():
-                paths[k].write_text(text)
+                Path(paths[k]).write_text(text)
             # any other exception escapes main() as a traceback
-            rc = main(["verify", "--mesh", str(paths["mesh"]),
-                       "--trace", str(paths["trace"]),
-                       "--ground", str(GROUND)])
+            assert main(["info", "--input", paths["ground"]]) in (0, 1)
+            rc = main(["verify", "--mesh", paths["mesh"],
+                       "--trace", paths["trace"], "--ground", paths["ground"]])
         assert rc in (0, 1)

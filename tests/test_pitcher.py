@@ -5,7 +5,9 @@ import pytest
 
 from tentpitch import (
     Front,
+    GreedyLowest,
     GroundMesh,
+    MISPhases,
     PitchConfig,
     StallError,
     compute_lift,
@@ -14,13 +16,7 @@ from tentpitch import (
     stats,
 )
 from tentpitch.geometry import time_gradient
-from tentpitch.pitcher import (
-    cone_bound,
-    edge_cone_ceiling,
-    face_cap_bound,
-    face_progress_bound,
-    progress_bound,
-)
+from tentpitch.pitcher import _star_constraints
 from tentpitch.verifier import check_cone_facets, single_element_budget
 
 
@@ -66,6 +62,27 @@ def eq_closed_form(p, q, r, tq, tr):
     )
 
 
+def constraint(front, v, e, kind="cone", face=None, tol=1e-9):
+    """The one constraint on lifting v that _star_constraints yields with
+    this kind on element e, for the whole element (face None) or for the
+    d = 3 face with these vertices."""
+    found = [
+        value for value, k, el, f in _star_constraints(front, v, tol)
+        if (k, el) == (kind, e)
+        and (f is None if face is None else f is not None and set(f) == set(face))
+    ]
+    assert len(found) == 1
+    return found[0]
+
+
+def front_at(mesh, times, epsilon=0.1):
+    """A front over mesh at the given times, which need not satisfy the
+    front invariants (the constraints read them as they are)."""
+    front = Front(mesh, precompute(mesh, epsilon), 10.0)
+    front.times = list(times)
+    return front
+
+
 class TestPitchConfig:
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
@@ -86,20 +103,20 @@ class TestConeBound:
     def test_right_triangle_tilted_edge(self, right_triangle):
         front = Front(right_triangle, precompute(right_triangle), 10.0,
                       initial_times=[0.0, 0.0, 0.3])
-        got = cone_bound(front, 0, 0)
+        got = constraint(front, 0, 0)
         oracle = cone_oracle(right_triangle.vertices, [0.0, 0.0, 0.3], 0)
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(math.sqrt(0.91), rel=1e-12)
 
     def test_flat_front_gives_altitude(self, right_triangle):
         front = Front(right_triangle, precompute(right_triangle), 10.0)
-        assert cone_bound(front, 0, 0) == pytest.approx(1.0, rel=1e-12)
+        assert constraint(front, 0, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_speed_halves_admissible_slope(self, equilateral):
         mesh = GroundMesh(2, equilateral.vertices, equilateral.elements,
                           speeds=[2.0])
         front = Front(mesh, precompute(mesh), 10.0)
-        got = cone_bound(front, 0, 0)
+        got = constraint(front, 0, 0)
         oracle = cone_oracle(mesh.vertices, [0.0, 0.0, 0.0], 0, cap=0.5)
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(0.5 * math.sqrt(3) / 2, rel=1e-12)
@@ -113,37 +130,39 @@ class TestConeBound:
                 continue
             tq = rng.normal()
             tr = tq + rng.uniform(-0.95, 0.95) * L
-            mesh = GroundMesh(2, coords, [[0, 1, 2]])
-            cons = precompute(mesh)
-            from tentpitch.pitcher import _cone2
-
-            got = _cone2(cons.cone_recs[0][0], [0.0, tq, tr], 1.0, 1e-9, 0)
+            front = front_at(GroundMesh(2, coords, [[0, 1, 2]]), [0.0, tq, tr])
+            got = constraint(front, 0, 0)
             want = eq_closed_form(coords[0], coords[1], coords[2], tq, tr)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_facet_ordering_symmetry(self, rng):
-        # the two orderings of the fixed pair describe the same constraint
+        # the triangle listed with its fixed pair in either order describes
+        # the same constraint
         for _ in range(300):
-            p, a, b = rng.normal(scale=2.0, size=(3, 2))
+            coords = rng.normal(scale=2.0, size=(3, 2))
+            p, a, b = coords
             if abs(cross2(b - a, p - a)) < 1e-3:
                 continue
             ta = rng.normal()
             tb = ta + rng.uniform(-0.9, 0.9) * np.linalg.norm(b - a)
-            one = edge_cone_ceiling(p, a, b, ta, tb)
-            two = edge_cone_ceiling(p, b, a, tb, ta)
+            one, two = (
+                constraint(front_at(GroundMesh(2, coords, [order]),
+                                    [0.0, ta, tb]), 0, 0)
+                for order in ([0, 1, 2], [0, 2, 1])
+            )
             assert one == pytest.approx(two, rel=1e-12, abs=1e-12)
 
 
 class TestProgressBound:
     def test_direct_substitution(self, right_triangle):
-        front = Front(right_triangle, precompute(right_triangle), 10.0,
+        front = Front(right_triangle, precompute(right_triangle, 0.1), 10.0,
                       initial_times=[0.0, 0.0, 0.3])
         # top neighbor at 0.3 plus (1-eps) * altitude 1
-        assert progress_bound(front, 0, 0, epsilon=0.1) == pytest.approx(1.2)
+        assert constraint(front, 0, 0, "progress") == pytest.approx(1.2)
 
     def test_flat_equilateral(self, equilateral):
         front = Front(equilateral, precompute(equilateral, 0.5), 10.0)
-        assert progress_bound(front, 0, 0) == pytest.approx(
+        assert constraint(front, 0, 0, "progress") == pytest.approx(
             0.5 * math.sqrt(3) / 2
         )
 
@@ -153,26 +172,18 @@ class TestProgressBound:
 
 
 class TestFaceCapBound:
-    def test_cap_one_reduces_to_plain_cone(self, regular_tet, rng):
-        # evaluating the face constraint with cap 1 must equal the cone
-        # bound of the face triangle meshed on its own
-        cons = precompute(regular_tet, 0.1)
-        front3 = Front(regular_tet, cons, 10.0)
+    def test_cap_one_reduces_to_plain_cone(self, regular_tet):
+        # a face whose cap works out to 1 gives the cone ceiling of the
+        # face triangle meshed on its own
         face = (0, 1, 2)
-        coords2 = regular_tet.vertices[list(face)]
-        mesh2 = GroundMesh(3, regular_tet.vertices, regular_tet.elements)
-        li = 0
-        rec = cons.face_recs[0][li][[l for l in (1, 2, 3)].index(3)]
-        from tentpitch.pitcher import _edge_cone_scalar
-
-        with_cap_one = _edge_cone_scalar(
-            front3.times[rec[0]], front3.times[rec[1]], rec[2], rec[3],
-            rec[4], 1.0, 1e-9, 0
-        )
-        flat2 = GroundMesh(2, coords2[:, :2], [[0, 1, 2]])
-        front2 = Front(flat2, precompute(flat2), 10.0)
-        assert with_cap_one == pytest.approx(cone_bound(front2, 0, 0),
-                                             rel=1e-12)
+        kappa = precompute(regular_tet, 0.1).kappa[0][3]  # face opposite 3
+        tet = GroundMesh(3, regular_tet.vertices, regular_tet.elements,
+                         speeds=[kappa])
+        times = [0.0, 0.1, -0.2, 0.05]
+        got = constraint(front_at(tet, times), 0, 0, face=face)
+        flat2 = GroundMesh(2, regular_tet.vertices[list(face), :2], [[0, 1, 2]])
+        want = constraint(front_at(flat2, times[:3]), 0, 0)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_regular_tet_flat_cap_scales_altitude(self, regular_tet):
         # full-element bound with slope cap kappa equals kappa * altitude
@@ -180,7 +191,7 @@ class TestFaceCapBound:
         mesh = GroundMesh(3, regular_tet.vertices, regular_tet.elements,
                           speeds=[1.0 / kappa])
         front = Front(mesh, precompute(mesh), 10.0)
-        got = cone_bound(front, 0, 0)
+        got = constraint(front, 0, 0)
         oracle = cone_oracle(mesh.vertices, [0.0] * 4, 0, cap=kappa)
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(kappa * math.sqrt(2.0 / 3.0), rel=1e-12)
@@ -188,19 +199,45 @@ class TestFaceCapBound:
     def test_face_bound_flat_front(self, regular_tet):
         # sigma = 1 for a regular tet, so the face cap is (1-eps) and the
         # flat-front face bound is 0.9 * the in-face altitude sqrt(3)/2
-        cons = precompute(regular_tet, 0.1)
-        front = Front(regular_tet, cons, 10.0)
-        got = face_cap_bound(front, 0, 0, (0, 1, 2))
+        front = Front(regular_tet, precompute(regular_tet, 0.1), 10.0)
+        got = constraint(front, 0, 0, face=(0, 1, 2))
         face_coords = regular_tet.vertices[[0, 1, 2]]
         oracle = cone_oracle(face_coords, [0.0, 0.0, 0.0], 0, cap=0.9)
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(0.9 * math.sqrt(3) / 2, rel=1e-12)
 
     def test_face_progress_flat(self, regular_tet):
-        cons = precompute(regular_tet, 0.1)
-        front = Front(regular_tet, cons, 10.0)
-        got = face_progress_bound(front, 0, 0, (0, 1, 2))
+        front = Front(regular_tet, precompute(regular_tet, 0.1), 10.0)
+        got = constraint(front, 0, 0, "progress", face=(0, 1, 2))
         assert got == pytest.approx(0.9 * 0.9 * math.sqrt(3) / 2, rel=1e-12)
+
+
+class TestStarConstraints:
+    @pytest.mark.parametrize("d, per_element", [
+        (1, ["cone"]),
+        (2, ["cone", "progress"]),
+        (3, ["cone"] + ["cone", "progress"] * 3),
+    ])
+    def test_order_within_and_across_elements(self, d, per_element, rng):
+        from tentpitch.synthetic import delaunay_mesh, random_tet_mesh
+
+        mesh = {1: lambda: GroundMesh(1, [[0.0], [1.0], [2.5]],
+                                      [[0, 1], [1, 2]]),
+                2: lambda: delaunay_mesh(12, rng),
+                3: lambda: random_tet_mesh(9, rng)}[d]()
+        front = Front(mesh, precompute(mesh), 10.0)
+        v = max(range(mesh.n_vertices), key=lambda u: len(mesh.stars[u]))
+        got = [(kind, e, face) for _, kind, e, face in
+               _star_constraints(front, v, 1e-9)]
+        assert [e for _, e, _ in got] == [
+            e for e in mesh.star(v) for _ in per_element]
+        assert [k for k, _, _ in got] == per_element * len(mesh.star(v))
+        # only the d = 3 face constraints, after each element's first, name
+        # a face, and it starts with v
+        faces = [f for _, _, f in got]
+        whole = [i % len(per_element) == 0 or d < 3 for i in range(len(faces))]
+        assert [f is None for f in faces] == whole
+        assert all(f[0] == v for f in faces if f is not None)
 
 
 class TestComputeLift:
@@ -226,6 +263,17 @@ class TestComputeLift:
         bound = compute_lift(0, front, cfg)
         assert bound.kind == "target"
         assert bound.value == 0.25
+
+    def test_vertex_without_elements_goes_to_target(self):
+        # an empty star bounds nothing; inf must not slack into nan
+        with pytest.warns(UserWarning, match="isolated"):
+            mesh = GroundMesh(2, [[0, 0], [1, 0], [0, 1], [5, 5]],
+                              [[0, 1, 2]], allow_isolated=True)
+        front = Front(mesh, precompute(mesh), 1.0)
+        bound = compute_lift(3, front, PitchConfig(target_time=1.0))
+        assert (bound.value, bound.kind) == (1.0, "target")
+        _, trace = run(mesh, PitchConfig(target_time=1.0))
+        assert [r.new_time for r in trace.lifts if r.vertex == 3] == [1.0]
 
     def test_requires_local_minimum(self, right_triangle):
         front = Front(right_triangle, precompute(right_triangle), 10.0,
@@ -357,3 +405,113 @@ class TestRun:
             mesh3 = random_tet_mesh(9, np.random.default_rng(seed))
             mesh, trace = run(mesh3, PitchConfig(target_time=0.5))
             assert check_cone_facets(mesh).passed
+
+
+# -- reference: compute_lift with its inline per-dimension branches -----------
+
+
+def _ref_edge_cone(tj, tk, beta, inv_len, w, cap):
+    dt = tk - tj
+    mu = dt * inv_len
+    rad = max(cap * cap - mu * mu, 0.0)
+    return tj + beta * dt + w * math.sqrt(rad)
+
+
+def _ref_cone3(rec, t, cap):
+    j, k, l, h11, h12, h22, b1, b2, w = rec
+    d1 = t[k] - t[j]
+    d2 = t[l] - t[j]
+    a1 = h11 * d1 + h12 * d2
+    a2 = h12 * d1 + h22 * d2
+    rad = max(cap * cap - (a1 * d1 + a2 * d2), 0.0)
+    return t[j] + a1 * b1 + a2 * b2 + w * math.sqrt(rad)
+
+
+def reference_lift(v, front, config):
+    """(value, kind, element, face) of the lift as compute_lift computed
+    it before _star_constraints: one inline loop, a strict < keeping the
+    first of equal constraints.  Its check for a facet already past its
+    cap is left out; a valid run never reaches it."""
+    ground, cons, t = front.ground, front.constants, front.times
+    tv = t[v]
+    d = ground.dim
+    pf = 1.0 - config.epsilon
+    best, kind, best_elem, best_face = math.inf, "cone", None, None
+    for e, li in ground.stars[v]:
+        cap = ground.slope_cap(e, tv)
+        rec = cons.cone_recs[e][li]
+        if d == 1:
+            cb = t[rec[0]] + rec[1] * cap
+        elif d == 2:
+            cb = _ref_edge_cone(t[rec[0]], t[rec[1]], *rec[2:], cap)
+        else:
+            cb = _ref_cone3(rec, t, cap)
+        if cb < best:
+            best, kind, best_elem, best_face = cb, "cone", e, None
+        if d == 2:
+            j, k, _, _, w = rec
+            top = t[j] if t[j] > t[k] else t[k]
+            pb = top + pf * w * cap
+            if pb < best:
+                best, kind, best_elem, best_face = pb, "progress", e, None
+        elif d == 3:
+            for j, k, beta, inv_len, wf, kap in cons.face_recs[e][li]:
+                fcap = kap * cap
+                fb = _ref_edge_cone(t[j], t[k], beta, inv_len, wf, fcap)
+                if fb < best:
+                    best, kind, best_elem, best_face = fb, "cone", e, (v, j, k)
+                top = t[j] if t[j] > t[k] else t[k]
+                pb = top + pf * wf * fcap
+                if pb < best:
+                    best, kind, best_elem, best_face = pb, "progress", e, (v, j, k)
+    best = best - abs(best) * 1e-12
+    if best >= config.target_time:
+        return config.target_time, "target", None, None
+    return best, kind, best_elem, best_face
+
+
+def _scheduled_grid():
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=2)
+    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
+    return g
+
+
+def _reference_grounds():
+    from tentpitch.synthetic import (
+        delaunay_mesh,
+        jittered_grid_mesh,
+        random_tet_mesh,
+    )
+
+    # the unit-spaced line and the unjittered grid have equal constraints
+    # on different elements, so the tie-break shows in the element
+    return {
+        "d1": (GroundMesh(1, [[0.0], [1.0], [2.0], [3.0], [3.4]],
+                          [[0, 1], [1, 2], [2, 3], [3, 4]],
+                          speeds=[2.0, 2.0, 1.0, 0.5]), 2.0),
+        "d2": (delaunay_mesh(14, np.random.default_rng(5)), 1.0),
+        "d2_grid": (jittered_grid_mesh(3, 3, jitter=0.0), 1.0),
+        "d2_speed_schedule": (_scheduled_grid(), 1.0),
+        "d3": (random_tet_mesh(9, np.random.default_rng(3)), 0.6),
+    }
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("strategy", [GreedyLowest(), MISPhases(seed=4)],
+                             ids=["greedy", "mis"])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d2_grid",
+                                      "d2_speed_schedule", "d3"])
+    def test_every_lift_equals_reference(self, name, strategy):
+        ground, target = _reference_grounds()[name]
+        config = PitchConfig(target_time=target, strategy=strategy)
+        front = Front(ground, precompute(ground), target)
+        kinds = set()
+        while (v := front.next_vertex(strategy)) is not None:
+            got = compute_lift(v, front, config)
+            got = (got.value, got.kind, got.element, got.face)
+            assert got == reference_lift(v, front, config)
+            kinds.add(got[1])
+            front.apply_lift(v, got[0])
+        assert kinds == {"cone", "progress", "target"} or name == "d1"

@@ -60,6 +60,17 @@ class TestConeFacets:
         assert result.details["offenders"]
         assert result.details["offenders"][0]["slope"] > 1.0
 
+    def test_nan_vertex_time_fails(self, right_triangle):
+        # a NaN slope is not within its cap; the file readers reject NaN,
+        # so this is the library path
+        mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
+        apex = mesh.patches[0].apex
+        mesh.vertices[apex] = (*mesh.vertices[apex][:-1], math.nan)
+        result = check_cone_facets(mesh)
+        assert not result.passed
+        assert result.details["violations"] > 0
+        assert not verify(mesh, right_triangle).passed
+
 
 class TestProgressTrace:
     def test_pass_on_valid_runs(self, small_run):
