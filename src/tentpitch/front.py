@@ -69,6 +69,8 @@ class Front:
         if not np.all(np.isfinite(t)):
             raise ValueError("initial times must be finite")
         self.times: list[float] = t.tolist()
+        # per-element altitudes as plain floats, for the d = 2 progress check
+        self._altitudes: list[list[float]] = constants.altitudes.tolist()
         self.finished: list[bool] = [ti >= self.target_time for ti in self.times]
         self.validate_all()
 
@@ -82,20 +84,25 @@ class Front:
     # -- constraint validation -------------------------------------------
 
     def validate_element(self, e: int) -> None:
-        """Raise FrontInvariantError if element e violates cone or progress."""
+        """Raise FrontInvariantError if element e violates cone or progress.
+
+        Vertex ids come from the plain-int slope records, so no numpy
+        scalar is read per call.  The element's earliest time is found
+        only for a speed schedule, the one slope cap that reads it.
+        """
         cons = self.constants
         t = self.times
         d = self.ground.dim
-        t_min = math.inf
-        ids = self.ground.elements[e]
-        for v in ids:
-            if t[v] < t_min:
-                t_min = t[v]
-        s = self.ground.slope_cap(e, t_min)
+        rec = cons.slope_recs[e]
+        if self.ground.speed_schedule is None:
+            s = self.ground.slope_cap(e, 0.0)
+        else:
+            ids = rec[0] if d == 3 else rec[:d + 1]
+            s = self.ground.slope_cap(e, min([t[v] for v in ids]))
         cap2 = (s * (1.0 + self.tol)) ** 2
 
         if d == 1:
-            a, b, inv_len = cons.slope_recs[e]
+            a, b, inv_len = rec
             slope = abs(t[b] - t[a]) * inv_len
             if slope * slope > cap2:
                 raise FrontInvariantError(
@@ -104,7 +111,7 @@ class Front:
             return
 
         if d == 2:
-            a, b, c, h11, h12, h22 = cons.slope_recs[e]
+            a, b, c, h11, h12, h22 = rec
             d1, d2 = t[b] - t[a], t[c] - t[a]
             g2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
             if g2 > cap2:
@@ -112,12 +119,10 @@ class Front:
                     f"element {e} violates the cone constraint "
                     f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})"
                 )
-            self._check_progress_state(
-                e, [int(x) for x in ids], cons.altitudes[e], s, 1.0
-            )
+            self._check_progress_state(e, (a, b, c), self._altitudes[e], s, 1.0)
             return
 
-        ids_t, ginv = cons.slope_recs[e]
+        ids_t, ginv = rec
         dts = np.array([t[ids_t[1]] - t[ids_t[0]],
                         t[ids_t[2]] - t[ids_t[0]],
                         t[ids_t[3]] - t[ids_t[0]]])
@@ -136,7 +141,7 @@ class Front:
                     f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
                     f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})"
                 )
-            self._check_progress_state(e, [a, b, c], ws, s, kap)
+            self._check_progress_state(e, (a, b, c), ws, s, kap)
 
     def _check_progress_state(self, e, ids, ws, cap, kap) -> None:
         t = self.times

@@ -87,6 +87,9 @@ class GroundMesh:
                 kind = "non-positive" if finite[e] else "non-finite"
                 raise MeshValidationError(f"element {e} has {kind} wave speed")
         self.speed_schedule = speed_schedule
+        # slope_cap without a schedule, as plain floats: the same values,
+        # bit for bit, as 1.0 / float(speeds[e])
+        self._static_caps: list[float] = (1.0 / self.speeds).tolist()
 
         self.initial_times = None
         if initial_times is not None:
@@ -140,19 +143,17 @@ class GroundMesh:
             raise IndexError(f"vertex index {v} out of range")
         return [e for e, _ in self.stars[v]]
 
-    def speed_at(self, e: int, time: float) -> float:
-        if self.speed_schedule is not None:
-            c = float(self.speed_schedule(e, time))
-            if c <= 0:
-                raise MeshValidationError(
-                    f"speed schedule returned non-positive speed for element {e}"
-                )
-            return c
-        return float(self.speeds[e])
-
     def slope_cap(self, e: int, time: float) -> float:
-        """Admissible time-gradient norm on element e near the given time."""
-        return 1.0 / self.speed_at(e, time)
+        """Admissible time-gradient norm (1/speed) on element e near the
+        given time; without a speed schedule, time is not read."""
+        if self.speed_schedule is None:
+            return self._static_caps[e]
+        c = float(self.speed_schedule(e, time))
+        if c <= 0:
+            raise MeshValidationError(
+                f"speed schedule returned non-positive speed for element {e}"
+            )
+        return 1.0 / c
 
     def slope_caps(self, elements: np.ndarray, times: np.ndarray) -> np.ndarray:
         """slope_cap of each element at the matching time; one array

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate, chain, islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import MeshValidationError, ParseError
 from .ground_mesh import GroundMesh
 from .pitcher import LiftRecord, RunTrace
-from .spacetime import Facet, Patch, SpaceTimeMesh, element_durations
+from .spacetime import (Facet, Patch, SpaceTimeMesh, element_durations,
+                        new_facet)
 
 
 def _fmt(x: float) -> str:
@@ -27,35 +29,53 @@ def _fmt(x: float) -> str:
 
 
 def _dump(obj, out: list[str]) -> None:
-    """Deterministic JSON writer with 17-significant-digit floats."""
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    """Deterministic JSON writer with 17-significant-digit floats.
+
+    Appends one token per scalar and per separator.  Containers are tested
+    first; inside an array, a leaf of exact type int or float is written
+    in place, without a call per value.  Anything else (bools, None, numpy
+    scalars, strings, tuple subclasses such as Facet) goes through the
+    branch for its kind.
+    """
+    append = out.append
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        append("[")
+        sep = False
+        for v in obj:
+            if sep:
+                append(", ")
+            sep = True
+            kind = type(v)
+            if kind is int:
+                append(str(v))
+            elif kind is float:
+                append(format(v, ".17g"))
+            else:
+                _dump(v, out)
+        append("]")
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
+        append("{")
+        sep = False
+        for k, v in obj.items():
+            if sep:
+                append(", ")
+            sep = True
+            append(_quote(str(k)))
+            append(": ")
             _dump(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _dump(v, out)
-        out.append("]")
+        append("}")
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif isinstance(obj, (int, np.integer)):
+        append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        append(_fmt(obj))
+    elif isinstance(obj, str):
+        append(_quote(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -412,10 +432,6 @@ def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
     return dumps(payload)
 
 
-# Facet from an (element, vertices, producer) row, without the Python-level
-# NamedTuple constructor: the reader makes one per facet record
-_new_facet = partial(tuple.__new__, Facet)
-
 _PATCH_KEYS = ("id", "vertex", "base", "apex", "elements", "inflow", "outflow")
 
 
@@ -470,7 +486,7 @@ def _spacetime_from_dict(data, ground: GroundMesh) -> SpaceTimeMesh:
     _ints(element, lambda k: f"{path(k)}[0]", 0, ground.n_elements)
     _ints(*_flatten(vertices, lambda k: f"{path(k)}[1]", d + 1), 0, n_vertices)
     _ints(producer, lambda k: f"{path(k)}[2]", -1, n_patches)
-    facets = map(_new_facet, zip(element, map(tuple, vertices), producer))
+    facets = map(new_facet, zip(element, map(tuple, vertices), producer))
     parts = [list(islice(facets, len(g))) for g in groups]
 
     mesh.initial_facets, mesh.frontier = parts[0], parts[1]
@@ -494,7 +510,7 @@ def _lift_row(r: LiftRecord) -> str:
     element = "null" if r.element is None else r.element
     face = "null" if r.face is None else f"[{', '.join(map(str, r.face))}]"
     return (f'{{"vertex": {r.vertex}, "old_time": {_fmt(r.old_time)}, '
-            f'"new_time": {_fmt(r.new_time)}, "kind": {json.dumps(r.kind)}, '
+            f'"new_time": {_fmt(r.new_time)}, "kind": {_quote(r.kind)}, '
             f'"element": {element}, "face": {face}, "patch": {r.patch}}}')
 
 
@@ -505,7 +521,7 @@ def write_trace_json(trace: RunTrace) -> str:
         f'{{"epsilon": {_fmt(trace.epsilon)}, '
         f'"target_time": {_fmt(trace.target_time)}, '
         f'"tolerance": {_fmt(trace.tolerance)}, '
-        f'"strategy": {json.dumps(trace.strategy)}, "seed": {trace.seed}, '
+        f'"strategy": {_quote(trace.strategy)}, "seed": {trace.seed}, '
         f'"initial_times": [{", ".join(map(_fmt, trace.initial_times))}], '
         f'"lifts": [{", ".join(map(_lift_row, trace.lifts))}]}}\n'
     )

@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import FrontInvariantError, StallError
 from .front import Front, GreedyLowest, MISPhases, Strategy
 from .ground_mesh import GroundMesh, MeshConstants, precompute
-from .spacetime import Facet, Patch, SpaceTimeMesh
+from .spacetime import Facet, Patch, SpaceTimeMesh, new_facet
 
 # Computed bounds are pulled back by this relative slack so re-validation at
 # tolerance 1e-9 never trips on a facet that is cone-tight by construction.
@@ -206,25 +206,26 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> Patch:
     v, and the other vertices at their current front positions.  All
     internal facets of the patch share the base-apex edge.
     """
-    ground = mesh.ground
     pid = len(mesh.patches)
     base = mesh.current_vertex[v]
     apex = mesh.add_vertex(v, t_new)
-    elem_ids: list[int] = []
+    elements, frontier = mesh.elements, mesh.frontier
+    first = len(elements)
     inflow: list[Facet] = []
     outflow: list[Facet] = []
-    for e, li in ground.stars[v]:
-        fr = mesh.frontier[e]
+    for e, li in mesh.ground.stars[v]:
+        fr = frontier[e]
         inflow.append(fr)
-        new_verts = fr.vertices[:li] + (apex,) + fr.vertices[li + 1:]
-        outflow.append(Facet(e, new_verts, pid))
-        elem_ids.append(mesh.add_element((apex,) + fr.vertices, pid))
+        verts = fr.vertices
+        outflow.append(new_facet((e, verts[:li] + (apex,) + verts[li + 1:], pid)))
+        elements.append((apex,) + verts)
+    mesh.element_patch.extend([pid] * len(inflow))
     patch = Patch(
         id=pid,
         vertex=v,
         base=base,
         apex=apex,
-        elements=elem_ids,
+        elements=list(range(first, len(elements))),
         inflow=inflow,
         outflow=outflow,
     )

@@ -9,6 +9,7 @@ patch.  The verifier re-checks this rather than trusting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +29,12 @@ class Facet(NamedTuple):
     ground_element: int
     vertices: tuple[int, ...]
     producer: int
+
+
+# Facet from an (element, vertices, producer) tuple, without the
+# Python-level NamedTuple constructor: the pitcher and the space-time JSON
+# reader make one per facet
+new_facet = partial(tuple.__new__, Facet)
 
 
 @dataclass
@@ -87,11 +94,6 @@ class SpaceTimeMesh:
         self.vertices.append((*coords.tolist(), float(time)))
         self.vertex_ground.append(ground_vertex)
         return len(self.vertices) - 1
-
-    def add_element(self, vertex_ids: tuple[int, ...], patch_id: int) -> int:
-        self.elements.append(vertex_ids)
-        self.element_patch.append(patch_id)
-        return len(self.elements) - 1
 
     def append_patch(self, patch: Patch) -> int:
         """Commit a patch: validate its inflow against the frontier, then

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,12 @@ class VerifyReport:
 
     def summary(self) -> str:
         return "\n".join(c.line() for c in self.checks)
+
+
+def _first_diff(a: list, b: list) -> int:
+    """Position of the first entry where lists a and b differ."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
 
 
 # -- cone constraint on patch-boundary facets -----------------------------
@@ -154,18 +161,38 @@ def _foreign_trace(trace: RunTrace, ground: GroundMesh,
     return None
 
 
+def _mesh_mismatch(trace: RunTrace, mesh: SpaceTimeMesh) -> Optional[str]:
+    """Why the trace is not the run that built mesh, or None: lift i must
+    have made patch i, of the same vertex, with its apex at the lift's new
+    time."""
+    if len(trace.lifts) != len(mesh.patches):
+        return (f"trace has {len(trace.lifts)} lifts for a mesh of "
+                f"{len(mesh.patches)} patches")
+    made = [(r.patch, r.vertex, r.new_time) for r in trace.lifts]
+    patches = [(p.id, p.vertex, mesh.vertices[p.apex][-1])
+               for p in mesh.patches]
+    if made != patches:
+        i = _first_diff(made, patches)
+        return f"lift {i} did not make patch {patches[i][0]} of the mesh"
+    return None
+
+
 def check_progress_trace(trace: RunTrace, ground: GroundMesh,
-                         tol: float = 1e-9) -> CheckResult:
+                         tol: float = 1e-9,
+                         mesh: Optional[SpaceTimeMesh] = None) -> CheckResult:
     """Per-lift advance floor plus the worst-case patch and element budgets.
 
     Every non-clamped lift must advance its vertex by at least
     epsilon * floor(v), where floor(v) is the speed-scaled minimum altitude
     of v (for d = 3 additionally min over the capped triangular faces).
     Total patches are bounded by (T/eps) * sum(1/omega) and, for d = 2,
-    total elements by six times that.
+    total elements by six times that.  Given the mesh, the trace must also
+    be the run that built it (see _mesh_mismatch).
     """
     verts = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
     foreign = _foreign_trace(trace, ground, verts)
+    if foreign is None and mesh is not None:
+        foreign = _mesh_mismatch(trace, mesh)
     if foreign:
         return CheckResult("progress_trace", False, foreign)
     cons = precompute(ground, trace.epsilon)
@@ -228,9 +255,72 @@ def single_element_budget(ground: GroundMesh, target_time: float,
 # -- causality -------------------------------------------------------------
 
 
+def _element_fault(mesh: SpaceTimeMesh) -> Optional[str]:
+    """Why the elements are not the tents the patches describe, or None.
+
+    Patch p has id p, its base and apex lie over its ground vertex, and its
+    inflow facets lie on the elements of that vertex's star, in star order.
+    Its k-th element is its apex over its k-th inflow facet, element_patch
+    marks it as in p, and the patch lists, in patch order, run through the
+    element ids in creation order, so that they partition them.  Each rule
+    is one comparison of whole lists; a broken one is scanned again for
+    its first offender.
+    """
+    patches, over, n = mesh.patches, mesh.vertex_ground, len(mesh.elements)
+    if len(over) != len(mesh.vertices):
+        return f"{len(over)} vertex_ground entries for {len(mesh.vertices)} vertices"
+    pids = list(range(len(patches)))
+    ids = [p.id for p in patches]
+    if ids != pids:
+        pid = _first_diff(ids, pids)
+        return f"patch {pid} has id {ids[pid]}"
+    vertex = [p.vertex for p in patches]
+    for end, at in (("base", [over[p.base] for p in patches]),
+                    ("apex", [over[p.apex] for p in patches])):
+        if at != vertex:
+            pid = _first_diff(at, vertex)
+            return f"patch {pid} has its {end} off its vertex {vertex[pid]}"
+    stars = mesh.ground.stars
+    on = [f.ground_element for p in patches for f in p.inflow]
+    star = [e for v in vertex for e, _ in stars[v]]
+    if on != star:
+        pid = next(pid for pid, p in enumerate(patches)
+                   if [f.ground_element for f in p.inflow]
+                   != [e for e, _ in stars[p.vertex]])
+        return (f"patch {pid}'s inflow facets are not on the star of its "
+                f"vertex {vertex[pid]}")
+    sizes = [len(p.elements) for p in patches]
+    facets = [len(p.inflow) for p in patches]
+    if sizes != facets:
+        pid = _first_diff(sizes, facets)
+        return (f"patch {pid} has {sizes[pid]} elements for "
+                f"{facets[pid]} inflow facets")
+    if sum(sizes) != n or len(mesh.element_patch) != n:
+        return (f"the patches list {sum(sizes)} elements and element_patch "
+                f"marks {len(mesh.element_patch)}, of {n} elements")
+    ordered = list(range(n))
+    listed = list(chain.from_iterable(p.elements for p in patches))
+    marks = list(chain.from_iterable(map(repeat, pids, sizes)))
+    tents = [(p.apex,) + f.vertices for p in patches for f in p.inflow]
+    if listed != ordered or mesh.element_patch != marks or mesh.elements != tents:
+        j = min(_first_diff(listed, ordered),
+                _first_diff(mesh.element_patch, marks),
+                _first_diff(mesh.elements, tents))
+        pid = marks[j]
+        k = j - sum(sizes[:pid])
+        return (f"element {j} is not patch {pid}'s element {k}: listed "
+                f"there, marked as in patch {pid}, and its apex over "
+                f"inflow facet {k}")
+    return None
+
+
 def check_causality(mesh: SpaceTimeMesh) -> CheckResult:
     """Causal sweep must succeed; a self-test swaps two dependent patches
-    and asserts the sweep then fails."""
+    and asserts the sweep then fails.  The elements must be the tents that
+    the patches describe (see _element_fault)."""
+    fault = _element_fault(mesh)
+    if fault:
+        return CheckResult("causality", False, fault)
     result = causal_sweep(mesh)
     if not result.ok:
         return CheckResult(
@@ -602,7 +692,8 @@ def verify(mesh: Optional[SpaceTimeMesh] = None,
 
     Mesh checks (cone facets, causality) need the mesh; trace checks
     (progress, liftability replay, sampled bound re-derivation) need the
-    trace.  Either may be omitted.
+    trace.  Either may be omitted; given both, the progress check also
+    requires the trace to be the run that built the mesh.
     """
     if ground is None:
         if mesh is None:
@@ -613,7 +704,7 @@ def verify(mesh: Optional[SpaceTimeMesh] = None,
         report.checks.append(check_cone_facets(mesh, ground, tol))
         report.checks.append(check_causality(mesh))
     if trace is not None:
-        report.checks.append(check_progress_trace(trace, ground, tol))
+        report.checks.append(check_progress_trace(trace, ground, tol, mesh))
         if snapshots:
             report.checks.append(check_front_snapshots(trace, ground, tol))
         if sample_fraction > 0:

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tentpitch import (
@@ -8,6 +9,7 @@ from tentpitch import (
     FrontInvariantError,
     GreedyLowest,
     GroundMesh,
+    MeshValidationError,
     MISPhases,
     PitchConfig,
     precompute,
@@ -48,6 +50,188 @@ class TestProgressState:
             with pytest.raises(FrontInvariantError) as excinfo:
                 front._check_progress_state(0, ids, ws, 1.0, 1.0)
             assert str(excinfo.value) == want
+
+
+# -- reference: element validation as it was ----------------------------------
+
+
+def _reference_cap(ground, e, time):
+    if ground.speed_schedule is not None:
+        c = float(ground.speed_schedule(e, time))
+        if c <= 0:
+            raise MeshValidationError(
+                f"speed schedule returned non-positive speed for element {e}")
+        return 1.0 / c
+    return 1.0 / float(ground.speeds[e])
+
+
+def _reference_progress(front, e, ids, ws, cap, kap):
+    t = front.times
+    t0, t1, t2 = t[ids[0]], t[ids[1]], t[ids[2]]
+    if t2 >= t1 and t2 >= t0:
+        top, mid = 2, (1 if t1 >= t0 else 0)
+    elif t1 >= t0:
+        top, mid = 1, (2 if t2 >= t0 else 0)
+    else:
+        top, mid = 0, (2 if t2 >= t1 else 1)
+    gap = t[ids[top]] - t[ids[mid]]
+    allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
+    if gap > allowed * (1.0 + front.tol):
+        raise FrontInvariantError(
+            f"element {e} violates the progress constraint: vertex "
+            f"{ids[top]} is {gap:g} above the middle vertex "
+            f"(allowed {allowed:g})"
+        )
+
+
+def reference_validate_element(front, e):
+    """Front.validate_element before it read plain-int records: ids from
+    the numpy element row, the cap at the element's earliest time."""
+    cons = front.constants
+    t = front.times
+    d = front.ground.dim
+    t_min = math.inf
+    ids = front.ground.elements[e]
+    for v in ids:
+        if t[v] < t_min:
+            t_min = t[v]
+    s = _reference_cap(front.ground, e, t_min)
+    cap2 = (s * (1.0 + front.tol)) ** 2
+    if d == 1:
+        a, b, inv_len = cons.slope_recs[e]
+        slope = abs(t[b] - t[a]) * inv_len
+        if slope * slope > cap2:
+            raise FrontInvariantError(
+                f"element {e} violates the cone constraint (slope {slope:g})")
+        return
+    if d == 2:
+        a, b, c, h11, h12, h22 = cons.slope_recs[e]
+        d1, d2 = t[b] - t[a], t[c] - t[a]
+        g2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
+        if g2 > cap2:
+            raise FrontInvariantError(
+                f"element {e} violates the cone constraint "
+                f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})")
+        _reference_progress(front, e, [int(x) for x in ids],
+                            cons.altitudes[e], s, 1.0)
+        return
+    ids_t, ginv = cons.slope_recs[e]
+    dts = np.array([t[ids_t[1]] - t[ids_t[0]],
+                    t[ids_t[2]] - t[ids_t[0]],
+                    t[ids_t[3]] - t[ids_t[0]]])
+    g2 = float(dts @ ginv @ dts)
+    if g2 > cap2:
+        raise FrontInvariantError(
+            f"element {e} violates the cone constraint "
+            f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})")
+    for a, b, c, h11, h12, h22, kap, ws in cons.face_state_recs[e]:
+        d1, d2 = t[b] - t[a], t[c] - t[a]
+        f2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
+        fcap = kap * s
+        if f2 > (fcap * (1.0 + front.tol)) ** 2:
+            raise FrontInvariantError(
+                f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
+                f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})")
+        _reference_progress(front, e, [a, b, c], ws, s, kap)
+
+
+def _outcome(validate, front, e):
+    try:
+        validate(front, e)
+    except FrontInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _graded_path():
+    return GroundMesh(1, [[0.0], [0.3], [0.45], [1.0], [1.7], [2.6]],
+                      [[i, i + 1] for i in range(5)],
+                      speeds=[1.0, 2.0, 1.0, 0.5, 1.5])
+
+
+def _speedy_grid():
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=4)
+    return GroundMesh(2, g.vertices, g.elements,
+                      speeds=np.linspace(0.6, 1.6, g.n_elements))
+
+
+def _scheduled_grid():
+    # the schedule is assigned after construction, so the cached static
+    # caps must not be read
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=2)
+    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
+    return g
+
+
+def _tets():
+    from tentpitch.synthetic import random_tet_mesh
+
+    return random_tet_mesh(9, np.random.default_rng(3))
+
+
+VALIDATE_MESHES = {"d1": (_graded_path, 2.0), "d2": (_speedy_grid, 1.0),
+                   "d2_speed_schedule": (_scheduled_grid, 1.0),
+                   "d3": (_tets, 0.6)}
+
+
+def _perturbed_fronts(mesh, target, rng):
+    """Fronts of a real run, taken after every few lifts, each as it is and
+    with the lifted vertex pushed a little and a lot further; then random
+    fronts of growing roughness."""
+    front = make_front(mesh, target=target)
+    _, trace = run(mesh, PitchConfig(target_time=target))
+    times = list(front.times)
+    for i, r in enumerate(trace.lifts):
+        times[r.vertex] = r.new_time
+        if i % 3 == 0:
+            for bump in (0.0, 1e-10, 1e-3, 0.05, 0.5):
+                state = list(times)
+                state[r.vertex] += bump
+                yield state
+    for scale in (1e-3, 0.05, 0.2, 1.0):
+        for _ in range(20):
+            yield rng.uniform(0.0, scale, mesh.n_vertices).tolist()
+
+
+class TestValidateElementReference:
+    @pytest.mark.parametrize("name", sorted(VALIDATE_MESHES))
+    def test_same_verdicts_and_messages(self, name, rng):
+        make, target = VALIDATE_MESHES[name]
+        mesh = make()
+        front = make_front(mesh, target=target)
+        outcomes = set()
+        for state in _perturbed_fronts(mesh, target, rng):
+            front.times = state
+            for e in range(mesh.n_elements):
+                want = _outcome(reference_validate_element, front, e)
+                got = _outcome(Front.validate_element, front, e)
+                assert got == want
+                outcomes.add(None if want is None else
+                              "progress" if "progress" in want else "cap")
+        kinds = {None, "cap"} if mesh.dim == 1 else {None, "cap", "progress"}
+        assert outcomes == kinds
+
+    @pytest.mark.parametrize("make", [_graded_path, _speedy_grid, _tets])
+    def test_static_slope_cap_is_bitwise_reciprocal_speed(self, make):
+        mesh = make()
+        for e in range(mesh.n_elements):
+            for time in (0.0, 0.7):
+                got = mesh.slope_cap(e, time)
+                assert type(got) is float
+                assert got == 1.0 / float(mesh.speeds[e])
+
+    def test_schedule_set_after_construction_is_called(self):
+        mesh = _scheduled_grid()
+        calls = []
+        schedule = mesh.speed_schedule
+        mesh.speed_schedule = lambda e, t: calls.append((e, t)) or schedule(e, t)
+        assert mesh.slope_cap(1, 0.0) == 1.0 / 1.5
+        assert mesh.slope_cap(1, 0.5) == 1.0
+        assert calls == [(1, 0.0), (1, 0.5)]
 
 
 class TestInit:

@@ -1,0 +1,59 @@
+"""Byte-identity of `tentpitch pitch` outputs on small committed inputs.
+
+The sha256 digests were recorded from the program before the inline-leaf
+JSON writer and the plain-record lift loop, whose outputs must not change.
+A change that is meant to alter these files must say so and record new
+digests; a speed-up must leave them as they are.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from tentpitch.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# name: (input, pitch arguments, {output file: sha256})
+GOLDEN = {
+    "path_d1": ("golden_path.json", ["--target-time", "3"], {
+        "st.json": "6f9a1cf6780c2b21da71bd5dd0e98f67bce67f59b9e2efe4ad650c7d16fe2965",
+        "trace.json": "3a2aa34b6bd4eec0e4f0de0bd24b6af6a3e1979843dd99e1063c4797c63d51f8",
+        "st.vtk": "0cb29679fe777402e97c22d08d819c9a4018bb2bb4c6a217eb1574d943a868b6",
+    }),
+    "grid_d2_greedy": ("golden_grid.node", ["--target-time", "2"], {
+        "st.json": "04bfea2cd7eecb3af1e077e34f8890ecfb68b7dfd992e869c6ef5d8d26206afb",
+        "trace.json": "33e6f1b1fd831da4c49c021138978151143206e5e6b801feb8339c1f98db93a9",
+        "st.vtk": "f555415de86f863304e52b45c353f7d756c9465921ef7457e01cd5e9c47aef57",
+    }),
+    "grid_d2_mis": ("golden_grid.node", ["--target-time", "2", "--strategy",
+                                         "mis", "--seed", "3"], {
+        "st.json": "8efcbea87728a9fdaf1cd9d469dce5e23688268d4288ad0875b4048a673d203d",
+        "trace.json": "5b84512d456f2ae148c2e79cedec647930ed60c6f0ad4a2d10fe08517eb11b35",
+        "st.vtk": "9733b63ccc8f3ae4fd697fdd6d6ee3c2c13ca74ff69bf7214848b716133ab15f",
+    }),
+    "kuhn_d3": ("golden_kuhn.json", ["--target-time", "1"], {
+        "st.json": "2869f4fdc12e5cc733936290e985cd4343058b88400ab482521ee0e51eb9058a",
+        "trace.json": "e740929e84b51e3ffa58afb8dc2eff950b77c6918f3219ee7c95194468d680b0",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pitch_outputs_are_byte_identical(name, tmp_path, capsys):
+    ground, args, digests = GOLDEN[name]
+    out = {f: tmp_path / f for f in ("st.json", "trace.json", "st.vtk")}
+    argv = ["pitch", "--input", str(DATA / ground), *args,
+            "--out", str(out["st.json"]), "--trace", str(out["trace.json"])]
+    if "st.vtk" in digests:
+        argv += ["--vtk", str(out["st.vtk"])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    got = {f: hashlib.sha256(out[f].read_bytes()).hexdigest() for f in digests}
+    assert got == digests
+    # and the outputs verify
+    assert main(["verify", "--mesh", str(out["st.json"]), "--ground",
+                 str(DATA / ground), "--trace", str(out["trace.json"])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(x.startswith("PASS ") for x in lines)

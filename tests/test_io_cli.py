@@ -451,6 +451,117 @@ class TestCli:
         assert rc == 0
 
 
+class TestVerifyRejectsWrongElements:
+    """Tamperings that leave every facet link intact: verify must still
+    exit 1, with the same five report lines."""
+
+    GRID = DATA / "golden_grid.node"
+
+    def _pitch(self, tmp_path, target="1"):
+        out = tmp_path / f"st{target}.json"
+        trace = tmp_path / f"trace{target}.json"
+        assert main(["pitch", "--input", str(self.GRID), "--target-time",
+                     target, "--out", str(out), "--trace", str(trace)]) == 0
+        return out, trace
+
+    def _verify(self, capsys, out, trace):
+        capsys.readouterr()
+        rc = main(["verify", "--mesh", str(out), "--ground", str(self.GRID),
+                   "--trace", str(trace)])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        return rc, [x for x in lines if not x.startswith("PASS ")]
+
+    def _tampered(self, capsys, tmp_path, tamper):
+        out, trace = self._pitch(tmp_path)
+        assert self._verify(capsys, out, trace) == (0, [])
+        data = json.loads(out.read_text())
+        tamper(data)
+        out.write_text(json.dumps(data))
+        return self._verify(capsys, out, trace)
+
+    @staticmethod
+    def _interior_patch(data):
+        """Id of the first patch from the tenth on with several elements."""
+        return next(i for i, p in enumerate(data["patches"])
+                    if i >= 10 and len(p["elements"]) > 2)
+
+    def test_repeated_vertex_id(self, tmp_path, capsys):
+        where = []
+
+        def tamper(data):
+            pid = self._interior_patch(data)
+            j = data["patches"][pid]["elements"][1]
+            data["elements"][j][2] = data["elements"][j][1]
+            where.extend([j, pid])
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        j, pid = where
+        assert rc == 1
+        assert failed == [
+            f"FAIL causality: element {j} is not patch {pid}'s element 1: "
+            f"listed there, marked as in patch {pid}, and its apex over "
+            f"inflow facet 1"]
+
+    def test_apex_set_to_base(self, tmp_path, capsys):
+        where = []
+
+        def tamper(data):
+            pid = self._interior_patch(data)
+            p = data["patches"][pid]
+            p["apex"] = p["base"]
+            where.extend([p["elements"][0], pid])
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        j, pid = where
+        assert rc == 1
+        # the trace's lift no longer ends at the patch's apex either
+        assert failed == [
+            f"FAIL causality: element {j} is not patch {pid}'s element 0: "
+            f"listed there, marked as in patch {pid}, and its apex over "
+            f"inflow facet 0",
+            f"FAIL progress_trace: lift {pid} did not make patch {pid} of "
+            f"the mesh"]
+
+    def test_five_elements_deleted_and_renumbered(self, tmp_path, capsys):
+        def tamper(data):
+            gone = {p["elements"][-1] for p in data["patches"][10:15]}
+            keep = [i for i in range(len(data["elements"])) if i not in gone]
+            new_id = {old: new for new, old in enumerate(keep)}
+            data["elements"] = [data["elements"][i] for i in keep]
+            data["element_patch"] = [data["element_patch"][i] for i in keep]
+            for p in data["patches"]:
+                p["elements"] = [new_id[i] for i in p["elements"]
+                                 if i not in gone]
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        assert rc == 1
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL causality: patch 10 has ")
+
+    def test_trace_of_another_run(self, tmp_path, capsys):
+        out, _ = self._pitch(tmp_path, "2")
+        _, trace = self._pitch(tmp_path, "1")
+        n_lifts = len(json.loads(trace.read_text())["lifts"])
+        n_patches = len(json.loads(out.read_text())["patches"])
+        assert n_lifts < n_patches
+        rc, failed = self._verify(capsys, out, trace)
+        assert rc == 1
+        assert failed == [f"FAIL progress_trace: trace has {n_lifts} lifts "
+                          f"for a mesh of {n_patches} patches"]
+
+    def test_lift_that_misses_its_patch_apex(self, tmp_path, capsys):
+        out, trace = self._pitch(tmp_path)
+        data = json.loads(trace.read_text())
+        r = data["lifts"][5]
+        r["new_time"] = (r["old_time"] + r["new_time"]) / 2
+        trace.write_text(json.dumps(data))
+        rc, failed = self._verify(capsys, out, trace)
+        assert rc == 1
+        assert failed[0] == ("FAIL progress_trace: lift 5 did not make patch 5 "
+                             "of the mesh")
+
+
 def _put(data, where, value):
     """Set the value at a JSON path given as a key/index sequence."""
     for key in where[:-1]:

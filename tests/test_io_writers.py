@@ -1,6 +1,6 @@
-"""The row-formatting trace and VTK writers against the generic writers
-they replaced, and the no-cycles property that lets the CLI run with the
-cyclic garbage collector off."""
+"""The row-formatting trace and VTK writers and the inline-leaf generic
+writer against the writers they replaced, and the no-cycles property that
+lets the CLI run with the cyclic garbage collector off."""
 
 import gc
 import json
@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tentpitch import GroundMesh, PitchConfig, run, stats, verify
+from tentpitch import Facet, GroundMesh, PitchConfig, run, stats, verify
 from tentpitch.cli import main
 from tentpitch.front import MISPhases
 from tentpitch.io_formats import (
     dumps,
     read_spacetime_json,
     read_trace_json,
+    write_json_mesh,
     write_spacetime_json,
     write_trace_json,
     write_vtk,
@@ -62,6 +63,41 @@ def _dump(obj, out: list) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_dumps(obj) -> str:
+    out: list = []
+    _dump(obj, out)
+    return "".join(out) + "\n"
+
+
+def _reference_facet(f):
+    return [f.ground_element, list(f.vertices), f.producer]
+
+
+def reference_spacetime_json(mesh) -> str:
+    return reference_dumps({
+        "format": "tentpitch-stmesh",
+        "ground_dim": mesh.ground.dim,
+        "vertices": [list(v) for v in mesh.vertices],
+        "vertex_ground": mesh.vertex_ground,
+        "elements": [list(e) for e in mesh.elements],
+        "element_patch": mesh.element_patch,
+        "initial_facets": [_reference_facet(f) for f in mesh.initial_facets],
+        "frontier": [_reference_facet(f) for f in mesh.frontier],
+        "patches": [
+            {
+                "id": p.id,
+                "vertex": p.vertex,
+                "base": p.base,
+                "apex": p.apex,
+                "elements": p.elements,
+                "inflow": [_reference_facet(f) for f in p.inflow],
+                "outflow": [_reference_facet(f) for f in p.outflow],
+            }
+            for p in mesh.patches
+        ],
+    })
 
 
 def reference_trace_json(trace) -> str:
@@ -203,6 +239,54 @@ class TestRowWriters:
         _, _, trace = _run("d3")
         text = write_trace_json(trace)
         assert write_trace_json(read_trace_json(text)) == text
+
+
+class TestGenericWriter:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_spacetime_json_bytes_equal_reference(self, name):
+        _, mesh, _ = _run(name)
+        assert write_spacetime_json(mesh) == reference_spacetime_json(mesh)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_stats_bytes_equal_reference(self, name):
+        _, mesh, _ = _run(name)
+        st = stats(mesh).to_dict()
+        assert dumps(st) == reference_dumps(st)
+
+    @pytest.mark.parametrize("make", [_line, _delaunay, _tets])
+    def test_ground_mesh_with_ndarray_fields(self, make):
+        g = make()
+        g.initial_times = np.linspace(0.0, 0.25, g.n_vertices)
+        payload = {"dim": g.dim, "vertices": g.vertices,
+                   "elements": g.elements, "speeds": g.speeds,
+                   "initial_times": g.initial_times}
+        assert write_json_mesh(g) == reference_dumps(payload)
+
+    def test_mixed_value(self):
+        value = {
+            "flags": [True, False, None, (True, None)],
+            "numpy": [np.int64(-7), np.float64(0.1), np.int32(3),
+                      np.float32(1.5), np.arange(3), np.array([[0.5, -0.0]])],
+            "reals": [-0.0, 0.0, 1e300, -1e-300, 5e-324, 0.1 + 0.2, 1.0, 2],
+            "big": [10**30, -(10**20)],
+            "tuple": (1, 2.5, "x", ()),
+            "facet": Facet(3, (4, 5, 6), -1),
+            "empty": [[], (), {}, np.zeros(0), ""],
+            "strings": ["a\"b\\c\n", "caf\u00e9", "\u2603\U0001f600"],
+            "n\u00e4me": {1: "int key", 2.5: "float key", None: "none key"},
+            7: np.float64(-0.0),
+            True: [np.bool_(True) is not None],
+        }
+        assert dumps(value) == reference_dumps(value)
+        assert dumps([]) == "[]\n" and dumps({}) == "{}\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, [1, {2}], {"k": [0.5, {3}]},
+                                       np.bool_(True), [object()]])
+    def test_unsupported_value_raises(self, value):
+        with pytest.raises(TypeError):
+            reference_dumps(value)
+        with pytest.raises(TypeError):
+            dumps(value)
 
 
 # -- no reference cycles -------------------------------------------------------

@@ -119,6 +119,90 @@ class TestCausality:
         assert not result.passed
 
 
+    @staticmethod
+    def _patch(mesh):
+        """A patch past the first few with several elements."""
+        return next(p for p in mesh.patches[5:] if len(p.elements) > 2)
+
+    def _swap_ids(mesh):
+        a, b = mesh.patches[3], mesh.patches[4]
+        a.id, b.id = b.id, a.id
+
+    def _base_off_vertex(mesh):
+        p = TestCausality._patch(mesh)
+        p.base = next(i for i, v in enumerate(mesh.vertex_ground)
+                      if v != p.vertex)
+
+    def _short_vertex_ground(mesh):
+        mesh.vertex_ground.pop()
+
+    def _element_moved_to_next_patch(mesh):
+        p = TestCausality._patch(mesh)
+        mesh.patches[p.id + 1].elements.insert(0, p.elements.pop())
+
+    def _element_marked_elsewhere(mesh):
+        mesh.element_patch[TestCausality._patch(mesh).elements[1]] -= 1
+
+    def _elements_listed_out_of_order(mesh):
+        p = TestCausality._patch(mesh)
+        p.elements[0], p.elements[1] = p.elements[1], p.elements[0]
+
+    def _element_with_repeated_vertex(mesh):
+        j = TestCausality._patch(mesh).elements[1]
+        e = mesh.elements[j]
+        mesh.elements[j] = (e[0], e[1], e[1], *e[3:])
+
+    def _tent_dropped(mesh):
+        # the last tent, with its element and its inflow and outflow facets
+        p = TestCausality._patch(mesh)
+        mesh.elements.pop(p.elements[-1])
+        mesh.element_patch.pop(p.elements[-1])
+        for q in mesh.patches[p.id + 1:]:
+            q.elements = [i - 1 for i in q.elements]
+        for facets in (p.elements, p.inflow, p.outflow):
+            facets.pop()
+
+    def _element_dropped(mesh):
+        p = mesh.patches[-1]
+        mesh.elements.pop()
+        mesh.element_patch.pop()
+        p.elements.pop()
+
+    def _stray_element(mesh):
+        mesh.elements.append(mesh.elements[-1])
+        mesh.element_patch.append(mesh.element_patch[-1])
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_swap_ids, "patch 3 has id 4"),
+        (_base_off_vertex, "patch {p} has its base off its vertex"),
+        (_short_vertex_ground, "{v} vertex_ground entries for {v1} vertices"),
+        (_tent_dropped, "patch {p}'s inflow facets are not on the star of "
+                        "its vertex"),
+        (_element_moved_to_next_patch, "patch {p} has {k} elements for"),
+        (_element_marked_elsewhere, "element {j1} is not patch {p}'s element 1"),
+        (_elements_listed_out_of_order,
+         "element {j0} is not patch {p}'s element 0"),
+        (_element_with_repeated_vertex,
+         "element {j1} is not patch {p}'s element 1"),
+        (_element_dropped, "patch {last} has {size} elements for"),
+        (_stray_element, "the patches list {m} elements and element_patch "
+                         "marks {m1}, of {m1} elements"),
+    ])
+    def test_elements_that_are_not_the_patches_tents_fail(
+            self, small_run, tamper, message):
+        _, mesh, _ = small_run
+        p = self._patch(mesh)
+        want = message.format(
+            p=p.id, k=len(p.elements) - 1, j0=p.elements[0],
+            j1=p.elements[1], v=len(mesh.vertices) - 1, v1=len(mesh.vertices),
+            last=mesh.patches[-1].id, size=len(mesh.patches[-1].elements) - 1,
+            m=len(mesh.elements), m1=len(mesh.elements) + 1)
+        tamper(mesh)
+        result = check_causality(mesh)
+        assert not result.passed
+        assert result.message.startswith(want)
+
+
 class TestFrontSnapshots:
     def test_pass_on_valid_runs(self, small_run):
         g, _, trace = small_run
