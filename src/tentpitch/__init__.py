@@ -11,7 +11,7 @@ from .errors import (
 from .front import Front, GreedyLowest, MISPhases
 from .ground_mesh import GroundMesh, MeshConstants, load, precompute
 from .pitcher import LiftBound, PitchConfig, RunTrace, compute_lift, pitch_tent, run
-from .spacetime import Facet, MeshStats, Patch, SpaceTimeMesh, causal_sweep, stats
+from .spacetime import Facet, MeshStats, Patch, SpaceTimeMesh, stats
 from .verifier import VerifyReport, verify
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "SpaceTimeMesh",
     "StallError",
     "VerifyReport",
-    "causal_sweep",
     "compute_lift",
     "load",
     "pitch_tent",

@@ -11,7 +11,7 @@ import json
 import math
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -20,8 +20,7 @@ import numpy as np
 from .errors import MeshValidationError, ParseError
 from .ground_mesh import GroundMesh
 from .pitcher import LiftRecord, RunTrace
-from .spacetime import (Facet, Patch, SpaceTimeMesh, element_durations,
-                        new_facet)
+from .spacetime import Facet, MeshArrays, SpaceTimeMesh, element_durations
 
 
 def _fmt(x: float) -> str:
@@ -329,11 +328,32 @@ def _ints(values, path_of, lo=-math.inf, hi=math.inf):
     string) in [lo, hi)."""
     if values and (set(map(type, values)) != {int}
                    or min(values) < lo or max(values) >= hi):
-        k, x = _first_bad(values, lambda x: type(x) is int and lo <= x < hi)
-        what = (f"{x} is out of range [{lo}, {hi})" if type(x) is int
-                else f"{x!r} is not an integer")
-        raise ParseError(f"{path_of(k)}: {what}")
+        _bad_int(values, path_of, lo, hi)
     return values
+
+
+def _bad_int(values, path_of, lo, hi):
+    """Raise ParseError naming the first of values that is not a JSON
+    integer in [lo, hi)."""
+    k, x = _first_bad(values, lambda x: type(x) is int and lo <= x < hi)
+    what = (f"{x} is out of range [{lo}, {hi})" if type(x) is int
+            else f"{x!r} is not an integer")
+    raise ParseError(f"{path_of(k)}: {what}")
+
+
+def _int_array(values, path_of, lo: int, hi: int) -> np.ndarray:
+    """values as an int64 array, checked as by _ints; numpy reads `true`
+    as 1, so the type test runs on values, and the range test on the
+    array."""
+    if set(map(type, values)) <= {int}:
+        try:
+            ids = np.array(values, dtype=np.int64)
+        except OverflowError:  # past int64, so past [lo, hi) too
+            pass
+        else:
+            if not len(ids) or (ids.min() >= lo and ids.max() < hi):
+                return ids
+    _bad_int(values, path_of, lo, hi)
 
 
 def _floats(values, path_of) -> list[float]:
@@ -348,6 +368,20 @@ def _floats(values, path_of) -> list[float]:
             pass
     k, x = _first_bad(values, _finite_number)
     raise ParseError(f"{path_of(k)}: {x!r} is not a finite number")
+
+
+def _float_array(values, path_of) -> np.ndarray:
+    """values as a float array, checked as by _floats (which names the
+    first bad entry if the array cannot be built or is not finite)."""
+    if set(map(type, values)) <= _NUMBER:
+        try:
+            reals = np.array(values, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(reals).all():
+                return reals
+    return np.array(_floats(values, path_of))
 
 
 def _finite_number(x) -> bool:
@@ -381,11 +415,6 @@ def _flatten(rows, row_path, width=None):
         return f"{row_path(k)}[{j - ends[k] + len(rows[k])}]"
 
     return list(chain.from_iterable(rows)), path_of
-
-
-def _tuples(flat: list, width: int) -> list[tuple]:
-    """flat cut into tuples of width entries."""
-    return list(zip(*[iter(flat)] * width))
 
 
 def _columns(rows, keys) -> list:
@@ -443,10 +472,10 @@ def _facet_group_path(g: int) -> str:
     return f"$.patches[{(g - 2) // 2}].{('inflow', 'outflow')[g % 2]}"
 
 
-def _spacetime_from_dict(data, ground: GroundMesh) -> SpaceTimeMesh:
-    """The mesh, with every id checked to be a JSON integer in its range:
-    ground vertices and elements, space-time vertices, elements and
-    patches, and -1 or a patch as a facet's producer."""
+def _spacetime_from_dict(data, ground: GroundMesh) -> MeshArrays:
+    """The mesh's columns, with every id checked to be a JSON integer in
+    its range: ground vertices and elements, space-time vertices, elements
+    and patches, and -1 or a patch as a facet's producer."""
     if data.get("format") != "tentpitch-stmesh":
         raise ParseError("$.format: not a tentpitch space-time mesh file")
     (ground_dim,) = _ints([data["ground_dim"]], lambda _: "$.ground_dim")
@@ -456,51 +485,56 @@ def _spacetime_from_dict(data, ground: GroundMesh) -> SpaceTimeMesh:
             f"ground mesh has {ground.dim}"
         )
     d = ground.dim
-    mesh = SpaceTimeMesh(ground)
-    mesh.vertices = _tuples(_floats(*_flatten(
-        data["vertices"], "$.vertices[{}]".format, d + 1)), d + 1)
-    n_vertices = len(mesh.vertices)
-    mesh.vertex_ground = _ints(list(data["vertex_ground"]),
+    vertices = _float_array(*_flatten(
+        data["vertices"], "$.vertices[{}]".format, d + 1)).reshape(-1, d + 1)
+    n_vertices = len(vertices)
+    vertex_ground = _int_array(list(data["vertex_ground"]),
                                "$.vertex_ground[{}]".format,
                                0, ground.n_vertices)
-    mesh.elements = _tuples(_ints(*_flatten(
-        data["elements"], "$.elements[{}]".format, d + 2), 0, n_vertices), d + 2)
+    elements = _int_array(*_flatten(
+        data["elements"], "$.elements[{}]".format, d + 2),
+        0, n_vertices).reshape(-1, d + 2)
     patches = data["patches"]
     n_patches = len(patches)
-    mesh.element_patch = _ints(list(data["element_patch"]),
+    element_patch = _int_array(list(data["element_patch"]),
                                "$.element_patch[{}]".format, 0, n_patches)
     col = dict(zip(_PATCH_KEYS, _columns(patches, _PATCH_KEYS)))
     at = partial(_entry_path, "$.patches")
-    _ints(col["id"], at("id"), 0, n_patches)
-    _ints(col["vertex"], at("vertex"), 0, ground.n_vertices)
-    _ints(col["base"], at("base"), 0, n_vertices)
-    _ints(col["apex"], at("apex"), 0, n_vertices)
-    _ints(*_flatten(col["elements"], at("elements")), 0, len(mesh.elements))
+    patch_id = _int_array(col["id"], at("id"), 0, n_patches)
+    patch_vertex = _int_array(col["vertex"], at("vertex"), 0, ground.n_vertices)
+    patch_base = _int_array(col["base"], at("base"), 0, n_vertices)
+    patch_apex = _int_array(col["apex"], at("apex"), 0, n_vertices)
+    patch_elements = _int_array(*_flatten(col["elements"], at("elements")),
+                                0, len(elements))
 
     groups = [data["initial_facets"], data["frontier"],
               *chain.from_iterable(zip(col["inflow"], col["outflow"]))]
     records, path = _flatten(groups, _facet_group_path)
     _arrays(records, path, 3)
-    element, vertices, producer = (list(map(itemgetter(i), records))
-                                   for i in range(3))
-    _ints(element, lambda k: f"{path(k)}[0]", 0, ground.n_elements)
-    _ints(*_flatten(vertices, lambda k: f"{path(k)}[1]", d + 1), 0, n_vertices)
-    _ints(producer, lambda k: f"{path(k)}[2]", -1, n_patches)
-    facets = map(new_facet, zip(element, map(tuple, vertices), producer))
-    parts = [list(islice(facets, len(g))) for g in groups]
-
-    mesh.initial_facets, mesh.frontier = parts[0], parts[1]
-    mesh.patches = list(map(Patch, col["id"], col["vertex"], col["base"],
-                            col["apex"], map(list, col["elements"]),
-                            parts[2::2], parts[3::2]))
-    mesh.current_vertex = list(range(ground.n_vertices))
-    for v, apex in zip(col["vertex"], col["apex"]):
-        mesh.current_vertex[v] = apex
-    return mesh
+    facet_element = _int_array(list(map(itemgetter(0), records)),
+                               lambda k: f"{path(k)}[0]", 0, ground.n_elements)
+    facet_vertices = _int_array(*_flatten(
+        list(map(itemgetter(1), records)), lambda k: f"{path(k)}[1]", d + 1),
+        0, n_vertices).reshape(-1, d + 1)
+    facet_producer = _int_array(list(map(itemgetter(2), records)),
+                                lambda k: f"{path(k)}[2]", -1, n_patches)
+    return MeshArrays(
+        ground, vertices, vertex_ground, elements, element_patch,
+        patch_id, patch_vertex, patch_base, patch_apex, patch_elements,
+        _lengths(col["elements"]), facet_element, facet_vertices,
+        facet_producer, _lengths(groups))
 
 
-def read_spacetime_json(text: str, ground: GroundMesh) -> SpaceTimeMesh:
-    return _convert(_spacetime_from_dict, _load_object(text), ground)
+def _lengths(rows) -> np.ndarray:
+    return np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+
+
+def read_spacetime_json(text: str, ground: GroundMesh) -> MeshArrays:
+    data = _load_object(text)
+    # the conversion reads the parsed tree only: free the text before it
+    # builds its columns
+    del text
+    return _convert(_spacetime_from_dict, data, ground)
 
 
 # -- trace json -----------------------------------------------------------------

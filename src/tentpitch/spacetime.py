@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ class Facet(NamedTuple):
 
 
 # Facet from an (element, vertices, producer) tuple, without the
-# Python-level NamedTuple constructor: the pitcher and the space-time JSON
-# reader make one per facet
+# Python-level NamedTuple constructor: the pitcher makes one per facet
 new_facet = partial(tuple.__new__, Facet)
 
 
@@ -119,48 +119,62 @@ class SpaceTimeMesh:
         return np.array([v[-1] for v in self.vertices])
 
 
-@dataclass
-class SweepResult:
-    ok: bool
-    patches_visited: int
-    failed_patch: Optional[int] = None
-    message: str = ""
+@dataclass(eq=False)
+class MeshArrays:
+    """A space-time mesh as int and float columns: what the verifier reads.
 
-
-def _sweep(initial_facets, patches, visitor=None) -> SweepResult:
-    tokens: dict[tuple[int, tuple[int, ...]], object] = {}
-    for f in initial_facets:
-        tokens[(f.ground_element, f.vertices)] = "initial"
-    for count, patch in enumerate(patches):
-        inflow_tokens = []
-        for f in patch.inflow:
-            key = (f.ground_element, f.vertices)
-            if key not in tokens:
-                return SweepResult(
-                    False,
-                    count,
-                    failed_patch=patch.id,
-                    message=(
-                        f"patch {patch.id} consumes facet {key} "
-                        "before it was produced"
-                    ),
-                )
-            inflow_tokens.append(tokens.pop(key))
-        if visitor is not None:
-            out_token = visitor(patch, inflow_tokens)
-        else:
-            out_token = patch.id
-        for f in patch.outflow:
-            tokens[(f.ground_element, f.vertices)] = out_token
-    return SweepResult(True, len(patches))
-
-
-def causal_sweep(mesh: SpaceTimeMesh, visitor: Optional[Callable] = None) -> SweepResult:
-    """Visit patches in creation order, asserting every inflow facet was
-    already produced.  The visitor mocks a patch-at-a-time solver: it
-    receives (patch, inflow tokens) and returns an opaque outflow token.
+    Facet rows are grouped as in the space-time JSON file: the initial
+    facets, the frontier, then each patch's inflow and outflow facets;
+    facet_groups holds the 2 + 2P group sizes in that order.
     """
-    return _sweep(mesh.initial_facets, mesh.patches, visitor)
+
+    ground: GroundMesh
+    vertices: np.ndarray          # (n, d+1) float: *space, time
+    vertex_ground: np.ndarray     # ground vertex under each vertex
+    elements: np.ndarray          # (m, d+2) vertex ids
+    element_patch: np.ndarray     # patch of each element
+    patch_id: np.ndarray          # (P,) columns of the patches
+    patch_vertex: np.ndarray
+    patch_base: np.ndarray
+    patch_apex: np.ndarray
+    patch_elements: np.ndarray    # the patches' element lists, flat
+    patch_sizes: np.ndarray       # (P,) length of each element list
+    facet_element: np.ndarray     # (F,) ground element of each facet
+    facet_vertices: np.ndarray    # (F, d+1) vertex ids
+    facet_producer: np.ndarray    # (F,) patch id, or -1
+    facet_groups: np.ndarray      # (2 + 2P,) sizes of the facet groups
+
+
+def _ids(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
+    """The columns of an in-memory mesh, laid out as the space-time JSON
+    reader lays out those of a file."""
+    d = mesh.ground.dim
+    patches = mesh.patches
+    groups = [mesh.initial_facets, mesh.frontier,
+              *chain.from_iterable((p.inflow, p.outflow) for p in patches)]
+    facets = list(chain.from_iterable(groups))
+    return MeshArrays(
+        ground=mesh.ground,
+        vertices=np.array(mesh.vertices, dtype=float).reshape(-1, d + 1),
+        vertex_ground=_ids(mesh.vertex_ground),
+        elements=_ids(mesh.elements).reshape(-1, d + 2),
+        element_patch=_ids(mesh.element_patch),
+        patch_id=_ids([p.id for p in patches]),
+        patch_vertex=_ids([p.vertex for p in patches]),
+        patch_base=_ids([p.base for p in patches]),
+        patch_apex=_ids([p.apex for p in patches]),
+        patch_elements=_ids(list(chain.from_iterable(
+            p.elements for p in patches))),
+        patch_sizes=_ids([len(p.elements) for p in patches]),
+        facet_element=_ids([f.ground_element for f in facets]),
+        facet_vertices=_ids([f.vertices for f in facets]).reshape(-1, d + 1),
+        facet_producer=_ids([f.producer for f in facets]),
+        facet_groups=_ids(list(map(len, groups))),
+    )
 
 
 @dataclass

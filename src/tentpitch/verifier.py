@@ -6,6 +6,16 @@ the liftability replay rebuilds its own per-element scalars, and a random
 sample of lifts is re-derived from scratch with a bisection feasibility
 oracle built on the geometry primitives alone.
 
+The mesh checks read the mesh as arrays (MeshArrays: the columns the
+space-time JSON reader returns, or that mesh_arrays takes from a mesh in
+memory) and check the stored facet lists against the elements.  Each
+element must be its patch's apex over the matching inflow facet.  The
+initial facets must be the ground elements, each outflow facet its inflow
+facet with the apex in place of the base, each inflow facet the facet
+that the last earlier patch on its ground element left there (the causal
+sweep, a chain per ground element, with that patch as its producer), and
+the frontier the last facet left on each ground element.
+
 The two replaying checks are whole-trace array kernels rather than loops
 over lifts.  The lifts are sorted once by (vertex, lift index), so the
 front time of any vertex just after any lift is one searchsorted lookup.
@@ -19,8 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from . import geometry
 from .geometry import SimplexGeometry
 from .ground_mesh import GroundMesh, precompute
 from .pitcher import RunTrace
-from .spacetime import SpaceTimeMesh, _sweep, causal_sweep
+from .spacetime import MeshArrays, SpaceTimeMesh, mesh_arrays
 
 
 @dataclass
@@ -69,27 +78,43 @@ class VerifyReport:
         return "\n".join(c.line() for c in self.checks)
 
 
-def _first_diff(a: list, b: list) -> int:
-    """Position of the first entry where lists a and b differ."""
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)))
+Mesh = Union[SpaceTimeMesh, MeshArrays]
+
+
+def _as_arrays(mesh: Mesh) -> MeshArrays:
+    return mesh if isinstance(mesh, MeshArrays) else mesh_arrays(mesh)
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Position of the first True in mask, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]), one after another."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + counts, counts))
+
+
+def _facet_rows(mesh: MeshArrays, groups) -> np.ndarray:
+    """Rows of the facets in the given groups (see MeshArrays), in order."""
+    sizes = mesh.facet_groups
+    return _ranges((np.cumsum(sizes) - sizes)[groups], sizes[groups])
 
 
 # -- cone constraint on patch-boundary facets -----------------------------
 
 
-def _facet_slopes(ground: GroundMesh, facets, st_times) -> np.ndarray:
-    """Max slope of each lifted ground-element facet, batched.
+def _facet_slopes(ground: GroundMesh, gels: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """Max slope of each lifted ground-element facet, batched; times holds
+    the facets' vertex times in the elements' local order.
 
     Each facet spans a full ground element, so the spatial Gram matrix is
     invertible and the squared slope is dt^T G^{-1} dt.
     """
-    if not facets:
-        return np.zeros(0)
-    gels = np.array([f.ground_element for f in facets])
-    verts = np.array([f.vertices for f in facets])
     coords = ground.vertices[ground.elements[gels]]
-    times = st_times[verts]
     E = geometry.edge_bases(coords)
     dt = times[:, 1:] - times[:, :1]
     G = E @ np.transpose(E, (0, 2, 1))
@@ -98,36 +123,31 @@ def _facet_slopes(ground: GroundMesh, facets, st_times) -> np.ndarray:
     return np.sqrt(np.maximum(slope2, 0.0))
 
 
-def check_cone_facets(mesh: SpaceTimeMesh, ground: Optional[GroundMesh] = None,
+def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
                       tol: float = 1e-9) -> CheckResult:
     """Every inter-patch, initial and terminal facet obeys its slope cap.
 
     Internal facets of a patch (those containing the base-apex edge) are
     exempt and not enumerated here.
     """
+    mesh = _as_arrays(mesh)
     ground = ground or mesh.ground
-    facets = [f for p in mesh.patches for f in p.inflow]
-    facets.extend(mesh.frontier)
-    st_times = mesh.times_array()
-    slopes = _facet_slopes(ground, facets, st_times)
-    if mesh.ground.speed_schedule is None:
-        caps = 1.0 / ground.speeds[[f.ground_element for f in facets]]
-    else:
-        verts = np.array([f.vertices for f in facets])
-        tmin = st_times[verts].min(axis=1)
-        caps = np.array(
-            [ground.slope_cap(f.ground_element, tm)
-             for f, tm in zip(facets, tmin)]
-        )
-    if len(facets) == 0:
+    # every patch's inflow facets, then the frontier
+    rows = _facet_rows(mesh, np.r_[2:len(mesh.facet_groups):2, 1])
+    if len(rows) == 0:
         return CheckResult("cone_facets", True, "no facets (empty mesh)")
+    gels = mesh.facet_element[rows]
+    verts = mesh.facet_vertices[rows]
+    times = mesh.vertices[:, -1][verts]
+    slopes = _facet_slopes(ground, gels, times)
+    caps = ground.slope_caps(gels, times.min(axis=1))
     ratio = slopes / caps
     worst = float(ratio.max())
     # written so that a NaN ratio counts as a violation
     bad = np.flatnonzero(~(ratio <= 1.0 + tol))
     offenders = [
-        {"ground_element": int(facets[i].ground_element),
-         "vertices": list(facets[i].vertices),
+        {"ground_element": int(gels[i]),
+         "vertices": verts[i].tolist(),
          "slope": float(slopes[i]),
          "cap": float(caps[i])}
         for i in bad[:5]
@@ -135,8 +155,8 @@ def check_cone_facets(mesh: SpaceTimeMesh, ground: Optional[GroundMesh] = None,
     return CheckResult(
         "cone_facets",
         len(bad) == 0,
-        f"{len(facets)} facets, worst slope/cap {worst:.12f}",
-        details={"facets": len(facets), "worst_ratio": worst,
+        f"{len(rows)} facets, worst slope/cap {worst:.12f}",
+        details={"facets": len(rows), "worst_ratio": worst,
                  "violations": int(len(bad)), "offenders": offenders},
     )
 
@@ -161,25 +181,26 @@ def _foreign_trace(trace: RunTrace, ground: GroundMesh,
     return None
 
 
-def _mesh_mismatch(trace: RunTrace, mesh: SpaceTimeMesh) -> Optional[str]:
+def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
     """Why the trace is not the run that built mesh, or None: lift i must
     have made patch i, of the same vertex, with its apex at the lift's new
     time."""
-    if len(trace.lifts) != len(mesh.patches):
+    if len(trace.lifts) != len(mesh.patch_id):
         return (f"trace has {len(trace.lifts)} lifts for a mesh of "
-                f"{len(mesh.patches)} patches")
-    made = [(r.patch, r.vertex, r.new_time) for r in trace.lifts]
-    patches = [(p.id, p.vertex, mesh.vertices[p.apex][-1])
-               for p in mesh.patches]
-    if made != patches:
-        i = _first_diff(made, patches)
-        return f"lift {i} did not make patch {patches[i][0]} of the mesh"
+                f"{len(mesh.patch_id)} patches")
+    lifts = trace.lifts
+    i = _first((np.array([r.patch for r in lifts]) != mesh.patch_id)
+               | (np.array([r.vertex for r in lifts]) != mesh.patch_vertex)
+               | (np.array([r.new_time for r in lifts], dtype=float)
+                  != mesh.vertices[mesh.patch_apex, -1]))
+    if i is not None:
+        return f"lift {i} did not make patch {mesh.patch_id[i]} of the mesh"
     return None
 
 
 def check_progress_trace(trace: RunTrace, ground: GroundMesh,
                          tol: float = 1e-9,
-                         mesh: Optional[SpaceTimeMesh] = None) -> CheckResult:
+                         mesh: Optional[Mesh] = None) -> CheckResult:
     """Per-lift advance floor plus the worst-case patch and element budgets.
 
     Every non-clamped lift must advance its vertex by at least
@@ -192,7 +213,7 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     verts = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
     foreign = _foreign_trace(trace, ground, verts)
     if foreign is None and mesh is not None:
-        foreign = _mesh_mismatch(trace, mesh)
+        foreign = _mesh_mismatch(trace, _as_arrays(mesh))
     if foreign:
         return CheckResult("progress_trace", False, foreign)
     cons = precompute(ground, trace.epsilon)
@@ -255,7 +276,26 @@ def single_element_budget(ground: GroundMesh, target_time: float,
 # -- causality -------------------------------------------------------------
 
 
-def _element_fault(mesh: SpaceTimeMesh) -> Optional[str]:
+class _Tents:
+    """Per-patch rows the causality checks share.  Inflow rows run in
+    patch order; owner and k give each one's patch and its place there."""
+
+    def __init__(self, mesh: MeshArrays):
+        sizes = mesh.facet_groups
+        self.inflow_sizes = sizes[2::2]
+        self.outflow_sizes = sizes[3::2]
+        self.inflow = _facet_rows(mesh, np.s_[2::2])
+        self.outflow = _facet_rows(mesh, np.s_[3::2])
+        self.owner = np.repeat(np.arange(len(self.inflow_sizes)),
+                               self.inflow_sizes)
+        # the star of each patch's vertex: element and the vertex's slot
+        _, self.star, self.slot = _star_rows(mesh.ground, mesh.patch_vertex)
+        self.k = (np.arange(len(self.inflow))
+                  - (np.cumsum(self.inflow_sizes)
+                     - self.inflow_sizes)[self.owner])
+
+
+def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
     """Why the elements are not the tents the patches describe, or None.
 
     Patch p has id p, its base and apex lie over its ground vertex, and its
@@ -263,89 +303,202 @@ def _element_fault(mesh: SpaceTimeMesh) -> Optional[str]:
     Its k-th element is its apex over its k-th inflow facet, element_patch
     marks it as in p, and the patch lists, in patch order, run through the
     element ids in creation order, so that they partition them.  Each rule
-    is one comparison of whole lists; a broken one is scanned again for
+    is one comparison of whole arrays; a broken one is scanned again for
     its first offender.
     """
-    patches, over, n = mesh.patches, mesh.vertex_ground, len(mesh.elements)
+    over, n = mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
-        return f"{len(over)} vertex_ground entries for {len(mesh.vertices)} vertices"
-    pids = list(range(len(patches)))
-    ids = [p.id for p in patches]
-    if ids != pids:
-        pid = _first_diff(ids, pids)
-        return f"patch {pid} has id {ids[pid]}"
-    vertex = [p.vertex for p in patches]
-    for end, at in (("base", [over[p.base] for p in patches]),
-                    ("apex", [over[p.apex] for p in patches])):
-        if at != vertex:
-            pid = _first_diff(at, vertex)
+        return (f"{len(over)} vertex_ground entries for "
+                f"{len(mesh.vertices)} vertices")
+    pids = np.arange(len(mesh.patch_id))
+    pid = _first(mesh.patch_id != pids)
+    if pid is not None:
+        return f"patch {pid} has id {mesh.patch_id[pid]}"
+    vertex = mesh.patch_vertex
+    for end, at in (("base", mesh.patch_base), ("apex", mesh.patch_apex)):
+        pid = _first(over[at] != vertex)
+        if pid is not None:
             return f"patch {pid} has its {end} off its vertex {vertex[pid]}"
-    stars = mesh.ground.stars
-    on = [f.ground_element for p in patches for f in p.inflow]
-    star = [e for v in vertex for e, _ in stars[v]]
-    if on != star:
-        pid = next(pid for pid, p in enumerate(patches)
-                   if [f.ground_element for f in p.inflow]
-                   != [e for e, _ in stars[p.vertex]])
+    ground = mesh.ground
+    on, star = mesh.facet_element[tents.inflow], tents.star
+    if len(on) != len(star) or (on != star).any():
+        starts = np.cumsum(tents.inflow_sizes) - tents.inflow_sizes
+        offsets = ground.star_offsets
+        pid = next(pid for pid, v in enumerate(vertex.tolist())
+                   if not np.array_equal(
+                       on[starts[pid]:starts[pid] + tents.inflow_sizes[pid]],
+                       ground.star_elements[offsets[v]:offsets[v + 1]]))
         return (f"patch {pid}'s inflow facets are not on the star of its "
                 f"vertex {vertex[pid]}")
-    sizes = [len(p.elements) for p in patches]
-    facets = [len(p.inflow) for p in patches]
-    if sizes != facets:
-        pid = _first_diff(sizes, facets)
+    sizes = mesh.patch_sizes
+    pid = _first(sizes != tents.inflow_sizes)
+    if pid is not None:
         return (f"patch {pid} has {sizes[pid]} elements for "
-                f"{facets[pid]} inflow facets")
-    if sum(sizes) != n or len(mesh.element_patch) != n:
-        return (f"the patches list {sum(sizes)} elements and element_patch "
+                f"{tents.inflow_sizes[pid]} inflow facets")
+    if sizes.sum() != n or len(mesh.element_patch) != n:
+        return (f"the patches list {sizes.sum()} elements and element_patch "
                 f"marks {len(mesh.element_patch)}, of {n} elements")
-    ordered = list(range(n))
-    listed = list(chain.from_iterable(p.elements for p in patches))
-    marks = list(chain.from_iterable(map(repeat, pids, sizes)))
-    tents = [(p.apex,) + f.vertices for p in patches for f in p.inflow]
-    if listed != ordered or mesh.element_patch != marks or mesh.elements != tents:
-        j = min(_first_diff(listed, ordered),
-                _first_diff(mesh.element_patch, marks),
-                _first_diff(mesh.elements, tents))
-        pid = marks[j]
-        k = j - sum(sizes[:pid])
+    owner = tents.owner
+    tops = np.column_stack([mesh.patch_apex[owner],
+                            mesh.facet_vertices[tents.inflow]])
+    j = _first((mesh.patch_elements != np.arange(n))
+               | (mesh.element_patch != owner)
+               | (mesh.elements != tops).any(axis=1))
+    if j is not None:
+        pid, k = owner[j], tents.k[j]
         return (f"element {j} is not patch {pid}'s element {k}: listed "
                 f"there, marked as in patch {pid}, and its apex over "
                 f"inflow facet {k}")
     return None
 
 
-def check_causality(mesh: SpaceTimeMesh) -> CheckResult:
+def _derived_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
+    """Why the stored initial and outflow facets are not the ones the
+    elements give, or None.  Initial facet e is ground element e over its
+    initial vertices, made by no patch (-1).  Outflow facet k of patch p
+    is its inflow facet k, which holds p's base in p's vertex's slot, with
+    the apex in that slot, made by p."""
+    ground = mesh.ground
+    n_initial = mesh.facet_groups[0]
+    if n_initial != ground.n_elements:
+        return (f"{n_initial} initial facets for {ground.n_elements} "
+                f"ground elements")
+    e = _first((mesh.facet_element[:n_initial] != np.arange(n_initial))
+               | (mesh.facet_vertices[:n_initial] != ground.elements).any(axis=1)
+               | (mesh.facet_producer[:n_initial] != -1))
+    if e is not None:
+        return (f"initial facet {e} is not ground element {e} over its "
+                f"initial vertices")
+    pid = _first(tents.outflow_sizes != tents.inflow_sizes)
+    if pid is not None:
+        return (f"patch {pid} has {tents.outflow_sizes[pid]} outflow facets "
+                f"for {tents.inflow_sizes[pid]} inflow facets")
+    owner, inflow, outflow, slot = (tents.owner, tents.inflow, tents.outflow,
+                                    tents.slot)
+    rows = np.arange(len(inflow))
+    tops = mesh.facet_vertices[inflow]
+    held = tops[rows, slot] == mesh.patch_base[owner]
+    tops[rows, slot] = mesh.patch_apex[owner]
+    i = _first(~held
+               | (mesh.facet_element[outflow] != mesh.facet_element[inflow])
+               | (mesh.facet_vertices[outflow] != tops).any(axis=1)
+               | (mesh.facet_producer[outflow] != owner))
+    if i is not None:
+        pid, k = owner[i], tents.k[i]
+        return (f"patch {pid}'s outflow facet {k} is not its inflow facet "
+                f"{k} with the base replaced by the apex, made by patch {pid}")
+    return None
+
+
+def _previous_rows(mesh: MeshArrays, tents: _Tents, position: np.ndarray):
+    """For each inflow row, in patch order, the facet row it must consume
+    when the patches run in the given order (position[p] is p's place):
+    the outflow row of the last earlier patch on its ground element, or
+    else that element's initial facet.  Also returns the inflow rows
+    sorted by (ground element, place), the chain the answer comes from."""
+    on = mesh.facet_element[tents.inflow]
+    chain = np.argsort(on * len(position) + position[tents.owner])
+    first = np.ones(len(chain), dtype=bool)
+    first[1:] = on[chain[1:]] != on[chain[:-1]]
+    prev = np.empty(len(chain), dtype=np.int64)
+    prev[chain[1:]] = tents.outflow[chain[:-1]]
+    prev[chain[first]] = on[chain[first]]
+    return prev, chain
+
+
+def _unproduced(mesh: MeshArrays, tents: _Tents,
+                prev: np.ndarray) -> np.ndarray:
+    """Mask of the inflow rows that are not the facet rows prev names
+    (see _previous_rows).  Given _element_fault and _derived_fault, each
+    patch swaps one facet for one on each element of its star, so this is
+    the causal sweep: a patch may only consume facets already produced and
+    not yet consumed."""
+    return (mesh.facet_vertices[tents.inflow]
+            != mesh.facet_vertices[prev]).any(axis=1)
+
+
+def _link_fault(mesh: MeshArrays, tents: _Tents, prev: np.ndarray,
+                chain: np.ndarray) -> Optional[str]:
+    """Why the stored producers of the inflow facets or the stored
+    frontier are not the ones the sweep in creation order (prev, chain)
+    gives, or None.  An inflow facet names the patch whose outflow it is,
+    or -1; frontier facet e is the last facet made on ground element e."""
+    given = mesh.facet_producer[tents.inflow]
+    made = mesh.facet_producer[prev]
+    i = _first(given != made)
+    if i is not None:
+        return (f"patch {tents.owner[i]}'s inflow facet {tents.k[i]} has "
+                f"producer {given[i]}, not {made[i]}")
+    n_elements = mesh.ground.n_elements
+    n_frontier = mesh.facet_groups[1]
+    if n_frontier != n_elements:
+        return f"{n_frontier} frontier facets for {n_elements} ground elements"
+    # the last row of each element's stretch of the chain, or else the
+    # element's initial facet
+    on = mesh.facet_element[tents.inflow][chain]
+    end = np.ones(len(chain), dtype=bool)
+    end[:-1] = on[:-1] != on[1:]
+    last = np.arange(n_elements)
+    last[on[end]] = tents.outflow[chain[end]]
+    frontier = np.arange(n_elements) + mesh.facet_groups[0]
+    e = _first((mesh.facet_element[frontier] != mesh.facet_element[last])
+               | (mesh.facet_vertices[frontier]
+                  != mesh.facet_vertices[last]).any(axis=1)
+               | (mesh.facet_producer[frontier] != mesh.facet_producer[last]))
+    if e is not None:
+        return (f"frontier facet {e} is not the last facet made on ground "
+                f"element {e}")
+    return None
+
+
+def check_causality(mesh: Mesh) -> CheckResult:
     """Causal sweep must succeed; a self-test swaps two dependent patches
     and asserts the sweep then fails.  The elements must be the tents that
-    the patches describe (see _element_fault)."""
-    fault = _element_fault(mesh)
+    the patches describe (see _element_fault), and every stored facet must
+    be the one the elements give: the initial and outflow facets before
+    the sweep (_derived_fault), the inflow producers and the frontier
+    after it (_link_fault)."""
+    mesh = _as_arrays(mesh)
+    tents = _Tents(mesh)
+    fault = _element_fault(mesh, tents) or _derived_fault(mesh, tents)
     if fault:
         return CheckResult("causality", False, fault)
-    result = causal_sweep(mesh)
-    if not result.ok:
+    n_patches = len(mesh.patch_id)
+    order = np.arange(n_patches)
+    prev, chain = _previous_rows(mesh, tents, order)
+    i = _first(_unproduced(mesh, tents, prev))
+    if i is not None:
+        pid = int(tents.owner[i])
+        row = tents.inflow[i]
+        key = (int(mesh.facet_element[row]),
+               tuple(mesh.facet_vertices[row].tolist()))
         return CheckResult(
             "causality", False,
-            f"sweep failed at patch {result.failed_patch}: {result.message}",
-            details={"failed_patch": result.failed_patch},
+            f"sweep failed at patch {pid}: patch {pid} consumes facet {key} "
+            "before it was produced",
+            details={"failed_patch": pid},
         )
     injected = "no dependent pair to inject"
-    for j, patch in enumerate(mesh.patches):
-        producers = [f.producer for f in patch.inflow if f.producer >= 0]
-        if producers:
-            i = producers[0]
-            tampered = list(mesh.patches)
-            tampered[i], tampered[j] = tampered[j], tampered[i]
-            if _sweep(mesh.initial_facets, tampered).ok:
-                return CheckResult(
-                    "causality", False,
-                    "injected patch-order swap was not detected",
-                    details={"swapped": [i, j]},
-                )
-            injected = f"injected swap of patches {i},{j} detected"
-            break
+    producers = mesh.facet_producer[tents.inflow]
+    first = _first(producers >= 0)
+    if first is not None:
+        i, j = int(producers[first]), int(tents.owner[first])
+        swapped = order.copy()
+        swapped[[i, j]] = swapped[[j, i]]
+        if not _unproduced(mesh, tents,
+                           _previous_rows(mesh, tents, swapped)[0]).any():
+            return CheckResult(
+                "causality", False,
+                "injected patch-order swap was not detected",
+                details={"swapped": [i, j]},
+            )
+        injected = f"injected swap of patches {i},{j} detected"
+    fault = _link_fault(mesh, tents, prev, chain)
+    if fault:
+        return CheckResult("causality", False, fault)
     return CheckResult(
         "causality", True,
-        f"sweep of {len(mesh.patches)} patches succeeded; {injected}",
+        f"sweep of {n_patches} patches succeeded; {injected}",
     )
 
 
@@ -387,8 +540,7 @@ def _star_rows(ground: GroundMesh, verts: np.ndarray):
     start = ground.star_offsets[verts]
     count = ground.star_offsets[verts + 1] - start
     owner = np.repeat(np.arange(len(verts)), count)
-    pos = np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count,
-                                            count)
+    pos = _ranges(start, count)
     return owner, ground.star_elements[pos], ground.star_locals[pos]
 
 
@@ -681,7 +833,7 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
 # -- orchestration -----------------------------------------------------------
 
 
-def verify(mesh: Optional[SpaceTimeMesh] = None,
+def verify(mesh: Optional[Mesh] = None,
            ground: Optional[GroundMesh] = None,
            trace: Optional[RunTrace] = None,
            tol: float = 1e-9,
@@ -693,7 +845,8 @@ def verify(mesh: Optional[SpaceTimeMesh] = None,
     Mesh checks (cone facets, causality) need the mesh; trace checks
     (progress, liftability replay, sampled bound re-derivation) need the
     trace.  Either may be omitted; given both, the progress check also
-    requires the trace to be the run that built the mesh.
+    requires the trace to be the run that built the mesh.  The mesh is a
+    SpaceTimeMesh or the MeshArrays that read_spacetime_json returns.
     """
     if ground is None:
         if mesh is None:
@@ -701,6 +854,7 @@ def verify(mesh: Optional[SpaceTimeMesh] = None,
         ground = mesh.ground
     report = VerifyReport()
     if mesh is not None:
+        mesh = _as_arrays(mesh)
         report.checks.append(check_cone_facets(mesh, ground, tol))
         report.checks.append(check_causality(mesh))
     if trace is not None:

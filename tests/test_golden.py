@@ -1,9 +1,12 @@
-"""Byte-identity of `tentpitch pitch` outputs on small committed inputs.
+"""Byte-identity of `tentpitch pitch` outputs and `tentpitch verify`
+reports on small committed inputs.
 
-The sha256 digests were recorded from the program before the inline-leaf
-JSON writer and the plain-record lift loop, whose outputs must not change.
-A change that is meant to alter these files must say so and record new
-digests; a speed-up must leave them as they are.
+The sha256 digests of the pitch outputs were recorded from the program
+before the inline-leaf JSON writer and the plain-record lift loop, those
+of the verify stdout from the object-based verifier, before it read the
+mesh as arrays; neither may change.  A change that is meant to alter
+these files or reports must say so and record new digests; a speed-up
+must leave them as they are.
 """
 
 import hashlib
@@ -39,6 +42,14 @@ GOLDEN = {
     }),
 }
 
+# name: sha256 of the stdout of `verify --mesh --ground --trace` on its outputs
+VERIFY_STDOUT = {
+    "path_d1": "9130ba7b2d8439bf894e1ad8bbf2b1e93e4908f4f2ec32c456821fff76fce491",
+    "grid_d2_greedy": "1290d3ffa0348d7a99a80e162ef857fe06f7be5b71e528533bf87aef74355982",
+    "grid_d2_mis": "182e37c0ce5674cce6b46f83afe305392cc61c45f58ffaadbbf679b0e377521a",
+    "kuhn_d3": "b27cf1b575a2f795b1e714ba4fa19f7e5a002f47534a88f409a139861d14bb5a",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_pitch_outputs_are_byte_identical(name, tmp_path, capsys):
@@ -55,5 +66,7 @@ def test_pitch_outputs_are_byte_identical(name, tmp_path, capsys):
     # and the outputs verify
     assert main(["verify", "--mesh", str(out["st.json"]), "--ground",
                  str(DATA / ground), "--trace", str(out["trace.json"])]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    report = capsys.readouterr().out
+    lines = report.splitlines()
     assert len(lines) == 5 and all(x.startswith("PASS ") for x in lines)
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_STDOUT[name]

@@ -33,6 +33,7 @@ from tentpitch.io_formats import (
     write_trace_json,
     write_vtk,
 )
+from tentpitch.spacetime import mesh_arrays
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,10 +143,12 @@ class TestRoundTrip:
         mesh, trace = run(right_triangle, PitchConfig(target_time=2.0))
         text = write_spacetime_json(mesh)
         again = read_spacetime_json(text, right_triangle)
-        assert again.vertices == mesh.vertices
-        assert again.elements == mesh.elements
-        assert again.patches == mesh.patches
-        assert again.frontier == mesh.frontier
+        want = mesh_arrays(mesh)
+        for name, column in vars(want).items():
+            if name != "ground":
+                got = getattr(again, name)
+                assert got.dtype == column.dtype and np.array_equal(got, column)
+        assert again.ground is right_triangle
         ttext = write_trace_json(trace)
         tagain = read_trace_json(ttext)
         assert tagain.lifts == trace.lifts
@@ -539,6 +542,42 @@ class TestVerifyRejectsWrongElements:
         assert len(failed) == 1
         assert failed[0].startswith("FAIL causality: patch 10 has ")
 
+    # stored facet lists that disagree with the elements
+
+    def test_frontier_facet_replaced_by_initial_facet(self, tmp_path, capsys):
+        def tamper(data):
+            data["frontier"][5] = data["initial_facets"][5]
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        assert rc == 1
+        assert failed == ["FAIL causality: frontier facet 5 is not the last "
+                          "facet made on ground element 5"]
+
+    @staticmethod
+    def _last_outflow_failure(data):
+        pid = len(data["patches"]) - 1
+        return [f"FAIL causality: patch {pid}'s outflow facet 0 is not its "
+                f"inflow facet 0 with the base replaced by the apex, made by "
+                f"patch {pid}"]
+
+    def test_outflow_facet_with_vertices_reversed(self, tmp_path, capsys):
+        want = []
+
+        def tamper(data):
+            data["patches"][-1]["outflow"][0][1].reverse()
+            want.extend(self._last_outflow_failure(data))
+
+        assert self._tampered(capsys, tmp_path, tamper) == (1, want)
+
+    def test_outflow_facet_without_producer(self, tmp_path, capsys):
+        want = []
+
+        def tamper(data):
+            data["patches"][-1]["outflow"][0][2] = -1
+            want.extend(self._last_outflow_failure(data))
+
+        assert self._tampered(capsys, tmp_path, tamper) == (1, want)
+
     def test_trace_of_another_run(self, tmp_path, capsys):
         out, _ = self._pitch(tmp_path, "2")
         _, trace = self._pitch(tmp_path, "1")
@@ -590,12 +629,30 @@ RETYPED = ["x", "2", True, False, None, 2.5, -0.5, [], [1], {}, {"a": 1}]
 OUT_OF_RANGE = [-1, -2, 3, 7, 99999, 10**30, 10**400]
 
 
+def _facet_records(mesh: dict) -> list:
+    """Every [element, vertices, producer] record of a space-time mesh."""
+    return [*mesh["initial_facets"], *mesh["frontier"],
+            *(f for p in mesh["patches"] for f in p["inflow"] + p["outflow"])]
+
+
 @st.composite
 def damaged_files(draw):
     """A valid file with one damage at a random place: a dropped key or
-    entry, a value of another type, or an id or value outside its range."""
+    entry, a value of another type, or an id or value outside its range;
+    or, in the space-time mesh, a facet's vertex list in another order or
+    its producer moved to another valid patch.  Returns (which file, the
+    damaged document, whether the damage must make verify fail)."""
     which = draw(st.sampled_from(["ground", "mesh", "trace"]))
     doc = copy.deepcopy(_valid_files()[which])
+    if which == "mesh" and draw(st.booleans()):
+        records = _facet_records(doc)
+        f = records[draw(st.integers(0, len(records) - 1))]
+        if draw(st.booleans()):
+            f[1] = draw(st.permutations(f[1]).filter(lambda v: v != f[1]))
+        else:
+            f[2] = draw(st.sampled_from(
+                [p for p in range(-1, len(doc["patches"])) if p != f[2]]))
+        return which, doc, True
     node = doc
     while True:
         key = draw(st.sampled_from(
@@ -611,14 +668,14 @@ def damaged_files(draw):
     else:
         node[key] = draw(st.sampled_from(
             RETYPED if damage == "retype" else OUT_OF_RANGE))
-    return which, doc
+    return which, doc, False
 
 
 class TestDamagedFiles:
     @settings(max_examples=80, deadline=None)
     @given(damaged=damaged_files())
     def test_readers_and_verify_fail_cleanly(self, damaged):
-        which, doc = damaged
+        which, doc, must_fail = damaged
         files = dict(_valid_files())
         files[which] = doc
         texts = {k: json.dumps(v) for k, v in files.items()}
@@ -636,4 +693,4 @@ class TestDamagedFiles:
             assert main(["info", "--input", paths["ground"]]) in (0, 1)
             rc = main(["verify", "--mesh", paths["mesh"],
                        "--trace", paths["trace"], "--ground", paths["ground"]])
-        assert rc in (0, 1)
+        assert rc == 1 if must_fail else rc in (0, 1)

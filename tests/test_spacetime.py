@@ -8,10 +8,12 @@ from tentpitch import (
     PatchConsistencyError,
     PitchConfig,
     SpaceTimeMesh,
-    causal_sweep,
     run,
     stats,
 )
+from tentpitch.verifier import check_causality
+
+from reference_checks import causal_sweep
 
 
 @pytest.fixture
@@ -69,6 +71,8 @@ class TestAppendPatch:
 
 
 class TestCausalSweep:
+    """The object-based reference sweep; check_causality agrees."""
+
     def test_success_on_generated_meshes(self, rng):
         from tentpitch.synthetic import delaunay_mesh
 
@@ -76,6 +80,7 @@ class TestCausalSweep:
             g = delaunay_mesh(20, np.random.default_rng(seed))
             mesh, _ = run(g, PitchConfig(target_time=1.0))
             assert causal_sweep(mesh).ok
+            assert check_causality(mesh).passed
 
     def test_swapped_dependent_patches_fail(self, two_triangle_run):
         _, mesh, _ = two_triangle_run
@@ -90,12 +95,14 @@ class TestCausalSweep:
         result = causal_sweep(mesh)
         assert not result.ok
         assert result.failed_patch == dependent.id
+        assert not check_causality(mesh).passed
 
     def test_empty_mesh_succeeds(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.0))
         result = causal_sweep(mesh)
         assert result.ok
         assert result.patches_visited == 0
+        assert check_causality(mesh).passed
 
     def test_visitor_receives_producer_tokens(self, two_triangle_run):
         _, mesh, _ = two_triangle_run

@@ -1,18 +1,38 @@
 import copy
+import json
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentpitch import GroundMesh, PitchConfig, precompute, run, verifier, verify
+from tentpitch import (
+    Facet,
+    GroundMesh,
+    MISPhases,
+    Patch,
+    PitchConfig,
+    SpaceTimeMesh,
+    precompute,
+    run,
+    verifier,
+    verify,
+)
 from tentpitch.geometry import (
     SimplexGeometry,
     altitude_distance,
     clearance_ratio,
     facet_index,
     gradient_operators,
+)
+from tentpitch.ground_mesh import load
+from tentpitch.io_formats import (
+    parse_triangle,
+    read_spacetime_json,
+    write_spacetime_json,
 )
 from tentpitch.pitcher import LiftRecord, RunTrace
 from tentpitch.verifier import (
@@ -26,6 +46,8 @@ from tentpitch.verifier import (
     oracle_max_lift,
     single_element_budget,
 )
+
+import reference_checks as reference
 
 
 @pytest.fixture
@@ -201,6 +223,7 @@ class TestCausality:
         result = check_causality(mesh)
         assert not result.passed
         assert result.message.startswith(want)
+        _same_result(result, reference.causality(mesh))
 
 
 class TestFrontSnapshots:
@@ -555,3 +578,236 @@ class TestBatchedOracle:
             assert got[idx] == pytest.approx(want, rel=1e-12, abs=0)
             assert omega[idx] == pytest.approx(cons.omega[r.vertex], rel=1e-12)
             times[r.vertex] = r.new_time
+
+
+# -- array mesh checks against the object-based reference -----------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _golden_grid():
+    node = DATA / "golden_grid.node"
+    return load(parse_triangle(node.read_text(),
+                               node.with_suffix(".ele").read_text()))
+
+
+# name: (ground mesh, target time, strategy)
+RUNS = {
+    "d1": (_line_mesh, 3.0, None),
+    "d2": (_grid_mesh, 1.0, None),
+    "d3": (_tet_mesh, 0.4, None),
+    "schedule": (_scheduled_triangle_mesh, 1.0, None),
+    "mis": (_grid_mesh, 1.0, lambda: MISPhases(seed=3)),
+    "golden_grid": (_golden_grid, 1.0, None),
+}
+
+
+@lru_cache(maxsize=None)
+def _run(name):
+    make, target, strategy = RUNS[name]
+    g = make()
+    config = PitchConfig(target_time=target)
+    if strategy is not None:
+        config = PitchConfig(target_time=target, strategy=strategy())
+    mesh, trace = run(g, config)
+    return g, write_spacetime_json(mesh), trace
+
+
+def _objects(data: dict, ground: GroundMesh) -> SpaceTimeMesh:
+    """A parsed space-time JSON file as the objects the reference reads."""
+    mesh = SpaceTimeMesh(ground)
+    mesh.vertices = [tuple(v) for v in data["vertices"]]
+    mesh.vertex_ground = list(data["vertex_ground"])
+    mesh.elements = [tuple(e) for e in data["elements"]]
+    mesh.element_patch = list(data["element_patch"])
+
+    def facets(rows):
+        return [Facet(e, tuple(v), producer) for e, v, producer in rows]
+
+    mesh.initial_facets = facets(data["initial_facets"])
+    mesh.frontier = facets(data["frontier"])
+    mesh.patches = [Patch(p["id"], p["vertex"], p["base"], p["apex"],
+                          list(p["elements"]), facets(p["inflow"]),
+                          facets(p["outflow"])) for p in data["patches"]]
+    return mesh
+
+
+def _interior(data: dict) -> int:
+    """First patch from a third of the way on with two or more elements."""
+    patches = data["patches"]
+    return next(i for i in range(len(patches) // 3, len(patches))
+                if len(patches[i]["elements"]) > 1)
+
+
+def _repeated_vertex_id(data):
+    j = data["patches"][_interior(data)]["elements"][1]
+    data["elements"][j][2] = data["elements"][j][1]
+
+
+def _apex_set_to_base(data):
+    p = data["patches"][_interior(data)]
+    p["apex"] = p["base"]
+
+
+def _elements_deleted_and_renumbered(data):
+    first = _interior(data)
+    gone = {p["elements"][-1] for p in data["patches"][first:first + 5]}
+    keep = [i for i in range(len(data["elements"])) if i not in gone]
+    new_id = {old: new for new, old in enumerate(keep)}
+    data["elements"] = [data["elements"][i] for i in keep]
+    data["element_patch"] = [data["element_patch"][i] for i in keep]
+    for p in data["patches"]:
+        p["elements"] = [new_id[i] for i in p["elements"] if i not in gone]
+
+
+def _frontier_is_initial(data):
+    k = 5 % len(data["frontier"])
+    data["frontier"][k] = data["initial_facets"][k]
+
+
+def _last_outflow_reversed(data):
+    data["patches"][-1]["outflow"][0][1].reverse()
+
+
+def _last_outflow_unproduced(data):
+    data["patches"][-1]["outflow"][0][2] = -1
+
+
+def _inflow_producer_moved(data):
+    f = data["patches"][_interior(data)]["inflow"][1]
+    f[2] = (f[2] + 1) % len(data["patches"])
+
+
+def _inflow_permuted(data):
+    data["patches"][_interior(data)]["inflow"][0][1].reverse()
+
+
+def _initial_permuted(data):
+    data["initial_facets"][0][1].reverse()
+
+
+def _outflow_dropped(data):
+    data["patches"][_interior(data)]["outflow"].pop()
+
+
+def _outflows_exchanged(data):
+    a, b = data["patches"][0], data["patches"][_interior(data)]
+    a["outflow"], b["outflow"] = b["outflow"], a["outflow"]
+
+
+def _base_set_to_initial_copy(data):
+    # still over the patch's vertex, but not what its inflow facets hold
+    p = next(p for p in data["patches"][_interior(data):]
+             if p["base"] != p["vertex"])
+    p["base"] = p["vertex"]
+
+
+def _inflow_rerouted(data):
+    # an inflow facet moved off the front, its element and outflow facet
+    # moved with it: only the sweep can tell
+    p = data["patches"][_interior(data)]
+    f, out = p["inflow"][0], p["outflow"][0]
+    i = next(i for i, v in enumerate(f[1]) if v != p["base"])
+    f[1][i] = out[1][i] = next(v for v in range(len(data["vertices"]))
+                               if v not in f[1])
+    data["elements"][p["elements"][0]] = [p["apex"], *f[1]]
+
+
+def _first_producer_is_its_patch(data):
+    # the self-test then swaps that patch with itself
+    for pid, p in enumerate(data["patches"]):
+        f = next((f for f in p["inflow"] if f[2] >= 0), None)
+        if f is not None:
+            f[2] = pid
+            return
+
+
+# the tamperings TestVerifyRejectsWrongElements runs through the CLI, its
+# three stored-facet ones, and a few more on the facet lists
+FILE_TAMPERINGS = {
+    "none": lambda data: None,
+    "repeated_vertex_id": _repeated_vertex_id,
+    "apex_set_to_base": _apex_set_to_base,
+    "elements_deleted_and_renumbered": _elements_deleted_and_renumbered,
+    "frontier_is_initial": _frontier_is_initial,
+    "last_outflow_reversed": _last_outflow_reversed,
+    "last_outflow_unproduced": _last_outflow_unproduced,
+    "inflow_producer_moved": _inflow_producer_moved,
+    "inflow_permuted": _inflow_permuted,
+    "initial_permuted": _initial_permuted,
+    "outflow_dropped": _outflow_dropped,
+    "outflows_exchanged": _outflows_exchanged,
+    "base_set_to_initial_copy": _base_set_to_initial_copy,
+    "inflow_rerouted": _inflow_rerouted,
+    "first_producer_is_its_patch": _first_producer_is_its_patch,
+}
+
+
+def _compare_mesh_checks(data, ground, trace):
+    """The array checks on the file's columns give what the reference
+    gives on its objects; returns whether every check passed."""
+    arrays = read_spacetime_json(json.dumps(data), ground)
+    objects = _objects(data, ground)
+    cone = check_cone_facets(arrays, ground)
+    _same_result(cone, reference.cone_facets(objects, ground))
+    causal = check_causality(arrays)
+    _same_result(causal, reference.causality(objects))
+    mismatch = verifier._mesh_mismatch(trace, arrays)
+    assert mismatch == reference.mesh_mismatch(trace, objects)
+    return cone.passed and causal.passed and mismatch is None
+
+
+class TestArrayMeshChecks:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("tamper", sorted(FILE_TAMPERINGS))
+    def test_match_reference_on_files(self, name, tamper):
+        g, text, trace = _run(name)
+        data = json.loads(text)
+        FILE_TAMPERINGS[tamper](data)
+        assert _compare_mesh_checks(data, g, trace) == (tamper == "none")
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_trace_mismatch_matches_reference(self, name):
+        g, text, trace = _run(name)
+        data = json.loads(text)
+        arrays, objects = read_spacetime_json(text, g), _objects(data, g)
+        short = copy.deepcopy(trace)
+        del short.lifts[len(short.lifts) // 2:]
+        missed = copy.deepcopy(trace)
+        r = missed.lifts[len(missed.lifts) // 2]
+        r.new_time = (r.old_time + r.new_time) / 2
+        for t in (short, missed):
+            got = verifier._mesh_mismatch(t, arrays)
+            assert got is not None
+            assert got == reference.mesh_mismatch(t, objects)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(2, 4), ny=st.integers(2, 4),
+           seed=st.integers(0, 10_000), data=st.data())
+    def test_property_random_damage(self, nx, ny, seed, data):
+        from tentpitch.synthetic import jittered_grid_mesh
+
+        g = jittered_grid_mesh(nx, ny, seed=seed)
+        mesh, trace = run(g, PitchConfig(target_time=0.7))
+        doc = json.loads(write_spacetime_json(mesh))
+        records = [*doc["initial_facets"], *doc["frontier"],
+                   *(f for p in doc["patches"]
+                     for f in p["inflow"] + p["outflow"])]
+        pick = st.integers(0, len(records) - 1)
+        n_patches = len(doc["patches"])
+        for _ in range(data.draw(st.integers(1, 3))):
+            f = records[data.draw(pick)]
+            kind = data.draw(st.sampled_from(
+                ["permute", "producer", "copy", "drop"]))
+            if kind == "permute":
+                f[1] = data.draw(st.permutations(f[1]))
+            elif kind == "producer":
+                f[2] = data.draw(st.integers(-1, n_patches - 1))
+            elif kind == "copy":
+                f[1] = list(records[data.draw(pick)][1])
+            else:
+                p = doc["patches"][data.draw(st.integers(0, n_patches - 1))]
+                group = p[data.draw(st.sampled_from(["inflow", "outflow"]))]
+                if group:
+                    group.pop(data.draw(st.integers(0, len(group) - 1)))
+        _compare_mesh_checks(doc, g, trace)
