@@ -3,6 +3,15 @@ legacy-VTK export, trace and stats files.
 
 All outputs are ASCII and byte-deterministic for a fixed input; reals are
 written with 17 significant digits so doubles round-trip losslessly.
+
+The space-time JSON reader never holds the parsed tree of its file.  It
+decodes the top-level object one member at a time, and the patches
+READ_CHUNK at a time, and turns each part into int64 column pieces before
+it decodes the next: its memory peaks near 3x the text length, against
+8-9x for the whole tree.  The checks of ids whose bound is a count of the
+whole file (vertices, elements, patches) run once on the assembled
+columns, and the first failed check is reported in one fixed order, so
+that the member order of the file does not change the message.
 """
 
 from __future__ import annotations
@@ -252,10 +261,12 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
 class _Tracked:
     """Stand-in for parsed JSON that records the path of the last field
-    read, so that a failed conversion re-run on it can name that field."""
+    read, so that a failed conversion re-run on it can name that field.
+    offset is the index of the first item, for a slice of a longer array."""
 
-    def __init__(self, value, path: str, last: list):
+    def __init__(self, value, path: str, last: list, offset: int = 0):
         self._value, self._path, self._last = value, path, last
+        self._offset = offset
 
     def _child(self, value, path: str):
         self._last[0] = path
@@ -264,10 +275,12 @@ class _Tracked:
         return value
 
     def __getitem__(self, key):
-        if isinstance(self._value, list):
-            path = f"{self._path}[{key}]"
-        else:
+        if not isinstance(self._value, list):
             path = f"{self._path}.{key}"
+        elif type(key) is int:
+            path = f"{self._path}[{self._offset + key}]"
+        else:
+            path = f"{self._path}[{key}]"
         self._last[0] = path
         return self._child(self._value[key], path)
 
@@ -276,7 +289,7 @@ class _Tracked:
 
     def __iter__(self):
         for i, item in enumerate(self._value):
-            yield self._child(item, f"{self._path}[{i}]")
+            yield self._child(item, f"{self._path}[{self._offset + i}]")
 
     def __len__(self):
         return len(self._value)
@@ -292,19 +305,23 @@ def _load_object(text: str) -> dict:
     return data
 
 
-def _convert(convert, data: dict, *args):
+def _convert(convert, data, *args, path: str = "$", offset: int = 0):
     """convert(data, *args); a missing or malformed field becomes a
     ParseError naming its JSON path, found by re-running the conversion on
-    a path-recording stand-in (so a good file never pays for it)."""
+    a path-recording stand-in (so a good file never pays for it).  data is
+    the value at path, and offset the index of its first item if it is a
+    slice of a longer array."""
     try:
         return convert(data, *args)
     except (ParseError, MeshValidationError):
         raise
     except _MALFORMED as exc:
         error = exc
-    last = ["$"]
+    last = [path]
+    if isinstance(data, (dict, list)):
+        data = _Tracked(data, path, last, offset)
     try:
-        convert(_Tracked(data, "$", last), *args)
+        convert(data, *args)
     except _MALFORMED as exc:
         error = exc
     what = "missing" if isinstance(error, (KeyError, IndexError)) else "malformed"
@@ -332,28 +349,65 @@ def _ints(values, path_of, lo=-math.inf, hi=math.inf):
     return values
 
 
+def _int_error(path: str, x, lo, hi) -> ParseError:
+    what = (f"{x} is out of range [{lo}, {hi})" if type(x) is int
+            else f"{x!r} is not an integer")
+    return ParseError(f"{path}: {what}")
+
+
 def _bad_int(values, path_of, lo, hi):
     """Raise ParseError naming the first of values that is not a JSON
     integer in [lo, hi)."""
     k, x = _first_bad(values, lambda x: type(x) is int and lo <= x < hi)
-    what = (f"{x} is out of range [{lo}, {hi})" if type(x) is int
-            else f"{x!r} is not an integer")
-    raise ParseError(f"{path_of(k)}: {what}")
+    raise _int_error(path_of(k), x, lo, hi)
 
 
-def _int_array(values, path_of, lo: int, hi: int) -> np.ndarray:
-    """values as an int64 array, checked as by _ints; numpy reads `true`
-    as 1, so the type test runs on values, and the range test on the
-    array."""
-    if set(map(type, values)) <= {int}:
-        try:
-            ids = np.array(values, dtype=np.int64)
-        except OverflowError:  # past int64, so past [lo, hi) too
-            pass
-        else:
-            if not len(ids) or (ids.min() >= lo and ids.max() < hi):
-                return ids
-    _bad_int(values, path_of, lo, hi)
+def _is_int64(x) -> bool:
+    return type(x) is int and -2**63 <= x < 2**63
+
+
+class _Ids:
+    """A column of JSON integers read a piece at a time.  Its range check
+    waits for array(), since its bound may be a count of the whole file;
+    array() then names the first entry that is not an integer in range,
+    as _ints does for a list."""
+
+    def __init__(self, values=()):
+        self.pieces = [np.zeros(0, dtype=np.int64)]
+        self.n = 0
+        # (position, value) of the first entry that is not an int64
+        # integer; entries after it are not kept
+        self.bad = None
+        self.extend(values)
+
+    def extend(self, values) -> None:
+        if self.bad is not None:
+            return
+        if set(map(type, values)) <= {int}:
+            try:
+                self.pieces.append(np.array(values, dtype=np.int64))
+                self.n += len(values)
+                return
+            except OverflowError:
+                pass
+        k, x = _first_bad(values, _is_int64)
+        self.pieces.append(np.array(values[:k], dtype=np.int64))
+        self.bad = (self.n + k, x)
+
+    def values(self) -> np.ndarray:
+        """The entries read, unchecked (all of them, if none is bad)."""
+        return np.concatenate(self.pieces)
+
+    def array(self, lo: int, hi: int, path_of) -> np.ndarray:
+        ids = self.values()
+        out = np.flatnonzero((ids < lo) | (ids >= hi))
+        if len(out):
+            k = int(out[0])
+            raise _int_error(path_of(k), int(ids[k]), lo, hi)
+        if self.bad is not None:
+            k, x = self.bad
+            raise _int_error(path_of(k), x, lo, hi)
+        return ids
 
 
 def _floats(values, path_of) -> list[float]:
@@ -417,6 +471,13 @@ def _flatten(rows, row_path, width=None):
     return list(chain.from_iterable(rows)), path_of
 
 
+def _nested_path(sizes: np.ndarray, row_path, j: int) -> str:
+    """Path of entry j of rows of the given sizes laid end to end."""
+    ends = np.cumsum(sizes)
+    k = int(np.searchsorted(ends, j, side="right"))
+    return f"{row_path(k)}[{j - int(ends[k] - sizes[k])}]"
+
+
 def _columns(rows, keys) -> list:
     """One column per key over the objects in rows (each row read once)."""
     if not rows:
@@ -424,8 +485,76 @@ def _columns(rows, keys) -> list:
     return list(zip(*map(itemgetter(*keys), rows)))
 
 
-def _entry_path(array: str, key: str):
-    return lambda k: f"{array}[{k}].{key}"
+def _entry_path(array: str, key: str, offset: int = 0):
+    return lambda k: f"{array}[{offset + k}].{key}"
+
+
+# -- decoding JSON a member at a time -------------------------------------------
+
+_decode = json.JSONDecoder().raw_decode
+_space = json.decoder.WHITESPACE.match
+
+
+def _scan_object(text: str, member) -> None:
+    """Decode the JSON object in text one member at a time: member(name,
+    pos) decodes the value at pos and returns where it ends.  A repeated
+    name is a ParseError; malformed JSON raises the JSONDecodeError, at
+    the same position, that json.loads raises."""
+    pos = _space(text, 0).end()
+    if not text.startswith("{", pos):
+        json.loads(text)  # raises, unless the text is JSON but no object
+        raise ParseError("$: not an object")
+    names = set()
+    pos = _space(text, pos + 1).end()
+    if not text.startswith("}", pos):
+        while True:
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes",
+                    text, pos)
+            name, pos = json.decoder.scanstring(text, pos + 1)
+            if name in names:
+                raise ParseError(f"$.{name}: repeated member")
+            names.add(name)
+            pos = _space(text, pos).end()
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError(
+                    "Expecting ':' delimiter", text, pos)
+            pos = _space(text, member(name, _space(text, pos + 1).end())).end()
+            if text.startswith("}", pos):
+                break
+            if not text.startswith(",", pos):
+                raise json.JSONDecodeError(
+                    "Expecting ',' delimiter", text, pos)
+            pos = _space(text, pos + 1).end()
+    pos = _space(text, pos + 1).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+
+
+def _scan_array(text: str, pos: int, size: int, take) -> int:
+    """Decode the JSON array at pos size items at a time, passing each
+    list of items to take (the last may be shorter); returns where the
+    array ends.  Malformed JSON raises as in _scan_object."""
+    pos = _space(text, pos + 1).end()
+    chunk = []
+    if not text.startswith("]", pos):
+        while True:
+            item, pos = _decode(text, pos)
+            chunk.append(item)
+            if len(chunk) == size:
+                take(chunk)
+                chunk = []
+            pos = _space(text, pos).end()
+            if text.startswith("]", pos):
+                break
+            if not text.startswith(",", pos):
+                raise json.JSONDecodeError(
+                    "Expecting ',' delimiter", text, pos)
+            pos = _space(text, pos + 1).end()
+    if chunk:
+        take(chunk)
+    return pos + 1
 
 
 # -- space-time mesh json ------------------------------------------------------
@@ -461,80 +590,206 @@ def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
     return dumps(payload)
 
 
+# patches decoded and converted at a time: bounds the reader's memory
+READ_CHUNK = 512
+
 _PATCH_KEYS = ("id", "vertex", "base", "apex", "elements", "inflow", "outflow")
 
 
-def _facet_group_path(g: int) -> str:
-    """Path of facet group g: the initial facets, the frontier, then each
-    patch's inflow and outflow."""
-    if g < 2:
-        return ("$.initial_facets", "$.frontier")[g]
-    return f"$.patches[{(g - 2) // 2}].{('inflow', 'outflow')[g % 2]}"
+def _patch_group(g: int) -> str:
+    """Path of facet group g of the patches: each one's inflow, then its
+    outflow."""
+    return f"$.patches[{g // 2}].{('inflow', 'outflow')[g % 2]}"
 
 
-def _spacetime_from_dict(data, ground: GroundMesh) -> MeshArrays:
-    """The mesh's columns, with every id checked to be a JSON integer in
-    its range: ground vertices and elements, space-time vertices, elements
-    and patches, and -1 or a patch as a facet's producer."""
-    if data.get("format") != "tentpitch-stmesh":
+def _facet_columns(groups, group_path, d: int) -> dict:
+    """The columns of the facet records [ground element, vertex ids,
+    producer] in groups, after the checks of their shapes."""
+    records, path = _flatten(groups, group_path)
+    _arrays(records, path, 3)
+    vertices, _ = _flatten(list(map(itemgetter(1), records)),
+                           lambda k: f"{path(k)}[1]", d + 1)
+    return {"facet_element": list(map(itemgetter(0), records)),
+            "facet_vertices": vertices,
+            "facet_producer": list(map(itemgetter(2), records)),
+            "facet_groups": list(map(len, groups))}
+
+
+def _patch_columns(chunk, start: int, d: int) -> dict:
+    """The columns of patches start, start + 1, ... in chunk, after the
+    checks of their shapes."""
+    col = dict(zip(_PATCH_KEYS, _columns(chunk, _PATCH_KEYS)))
+    elements, _ = _flatten(col["elements"],
+                           _entry_path("$.patches", "elements", start))
+    groups = list(chain.from_iterable(zip(col["inflow"], col["outflow"])))
+    return {"patch_id": col["id"], "patch_vertex": col["vertex"],
+            "patch_base": col["base"], "patch_apex": col["apex"],
+            "patch_elements": elements,
+            "patch_sizes": list(map(len, col["elements"])),
+            **_facet_columns(groups, lambda g: _patch_group(2 * start + g), d)}
+
+
+class _Columns(dict):
+    """Int columns (name: _Ids) of a member, or of all the patches, read
+    a part at a time.  count is the number of patches read; after a chunk
+    of patches fails its checks, error holds its ParseError and the rest
+    are only counted."""
+
+    def __init__(self, columns: dict):
+        super().__init__((name, _Ids(v)) for name, v in columns.items())
+        self.count = 0
+        self.error = None
+
+    def add_patches(self, chunk, d: int) -> None:
+        start = self.count
+        self.count += len(chunk)
+        if self.error is not None:
+            return
+        try:
+            columns = _convert(_patch_columns, chunk, start, d,
+                               path="$.patches", offset=start)
+        except ParseError as exc:
+            self.error = exc
+            return
+        for name, values in columns.items():
+            self[name].extend(values)
+
+
+def _no_patches(d: int) -> _Columns:
+    return _Columns(_patch_columns([], 0, d))
+
+
+def _member_patches(value, d: int) -> _Columns:
+    """Patches given as a JSON value other than an array: len() of the
+    value is the patch count the range checks use, and the value is
+    converted as one chunk."""
+    patches = _no_patches(d)
+    patches.add_patches(value, d)
+    return patches
+
+
+# how each top-level member is converted on its own, as soon as it is
+# decoded (d is the ground dimension); other members are ignored
+_MEMBERS = {
+    "format": lambda value, d: value,
+    "ground_dim": lambda value, d: value,
+    "vertices": lambda rows, d: _float_array(*_flatten(
+        rows, "$.vertices[{}]".format, d + 1)).reshape(-1, d + 1),
+    "vertex_ground": lambda values, d: _Ids(list(values)),
+    "elements": lambda rows, d: _Ids(_flatten(
+        rows, "$.elements[{}]".format, d + 2)[0]),
+    "element_patch": lambda values, d: _Ids(list(values)),
+    "initial_facets": lambda rows, d: _Columns(_facet_columns(
+        [rows], lambda _: "$.initial_facets", d)),
+    "frontier": lambda rows, d: _Columns(_facet_columns(
+        [rows], lambda _: "$.frontier", d)),
+    "patches": _member_patches,
+}
+
+
+def _mesh_columns(parts: dict, ground: GroundMesh) -> MeshArrays:
+    """The mesh's columns from its converted members, after the checks of
+    every id against its range: ground vertices and elements, space-time
+    vertices, elements and patches, and -1 or a patch as a producer.
+
+    The first failed check is reported in one fixed order, whatever the
+    order of the members in the file: format, ground_dim, vertices,
+    vertex_ground, elements, patches, element_patch, the patches' fields,
+    then the initial, frontier and patch facets."""
+    def part(name: str):
+        if name not in parts:
+            raise ParseError(f"$.{name}: missing")
+        if isinstance(parts[name], ParseError):
+            raise parts[name]
+        return parts[name]
+
+    if parts.get("format") != "tentpitch-stmesh":
         raise ParseError("$.format: not a tentpitch space-time mesh file")
-    (ground_dim,) = _ints([data["ground_dim"]], lambda _: "$.ground_dim")
+    (ground_dim,) = _ints([part("ground_dim")], lambda _: "$.ground_dim")
     if ground_dim != ground.dim:
         raise MeshValidationError(
             f"space-time mesh has ground dimension {ground_dim}, "
             f"ground mesh has {ground.dim}"
         )
     d = ground.dim
-    vertices = _float_array(*_flatten(
-        data["vertices"], "$.vertices[{}]".format, d + 1)).reshape(-1, d + 1)
+    vertices = part("vertices")
     n_vertices = len(vertices)
-    vertex_ground = _int_array(list(data["vertex_ground"]),
-                               "$.vertex_ground[{}]".format,
-                               0, ground.n_vertices)
-    elements = _int_array(*_flatten(
-        data["elements"], "$.elements[{}]".format, d + 2),
-        0, n_vertices).reshape(-1, d + 2)
-    patches = data["patches"]
-    n_patches = len(patches)
-    element_patch = _int_array(list(data["element_patch"]),
-                               "$.element_patch[{}]".format, 0, n_patches)
-    col = dict(zip(_PATCH_KEYS, _columns(patches, _PATCH_KEYS)))
+    vertex_ground = part("vertex_ground").array(
+        0, ground.n_vertices, "$.vertex_ground[{}]".format)
+    elements = part("elements").array(
+        0, n_vertices, lambda j: f"$.elements[{j // (d + 2)}][{j % (d + 2)}]"
+    ).reshape(-1, d + 2)
+    patches = part("patches")
+    n_patches = patches.count
+    element_patch = part("element_patch").array(
+        0, n_patches, "$.element_patch[{}]".format)
+    if patches.error is not None:
+        raise patches.error
     at = partial(_entry_path, "$.patches")
-    patch_id = _int_array(col["id"], at("id"), 0, n_patches)
-    patch_vertex = _int_array(col["vertex"], at("vertex"), 0, ground.n_vertices)
-    patch_base = _int_array(col["base"], at("base"), 0, n_vertices)
-    patch_apex = _int_array(col["apex"], at("apex"), 0, n_vertices)
-    patch_elements = _int_array(*_flatten(col["elements"], at("elements")),
-                                0, len(elements))
+    patch_id = patches["patch_id"].array(0, n_patches, at("id"))
+    patch_vertex = patches["patch_vertex"].array(
+        0, ground.n_vertices, at("vertex"))
+    patch_base = patches["patch_base"].array(0, n_vertices, at("base"))
+    patch_apex = patches["patch_apex"].array(0, n_vertices, at("apex"))
+    patch_sizes = patches["patch_sizes"].values()
+    patch_elements = patches["patch_elements"].array(
+        0, len(elements),
+        lambda j: _nested_path(patch_sizes, at("elements"), j))
 
-    groups = [data["initial_facets"], data["frontier"],
-              *chain.from_iterable(zip(col["inflow"], col["outflow"]))]
-    records, path = _flatten(groups, _facet_group_path)
-    _arrays(records, path, 3)
-    facet_element = _int_array(list(map(itemgetter(0), records)),
-                               lambda k: f"{path(k)}[0]", 0, ground.n_elements)
-    facet_vertices = _int_array(*_flatten(
-        list(map(itemgetter(1), records)), lambda k: f"{path(k)}[1]", d + 1),
-        0, n_vertices).reshape(-1, d + 1)
-    facet_producer = _int_array(list(map(itemgetter(2), records)),
-                                lambda k: f"{path(k)}[2]", -1, n_patches)
+    facets = []
+    for f, group_path in (
+            (part("initial_facets"), lambda _: "$.initial_facets"),
+            (part("frontier"), lambda _: "$.frontier"),
+            (patches, _patch_group)):
+        groups = f["facet_groups"].values()
+        record = partial(_nested_path, groups, group_path)
+        facets.append((
+            f["facet_element"].array(
+                0, ground.n_elements, lambda r: f"{record(r)}[0]"),
+            f["facet_vertices"].array(
+                0, n_vertices,
+                lambda j: f"{record(j // (d + 1))}[1][{j % (d + 1)}]"),
+            f["facet_producer"].array(
+                -1, n_patches, lambda r: f"{record(r)}[2]"),
+            groups))
+    facet_element, facet_vertices, facet_producer, facet_groups = map(
+        np.concatenate, zip(*facets))
     return MeshArrays(
         ground, vertices, vertex_ground, elements, element_patch,
         patch_id, patch_vertex, patch_base, patch_apex, patch_elements,
-        _lengths(col["elements"]), facet_element, facet_vertices,
-        facet_producer, _lengths(groups))
-
-
-def _lengths(rows) -> np.ndarray:
-    return np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        patch_sizes, facet_element, facet_vertices.reshape(-1, d + 1),
+        facet_producer, facet_groups)
 
 
 def read_spacetime_json(text: str, ground: GroundMesh) -> MeshArrays:
-    data = _load_object(text)
-    # the conversion reads the parsed tree only: free the text before it
-    # builds its columns
-    del text
-    return _convert(_spacetime_from_dict, data, ground)
+    """The mesh's columns, each id checked as _mesh_columns says.
+
+    The file is decoded one top-level member at a time, in any order, and
+    its patches READ_CHUNK at a time; each part is converted to int64
+    pieces and dropped before the next is decoded, so the parsed tree of
+    the whole file is never held."""
+    d = ground.dim
+    parts = {}
+
+    def member(name: str, pos: int) -> int:
+        if name == "patches" and text.startswith("[", pos):
+            parts[name] = patches = _no_patches(d)
+            return _scan_array(text, pos, READ_CHUNK,
+                               partial(patches.add_patches, d=d))
+        value, end = _decode(text, pos)
+        if name in _MEMBERS:
+            try:
+                parts[name] = _convert(_MEMBERS[name], value, d,
+                                       path=f"$.{name}")
+            except ParseError as exc:
+                parts[name] = exc
+        return end
+
+    try:
+        _scan_object(text, member)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    return _mesh_columns(parts, ground)
 
 
 # -- trace json -----------------------------------------------------------------

@@ -9,12 +9,16 @@ oracle built on the geometry primitives alone.
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
 memory) and check the stored facet lists against the elements.  Each
+vertex must have the space coordinates of its ground vertex, and each
 element must be its patch's apex over the matching inflow facet.  The
 initial facets must be the ground elements, each outflow facet its inflow
 facet with the apex in place of the base, each inflow facet the facet
 that the last earlier patch on its ground element left there (the causal
 sweep, a chain per ground element, with that patch as its producer), and
-the frontier the last facet left on each ground element.
+the frontier the last facet left on each ground element.  Given a trace
+as well, the mesh's first vertices must be the ground vertices at the
+trace's initial times.  The cone check runs over CONE_CHUNK facets at a
+time, so that its row arrays stay small.
 
 The two replaying checks are whole-trace array kernels rather than loops
 over lifts.  The lifts are sorted once by (vertex, lift index), so the
@@ -123,12 +127,17 @@ def _facet_slopes(ground: GroundMesh, gels: np.ndarray,
     return np.sqrt(np.maximum(slope2, 0.0))
 
 
+# facet rows per pass of the cone check: bounds the memory of its row arrays
+CONE_CHUNK = 4096
+
+
 def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
                       tol: float = 1e-9) -> CheckResult:
     """Every inter-patch, initial and terminal facet obeys its slope cap.
 
     Internal facets of a patch (those containing the base-apex edge) are
-    exempt and not enumerated here.
+    exempt and not enumerated here.  The facets are checked CONE_CHUNK
+    rows at a time, each row as in one pass over all of them.
     """
     mesh = _as_arrays(mesh)
     ground = ground or mesh.ground
@@ -136,28 +145,35 @@ def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
     rows = _facet_rows(mesh, np.r_[2:len(mesh.facet_groups):2, 1])
     if len(rows) == 0:
         return CheckResult("cone_facets", True, "no facets (empty mesh)")
-    gels = mesh.facet_element[rows]
-    verts = mesh.facet_vertices[rows]
-    times = mesh.vertices[:, -1][verts]
-    slopes = _facet_slopes(ground, gels, times)
-    caps = ground.slope_caps(gels, times.min(axis=1))
-    ratio = slopes / caps
-    worst = float(ratio.max())
-    # written so that a NaN ratio counts as a violation
-    bad = np.flatnonzero(~(ratio <= 1.0 + tol))
-    offenders = [
-        {"ground_element": int(gels[i]),
-         "vertices": verts[i].tolist(),
-         "slope": float(slopes[i]),
-         "cap": float(caps[i])}
-        for i in bad[:5]
-    ]
+    vertex_times = mesh.vertices[:, -1]
+    worst, violations, offenders = [], 0, []
+    for start in range(0, len(rows), CONE_CHUNK):
+        chunk = rows[start:start + CONE_CHUNK]
+        gels = mesh.facet_element[chunk]
+        verts = mesh.facet_vertices[chunk]
+        times = vertex_times[verts]
+        slopes = _facet_slopes(ground, gels, times)
+        caps = ground.slope_caps(gels, times.min(axis=1))
+        ratio = slopes / caps
+        worst.append(ratio.max())
+        # written so that a NaN ratio counts as a violation
+        bad = np.flatnonzero(~(ratio <= 1.0 + tol))
+        violations += len(bad)
+        offenders += [
+            {"ground_element": int(gels[i]),
+             "vertices": verts[i].tolist(),
+             "slope": float(slopes[i]),
+             "cap": float(caps[i])}
+            for i in bad[:5 - len(offenders)]
+        ]
+    # np.max, unlike max(), keeps a NaN
+    worst = float(np.max(worst))
     return CheckResult(
         "cone_facets",
-        len(bad) == 0,
+        violations == 0,
         f"{len(rows)} facets, worst slope/cap {worst:.12f}",
         details={"facets": len(rows), "worst_ratio": worst,
-                 "violations": int(len(bad)), "offenders": offenders},
+                 "violations": violations, "offenders": offenders},
     )
 
 
@@ -182,12 +198,22 @@ def _foreign_trace(trace: RunTrace, ground: GroundMesh,
 
 
 def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
-    """Why the trace is not the run that built mesh, or None: lift i must
-    have made patch i, of the same vertex, with its apex at the lift's new
-    time."""
+    """Why the trace is not the run that built mesh, or None: the mesh's
+    vertices 0..n-1 must be ground vertices 0..n-1 at the trace's initial
+    times, and lift i must have made patch i, of the same vertex, with its
+    apex at the lift's new time."""
     if len(trace.lifts) != len(mesh.patch_id):
         return (f"trace has {len(trace.lifts)} lifts for a mesh of "
                 f"{len(mesh.patch_id)} patches")
+    n = len(trace.initial_times)
+    over, times = mesh.vertex_ground[:n], mesh.vertices[:n, -1]
+    if len(over) < n or len(times) < n:
+        return f"mesh has fewer vertices than the trace's {n} initial times"
+    v = _first((over != np.arange(n))
+               | (times != np.asarray(trace.initial_times, dtype=float)))
+    if v is not None:
+        return (f"mesh vertex {v} is not ground vertex {v} at its initial "
+                f"time in the trace")
     lifts = trace.lifts
     i = _first((np.array([r.patch for r in lifts]) != mesh.patch_id)
                | (np.array([r.vertex for r in lifts]) != mesh.patch_vertex)
@@ -298,18 +324,25 @@ class _Tents:
 def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
     """Why the elements are not the tents the patches describe, or None.
 
-    Patch p has id p, its base and apex lie over its ground vertex, and its
-    inflow facets lie on the elements of that vertex's star, in star order.
-    Its k-th element is its apex over its k-th inflow facet, element_patch
-    marks it as in p, and the patch lists, in patch order, run through the
-    element ids in creation order, so that they partition them.  Each rule
-    is one comparison of whole arrays; a broken one is scanned again for
-    its first offender.
+    Each vertex has the space coordinates of its ground vertex, exactly
+    (the writer's 17 digits round-trip).  Patch p has id p, its base and
+    apex lie over its ground vertex, and its inflow facets lie on the
+    elements of that vertex's star, in star order.  Its k-th element is
+    its apex over its k-th inflow facet, element_patch marks it as in p,
+    and the patch lists, in patch order, run through the element ids in
+    creation order, so that they partition them.  Each rule is one
+    comparison of whole arrays; a broken one is scanned again for its
+    first offender.
     """
     over, n = mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
         return (f"{len(over)} vertex_ground entries for "
                 f"{len(mesh.vertices)} vertices")
+    ground = mesh.ground
+    v = _first((mesh.vertices[:, :-1] != ground.vertices[over]).any(axis=1))
+    if v is not None:
+        return (f"vertex {v} is not at the place of its ground vertex "
+                f"{over[v]}")
     pids = np.arange(len(mesh.patch_id))
     pid = _first(mesh.patch_id != pids)
     if pid is not None:
@@ -319,7 +352,6 @@ def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
         pid = _first(over[at] != vertex)
         if pid is not None:
             return f"patch {pid} has its {end} off its vertex {vertex[pid]}"
-    ground = mesh.ground
     on, star = mesh.facet_element[tents.inflow], tents.star
     if len(on) != len(star) or (on != star).any():
         starts = np.cumsum(tents.inflow_sizes) - tents.inflow_sizes

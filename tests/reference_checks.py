@@ -1,7 +1,8 @@
 """Object-based mesh checks, kept as the reference for the array checks in
 tentpitch.verifier: the cone gather, element ties and dict-keyed causal
-sweep that walk Facet and Patch objects, plus the stored-facet ties
-written as plain loops.  The array checks must give the same results.
+sweep that walk Facet and Patch objects, plus the stored-facet ties, the
+vertex coordinates and the initial front written as plain loops.  The
+array checks must give the same results.
 """
 
 from dataclasses import dataclass
@@ -113,6 +114,9 @@ def element_fault(mesh) -> Optional[str]:
     patches, over, n = mesh.patches, mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
         return f"{len(over)} vertex_ground entries for {len(mesh.vertices)} vertices"
+    for v, (g, coords) in enumerate(zip(over, mesh.vertices)):
+        if list(coords[:-1]) != mesh.ground.vertices[g].tolist():
+            return f"vertex {v} is not at the place of its ground vertex {g}"
     pids = list(range(len(patches)))
     ids = [p.id for p in patches]
     if ids != pids:
@@ -244,6 +248,13 @@ def mesh_mismatch(trace, mesh) -> Optional[str]:
     if len(trace.lifts) != len(mesh.patches):
         return (f"trace has {len(trace.lifts)} lifts for a mesh of "
                 f"{len(mesh.patches)} patches")
+    n = len(trace.initial_times)
+    if len(mesh.vertices) < n or len(mesh.vertex_ground) < n:
+        return f"mesh has fewer vertices than the trace's {n} initial times"
+    for v, t in enumerate(trace.initial_times):
+        if mesh.vertex_ground[v] != v or mesh.vertices[v][-1] != t:
+            return (f"mesh vertex {v} is not ground vertex {v} at its "
+                    f"initial time in the trace")
     made = [(r.patch, r.vertex, r.new_time) for r in trace.lifts]
     patches = [(p.id, p.vertex, mesh.vertices[p.apex][-1])
                for p in mesh.patches]

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tentpitch import (
     MeshValidationError,
     ParseError,
     PitchConfig,
+    io_formats,
     load,
     run,
     stats,
@@ -34,6 +36,8 @@ from tentpitch.io_formats import (
     write_vtk,
 )
 from tentpitch.spacetime import mesh_arrays
+
+import reference_reader
 
 DATA = Path(__file__).parent / "data"
 
@@ -578,6 +582,29 @@ class TestVerifyRejectsWrongElements:
 
         assert self._tampered(capsys, tmp_path, tamper) == (1, want)
 
+    def test_vertex_moved_off_its_ground_vertex(self, tmp_path, capsys):
+        where = []
+
+        def tamper(data):
+            apex = data["patches"][10]["apex"]
+            data["vertices"][apex][0] += 5.0
+            where.extend([apex, data["vertex_ground"][apex]])
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        apex, g = where
+        assert rc == 1
+        assert failed == [f"FAIL causality: vertex {apex} is not at the place "
+                          f"of its ground vertex {g}"]
+
+    def test_initial_front_not_the_traces(self, tmp_path, capsys):
+        def tamper(data):
+            data["vertices"][3][-1] += 0.01
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        assert rc == 1
+        assert failed == ["FAIL progress_trace: mesh vertex 3 is not ground "
+                          "vertex 3 at its initial time in the trace"]
+
     def test_trace_of_another_run(self, tmp_path, capsys):
         out, _ = self._pitch(tmp_path, "2")
         _, trace = self._pitch(tmp_path, "1")
@@ -671,26 +698,109 @@ def damaged_files(draw):
     return which, doc, False
 
 
+# a 1-based 3 x 3 vertex grid with a wave speed per triangle
+GRID_NODE = """# x y
+9 2 0 0
+1 0.0 0.0
+2 1.0 0.0
+3 2.0 0.0
+4 0.0 1.0
+5 1.1 0.9
+6 2.0 1.0
+7 0.0 2.0
+8 1.0 2.0
+9 2.0 2.0
+"""
+
+GRID_ELE = """8 3 1
+1 1 2 5 1.0
+2 1 5 4 1.5
+3 2 3 6 1.0
+4 2 6 5 0.5
+5 4 5 8 1.0
+6 4 8 7 2.0
+7 5 6 9 1.0
+8 5 9 8 1.0  # last
+"""
+
+TOKEN_RETYPED = ["x", "1.5", "-0.5", "0", "nan", "inf", "-inf", "1e400",
+                 "#", "0x1", "1_0", "2"]
+TOKEN_OUT_OF_RANGE = ["-1", "0", "10", "99999", "-2", str(10**30)]
+
+
+@st.composite
+def damaged_triangle_pairs(draw):
+    """A valid .node/.ele pair with one damage on a random line: the line
+    dropped, one of its tokens dropped, or a token replaced by another
+    value or by an index outside its range."""
+    files = {"node": GRID_NODE.splitlines(), "ele": GRID_ELE.splitlines()}
+    lines = files[draw(st.sampled_from(sorted(files)))]
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    damage = draw(st.sampled_from(["line", "token", "retype", "out_of_range"]))
+    if damage == "line":
+        del lines[i]
+    else:
+        j = draw(st.integers(0, len(tokens) - 1))
+        if damage == "token":
+            del tokens[j]
+        else:
+            tokens[j] = draw(st.sampled_from(
+                TOKEN_RETYPED if damage == "retype" else TOKEN_OUT_OF_RANGE))
+        lines[i] = " ".join(tokens)
+    return "\n".join(files["node"]) + "\n", "\n".join(files["ele"]) + "\n"
+
+
+class TestDamagedTrianglePairs:
+    def test_valid_pair(self):
+        mesh = load(parse_triangle(GRID_NODE, GRID_ELE))
+        assert (mesh.n_vertices, mesh.n_elements) == (9, 8)
+        assert mesh.speeds.tolist() == [1.0, 1.5, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=damaged_triangle_pairs())
+    def test_parse_load_and_info_fail_cleanly(self, pair):
+        node, ele = pair
+        try:
+            load(parse_triangle(node, ele))
+        except (ParseError, MeshValidationError):
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "grid.node"
+            path.write_text(node)
+            path.with_suffix(".ele").write_text(ele)
+            # any other exception escapes main() as a traceback
+            assert main(["info", "--input", str(path)]) in (0, 1)
+
+
 class TestDamagedFiles:
     @settings(max_examples=80, deadline=None)
-    @given(damaged=damaged_files())
-    def test_readers_and_verify_fail_cleanly(self, damaged):
+    @given(damaged=damaged_files(), chunk=st.integers(1, 3))
+    def test_readers_and_verify_fail_cleanly(self, damaged, chunk):
+        """Also reads the mesh a few patches at a time: the space-time
+        reader must then give what the whole-tree reader gave."""
         which, doc, must_fail = damaged
         files = dict(_valid_files())
         files[which] = doc
         texts = {k: json.dumps(v) for k, v in files.items()}
-        try:
-            ground = load(parse_json_mesh(texts["ground"]))
-            read_spacetime_json(texts["mesh"], ground)
-            read_trace_json(texts["trace"])
-        except (ParseError, MeshValidationError):
-            pass
+        with mock.patch.object(io_formats, "READ_CHUNK", chunk):
+            try:
+                ground = load(parse_json_mesh(texts["ground"]))
+                if which == "mesh":
+                    reference_reader.assert_same_outcome(
+                        read_spacetime_json, texts["mesh"], ground)
+                read_spacetime_json(texts["mesh"], ground)
+                read_trace_json(texts["trace"])
+            except (ParseError, MeshValidationError):
+                pass
         with tempfile.TemporaryDirectory() as tmp:
             paths = {k: str(Path(tmp) / f"{k}.json") for k in texts}
             for k, text in texts.items():
                 Path(paths[k]).write_text(text)
             # any other exception escapes main() as a traceback
             assert main(["info", "--input", paths["ground"]]) in (0, 1)
-            rc = main(["verify", "--mesh", paths["mesh"],
-                       "--trace", paths["trace"], "--ground", paths["ground"]])
+            with mock.patch.object(io_formats, "READ_CHUNK", chunk):
+                rc = main(["verify", "--mesh", paths["mesh"],
+                           "--trace", paths["trace"],
+                           "--ground", paths["ground"]])
         assert rc == 1 if must_fail else rc in (0, 1)

@@ -3,6 +3,7 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from tentpitch.io_formats import (
     write_spacetime_json,
 )
 from tentpitch.pitcher import LiftRecord, RunTrace
+from tentpitch.spacetime import mesh_arrays
 from tentpitch.verifier import (
     CheckResult,
     _element_scalars,
@@ -92,6 +94,27 @@ class TestConeFacets:
         assert not result.passed
         assert result.details["violations"] > 0
         assert not verify(mesh, right_triangle).passed
+
+    @pytest.mark.parametrize("damage", ["steep", "nan"])
+    def test_chunks_give_the_one_pass_result(self, small_run, monkeypatch,
+                                             damage):
+        # every other apex raised (many offenders) or one made NaN: each
+        # chunk size gives the result of one pass over all the facets
+        g, mesh, _ = small_run
+        arrays = mesh_arrays(mesh)
+        apexes = arrays.patch_apex[::2]
+        if damage == "steep":
+            arrays.vertices[apexes, -1] += 0.5
+        else:
+            arrays.vertices[apexes[len(apexes) // 2], -1] = math.nan
+        results = []
+        for chunk in (10**9, 1, 7, 64):
+            monkeypatch.setattr(verifier, "CONE_CHUNK", chunk)
+            r = check_cone_facets(arrays, g)
+            results.append((r.passed, r.message, repr(r.details)))
+        assert not results[0][0]
+        assert results[0][2].count("ground_element") == 5
+        assert results == results[:1] * len(results)
 
 
 class TestProgressTrace:
@@ -722,8 +745,17 @@ def _first_producer_is_its_patch(data):
             return
 
 
+def _apex_moved(data):
+    p = data["patches"][_interior(data)]
+    data["vertices"][p["apex"]][0] += 5.0
+
+
+def _initial_time_raised(data):
+    data["vertices"][3][-1] += 0.01
+
+
 # the tamperings TestVerifyRejectsWrongElements runs through the CLI, its
-# three stored-facet ones, and a few more on the facet lists
+# stored-facet ones, and a few more on the facet lists
 FILE_TAMPERINGS = {
     "none": lambda data: None,
     "repeated_vertex_id": _repeated_vertex_id,
@@ -740,15 +772,19 @@ FILE_TAMPERINGS = {
     "base_set_to_initial_copy": _base_set_to_initial_copy,
     "inflow_rerouted": _inflow_rerouted,
     "first_producer_is_its_patch": _first_producer_is_its_patch,
+    "apex_moved": _apex_moved,
+    "initial_time_raised": _initial_time_raised,
 }
 
 
 def _compare_mesh_checks(data, ground, trace):
     """The array checks on the file's columns give what the reference
-    gives on its objects; returns whether every check passed."""
+    gives on its objects, the cone check in chunks of 7 facets; returns
+    whether every check passed."""
     arrays = read_spacetime_json(json.dumps(data), ground)
     objects = _objects(data, ground)
-    cone = check_cone_facets(arrays, ground)
+    with mock.patch.object(verifier, "CONE_CHUNK", 7):
+        cone = check_cone_facets(arrays, ground)
     _same_result(cone, reference.cone_facets(objects, ground))
     causal = check_causality(arrays)
     _same_result(causal, reference.causality(objects))
