@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mesh", required=True, help="space-time mesh JSON")
     v.add_argument("--ground", required=True, help="ground mesh file")
     v.add_argument("--trace", help="trace JSON for the progress checks")
-    v.add_argument("--tol", type=float, default=1e-9)
 
     i = sub.add_parser("info", help="summarize a ground mesh")
     i.add_argument("--input", required=True)
@@ -123,7 +122,7 @@ def _cmd_verify(args) -> int:
     trace = None
     if args.trace:
         trace = io_formats.read_trace_json(Path(args.trace).read_text())
-    report = verify(mesh, ground, trace, tol=args.tol)
+    report = verify(mesh, ground, trace)
     print(report.summary())
     return 0 if report.passed else 1
 

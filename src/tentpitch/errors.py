@@ -1,20 +1,12 @@
 """Exception types shared across the package."""
 
 
-class DegeneracyError(ValueError):
-    """A simplex (or a projection target) is numerically degenerate."""
-
-
 class MeshValidationError(ValueError):
     """Ground mesh input failed structural validation."""
 
 
 class ParseError(ValueError):
     """Malformed input file; the message names the offending location."""
-
-
-class PatchConsistencyError(RuntimeError):
-    """A patch's facets disagree with the mesh frontier (internal error)."""
 
 
 class FrontInvariantError(RuntimeError):

@@ -6,28 +6,20 @@ against a scale-relative threshold rather than exact predicates, since all
 downstream constraints are metric, not combinatorial.
 
 Each formula exists once, as a batched kernel over stacks of simplices
-(any leading batch axes, then (k+1, d)).  The scalar functions check their
-single input and call the kernels on a batch of one; the kernels trust
-their caller, e.g. a validated ground mesh, whose element facets are never
-degenerate.
+(any leading batch axes, then (k+1, d)).  The kernels trust their caller,
+e.g. a validated ground mesh, whose element facets are never degenerate.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
-
-from .errors import DegeneracyError
 
 # A simplex is degenerate when measure < DEGENERACY_RTOL * longest_edge**k.
 DEGENERACY_RTOL = 1e-12
 # Barycentric slack when deciding whether a hull foot lies inside a facet.
 CONTAINMENT_TOL = 1e-12
-
-
-# -- batched kernels ---------------------------------------------------------
 
 
 def facet_index(k: int) -> np.ndarray:
@@ -71,13 +63,22 @@ def _longest_edges(X) -> np.ndarray:
 
 
 def degenerate_mask(X) -> np.ndarray:
-    """True where measure < DEGENERACY_RTOL * longest_edge**k."""
+    """True where measure < DEGENERACY_RTOL * longest_edge**k.
+
+    A full-dimensional simplex (k = d) takes its measure as |det E| / k!,
+    which is exactly 0 for exactly collinear or coplanar vertices; the
+    round-off in det(E E^T) leaves about 5e-9 on a unit-size triangle.
+    """
     X = np.asarray(X, dtype=float)
     k = X.shape[-2] - 1
     if k == 0:
         return np.zeros(X.shape[:-2], dtype=bool)
     scale = _longest_edges(X)
-    return (scale <= 0.0) | (simplex_measures(X) < DEGENERACY_RTOL * scale**k)
+    if k == X.shape[-1]:
+        measure = np.abs(np.linalg.det(edge_bases(X))) / math.factorial(k)
+    else:
+        measure = simplex_measures(X)
+    return (scale <= 0.0) | (measure < DEGENERACY_RTOL * scale**k)
 
 
 def hull_feet(P, F):
@@ -159,130 +160,3 @@ def gradient_operators(X) -> np.ndarray:
     affine hull; SVD keeps full accuracy on badly conditioned simplices.
     """
     return np.linalg.pinv(edge_bases(np.asarray(X, dtype=float)))
-
-
-# -- scalar API ----------------------------------------------------------------
-
-
-class SimplexGeometry:
-    """A k-simplex with cached edge basis and k-dimensional measure."""
-
-    def __init__(self, vertices):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("simplex vertices must be finite")
-        if v.shape[0] - 1 > v.shape[1]:
-            raise ValueError(
-                f"a {v.shape[0] - 1}-simplex cannot be embedded in R^{v.shape[1]}"
-            )
-        self.vertices = v
-
-    @property
-    def k(self) -> int:
-        return self.vertices.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Edge basis: rows are vertex[i] - vertex[0], shape (k, dim)."""
-        return edge_bases(self.vertices)
-
-    @cached_property
-    def measure(self) -> float:
-        """k-dimensional volume; a 0-simplex has measure 1 by convention."""
-        return float(simplex_measures(self.vertices))
-
-    @cached_property
-    def longest_edge(self) -> float:
-        return float(_longest_edges(self.vertices))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(degenerate_mask(self.vertices))
-
-    def facet(self, i: int) -> "SimplexGeometry":
-        """The (k-1)-simplex opposite vertex i."""
-        idx = [j for j in range(self.k + 1) if j != i]
-        return SimplexGeometry(self.vertices[idx])
-
-    def require_nondegenerate(self, what: str = "simplex") -> None:
-        if self.is_degenerate:
-            raise DegeneracyError(f"degenerate {what}: measure {self.measure:g}")
-
-
-def _hull_foot(p: np.ndarray, facet: SimplexGeometry):
-    """Orthogonal projection of p onto the facet's affine hull.
-
-    Returns (foot, barycentric coordinates of the foot w.r.t. the facet).
-    """
-    facet.require_nondegenerate("projection target")
-    return hull_feet(p, facet.vertices)
-
-
-def _off_hull_foot(p, facet: SimplexGeometry):
-    """_hull_foot for a point that must have a nonzero offset from the
-    hull; returns (p as an array, foot, barycentrics)."""
-    p = np.asarray(p, dtype=float)
-    foot, bary = _hull_foot(p, facet)
-    offset = float(np.linalg.norm(p - foot))
-    scale = max(facet.longest_edge, float(np.linalg.norm(p - facet.vertices[0])))
-    if offset <= DEGENERACY_RTOL * max(scale, 1e-300):
-        raise DegeneracyError("point lies on the facet's affine hull")
-    return p, foot, bary
-
-
-def altitude_distance(s: SimplexGeometry, i: int) -> float:
-    """Distance from vertex i to the affine hull of the opposite facet."""
-    s.require_nondegenerate()
-    if not 0 <= i <= s.k:
-        raise IndexError(f"vertex index {i} out of range for a {s.k}-simplex")
-    foot, _ = _hull_foot(s.vertices[i], s.facet(i))
-    return float(np.linalg.norm(s.vertices[i] - foot))
-
-
-def project_to_hyperplane(p, facet: SimplexGeometry) -> np.ndarray:
-    """Orthogonal projection of p onto the facet's affine hull.
-
-    Raises DegeneracyError when p already lies on the hull (within the
-    scale-relative tolerance), since callers rely on a nonzero offset.
-    """
-    return _off_hull_foot(p, facet)[1]
-
-
-def closest_point_in_facet(p, facet: SimplexGeometry) -> np.ndarray:
-    """Nearest point of the closed facet (convex hull of its vertices) to p.
-
-    If the hull foot has nonnegative barycentric coordinates it is the
-    answer, otherwise the nearest point lies on a proper face.
-    """
-    facet.require_nondegenerate()
-    return closest_points(p, facet.vertices)
-
-
-def clearance_ratio(p, facet: SimplexGeometry) -> float:
-    """Ratio of hull distance to closed-facet distance, in (0, 1].
-
-    Equals exactly 1 when the orthogonal projection of p lands inside the
-    closed facet; otherwise it is the sine of the angle at the nearest facet
-    point, which governs how steeply the front may tilt across that facet.
-    """
-    p, foot, bary = _off_hull_foot(p, facet)
-    return float(_clearance(p, facet.vertices, foot, bary))
-
-
-def time_gradient(coords, times) -> np.ndarray:
-    """Gradient of the affine time function interpolating lifted vertices.
-
-    coords is (k+1, d), times is (k+1,).  The result is the ambient d-vector
-    lying in the simplex's affine hull; its Euclidean norm is the maximum
-    slope of the lifted facet.
-    """
-    s = SimplexGeometry(coords)
-    s.require_nondegenerate("spatial simplex of a lifted facet")
-    t = np.asarray(times, dtype=float)
-    if t.shape != (s.k + 1,):
-        raise ValueError("times must supply one value per vertex")
-    return gradient_operators(s.vertices) @ (t[1:] - t[0])

@@ -10,7 +10,6 @@ every bound without array math.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,11 +25,11 @@ SpeedSchedule = Callable[[int, float], float]
 class GroundMesh:
     """Validated d-dimensional simplicial complex with adjacency.
 
-    Wave speed is stored per element (constant in time, default 1).  An
-    optional speed schedule, a callable (element, time) -> speed that must
-    be non-increasing in time, overrides the static speeds; it is always
-    evaluated at the earliest time of the element under consideration so
-    the fastest (most restrictive) speed is used.
+    Wave speed is stored per element (constant in time, default 1).  A
+    speed schedule assigned to speed_schedule, a callable (element, time)
+    -> speed that must be non-increasing in time, overrides the static
+    speeds; it is always evaluated at the earliest time of the element
+    under consideration so the fastest (most restrictive) speed is used.
     """
 
     def __init__(
@@ -40,8 +39,6 @@ class GroundMesh:
         elements,
         speeds=None,
         initial_times=None,
-        speed_schedule: Optional[SpeedSchedule] = None,
-        allow_isolated: bool = False,
     ):
         if isinstance(dim, bool) or dim not in (1, 2, 3):
             raise MeshValidationError(f"unsupported dimension {dim!r} (need 1, 2 or 3)")
@@ -86,7 +83,7 @@ class GroundMesh:
                 e = int(np.argmax(bad))
                 kind = "non-positive" if finite[e] else "non-finite"
                 raise MeshValidationError(f"element {e} has {kind} wave speed")
-        self.speed_schedule = speed_schedule
+        self.speed_schedule: Optional[SpeedSchedule] = None
         # slope_cap without a schedule, as plain floats: the same values,
         # bit for bit, as 1.0 / float(speeds[e])
         self._static_caps: list[float] = (1.0 / self.speeds).tolist()
@@ -111,12 +108,9 @@ class GroundMesh:
         self.stars: list[list[tuple[int, int]]] = _split(pairs, degree)
         isolated = np.flatnonzero(degree == 0).tolist()
         if isolated:
-            if allow_isolated:
-                warnings.warn(f"mesh has isolated vertices {isolated}", stacklevel=2)
-            else:
-                raise MeshValidationError(
-                    f"isolated vertex {isolated[0]} can never be advanced"
-                )
+            raise MeshValidationError(
+                f"isolated vertex {isolated[0]} can never be advanced"
+            )
 
         # neighbors[v]: sorted distinct vertices sharing an element with v,
         # from the distinct (v, w) keys over every ordered pair of an
@@ -136,12 +130,6 @@ class GroundMesh:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
-
-    def star(self, v: int) -> list[int]:
-        """Element ids of all elements containing vertex v."""
-        if not 0 <= v < self.n_vertices:
-            raise IndexError(f"vertex index {v} out of range")
-        return [e for e, _ in self.stars[v]]
 
     def slope_cap(self, e: int, time: float) -> float:
         """Admissible time-gradient norm (1/speed) on element e near the
@@ -201,19 +189,13 @@ class MeshConstants:
 
     pitcher._star_constraints documents the cone_recs and face_recs
     layouts, per dimension.
-
-    The clearance ratios sigma and the face caps kappa exist for d = 3
-    only; no bound reads them in lower dimensions.
     """
 
     epsilon: float
-    dim: int
     altitudes: np.ndarray            # (m, d+1)
     omega: np.ndarray                # (n,) min altitude over incident elements
     omega_speed: np.ndarray          # (n,) min altitude/speed; sets the patch budget
     progress_floor: np.ndarray       # (n,) omega_speed, for d=3 also min over capped faces
-    sigma: Optional[np.ndarray]      # (m, 4) clearance ratio of vertex l, d=3 only
-    kappa: Optional[np.ndarray]      # (m, 4) cap of face opposite vertex l, d=3 only
     cone_recs: list = field(repr=False, default_factory=list)
     face_recs: Optional[list] = field(repr=False, default=None)
     slope_recs: list = field(repr=False, default_factory=list)
@@ -280,7 +262,8 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
 
     epsilon enters only the face gradient caps (d = 3): the cap of the
     triangular face opposite vertex l inside element e is
-    (1 - epsilon) * sigma[e][l], instantiating the strictest-constraint
+    (1 - epsilon) * sigma[e][l], with sigma the clearance ratio of vertex
+    l over that face, instantiating the strictest-constraint
     rule one recursion level deep (deeper levels would only matter for
     d >= 4 meshes, which are rejected at load).
 
@@ -304,7 +287,7 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     omega = _vertex_min(n, ids, altitudes)
     omega_speed = _vertex_min(n, ids, scaled)
     progress_floor = omega_speed
-    sigma = kappa = face_recs = face_state_recs = None
+    face_recs = face_state_recs = None
     E = geometry.edge_bases(X)
 
     if d == 1:
@@ -369,13 +352,10 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
 
     return MeshConstants(
         epsilon=epsilon,
-        dim=d,
         altitudes=altitudes,
         omega=omega,
         omega_speed=omega_speed,
         progress_floor=progress_floor,
-        sigma=sigma,
-        kappa=kappa,
         cone_recs=cone_recs,
         face_recs=face_recs,
         slope_recs=slope_recs,

@@ -241,18 +241,6 @@ def parse_json_mesh(text: str) -> dict:
     }
 
 
-def write_json_mesh(mesh: GroundMesh) -> str:
-    payload = {
-        "dim": mesh.dim,
-        "vertices": mesh.vertices,
-        "elements": mesh.elements,
-        "speeds": mesh.speeds,
-    }
-    if mesh.initial_times is not None:
-        payload["initial_times"] = mesh.initial_times
-    return dumps(payload)
-
-
 # -- reading parsed JSON ---------------------------------------------------------
 
 # what converting parsed JSON raises on a missing or mistyped field
@@ -868,7 +856,7 @@ def read_trace_json(text: str) -> RunTrace:
 # -- legacy VTK export -----------------------------------------------------------
 
 
-def write_vtk(mesh: SpaceTimeMesh, title: str = "space-time mesh") -> str:
+def write_vtk(mesh: SpaceTimeMesh) -> str:
     """Legacy-VTK ASCII unstructured grid of the space-time mesh.
 
     d = 2 ground meshes export as tetrahedra (x, y, t); d = 1 as triangles
@@ -880,7 +868,7 @@ def write_vtk(mesh: SpaceTimeMesh, title: str = "space-time mesh") -> str:
         raise ValueError("cannot export 4-dimensional space-time elements to VTK")
     lines = [
         "# vtk DataFile Version 2.0",
-        title,
+        "space-time mesh",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(mesh.vertices)} double",

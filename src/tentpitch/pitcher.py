@@ -163,10 +163,9 @@ def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
     """Maximal admissible lift for local-minimum vertex v.
 
     Returns the first smallest of the constraints _star_constraints
-    yields, clamped at the target time; a vertex without elements goes
-    straight to the target.  Raises StallError when the result fails to
-    advance the vertex, which would mean the progress invariant was broken
-    upstream.
+    yields, clamped at the target time.  Raises StallError when the result
+    fails to advance the vertex, which would mean the progress invariant
+    was broken upstream.
     """
     if front.constants.epsilon != config.epsilon:
         raise ValueError(
@@ -176,9 +175,7 @@ def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
         raise ValueError(f"vertex {v} is not a local minimum of the front")
     tol = config.tolerance
     best, kind, best_elem, best_face = min(
-        _star_constraints(front, v, tol), key=itemgetter(0),
-        default=(math.inf, "cone", None, None),
-    )
+        _star_constraints(front, v, tol), key=itemgetter(0))
     best = _slacked(best)
     if best >= config.target_time:
         return LiftBound(config.target_time, "target")
@@ -204,7 +201,9 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> Patch:
 
     One (d+1)-simplex per element of star(v): the apex, the old position of
     v, and the other vertices at their current front positions.  All
-    internal facets of the patch share the base-apex edge.
+    internal facets of the patch share the base-apex edge.  Each inflow
+    facet is the frontier facet of its element, which the outflow facet
+    then replaces; check_causality re-checks these links.
     """
     pid = len(mesh.patches)
     base = mesh.current_vertex[v]
@@ -217,9 +216,12 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> Patch:
         fr = frontier[e]
         inflow.append(fr)
         verts = fr.vertices
-        outflow.append(new_facet((e, verts[:li] + (apex,) + verts[li + 1:], pid)))
+        out = new_facet((e, verts[:li] + (apex,) + verts[li + 1:], pid))
+        outflow.append(out)
+        frontier[e] = out
         elements.append((apex,) + verts)
     mesh.element_patch.extend([pid] * len(inflow))
+    mesh.current_vertex[v] = apex
     patch = Patch(
         id=pid,
         vertex=v,
@@ -229,7 +231,7 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> Patch:
         inflow=inflow,
         outflow=outflow,
     )
-    mesh.append_patch(patch)
+    mesh.patches.append(patch)
     return patch
 
 

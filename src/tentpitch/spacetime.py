@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PatchConsistencyError
 from .ground_mesh import GroundMesh
 
 
@@ -83,37 +82,11 @@ class SpaceTimeMesh:
     def dim(self) -> int:
         return self.ground.dim + 1
 
-    def n_patches(self) -> int:
-        return len(self.patches)
-
-    def vertex_time(self, i: int) -> float:
-        return self.vertices[i][-1]
-
     def add_vertex(self, ground_vertex: int, time: float) -> int:
         coords = self.ground.vertices[ground_vertex]
         self.vertices.append((*coords.tolist(), float(time)))
         self.vertex_ground.append(ground_vertex)
         return len(self.vertices) - 1
-
-    def append_patch(self, patch: Patch) -> int:
-        """Commit a patch: validate its inflow against the frontier, then
-        replace the consumed frontier facets with the patch's outflow."""
-        if patch.id != len(self.patches):
-            raise PatchConsistencyError(
-                f"patch id {patch.id} out of order (expected {len(self.patches)})"
-            )
-        for f in patch.inflow:
-            cur = self.frontier[f.ground_element]
-            if cur.vertices != f.vertices or cur.producer != f.producer:
-                raise PatchConsistencyError(
-                    f"patch {patch.id} inflow facet on ground element "
-                    f"{f.ground_element} is not on the current frontier"
-                )
-        for f in patch.outflow:
-            self.frontier[f.ground_element] = f
-        self.current_vertex[patch.vertex] = patch.apex
-        self.patches.append(patch)
-        return patch.id
 
     def times_array(self) -> np.ndarray:
         return np.array([v[-1] for v in self.vertices])

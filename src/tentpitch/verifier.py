@@ -38,7 +38,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry
-from .geometry import SimplexGeometry
 from .ground_mesh import GroundMesh, precompute
 from .pitcher import RunTrace
 from .spacetime import MeshArrays, SpaceTimeMesh, mesh_arrays
@@ -287,16 +286,6 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
             "violations": offenders[:5],
         },
     )
-
-
-def single_element_budget(ground: GroundMesh, target_time: float,
-                          epsilon: float) -> float:
-    """Worst-case element count T*P/(2*A*eps) for a one-triangle mesh."""
-    if ground.dim != 2 or ground.n_elements != 1:
-        raise ValueError("budget formula applies to a single-triangle mesh")
-    s = SimplexGeometry(ground.vertices[ground.elements[0]])
-    perimeter = sum(s.facet(i).measure for i in range(3))
-    return target_time * perimeter / (2.0 * s.measure * epsilon)
 
 
 # -- causality -------------------------------------------------------------
@@ -709,7 +698,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
 
 
 def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
-                      epsilon: float, iters: int = 60):
+                      epsilon: float):
     """Largest admissible lift of each vertex in verts, all found together
     by bisection on the feasibility predicate.
 
@@ -790,7 +779,7 @@ def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
         lo = np.where(growing, hi, lo)
         hi = np.where(growing, lo + step, hi)
         step = np.where(growing, 2.0 * step, step)
-    for _ in range(iters):
+    for _ in range(60):
         midpt = 0.5 * (lo + hi)
         ok = feasible(midpt)
         lo = np.where(ok, midpt, lo)
@@ -798,18 +787,6 @@ def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
     omega = np.full(n_samples, math.inf)
     np.minimum.at(omega, owner, w)
     return lo, omega
-
-
-def oracle_max_lift(ground: GroundMesh, times, v: int, epsilon: float,
-                    iters: int = 60) -> float:
-    """Largest admissible lift found by bisection on the feasibility
-    predicate; shares only the geometry primitives with the pitcher.
-
-    A batch of one of the kernel check_lift_bounds_sampled runs."""
-    t = np.asarray(times, dtype=float)
-    lifts, _ = _oracle_max_lifts(ground, np.array([v]), lambda u, s: t[u],
-                                 epsilon, iters)
-    return float(lifts[0])
 
 
 def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
@@ -867,12 +844,9 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
 
 def verify(mesh: Optional[Mesh] = None,
            ground: Optional[GroundMesh] = None,
-           trace: Optional[RunTrace] = None,
-           tol: float = 1e-9,
-           sample_fraction: float = 0.01,
-           seed: int = 0,
-           snapshots: bool = True) -> VerifyReport:
-    """Run every applicable check and collect a report.
+           trace: Optional[RunTrace] = None) -> VerifyReport:
+    """Run every applicable check, with its default tolerance and sample,
+    and collect a report.
 
     Mesh checks (cone facets, causality) need the mesh; trace checks
     (progress, liftability replay, sampled bound re-derivation) need the
@@ -887,14 +861,10 @@ def verify(mesh: Optional[Mesh] = None,
     report = VerifyReport()
     if mesh is not None:
         mesh = _as_arrays(mesh)
-        report.checks.append(check_cone_facets(mesh, ground, tol))
+        report.checks.append(check_cone_facets(mesh, ground))
         report.checks.append(check_causality(mesh))
     if trace is not None:
-        report.checks.append(check_progress_trace(trace, ground, tol, mesh))
-        if snapshots:
-            report.checks.append(check_front_snapshots(trace, ground, tol))
-        if sample_fraction > 0:
-            report.checks.append(
-                check_lift_bounds_sampled(trace, ground, sample_fraction, seed)
-            )
+        report.checks.append(check_progress_trace(trace, ground, mesh=mesh))
+        report.checks.append(check_front_snapshots(trace, ground))
+        report.checks.append(check_lift_bounds_sampled(trace, ground))
     return report

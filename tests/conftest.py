@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tentpitch import GroundMesh
+from tentpitch.geometry import facet_index
 
 
 @pytest.fixture
@@ -59,3 +60,17 @@ def random_rigid_motion(rng, d):
         q[:, 0] = -q[:, 0]
     shift = rng.normal(scale=3.0, size=d)
     return q, shift
+
+
+def face_caps(cons):
+    """(m, 4) cap of the face opposite each vertex of each d = 3 element,
+    read back from the face records: face_recs[e][i] holds one record per
+    face l in facet_index(3)[i], the faces containing vertex i, and each
+    record ends with its face's cap."""
+    opp = facet_index(3)
+    caps = np.full((len(cons.face_recs), 4), np.nan)
+    for e, per_vertex in enumerate(cons.face_recs):
+        for i, recs in enumerate(per_vertex):
+            for l, rec in zip(opp[i], recs):
+                caps[e, l] = rec[-1]
+    return caps

@@ -16,13 +16,11 @@ from tentpitch import (
     Front,
     GroundMesh,
     PitchConfig,
-    compute_lift,
     precompute,
     run,
     stats,
 )
-from tentpitch.geometry import time_gradient
-from tentpitch.pitcher import _star_constraints
+from tentpitch.pitcher import _star_constraints, compute_lift
 from tentpitch.synthetic import (
     delaunay_mesh,
     jittered_grid_mesh,
@@ -32,11 +30,13 @@ from tentpitch.synthetic import (
     two_scale_mesh,
 )
 from tentpitch.verifier import (
+    _oracle_max_lifts,
     check_causality,
     check_cone_facets,
-    oracle_max_lift,
-    single_element_budget,
 )
+
+from conftest import face_caps
+from reference_geometry import gradient, single_triangle_budget
 
 EPS = 0.1
 TARGET = 5.0
@@ -147,7 +147,7 @@ def test_criterion_02_obtuse_termination():
         ground = sweepline_mesh(int(rng.integers(14, 30)), rng,
                                 min_altitude=1e-3)
         mesh, trace = run(ground, PitchConfig(target_time=1.0, epsilon=EPS))
-        final = [mesh.vertex_time(mesh.current_vertex[v])
+        final = [mesh.vertices[mesh.current_vertex[v]][-1]
                  for v in range(ground.n_vertices)]
         assert all(t == 1.0 for t in final)
         completed += 1
@@ -161,7 +161,7 @@ def test_criterion_02_obtuse_termination():
 def test_criterion_03_single_triangle_budget():
     ground = GroundMesh(2, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
     mesh, _ = run(ground, PitchConfig(target_time=10.0, epsilon=0.1))
-    budget = single_element_budget(ground, 10.0, 0.1)
+    budget = single_triangle_budget(ground, 10.0, 0.1)
     ok = len(mesh.elements) <= budget
     report(
         3, ok,
@@ -238,7 +238,9 @@ def test_criterion_06_oracle_equivalence():
         while (v := front.next_vertex(cfg.strategy)) is not None:
             bound = compute_lift(v, front, cfg)
             if checked < budget:
-                oracle = oracle_max_lift(ground, front.times, v, EPS)
+                times = np.array(front.times)
+                oracle = _oracle_max_lifts(ground, np.array([v]),
+                                           lambda u, s: times[u], EPS)[0][0]
                 scale = abs(bound.value) + cons.omega[v]
                 if bound.kind == "target":
                     err = max(0.0, (bound.value - oracle) / scale)
@@ -334,6 +336,7 @@ def test_criterion_11_d3_suite():
     for seed in range(10):
         ground = random_tet_mesh(9, np.random.default_rng(seed + 100))
         cons = precompute(ground, EPS)
+        caps = face_caps(cons)
         cfg = PitchConfig(target_time=0.5, epsilon=EPS)
         mesh, trace = run(ground, cfg, constants=cons)
         assert check_cone_facets(mesh, ground, TOL).passed
@@ -347,11 +350,11 @@ def test_criterion_11_d3_suite():
                 for l in range(4):
                     face = [ids[x] for x in range(4) if x != l]
                     coords = ground.vertices[face]
-                    g = time_gradient(coords, [times[u] for u in face])
-                    ratio = float(np.linalg.norm(g)) / (cons.kappa[e][l] * cap)
+                    g = gradient(coords, [times[u] for u in face])
+                    ratio = float(np.linalg.norm(g)) / (caps[e][l] * cap)
                     worst_face = max(worst_face, ratio)
                     assert ratio <= 1 + TOL
-        final = [mesh.vertex_time(mesh.current_vertex[v])
+        final = [mesh.vertices[mesh.current_vertex[v]][-1]
                  for v in range(ground.n_vertices)]
         assert all(t == 0.5 for t in final)
     report(

@@ -320,7 +320,7 @@ class TestApplyLift:
         front = make_front(fan_mesh)
         for _ in range(30):
             v = front.next_vertex(GreedyLowest())
-            from tentpitch import compute_lift
+            from tentpitch.pitcher import compute_lift
 
             bound = compute_lift(v, front, PitchConfig(target_time=10.0))
             front.apply_lift(v, bound.value)  # re-validates the star
@@ -349,7 +349,7 @@ class TestDeterminism:
         def run_phases():
             front = Front(mesh, cons, 1.0)
             cfg = PitchConfig(target_time=1.0, strategy=strategy)
-            from tentpitch import compute_lift
+            from tentpitch.pitcher import compute_lift
 
             phases = []
             order = []

@@ -3,180 +3,176 @@ import math
 import numpy as np
 import pytest
 
-from tentpitch.errors import DegeneracyError
 from tentpitch.geometry import (
-    SimplexGeometry,
-    altitude_distance,
-    clearance_ratio,
     clearance_ratios,
-    closest_point_in_facet,
     closest_points,
     degenerate_mask,
+    facet_index,
     gradient_operators,
     hull_feet,
-    project_to_hyperplane,
     simplex_measures,
-    time_gradient,
 )
 
+import reference_geometry as refgeo
 from conftest import random_rigid_motion
 
 
 def random_simplex(rng, k, d, scale=1.0):
     while True:
-        s = SimplexGeometry(rng.normal(scale=scale, size=(k + 1, d)))
-        if not s.is_degenerate and s.measure > 1e-3 * scale**k:
-            return s
+        X = rng.normal(scale=scale, size=(k + 1, d))
+        if refgeo.measure(X) > 1e-3 * scale**k:
+            return X
+
+
+def altitudes(X):
+    """Distance from each vertex to its opposite facet's hull, from the
+    batched hull feet, as the verifier's oracle takes it."""
+    X = np.asarray(X, dtype=float)
+    feet, _ = hull_feet(X, X[..., facet_index(X.shape[-2] - 1), :])
+    return np.linalg.norm(X - feet, axis=-1)
+
+
+def gradient(X, times):
+    """The batched gradient operator applied to one simplex's times."""
+    times = np.asarray(times, dtype=float)
+    return gradient_operators(X) @ (times[1:] - times[0])
+
+
+def _sample_facet(F, rng, n):
+    bary = rng.dirichlet(np.ones(len(F)), size=n)
+    return bary @ F
 
 
 class TestAltitude:
     def test_equilateral(self):
-        s = SimplexGeometry([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
-        for i in range(3):
-            assert altitude_distance(s, i) == pytest.approx(math.sqrt(3) / 2)
+        X = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
+        assert altitudes(X) == pytest.approx([math.sqrt(3) / 2] * 3)
 
     def test_right_triangle_vertex_p(self):
-        s = SimplexGeometry([[0, 1], [0, 0], [1, 0]])
-        assert altitude_distance(s, 0) == pytest.approx(1.0)
+        assert altitudes([[0, 1], [0, 0], [1, 0]])[0] == pytest.approx(1.0)
 
     def test_regular_tetrahedron(self):
-        s = SimplexGeometry(
-            [
-                [0, 0, 0],
-                [1, 0, 0],
-                [0.5, math.sqrt(3) / 2, 0],
-                [0.5, math.sqrt(3) / 6, math.sqrt(2.0 / 3.0)],
-            ]
-        )
-        for i in range(4):
-            assert altitude_distance(s, i) == pytest.approx(math.sqrt(2.0 / 3.0))
+        X = [
+            [0, 0, 0],
+            [1, 0, 0],
+            [0.5, math.sqrt(3) / 2, 0],
+            [0.5, math.sqrt(3) / 6, math.sqrt(2.0 / 3.0)],
+        ]
+        assert altitudes(X) == pytest.approx([math.sqrt(2.0 / 3.0)] * 4)
 
     def test_degenerate_rejected(self):
-        s = SimplexGeometry([[0, 0], [1, 0], [2, 0]])
-        with pytest.raises(DegeneracyError):
-            altitude_distance(s, 0)
+        assert degenerate_mask(np.array([[0, 0], [1, 0], [2, 0]]))
 
     def test_measure_identity(self, rng):
-        # altitude * facet measure == k * simplex measure
+        # altitude * facet measure == k * simplex measure, with the
+        # measures taken by cross products
         for _ in range(200):
-            k = rng.integers(1, 4)
-            d = rng.integers(k, 4)
-            s = random_simplex(rng, int(k), int(d))
+            k = int(rng.integers(1, 4))
+            d = int(rng.integers(k, 4))
+            X = random_simplex(rng, k, d)
             i = int(rng.integers(0, k + 1))
-            lhs = altitude_distance(s, i) * s.facet(i).measure
-            rhs = k * s.measure
-            assert lhs == pytest.approx(rhs, rel=1e-9)
+            facet = np.delete(X, i, axis=0)
+            lhs = altitudes(X)[i] * refgeo.measure(facet)
+            assert lhs == pytest.approx(k * refgeo.measure(X), rel=1e-9)
+            assert altitudes(X)[i] == pytest.approx(refgeo.altitude(X, i),
+                                                    rel=1e-9)
 
 
 class TestProjection:
     def test_foot_on_axis(self):
-        facet = SimplexGeometry([[-1, 0], [1, 0]])
-        assert project_to_hyperplane([0, 1], facet) == pytest.approx([0, 0])
+        feet, _ = hull_feet([0, 1], [[-1, 0], [1, 0]])
+        assert feet == pytest.approx([0, 0])
 
     def test_vertical_drop_outside_segment(self):
-        facet = SimplexGeometry([[0, 0], [1, 0]])
-        assert project_to_hyperplane([2, 1], facet) == pytest.approx([2, 0])
+        feet, bary = hull_feet([2, 1], [[0, 0], [1, 0]])
+        assert feet == pytest.approx([2, 0])
+        assert bary == pytest.approx([-1, 2])
 
     def test_z_projection(self):
-        facet = SimplexGeometry([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        assert project_to_hyperplane([1, 1, 1], facet) == pytest.approx([1, 1, 0])
-
-    def test_point_on_hull_rejected(self):
-        facet = SimplexGeometry([[0, 0], [1, 0]])
-        with pytest.raises(DegeneracyError):
-            project_to_hyperplane([0.5, 0.0], facet)
+        feet, _ = hull_feet([1, 1, 1], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert feet == pytest.approx([1, 1, 0])
 
     def test_residual_orthogonal_to_facet(self, rng):
         for _ in range(100):
             d = int(rng.integers(2, 4))
             k = int(rng.integers(1, d))
-            facet = random_simplex(rng, k, d)
+            F = random_simplex(rng, k, d)
             p = rng.normal(size=d) + 2.0
-            try:
-                foot = project_to_hyperplane(p, facet)
-            except DegeneracyError:
-                continue
-            for edge in facet.edges:
+            foot, bary = hull_feet(p, F)
+            want, want_bary = refgeo.foot(p, F)
+            assert foot == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert bary == pytest.approx(want_bary, rel=1e-9, abs=1e-9)
+            for edge in F[1:] - F[0]:
                 assert abs((p - foot) @ edge) < 1e-9 * np.linalg.norm(edge)
 
 
 class TestClosestPoint:
     def test_interior_foot(self):
-        facet = SimplexGeometry([[-1, 0], [1, 0]])
-        assert closest_point_in_facet([0, 1], facet) == pytest.approx([0, 0])
+        assert closest_points([0, 1], [[-1, 0], [1, 0]]) == pytest.approx([0, 0])
 
     def test_clamped_to_endpoint(self):
-        facet = SimplexGeometry([[0, 0], [1, 0]])
-        assert closest_point_in_facet([2, 1], facet) == pytest.approx([1, 0])
+        assert closest_points([2, 1], [[0, 0], [1, 0]]) == pytest.approx([1, 0])
 
     def test_clamped_to_hypotenuse(self, rng):
-        # derived via the dense-sampling oracle below, frozen here
-        facet = SimplexGeometry([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        F = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         p = np.array([2.0, 2.0, 1.0])
-        cp = closest_point_in_facet(p, facet)
+        cp = closest_points(p, F)
         assert cp == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
-        best = min(
-            np.linalg.norm(p - x) for x in _sample_facet(facet, rng, 4000)
-        )
+        best = min(np.linalg.norm(p - x) for x in _sample_facet(F, rng, 4000))
         assert np.linalg.norm(p - cp) <= best + 1e-9
 
     def test_never_beaten_by_samples(self, rng):
         for _ in range(40):
             d = int(rng.integers(2, 4))
             k = int(rng.integers(1, min(d, 3) + 1)) - 1 or 1
-            facet = random_simplex(rng, k, d)
+            F = random_simplex(rng, k, d)
             p = rng.normal(scale=2.0, size=d)
-            cp = closest_point_in_facet(p, facet)
+            cp = closest_points(p, F)
+            assert cp == pytest.approx(refgeo.closest(p, F), abs=1e-9)
             dist = np.linalg.norm(p - cp)
-            for x in _sample_facet(facet, rng, 1000):
+            for x in _sample_facet(F, rng, 1000):
                 assert dist <= np.linalg.norm(p - x) + 1e-12
-
-
-def _sample_facet(facet, rng, n):
-    bary = rng.dirichlet(np.ones(facet.k + 1), size=n)
-    return bary @ facet.vertices
 
 
 class TestClearanceRatio:
     def test_foot_inside(self):
-        facet = SimplexGeometry([[-1, 0], [1, 0]])
-        assert clearance_ratio([0, 1], facet) == 1.0
+        assert clearance_ratios([0, 1], [[-1, 0], [1, 0]]) == 1.0
 
     def test_foot_outside_segment(self):
         # hull distance 1, facet distance sqrt(2): derived by direct
         # projection (foot at (2,0), nearest vertex (1,0))
-        facet = SimplexGeometry([[0, 0], [1, 0]])
-        assert clearance_ratio([2, 1], facet) == pytest.approx(1 / math.sqrt(2))
+        assert clearance_ratios([2, 1], [[0, 0], [1, 0]]) == \
+            pytest.approx(1 / math.sqrt(2))
 
     def test_foot_inside_triangle(self):
-        facet = SimplexGeometry([[-1, -1, 0], [1, -1, 0], [0, 1, 0]])
-        assert clearance_ratio([0, 0, 1], facet) == 1.0
+        F = [[-1, -1, 0], [1, -1, 0], [0, 1, 0]]
+        assert clearance_ratios([0, 0, 1], F) == 1.0
 
     def test_one_iff_contained(self, rng):
+        checked = 0
         for _ in range(200):
             d = int(rng.integers(2, 4))
             k = int(rng.integers(1, d))
-            facet = random_simplex(rng, k, d)
+            F = random_simplex(rng, k, d)
             p = rng.normal(scale=1.5, size=d)
-            try:
-                foot = project_to_hyperplane(p, facet)
-                sig = clearance_ratio(p, facet)
-            except DegeneracyError:
-                continue
-            inside = np.linalg.norm(
-                closest_point_in_facet(p, facet) - foot
-            ) < 1e-9 * max(1.0, facet.longest_edge)
+            foot, bary = refgeo.foot(p, F)
+            if np.linalg.norm(p - foot) < 1e-9:
+                continue  # ratios are defined off the hull only
+            sig = float(clearance_ratios(p, F))
             assert 0.0 < sig <= 1.0
-            assert (sig == 1.0) == inside
+            assert (sig == 1.0) == (bary.min() >= 0.0)
+            assert sig == pytest.approx(refgeo.clearance(p, F), rel=1e-9)
+            checked += 1
+        assert checked > 150
 
 
 class TestTimeGradient:
     def test_flat(self):
-        g = time_gradient([[0, 0], [1, 0], [0, 1]], [2.0, 2.0, 2.0])
+        g = gradient([[0, 0], [1, 0], [0, 1]], [2.0, 2.0, 2.0])
         assert np.linalg.norm(g) == pytest.approx(0.0, abs=1e-15)
 
     def test_segment_slope(self):
-        g = time_gradient([[0.0], [1.0]], [0.0, 0.5])
+        g = gradient([[0.0], [1.0]], [0.0, 0.5])
         assert np.linalg.norm(g) == pytest.approx(0.5)
 
     def test_tight_cone_triangle(self):
@@ -187,7 +183,7 @@ class TestTimeGradient:
         A = np.array([coords[2] - coords[1], coords[0] - coords[1]])
         b = np.array([times[2] - times[1], times[0] - times[1]])
         expected = np.linalg.solve(A, b)
-        g = time_gradient(coords, times)
+        g = gradient(coords, times)
         assert g == pytest.approx(expected, rel=1e-12)
         assert g == pytest.approx([0.3, 0.9539392014169457], rel=1e-12)
         assert np.linalg.norm(g) == pytest.approx(1.0, rel=1e-12)
@@ -196,17 +192,19 @@ class TestTimeGradient:
         for _ in range(200):
             d = int(rng.integers(1, 4))
             k = int(rng.integers(1, d + 1))
-            s = random_simplex(rng, k, d)
+            X = random_simplex(rng, k, d)
             grad = rng.normal(size=d)
             if k < d:
                 # keep the generating gradient inside the hull so it is
                 # recoverable exactly
-                E = s.edges
+                E = X[1:] - X[0]
                 coeff = np.linalg.solve(E @ E.T, E @ grad)
                 grad = coeff @ E
-            times = s.vertices @ grad + 0.7
-            got = time_gradient(s.vertices, times)
+            times = X @ grad + 0.7
+            got = gradient(X, times)
             assert got == pytest.approx(grad, rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(refgeo.gradient(X, times),
+                                        rel=1e-9, abs=1e-12)
 
 
 class TestRigidMotionInvariance:
@@ -214,40 +212,37 @@ class TestRigidMotionInvariance:
         for _ in range(60):
             d = int(rng.integers(2, 4))
             k = int(rng.integers(1, d))
-            facet = random_simplex(rng, k, d)
+            F = random_simplex(rng, k, d)
             p = rng.normal(scale=2.0, size=d)
-            simplex = random_simplex(rng, min(d, k + 1), d)
-            times = rng.normal(size=simplex.k + 1)
+            X = random_simplex(rng, min(d, k + 1), d)
+            times = rng.normal(size=len(X))
             Q, shift = random_rigid_motion(rng, d)
 
             def move(x):
                 return np.asarray(x) @ Q.T + shift
 
-            try:
-                sig = clearance_ratio(p, facet)
-                sig2 = clearance_ratio(move(p), SimplexGeometry(move(facet.vertices)))
-                assert sig2 == pytest.approx(sig, rel=1e-9)
-            except DegeneracyError:
-                pass
-            alt = altitude_distance(simplex, 0)
-            alt2 = altitude_distance(SimplexGeometry(move(simplex.vertices)), 0)
-            assert alt2 == pytest.approx(alt, rel=1e-9)
-            cp = closest_point_in_facet(p, facet)
-            cp2 = closest_point_in_facet(
-                move(p), SimplexGeometry(move(facet.vertices))
-            )
-            assert cp2 == pytest.approx(move(cp), rel=1e-9, abs=1e-9)
-            g1 = np.linalg.norm(time_gradient(simplex.vertices, times))
-            g2 = np.linalg.norm(time_gradient(move(simplex.vertices), times))
+            foot, _ = refgeo.foot(p, F)
+            if np.linalg.norm(p - foot) > 1e-9:
+                sig = clearance_ratios(p, F)
+                assert clearance_ratios(move(p), move(F)) == \
+                    pytest.approx(sig, rel=1e-9)
+            assert altitudes(move(X))[0] == pytest.approx(altitudes(X)[0],
+                                                          rel=1e-9)
+            cp = closest_points(p, F)
+            assert closest_points(move(p), move(F)) == \
+                pytest.approx(move(cp), rel=1e-9, abs=1e-9)
+            g1 = np.linalg.norm(gradient(X, times))
+            g2 = np.linalg.norm(gradient(move(X), times))
             assert g2 == pytest.approx(g1, rel=1e-9, abs=1e-12)
 
 
 class TestBatchedKernels:
     def test_stack_matches_rows(self, rng):
-        # one call over a (rows, 2) stack agrees with the scalar API per row
+        # one call over a (rows, 2) stack agrees with the first-principles
+        # reference per row
         for k, d in ((1, 2), (1, 3), (2, 3)):
-            F = np.array([[random_simplex(rng, k, d).vertices
-                           for _ in range(2)] for _ in range(30)])
+            F = np.array([[random_simplex(rng, k, d) for _ in range(2)]
+                          for _ in range(30)])
             P = rng.normal(scale=1.5, size=(30, 2, d))
             feet, bary = hull_feet(P, F)
             ratios = clearance_ratios(P, F)
@@ -255,15 +250,16 @@ class TestBatchedKernels:
             ops = gradient_operators(F)
             times = rng.normal(size=(30, 2, k + 1))
             for idx in np.ndindex(30, 2):
-                facet = SimplexGeometry(F[idx])
-                assert feet[idx] == pytest.approx(
-                    project_to_hyperplane(P[idx], facet), rel=1e-12, abs=1e-12)
+                foot, _ = refgeo.foot(P[idx], F[idx])
+                assert feet[idx] == pytest.approx(foot, rel=1e-9, abs=1e-12)
                 assert bary[idx].sum() == pytest.approx(1.0)
-                assert ratios[idx] == clearance_ratio(P[idx], facet)
+                assert ratios[idx] == pytest.approx(
+                    refgeo.clearance(P[idx], F[idx]), rel=1e-9)
                 assert nearest[idx] == pytest.approx(
-                    closest_point_in_facet(P[idx], facet), abs=1e-12)
+                    refgeo.closest(P[idx], F[idx]), abs=1e-9)
                 assert ops[idx] @ (times[idx][1:] - times[idx][0]) == \
-                    pytest.approx(time_gradient(F[idx], times[idx]), abs=1e-12)
+                    pytest.approx(refgeo.gradient(F[idx], times[idx]),
+                                  rel=1e-9, abs=1e-12)
             assert np.any(ratios < 1.0) and np.any(ratios == 1.0)
 
     def test_measures_and_degeneracy(self, rng):
@@ -271,10 +267,30 @@ class TestBatchedKernels:
         X[3] = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]]
         X[7, 3] = X[7, 0]
         measures = simplex_measures(X)
-        degenerate = degenerate_mask(X)
-        for x, m, deg in zip(X, measures, degenerate):
-            s = SimplexGeometry(x)
-            assert m == s.measure
-            assert deg == s.is_degenerate
-        assert np.flatnonzero(degenerate).tolist() == [3, 7]
+        for x, m in zip(X, measures):
+            assert m == pytest.approx(refgeo.measure(x), rel=1e-9, abs=1e-12)
+        assert np.flatnonzero(degenerate_mask(X)).tolist() == [3, 7]
+        faces = X[:, facet_index(3)]
+        assert simplex_measures(faces) == pytest.approx(np.array(
+            [[refgeo.measure(f) for f in row] for row in faces]),
+            rel=1e-9, abs=1e-12)
         assert simplex_measures(X[:, :1]).tolist() == [1.0] * 20
+
+    def test_exactly_collinear_and_coplanar_are_degenerate(self, rng):
+        # round-off in det(E E^T) reads about 5e-9 for this triangle, far
+        # above DEGENERACY_RTOL; its measure is exactly 0
+        collinear = np.array([[0.0, 0.0], [0.0, 0.9], [0.0, 1.0]])
+        assert degenerate_mask(collinear)
+        assert refgeo.measure(collinear) == 0.0
+        # four points on a tilted plane, and a sliver just off it
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        uv = rng.uniform(-1.0, 1.0, size=(4, 2))
+        coplanar = uv[:, :1] * a + uv[:, 1:] * b + rng.normal(size=3)
+        assert degenerate_mask(coplanar)
+        sliver = coplanar.copy()
+        sliver[3] += 1e-3 * np.cross(a, b)
+        assert not degenerate_mask(sliver)
+        tets = rng.normal(size=(50, 4, 3))
+        triangles = rng.normal(size=(50, 3, 2))
+        assert not degenerate_mask(tets).any()
+        assert not degenerate_mask(triangles).any()

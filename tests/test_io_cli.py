@@ -30,7 +30,6 @@ from tentpitch.io_formats import (
     parse_triangle,
     read_spacetime_json,
     read_trace_json,
-    write_json_mesh,
     write_spacetime_json,
     write_trace_json,
     write_vtk,
@@ -40,6 +39,13 @@ from tentpitch.spacetime import mesh_arrays
 import reference_reader
 
 DATA = Path(__file__).parent / "data"
+
+
+def ground_json(mesh: GroundMesh) -> str:
+    """A ground mesh in the JSON input format."""
+    return dumps({"dim": mesh.dim, "vertices": mesh.vertices,
+                  "elements": mesh.elements, "speeds": mesh.speeds})
+
 
 NODE_0BASED = """# comment line
 3 2 0 0
@@ -137,7 +143,7 @@ class TestRoundTrip:
         from tentpitch.synthetic import delaunay_mesh
 
         mesh = delaunay_mesh(20, rng)
-        text = write_json_mesh(mesh)
+        text = ground_json(mesh)
         again = load(parse_json_mesh(text))
         assert np.array_equal(mesh.vertices, again.vertices)
         assert np.array_equal(mesh.elements, again.elements)
@@ -487,6 +493,25 @@ class TestVerifyRejectsWrongElements:
         out.write_text(json.dumps(data))
         return self._verify(capsys, out, trace)
 
+    def test_raised_apex_cannot_be_tolerated(self, tmp_path, capsys):
+        # an apex raised in time breaks the cone constraint, and verify
+        # has no tolerance flag that would let it pass
+        def tamper(data):
+            apex = data["patches"][10]["apex"]
+            data["vertices"][apex][-1] += 0.5
+
+        rc, failed = self._tampered(capsys, tmp_path, tamper)
+        assert rc == 1
+        assert failed == [
+            "FAIL cone_facets: 218 facets, worst slope/cap 1.638870571182",
+            "FAIL progress_trace: lift 10 did not make patch 10 of the mesh"]
+        out, trace = tmp_path / "st1.json", tmp_path / "trace1.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mesh", str(out), "--ground", str(self.GRID),
+                  "--trace", str(trace), "--tol", "1e9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e9" in capsys.readouterr().err
+
     @staticmethod
     def _interior_patch(data):
         """Id of the first patch from the tenth on with several elements."""
@@ -647,7 +672,7 @@ def _valid_files() -> dict:
     ground = load(parse_triangle(GROUND.read_text(),
                                  GROUND.with_suffix(".ele").read_text()))
     mesh, trace = run(ground, PitchConfig(target_time=2.0))
-    return {"ground": json.loads(write_json_mesh(ground)),
+    return {"ground": json.loads(ground_json(ground)),
             "mesh": json.loads(write_spacetime_json(mesh)),
             "trace": json.loads(write_trace_json(trace))}
 
@@ -756,6 +781,19 @@ class TestDamagedTrianglePairs:
         mesh = load(parse_triangle(GRID_NODE, GRID_ELE))
         assert (mesh.n_vertices, mesh.n_elements) == (9, 8)
         assert mesh.speeds.tolist() == [1.0, 1.5, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0]
+
+    def test_exactly_collinear_triangle_rejected(self, tmp_path, capsys):
+        # vertex 5 moved to x = 0 makes triangle 2, (0,0) (0,0.9) (0,1),
+        # exactly collinear
+        path = tmp_path / "grid.node"
+        path.write_text(GRID_NODE.replace("5 1.1 0.9", "5 0.0 0.9"))
+        path.with_suffix(".ele").write_text(GRID_ELE)
+        capsys.readouterr()
+        assert main(["info", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: element 1 is degenerate (zero measure)\n"
 
     @settings(max_examples=80, deadline=None)
     @given(pair=damaged_triangle_pairs())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tentpitch import (
     Front,
@@ -10,14 +12,14 @@ from tentpitch import (
     MISPhases,
     PitchConfig,
     StallError,
-    compute_lift,
     precompute,
     run,
-    stats,
 )
-from tentpitch.geometry import time_gradient
-from tentpitch.pitcher import _star_constraints
-from tentpitch.verifier import check_cone_facets, single_element_budget
+from tentpitch.pitcher import _star_constraints, compute_lift
+from tentpitch.verifier import check_cone_facets
+
+from conftest import face_caps, random_rigid_motion
+from reference_geometry import gradient, single_triangle_budget
 
 
 def cross2(u, v):
@@ -33,7 +35,7 @@ def cone_oracle(coords, times, lifted, cap=1.0, lo=None, hi=None, iters=200):
     def ok(tv):
         ts = list(times)
         ts[lifted] = tv
-        return np.linalg.norm(time_gradient(coords, ts)) <= cap * (1 + 1e-12)
+        return np.linalg.norm(gradient(coords, ts)) <= cap * (1 + 1e-12)
 
     assert ok(lo)
     if hi is None:
@@ -176,7 +178,7 @@ class TestFaceCapBound:
         # a face whose cap works out to 1 gives the cone ceiling of the
         # face triangle meshed on its own
         face = (0, 1, 2)
-        kappa = precompute(regular_tet, 0.1).kappa[0][3]  # face opposite 3
+        kappa = face_caps(precompute(regular_tet, 0.1))[0][3]  # face opposite 3
         tet = GroundMesh(3, regular_tet.vertices, regular_tet.elements,
                          speeds=[kappa])
         times = [0.0, 0.1, -0.2, 0.05]
@@ -230,8 +232,8 @@ class TestStarConstraints:
         got = [(kind, e, face) for _, kind, e, face in
                _star_constraints(front, v, 1e-9)]
         assert [e for _, e, _ in got] == [
-            e for e in mesh.star(v) for _ in per_element]
-        assert [k for k, _, _ in got] == per_element * len(mesh.star(v))
+            e for e, _ in mesh.stars[v] for _ in per_element]
+        assert [k for k, _, _ in got] == per_element * len(mesh.stars[v])
         # only the d = 3 face constraints, after each element's first, name
         # a face, and it starts with v
         faces = [f for _, _, f in got]
@@ -263,17 +265,6 @@ class TestComputeLift:
         bound = compute_lift(0, front, cfg)
         assert bound.kind == "target"
         assert bound.value == 0.25
-
-    def test_vertex_without_elements_goes_to_target(self):
-        # an empty star bounds nothing; inf must not slack into nan
-        with pytest.warns(UserWarning, match="isolated"):
-            mesh = GroundMesh(2, [[0, 0], [1, 0], [0, 1], [5, 5]],
-                              [[0, 1, 2]], allow_isolated=True)
-        front = Front(mesh, precompute(mesh), 1.0)
-        bound = compute_lift(3, front, PitchConfig(target_time=1.0))
-        assert (bound.value, bound.kind) == (1.0, "target")
-        _, trace = run(mesh, PitchConfig(target_time=1.0))
-        assert [r.new_time for r in trace.lifts if r.vertex == 3] == [1.0]
 
     def test_requires_local_minimum(self, right_triangle):
         front = Front(right_triangle, precompute(right_triangle), 10.0,
@@ -331,8 +322,8 @@ class TestComputeLift:
             if bound.kind == "cone" and bound.face is None:
                 e = bound.element
                 ids = [int(x) for x in mesh.elements[e]]
-                g = time_gradient(mesh.vertices[ids],
-                                  [front.times[u] for u in ids])
+                g = gradient(mesh.vertices[ids],
+                             [front.times[u] for u in ids])
                 assert np.linalg.norm(g) == pytest.approx(1.0, rel=1e-9)
                 checked += 1
         assert checked > 10
@@ -368,7 +359,7 @@ class TestRun:
     def test_single_triangle_element_budget(self, right_triangle):
         cfg = PitchConfig(target_time=10.0, epsilon=0.1)
         mesh, _ = run(right_triangle, cfg)
-        budget = single_element_budget(right_triangle, 10.0, 0.1)
+        budget = single_triangle_budget(right_triangle, 10.0, 0.1)
         assert budget == pytest.approx(10.0 * (2 + math.sqrt(2)) / 0.1)
         assert len(mesh.elements) <= budget
 
@@ -383,7 +374,7 @@ class TestRun:
         mesh2 = delaunay_mesh(20, rng)
         mesh, _ = run(mesh2, PitchConfig(target_time=1.25))
         for v in range(mesh2.n_vertices):
-            assert mesh.vertex_time(mesh.current_vertex[v]) == 1.25
+            assert mesh.vertices[mesh.current_vertex[v]][-1] == 1.25
 
     def test_1d_run_facet_slopes(self):
         mesh1 = GroundMesh(1, [[0.0], [1.0], [3.0]], [[0, 1], [1, 2]])
@@ -515,3 +506,35 @@ class TestReferenceEquivalence:
             kinds.add(got[1])
             front.apply_lift(v, got[0])
         assert kinds == {"cone", "progress", "target"} or name == "d1"
+
+
+class TestInvariance:
+    """Patch counts depend on the shape of the mesh, not on where it lies
+    or on its units: a rigid motion, or one scale factor applied to space
+    and to the target time, leaves every slope and so every tent the
+    same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           mis=st.booleans(), scale=st.floats(0.3, 3.0),
+           target=st.floats(0.3, 2.0))
+    def test_patch_count_under_rigid_motion_and_scaling(self, dim, seed, mis,
+                                                        scale, target):
+        from tentpitch.synthetic import delaunay_mesh, random_tet_mesh
+
+        rng = np.random.default_rng(seed)
+        if dim == 2:
+            ground = delaunay_mesh(int(rng.integers(8, 20)), rng)
+        else:
+            ground = random_tet_mesh(int(rng.integers(6, 10)), rng)
+        Q, shift = random_rigid_motion(rng, dim)
+        strategy = MISPhases() if mis else GreedyLowest()
+
+        def patches(vertices, t):
+            moved = GroundMesh(dim, vertices, ground.elements)
+            config = PitchConfig(target_time=t, strategy=strategy)
+            return len(run(moved, config)[0].patches)
+
+        count = patches(ground.vertices, target)
+        assert patches(ground.vertices @ Q.T + shift, target) == count
+        assert patches(ground.vertices * scale, target * scale) == count

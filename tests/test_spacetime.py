@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from tentpitch import (
-    Facet,
-    GroundMesh,
-    Patch,
-    PatchConsistencyError,
-    PitchConfig,
-    SpaceTimeMesh,
-    run,
-    stats,
-)
+from tentpitch import GroundMesh, PitchConfig, run, stats
+from tentpitch.pitcher import pitch_tent
+from tentpitch.spacetime import Facet
 from tentpitch.verifier import check_causality
 
 from reference_checks import causal_sweep
@@ -28,6 +21,9 @@ def two_triangle_run():
 
 
 class TestAppendPatch:
+    """The links pitch_tent makes as it appends each patch, and
+    check_causality's rejection of a patch appended off them."""
+
     def test_first_patch_consumes_initial_front(self, two_triangle_run):
         _, mesh, _ = two_triangle_run
         assert all(f.producer == -1 for f in mesh.patches[0].inflow)
@@ -50,24 +46,20 @@ class TestAppendPatch:
 
     def test_off_frontier_patch_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
-        bogus = Patch(
-            id=len(mesh.patches),
-            vertex=0,
-            base=0,
-            apex=1,
-            elements=[],
-            inflow=[Facet(0, (97, 98, 99), -1)],
-            outflow=[],
-        )
-        with pytest.raises(PatchConsistencyError, match="frontier"):
-            mesh.append_patch(bogus)
+        patch = pitch_tent(mesh, 0, 0.75)
+        assert check_causality(mesh).passed
+        patch.inflow[0] = Facet(0, (97, 98, 99), -1)
+        result = check_causality(mesh)
+        assert not result.passed
+        assert "is not patch" in result.message
 
     def test_out_of_order_patch_id_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
-        bogus = Patch(id=0, vertex=0, base=0, apex=1, elements=[],
-                      inflow=[], outflow=[])
-        with pytest.raises(PatchConsistencyError, match="out of order"):
-            mesh.append_patch(bogus)
+        patch = pitch_tent(mesh, 0, 0.75)
+        patch.id = 0
+        result = check_causality(mesh)
+        assert not result.passed
+        assert result.message == f"patch {len(mesh.patches) - 1} has id 0"
 
 
 class TestCausalSweep:
@@ -180,4 +172,4 @@ class TestFrontierConservation:
         mesh, _ = run(g, PitchConfig(target_time=0.8))
         for f in mesh.frontier:
             for vid in f.vertices:
-                assert mesh.vertex_time(vid) == 0.8
+                assert mesh.vertices[vid][-1] == 0.8

@@ -11,24 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentpitch import (
-    Facet,
     GroundMesh,
     MISPhases,
-    Patch,
     PitchConfig,
-    SpaceTimeMesh,
     precompute,
     run,
     verifier,
     verify,
 )
-from tentpitch.geometry import (
-    SimplexGeometry,
-    altitude_distance,
-    clearance_ratio,
-    facet_index,
-    gradient_operators,
-)
+from tentpitch.geometry import facet_index
 from tentpitch.ground_mesh import load
 from tentpitch.io_formats import (
     parse_triangle,
@@ -36,7 +27,7 @@ from tentpitch.io_formats import (
     write_spacetime_json,
 )
 from tentpitch.pitcher import LiftRecord, RunTrace
-from tentpitch.spacetime import mesh_arrays
+from tentpitch.spacetime import Facet, Patch, SpaceTimeMesh, mesh_arrays
 from tentpitch.verifier import (
     CheckResult,
     _element_scalars,
@@ -45,11 +36,10 @@ from tentpitch.verifier import (
     check_front_snapshots,
     check_lift_bounds_sampled,
     check_progress_trace,
-    oracle_max_lift,
-    single_element_budget,
 )
 
 import reference_checks as reference
+import reference_geometry as refgeo
 
 
 @pytest.fixture
@@ -127,7 +117,7 @@ class TestProgressTrace:
 
     def test_single_triangle_budget(self, right_triangle):
         mesh, trace = run(right_triangle, PitchConfig(target_time=10.0))
-        budget = single_element_budget(right_triangle, 10.0, 0.1)
+        budget = refgeo.single_triangle_budget(right_triangle, 10.0, 0.1)
         assert len(mesh.elements) <= budget
 
     def test_doctored_tiny_advance_fails(self, small_run):
@@ -291,12 +281,15 @@ class TestLiftBoundsSampled:
         assert result.details["worst_rel_error"] < 1e-7
 
     def test_oracle_matches_compute_lift(self, right_triangle):
-        from tentpitch import Front, compute_lift, precompute
+        from tentpitch import Front
+        from tentpitch.pitcher import compute_lift
 
         front = Front(right_triangle, precompute(right_triangle), 10.0,
                       initial_times=[0.0, 0.0, 0.3])
         bound = compute_lift(0, front, PitchConfig(target_time=10.0))
-        oracle = oracle_max_lift(right_triangle, front.times, 0, 0.1)
+        times = np.array(front.times)
+        oracle = verifier._oracle_max_lifts(
+            right_triangle, np.array([0]), lambda u, s: times[u], 0.1)[0][0]
         assert oracle == pytest.approx(bound.value, rel=1e-9)
 
     def test_overstated_lift_fails(self, right_triangle):
@@ -317,7 +310,7 @@ class TestLiftBoundsSampled:
 class TestVerifyOrchestration:
     def test_full_report_on_valid_run(self, small_run):
         g, mesh, trace = small_run
-        report = verify(mesh, g, trace, sample_fraction=0.02)
+        report = verify(mesh, g, trace)
         assert report.passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -338,7 +331,7 @@ class TestVerifyOrchestration:
 
     def test_trace_only(self, small_run):
         g, _, trace = small_run
-        report = verify(ground=g, trace=trace, sample_fraction=0.02)
+        report = verify(ground=g, trace=trace)
         assert report.passed
 
 
@@ -399,25 +392,29 @@ def reference_front_snapshots(trace, ground, tol=1e-9):
 
 
 def _reference_oracle_static(ground, v):
+    """Per star element of v: the altitude of v, the gradient operator
+    and, for d = 3, the same for each face containing v with the clearance
+    ratio of the opposite vertex over it, all from first principles."""
     d = ground.dim
     entries = []
     for e, li in ground.stars[v]:
         ids = ground.elements[e]
         coords = ground.vertices[ids]
-        w = altitude_distance(SimplexGeometry(coords), li)
+        w = refgeo.altitude(coords, li)
         faces = []
         if d == 3:
             for l in range(4):
                 if l == li:
                     continue
                 face_local = [x for x in range(4) if x != l]
-                fs = SimplexGeometry(coords[face_local])
-                sigma = clearance_ratio(coords[l], fs)
+                fcoords = coords[face_local]
+                sigma = refgeo.clearance(coords[l], fcoords)
                 pos = face_local.index(li)
-                wf = altitude_distance(fs, pos)
+                wf = refgeo.altitude(fcoords, pos)
                 faces.append((face_local, pos, sigma, wf,
-                              gradient_operators(fs.vertices)))
-        entries.append((e, li, ids, w, gradient_operators(coords), faces))
+                              refgeo.gradient_operator(fcoords)))
+        entries.append((e, li, ids, w, refgeo.gradient_operator(coords),
+                        faces))
     return entries
 
 
