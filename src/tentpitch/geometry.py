@@ -65,9 +65,12 @@ def _longest_edges(X) -> np.ndarray:
 def degenerate_mask(X) -> np.ndarray:
     """True where measure < DEGENERACY_RTOL * longest_edge**k.
 
-    A full-dimensional simplex (k = d) takes its measure as |det E| / k!,
-    which is exactly 0 for exactly collinear or coplanar vertices; the
-    round-off in det(E E^T) leaves about 5e-9 on a unit-size triangle.
+    A full-dimensional simplex (k = d) takes as its measure the smaller of
+    |det E| / k! and simplex_measures: the first is exactly 0 for exactly
+    collinear or coplanar vertices, where the round-off in det(E E^T)
+    leaves about 5e-9 on a unit-size triangle; the second is what the
+    altitudes are computed from, and it rounds to 0 on slivers thinner
+    than about 1e-8 of their size.
     """
     X = np.asarray(X, dtype=float)
     k = X.shape[-2] - 1
@@ -75,7 +78,9 @@ def degenerate_mask(X) -> np.ndarray:
         return np.zeros(X.shape[:-2], dtype=bool)
     scale = _longest_edges(X)
     if k == X.shape[-1]:
-        measure = np.abs(np.linalg.det(edge_bases(X))) / math.factorial(k)
+        measure = np.minimum(
+            np.abs(np.linalg.det(edge_bases(X))) / math.factorial(k),
+            simplex_measures(X))
     else:
         measure = simplex_measures(X)
     return (scale <= 0.0) | (measure < DEGENERACY_RTOL * scale**k)

@@ -25,11 +25,11 @@ SpeedSchedule = Callable[[int, float], float]
 class GroundMesh:
     """Validated d-dimensional simplicial complex with adjacency.
 
-    Wave speed is stored per element (constant in time, default 1).  A
-    speed schedule assigned to speed_schedule, a callable (element, time)
-    -> speed that must be non-increasing in time, overrides the static
-    speeds; it is always evaluated at the earliest time of the element
-    under consideration so the fastest (most restrictive) speed is used.
+    Wave speed is stored per element (constant in time, default 1).  An
+    optional speed schedule, a callable (element, time) -> speed that must
+    be non-increasing in time, overrides the static speeds; it is always
+    evaluated at the earliest time of the element under consideration so
+    the fastest (most restrictive) speed is used.
     """
 
     def __init__(
@@ -39,6 +39,7 @@ class GroundMesh:
         elements,
         speeds=None,
         initial_times=None,
+        speed_schedule: Optional[SpeedSchedule] = None,
     ):
         if isinstance(dim, bool) or dim not in (1, 2, 3):
             raise MeshValidationError(f"unsupported dimension {dim!r} (need 1, 2 or 3)")
@@ -83,7 +84,7 @@ class GroundMesh:
                 e = int(np.argmax(bad))
                 kind = "non-positive" if finite[e] else "non-finite"
                 raise MeshValidationError(f"element {e} has {kind} wave speed")
-        self.speed_schedule: Optional[SpeedSchedule] = None
+        self.speed_schedule = speed_schedule
         # slope_cap without a schedule, as plain floats: the same values,
         # bit for bit, as 1.0 / float(speeds[e])
         self._static_caps: list[float] = (1.0 / self.speeds).tolist()

@@ -696,6 +696,9 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
 
 # -- sampled bisection oracle ------------------------------------------------
 
+# largest relative gap between an unclamped lift and its bisected bound
+LIFT_REL_TOL = 1e-7
+
 
 def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
                       epsilon: float):
@@ -790,12 +793,12 @@ def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
 
 
 def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
-                              fraction: float = 0.01, seed: int = 0,
-                              rel_tol: float = 1e-7) -> CheckResult:
+                              fraction: float = 0.01,
+                              seed: int = 0) -> CheckResult:
     """Re-derive a random sample of lift bounds by bisection and compare.
 
     Clamped lifts only need the oracle to allow reaching the target; all
-    others must match the recorded new time to rel_tol, relative to the
+    others must match the recorded new time to LIFT_REL_TOL, relative to the
     recorded time plus the vertex's minimum altitude.  The sampled lifts
     are bisected together, each in the front state just before it.
     """
@@ -824,7 +827,7 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
         else:
             err = abs(oracle - r.new_time) / scale
         worst = max(worst, err)
-        if err > rel_tol:
+        if err > LIFT_REL_TOL:
             offenders.append(
                 {"lift": idx, "vertex": r.vertex,
                  "recorded": r.new_time, "oracle": oracle}

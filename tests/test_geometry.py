@@ -290,6 +290,10 @@ class TestBatchedKernels:
         sliver = coplanar.copy()
         sliver[3] += 1e-3 * np.cross(a, b)
         assert not degenerate_mask(sliver)
+        # |det E| clears the threshold here, but simplex_measures reads 0
+        thin = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]])
+        assert simplex_measures(thin) == 0.0
+        assert degenerate_mask(thin)
         tets = rng.normal(size=(50, 4, 3))
         triangles = rng.normal(size=(50, 3, 2))
         assert not degenerate_mask(tets).any()

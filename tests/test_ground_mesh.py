@@ -63,6 +63,14 @@ class TestLoad:
                            match=r"^element 0 is degenerate"):
             load({"dim": 3, "vertices": verts, "elements": [[0, 1, 2, 3]]})
 
+    def test_thin_sliver_degenerate(self):
+        # |det E|/2 = 5e-11 clears DEGENERACY_RTOL, but det(E E^T) rounds
+        # to 0, so the altitudes would be 0
+        with pytest.raises(MeshValidationError,
+                           match=r"^element 0 is degenerate"):
+            load({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]],
+                  "elements": [[0, 1, 2]]})
+
     def test_index_out_of_range(self):
         with pytest.raises(MeshValidationError, match="out of range"):
             load({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
