@@ -101,7 +101,8 @@ def _cmd_pitch(args) -> int:
     mesh, trace = run(ground, config)
     st = stats(mesh)
     if args.out:
-        Path(args.out).write_text(io_formats.write_spacetime_json(mesh))
+        with open(args.out, "w") as fh:
+            fh.writelines(io_formats.spacetime_json_pieces(mesh))
     if args.vtk:
         Path(args.vtk).write_text(io_formats.write_vtk(mesh))
     if args.stats:

@@ -43,6 +43,10 @@ class MISPhases:
 
 Strategy = Union[GreedyLowest, MISPhases]
 
+# relative slack of the cone and progress checks on the front and of the
+# pitcher's stall test; the trace records it as its tolerance
+TOLERANCE = 1e-9
+
 
 class Front:
     """Mutable front state over an immutable ground mesh."""
@@ -53,12 +57,10 @@ class Front:
         constants: MeshConstants,
         target_time: float,
         initial_times=None,
-        tol: float = 1e-9,
     ):
         self.ground = ground
         self.constants = constants
         self.target_time = float(target_time)
-        self.tol = float(tol)
         self.epsilon = constants.epsilon
         n = ground.n_vertices
         if initial_times is None:
@@ -99,7 +101,7 @@ class Front:
         else:
             ids = rec[0] if d == 3 else rec[:d + 1]
             s = self.ground.slope_cap(e, min([t[v] for v in ids]))
-        cap2 = (s * (1.0 + self.tol)) ** 2
+        cap2 = (s * (1.0 + TOLERANCE)) ** 2
 
         if d == 1:
             a, b, inv_len = rec
@@ -136,7 +138,7 @@ class Front:
             d1, d2 = t[b] - t[a], t[c] - t[a]
             f2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
             fcap = kap * s
-            if f2 > (fcap * (1.0 + self.tol)) ** 2:
+            if f2 > (fcap * (1.0 + TOLERANCE)) ** 2:
                 raise FrontInvariantError(
                     f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
                     f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})"
@@ -156,7 +158,7 @@ class Front:
             top, mid = 0, (2 if t2 >= t1 else 1)
         gap = t[ids[top]] - t[ids[mid]]
         allowed = (1.0 - self.epsilon) * ws[top] * cap * kap
-        if gap > allowed * (1.0 + self.tol):
+        if gap > allowed * (1.0 + TOLERANCE):
             raise FrontInvariantError(
                 f"element {e} violates the progress constraint: vertex "
                 f"{ids[top]} is {gap:g} above the middle vertex "

@@ -2,7 +2,9 @@
 legacy-VTK export, trace and stats files.
 
 All outputs are ASCII and byte-deterministic for a fixed input; reals are
-written with 17 significant digits so doubles round-trip losslessly.
+written with 17 significant digits so doubles round-trip losslessly.  The
+space-time JSON writer yields its file a piece at a time, so that `pitch`
+never holds the whole text or a copy of the mesh as a payload.
 
 The space-time JSON reader never holds the parsed tree of its file.  It
 decodes the top-level object one member at a time, and the patches
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import MeshValidationError, ParseError
 from .ground_mesh import GroundMesh
 from .pitcher import LiftRecord, RunTrace
-from .spacetime import Facet, MeshArrays, SpaceTimeMesh, element_durations
+from .spacetime import MeshArrays, SpaceTimeMesh, element_durations
 
 
 def _fmt(x: float) -> str:
@@ -548,34 +550,52 @@ def _scan_array(text: str, pos: int, size: int, take) -> int:
 # -- space-time mesh json ------------------------------------------------------
 
 
-def _facet_to_list(f: Facet):
-    return [f.ground_element, list(f.vertices), f.producer]
+# tokens the space-time JSON writer holds before it joins them into one
+# piece of text (about 0.7 MB) and yields it
+WRITE_PIECE = 1 << 18
+
+
+def _patch_row(p) -> dict:
+    return {"id": p.id, "vertex": p.vertex, "base": p.base, "apex": p.apex,
+            "elements": p.elements, "inflow": p.inflow, "outflow": p.outflow}
+
+
+def spacetime_json_pieces(mesh: SpaceTimeMesh):
+    """The space-time JSON, a piece of text at a time.
+
+    Each row (vertex, element, facet, patch) goes through _dump only when
+    its turn comes, and the tokens are joined and yielded whenever they
+    reach WRITE_PIECE, so the writer holds one piece of the file on top
+    of the mesh.  A Facet is a tuple, so it is written as its list
+    [ground element, vertex ids, producer].
+    """
+    out: list[str] = ['{"format": "tentpitch-stmesh", "ground_dim": ']
+    append = out.append
+    _dump(mesh.ground.dim, out)
+    for name, rows in (("vertices", mesh.vertices),
+                       ("vertex_ground", mesh.vertex_ground),
+                       ("elements", mesh.elements),
+                       ("element_patch", mesh.element_patch),
+                       ("initial_facets", mesh.initial_facets),
+                       ("frontier", mesh.frontier),
+                       ("patches", map(_patch_row, mesh.patches))):
+        append(f', "{name}": [')
+        sep = False
+        for row in rows:
+            if sep:
+                append(", ")
+            sep = True
+            _dump(row, out)
+            if len(out) >= WRITE_PIECE:
+                yield "".join(out)
+                out.clear()
+        append("]")
+    append("}\n")
+    yield "".join(out)
 
 
 def write_spacetime_json(mesh: SpaceTimeMesh) -> str:
-    payload = {
-        "format": "tentpitch-stmesh",
-        "ground_dim": mesh.ground.dim,
-        "vertices": [list(v) for v in mesh.vertices],
-        "vertex_ground": mesh.vertex_ground,
-        "elements": [list(e) for e in mesh.elements],
-        "element_patch": mesh.element_patch,
-        "initial_facets": [_facet_to_list(f) for f in mesh.initial_facets],
-        "frontier": [_facet_to_list(f) for f in mesh.frontier],
-        "patches": [
-            {
-                "id": p.id,
-                "vertex": p.vertex,
-                "base": p.base,
-                "apex": p.apex,
-                "elements": p.elements,
-                "inflow": [_facet_to_list(f) for f in p.inflow],
-                "outflow": [_facet_to_list(f) for f in p.outflow],
-            }
-            for p in mesh.patches
-        ],
-    }
-    return dumps(payload)
+    return "".join(spacetime_json_pieces(mesh))
 
 
 # patches decoded and converted at a time: bounds the reader's memory

@@ -25,12 +25,12 @@ from time import perf_counter
 from typing import Optional
 
 from .errors import FrontInvariantError, StallError
-from .front import Front, GreedyLowest, MISPhases, Strategy
+from .front import TOLERANCE, Front, GreedyLowest, MISPhases, Strategy
 from .ground_mesh import GroundMesh, MeshConstants, precompute
 from .spacetime import Facet, Patch, SpaceTimeMesh, new_facet
 
 # Computed bounds are pulled back by this relative slack so re-validation at
-# tolerance 1e-9 never trips on a facet that is cone-tight by construction.
+# TOLERANCE never trips on a facet that is cone-tight by construction.
 BOUND_SLACK = 1e-12
 
 
@@ -40,7 +40,6 @@ class PitchConfig:
 
     target_time: float
     epsilon: float = 0.1
-    tolerance: float = 1e-9
     strategy: Strategy = GreedyLowest()
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class PitchConfig:
             raise ValueError(
                 f"target time must be finite and nonnegative, got {self.target_time}"
             )
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -173,14 +170,13 @@ def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
         )
     if not front.is_local_minimum(v):
         raise ValueError(f"vertex {v} is not a local minimum of the front")
-    tol = config.tolerance
     best, kind, best_elem, best_face = min(
-        _star_constraints(front, v, tol), key=itemgetter(0))
+        _star_constraints(front, v, TOLERANCE), key=itemgetter(0))
     best = _slacked(best)
     if best >= config.target_time:
         return LiftBound(config.target_time, "target")
     tv = front.times[v]
-    if best <= tv + tol * front.constants.omega[v]:
+    if best <= tv + TOLERANCE * front.constants.omega[v]:
         raise StallError(
             f"lift of vertex {v} stalled at t={tv:.17g} "
             f"(bound {best:.17g} from {kind} on element {best_elem})",
@@ -281,14 +277,13 @@ def run(
         constants,
         config.target_time,
         initial_times=initial_times,
-        tol=config.tolerance,
     )
     mesh = SpaceTimeMesh.initial(ground, front.times)
     strategy = config.strategy
     trace = RunTrace(
         epsilon=config.epsilon,
         target_time=config.target_time,
-        tolerance=config.tolerance,
+        tolerance=TOLERANCE,
         strategy="mis" if isinstance(strategy, MISPhases) else "greedy",
         seed=strategy.seed if isinstance(strategy, MISPhases) else 0,
         initial_times=list(front.times),

@@ -3,7 +3,9 @@
 The generators cover the regimes the mesher must survive: well-shaped
 Delaunay triangulations, greedy sweep-line triangulations full of slivers,
 strips of triangles with a prescribed worst angle, strongly graded
-two-scale meshes, and small random tetrahedral meshes.
+two-scale meshes, and small random tetrahedral meshes.  The Delaunay
+generators import scipy when they run: the program itself needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .geometry import degenerate_mask, facet_index, simplex_measures
 from .ground_mesh import GroundMesh
@@ -39,6 +40,8 @@ def delaunay_mesh(n_points: int, rng: np.random.Generator,
     """Delaunay triangulation of uniform random points, scaled so a typical
     edge has length ~1.  Thin boundary slivers below min_altitude are
     dropped; plenty of obtuse triangles remain."""
+    from scipy.spatial import Delaunay
+
     side = max(2.0, math.sqrt(n_points) * 0.85)
     while True:
         pts = rng.uniform(0.0, side, size=(n_points, 2))
@@ -143,6 +146,8 @@ def two_scale_mesh(ratio: float = 8.0, seed: int = 0) -> GroundMesh:
     A coarse block and a fine block of jittered grid points, triangulated
     together so the transition is filled with graded triangles.
     """
+    from scipy.spatial import Delaunay
+
     rng = np.random.default_rng(seed)
     coarse_h = 0.4
     fine_h = coarse_h / ratio
@@ -192,6 +197,8 @@ def random_tet_mesh(n_points: int, rng: np.random.Generator,
                     min_altitude: float = 0.12,
                     max_elements: int = 20) -> GroundMesh:
     """Small random tetrahedral mesh: 3D Delaunay with slivers filtered out."""
+    from scipy.spatial import Delaunay
+
     while True:
         pts = rng.uniform(0.0, 2.0, size=(n_points, 3))
         tet = Delaunay(pts)

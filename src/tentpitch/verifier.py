@@ -10,15 +10,16 @@ The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
 memory) and check the stored facet lists against the elements.  Each
 vertex must have the space coordinates of its ground vertex, and each
-element must be its patch's apex over the matching inflow facet.  The
-initial facets must be the ground elements, each outflow facet its inflow
-facet with the apex in place of the base, each inflow facet the facet
-that the last earlier patch on its ground element left there (the causal
-sweep, a chain per ground element, with that patch as its producer), and
-the frontier the last facet left on each ground element.  Given a trace
-as well, the mesh's first vertices must be the ground vertices at the
-trace's initial times.  The cone check runs over CONE_CHUNK facets at a
-time, so that its row arrays stay small.
+element must be its patch's apex over the matching inflow facet, with
+the apex strictly later than the patch's base, so that every element has
+positive volume.  The initial facets must be the ground elements, each
+outflow facet its inflow facet with the apex in place of the base, each
+inflow facet the facet that the last earlier patch on its ground element
+left there (the causal sweep, a chain per ground element, with that
+patch as its producer), and the frontier the last facet left on each
+ground element.  Given a trace as well, the mesh's first vertices must be
+the ground vertices at the trace's initial times.  The cone check runs
+over CONE_CHUNK facets at a time, so that its row arrays stay small.
 
 The two replaying checks are whole-trace array kernels rather than loops
 over lifts.  The lifts are sorted once by (vertex, lift index), so the
@@ -319,9 +320,11 @@ def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
     elements of that vertex's star, in star order.  Its k-th element is
     its apex over its k-th inflow facet, element_patch marks it as in p,
     and the patch lists, in patch order, run through the element ids in
-    creation order, so that they partition them.  Each rule is one
-    comparison of whole arrays; a broken one is scanned again for its
-    first offender.
+    creation order, so that they partition them.  Each apex is strictly
+    later than its base: an element is its apex over a facet that holds
+    the base, so this is exactly every element having positive
+    (d+1)-volume.  Each rule is one comparison of whole arrays; a broken
+    one is scanned again for its first offender.
     """
     over, n = mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
@@ -370,6 +373,10 @@ def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
         return (f"element {j} is not patch {pid}'s element {k}: listed "
                 f"there, marked as in patch {pid}, and its apex over "
                 f"inflow facet {k}")
+    time = mesh.vertices[:, -1]
+    pid = _first(~(time[mesh.patch_apex] > time[mesh.patch_base]))
+    if pid is not None:
+        return f"patch {pid}'s apex time is not above its base time"
     return None
 
 

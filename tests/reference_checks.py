@@ -1,8 +1,8 @@
 """Object-based mesh checks, kept as the reference for the array checks in
 tentpitch.verifier: the cone gather, element ties and dict-keyed causal
 sweep that walk Facet and Patch objects, plus the stored-facet ties, the
-vertex coordinates and the initial front written as plain loops.  The
-array checks must give the same results.
+vertex coordinates, the initial front and the tents' heights written as
+plain loops.  The array checks must give the same results.
 """
 
 from dataclasses import dataclass
@@ -159,6 +159,10 @@ def element_fault(mesh) -> Optional[str]:
         return (f"element {j} is not patch {pid}'s element {k}: listed "
                 f"there, marked as in patch {pid}, and its apex over "
                 f"inflow facet {k}")
+    times = [v[-1] for v in mesh.vertices]
+    low = [not times[p.apex] > times[p.base] for p in patches]
+    if any(low):
+        return f"patch {low.index(True)}'s apex time is not above its base time"
     return None
 
 

@@ -2,7 +2,12 @@
 function, class or method in src/ that only tests reach."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tentpitch
 
@@ -77,3 +82,18 @@ def test_no_public_name_that_only_tests_reach():
                            and not sub.name.startswith("_")
                            and sub.name not in attrs]
     assert unused == []
+
+
+def test_runtime_needs_numpy_alone():
+    # scipy is for the synthetic fixtures only: the CLI never loads it
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tentpitch.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert proc.stdout == "[]\n"

@@ -15,6 +15,7 @@ from tentpitch import (
     precompute,
     run,
 )
+from tentpitch.front import TOLERANCE
 
 
 def make_front(mesh, target=10.0, epsilon=0.1, initial=None):
@@ -29,7 +30,7 @@ def _sorted_progress_message(front, e, ids, ws, cap, kap):
     top, mid = order[-1], order[-2]
     gap = t[ids[top]] - t[ids[mid]]
     allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
-    if gap > allowed * (1.0 + front.tol):
+    if gap > allowed * (1.0 + TOLERANCE):
         return (f"element {e} violates the progress constraint: vertex "
                 f"{ids[top]} is {gap:g} above the middle vertex "
                 f"(allowed {allowed:g})")
@@ -76,7 +77,7 @@ def _reference_progress(front, e, ids, ws, cap, kap):
         top, mid = 0, (2 if t2 >= t1 else 1)
     gap = t[ids[top]] - t[ids[mid]]
     allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
-    if gap > allowed * (1.0 + front.tol):
+    if gap > allowed * (1.0 + TOLERANCE):
         raise FrontInvariantError(
             f"element {e} violates the progress constraint: vertex "
             f"{ids[top]} is {gap:g} above the middle vertex "
@@ -96,7 +97,7 @@ def reference_validate_element(front, e):
         if t[v] < t_min:
             t_min = t[v]
     s = _reference_cap(front.ground, e, t_min)
-    cap2 = (s * (1.0 + front.tol)) ** 2
+    cap2 = (s * (1.0 + TOLERANCE)) ** 2
     if d == 1:
         a, b, inv_len = cons.slope_recs[e]
         slope = abs(t[b] - t[a]) * inv_len
@@ -128,7 +129,7 @@ def reference_validate_element(front, e):
         d1, d2 = t[b] - t[a], t[c] - t[a]
         f2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
         fcap = kap * s
-        if f2 > (fcap * (1.0 + front.tol)) ** 2:
+        if f2 > (fcap * (1.0 + TOLERANCE)) ** 2:
             raise FrontInvariantError(
                 f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
                 f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})")

@@ -495,7 +495,9 @@ class TestVerifyRejectsWrongElements:
 
     def test_raised_apex_cannot_be_tolerated(self, tmp_path, capsys):
         # an apex raised in time breaks the cone constraint, and verify
-        # has no tolerance flag that would let it pass
+        # has no tolerance flag that would let it pass; it also rises above
+        # the apex of patch 28, the next tent on the same vertex, which
+        # inverts that tent
         def tamper(data):
             apex = data["patches"][10]["apex"]
             data["vertices"][apex][-1] += 0.5
@@ -504,6 +506,7 @@ class TestVerifyRejectsWrongElements:
         assert rc == 1
         assert failed == [
             "FAIL cone_facets: 218 facets, worst slope/cap 1.638870571182",
+            "FAIL causality: patch 28's apex time is not above its base time",
             "FAIL progress_trace: lift 10 did not make patch 10 of the mesh"]
         out, trace = tmp_path / "st1.json", tmp_path / "trace1.json"
         with pytest.raises(SystemExit) as exc:
@@ -640,6 +643,26 @@ class TestVerifyRejectsWrongElements:
         assert rc == 1
         assert failed == [f"FAIL progress_trace: trace has {n_lifts} lifts "
                           f"for a mesh of {n_patches} patches"]
+
+    @pytest.mark.parametrize("drop", [0.0, 0.01])
+    def test_flat_or_inverted_last_tent_without_trace(self, tmp_path, capsys,
+                                                      drop):
+        # the last tent lowered to its base time (zero height) or below it
+        # (elements of negative volume): the cone check cannot see it, and
+        # without a trace no check learns the target time
+        out, _ = self._pitch(tmp_path)
+        data = json.loads(out.read_text())
+        last = data["patches"][-1]
+        assert (last["id"], last["apex"], last["base"]) == (46, 71, 44)
+        data["vertices"][71][-1] = data["vertices"][44][-1] - drop
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--mesh", str(out), "--ground",
+                     str(self.GRID)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("PASS cone_facets: ")
+        assert lines[1] == ("FAIL causality: patch 46's apex time is not "
+                            "above its base time")
 
     def test_lift_that_misses_its_patch_apex(self, tmp_path, capsys):
         out, trace = self._pitch(tmp_path)

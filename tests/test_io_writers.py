@@ -1,6 +1,7 @@
-"""The row-formatting trace and VTK writers and the inline-leaf generic
-writer against the writers they replaced, and the no-cycles property that
-lets the CLI run with the cyclic garbage collector off."""
+"""The row-formatting trace and VTK writers, the inline-leaf generic
+writer and the piece-at-a-time space-time JSON writer against the writers
+they replaced, and the no-cycles property that lets the CLI run with the
+cyclic garbage collector off."""
 
 import gc
 import json
@@ -9,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tentpitch import GroundMesh, PitchConfig, run, stats, verify
+from tentpitch import (GroundMesh, PitchConfig, io_formats, load, run, stats,
+                       verify)
 from tentpitch.cli import main
 from tentpitch.front import MISPhases
 from tentpitch.io_formats import (
     dumps,
     read_spacetime_json,
     read_trace_json,
+    spacetime_json_pieces,
     write_spacetime_json,
     write_trace_json,
     write_vtk,
@@ -233,6 +236,7 @@ class TestRowWriters:
         assert not trace.lifts and not mesh.elements
         assert write_trace_json(trace) == reference_trace_json(trace)
         assert write_vtk(mesh) == reference_vtk(mesh)
+        assert write_spacetime_json(mesh) == reference_spacetime_json(mesh)
 
     def test_read_back_trace_writes_the_same_bytes(self):
         _, _, trace = _run("d3")
@@ -286,6 +290,38 @@ class TestGenericWriter:
             reference_dumps(value)
         with pytest.raises(TypeError):
             dumps(value)
+
+
+class TestSpacetimePieces:
+    @pytest.mark.parametrize("piece", [1, 7, io_formats.WRITE_PIECE])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_pieces_join_to_reference(self, name, piece, monkeypatch):
+        _, mesh, _ = _run(name)
+        monkeypatch.setattr(io_formats, "WRITE_PIECE", piece)
+        pieces = list(spacetime_json_pieces(mesh))
+        assert "".join(pieces) == reference_spacetime_json(mesh)
+        rows = sum(map(len, (mesh.vertices, mesh.vertex_ground, mesh.elements,
+                             mesh.element_patch, mesh.initial_facets,
+                             mesh.frontier, mesh.patches)))
+        if piece == 1:
+            # a piece after every row, and the last one after the file's end
+            assert len(pieces) == rows + 1
+        elif piece == 7:
+            assert 1 < len(pieces) <= rows + 1
+        else:
+            # these meshes are far smaller than one piece
+            assert len(pieces) == 1
+
+    def test_cli_out_file_equals_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_formats, "WRITE_PIECE", 7)
+        node = DATA / "golden_grid.node"
+        out = tmp_path / "st.json"
+        assert main(["pitch", "--input", str(node), "--target-time", "1",
+                     "--out", str(out)]) == 0
+        ground = io_formats.parse_triangle(
+            node.read_text(), node.with_suffix(".ele").read_text())
+        mesh, _ = run(load(ground), PitchConfig(target_time=1.0))
+        assert out.read_bytes() == write_spacetime_json(mesh).encode()
 
 
 # -- no reference cycles -------------------------------------------------------

@@ -19,6 +19,7 @@ from tentpitch import (
     verifier,
     verify,
 )
+from tentpitch.cli import _load_ground, main
 from tentpitch.geometry import facet_index
 from tentpitch.ground_mesh import load
 from tentpitch.io_formats import (
@@ -40,6 +41,7 @@ from tentpitch.verifier import (
 
 import reference_checks as reference
 import reference_geometry as refgeo
+from test_golden import GOLDEN
 
 
 @pytest.fixture
@@ -751,6 +753,16 @@ def _initial_time_raised(data):
     data["vertices"][3][-1] += 0.01
 
 
+def _apex_time_to_base_time(data):
+    p = data["patches"][_interior(data)]
+    data["vertices"][p["apex"]][-1] = data["vertices"][p["base"]][-1]
+
+
+def _apex_time_below_base_time(data):
+    p = data["patches"][-1]
+    data["vertices"][p["apex"]][-1] = data["vertices"][p["base"]][-1] - 0.01
+
+
 # the tamperings TestVerifyRejectsWrongElements runs through the CLI, its
 # stored-facet ones, and a few more on the facet lists
 FILE_TAMPERINGS = {
@@ -771,6 +783,8 @@ FILE_TAMPERINGS = {
     "first_producer_is_its_patch": _first_producer_is_its_patch,
     "apex_moved": _apex_moved,
     "initial_time_raised": _initial_time_raised,
+    "apex_time_to_base_time": _apex_time_to_base_time,
+    "apex_time_below_base_time": _apex_time_below_base_time,
 }
 
 
@@ -844,3 +858,58 @@ class TestArrayMeshChecks:
                 if group:
                     group.pop(data.draw(st.integers(0, len(group) - 1)))
         _compare_mesh_checks(doc, g, trace)
+
+
+# -- positive volume -------------------------------------------------------------
+
+
+def _signed_volumes(data: dict, ground: GroundMesh) -> np.ndarray:
+    """The (d+1)-volume of each element of a space-time JSON file, from one
+    batched determinant, signed relative to the orientation of the ground
+    element under it.
+
+    An element is its apex over an inflow facet whose slot of the patch's
+    vertex holds the base, at the apex's place.  Expanding the determinant
+    of the edges from the apex along that row gives (-1)^(d+1) times the
+    tent's height times the ground element's determinant.
+    """
+    d = ground.dim
+    points = np.array(data["vertices"], dtype=float)
+    elements = np.array(data["elements"], dtype=np.int64)
+    on = [f[0] for p in data["patches"] for f in p["inflow"]]
+    under = ground.vertices[ground.elements[on]]
+    orientation = np.sign(np.linalg.det(under[:, 1:] - under[:, :1]))
+    edges = points[elements[:, 1:]] - points[elements[:, :1]]
+    return ((-1) ** (d + 1) * orientation * np.linalg.det(edges)
+            / math.factorial(d + 1))
+
+
+class TestPositiveVolume:
+    """check_causality's rule that each apex lies above its base is
+    exactly every element having positive (d+1)-volume."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_determinant_volumes_on_golden_runs(self, name, tmp_path):
+        ground_file, args, _ = GOLDEN[name]
+        out = tmp_path / "st.json"
+        assert main(["pitch", "--input", str(DATA / ground_file), *args,
+                     "--out", str(out)]) == 0
+        ground = _load_ground(str(DATA / ground_file), None)
+        valid = json.loads(out.read_text())
+        last = valid["patches"][-1]
+        # as pitched, the last tent flattened, and the last tent inverted
+        for drop in (None, 0.0, 0.01):
+            data = copy.deepcopy(valid)
+            if drop is not None:
+                data["vertices"][last["apex"]][-1] = (
+                    data["vertices"][last["base"]][-1] - drop)
+            volumes = _signed_volumes(data, ground)
+            result = check_causality(read_spacetime_json(json.dumps(data),
+                                                         ground))
+            assert result.passed == bool((volumes > 0).all())
+            if drop is None:
+                assert result.passed
+            else:
+                assert np.flatnonzero(volumes <= 0).tolist() == last["elements"]
+                assert result.message == (f"patch {last['id']}'s apex time is "
+                                          f"not above its base time")
