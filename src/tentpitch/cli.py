@@ -8,12 +8,7 @@ import sys
 from pathlib import Path
 
 from . import io_formats
-from .errors import (
-    FrontInvariantError,
-    MeshValidationError,
-    ParseError,
-    StallError,
-)
+from .errors import FrontInvariantError, ParseError, StallError
 from .front import GreedyLowest, MISPhases
 from .ground_mesh import GroundMesh, load, precompute
 from .pitcher import PitchConfig, run
@@ -158,13 +153,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_info(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, MeshValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FrontInvariantError, StallError) as exc:
+    # ParseError and MeshValidationError are ValueErrors
+    except (FileNotFoundError, ValueError, FrontInvariantError,
+            StallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

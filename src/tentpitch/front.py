@@ -89,18 +89,13 @@ class Front:
         """Raise FrontInvariantError if element e violates cone or progress.
 
         Vertex ids come from the plain-int slope records, so no numpy
-        scalar is read per call.  The element's earliest time is found
-        only for a speed schedule, the one slope cap that reads it.
+        scalar is read per call.
         """
         cons = self.constants
         t = self.times
         d = self.ground.dim
         rec = cons.slope_recs[e]
-        if self.ground.speed_schedule is None:
-            s = self.ground.slope_cap(e, 0.0)
-        else:
-            ids = rec[0] if d == 3 else rec[:d + 1]
-            s = self.ground.slope_cap(e, min([t[v] for v in ids]))
+        s = self.ground.slope_caps[e]
         cap2 = (s * (1.0 + TOLERANCE)) ** 2
 
         if d == 1:

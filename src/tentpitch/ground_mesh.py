@@ -11,7 +11,7 @@ every bound without array math.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,17 +19,13 @@ from . import geometry
 from .errors import MeshValidationError
 from .geometry import dots
 
-SpeedSchedule = Callable[[int, float], float]
-
 
 class GroundMesh:
     """Validated d-dimensional simplicial complex with adjacency.
 
-    Wave speed is stored per element (constant in time, default 1).  An
-    optional speed schedule, a callable (element, time) -> speed that must
-    be non-increasing in time, overrides the static speeds; it is always
-    evaluated at the earliest time of the element under consideration so
-    the fastest (most restrictive) speed is used.
+    Wave speed is stored per element (constant in time, default 1), so
+    the admissible time-gradient norm on element e is the constant
+    slope_caps[e] = 1/speeds[e].
     """
 
     def __init__(
@@ -39,7 +35,6 @@ class GroundMesh:
         elements,
         speeds=None,
         initial_times=None,
-        speed_schedule: Optional[SpeedSchedule] = None,
     ):
         if isinstance(dim, bool) or dim not in (1, 2, 3):
             raise MeshValidationError(f"unsupported dimension {dim!r} (need 1, 2 or 3)")
@@ -84,10 +79,9 @@ class GroundMesh:
                 e = int(np.argmax(bad))
                 kind = "non-positive" if finite[e] else "non-finite"
                 raise MeshValidationError(f"element {e} has {kind} wave speed")
-        self.speed_schedule = speed_schedule
-        # slope_cap without a schedule, as plain floats: the same values,
-        # bit for bit, as 1.0 / float(speeds[e])
-        self._static_caps: list[float] = (1.0 / self.speeds).tolist()
+        # as plain floats: the same values, bit for bit, as
+        # 1.0 / float(speeds[e])
+        self.slope_caps: list[float] = (1.0 / self.speeds).tolist()
 
         self.initial_times = None
         if initial_times is not None:
@@ -131,26 +125,6 @@ class GroundMesh:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
-
-    def slope_cap(self, e: int, time: float) -> float:
-        """Admissible time-gradient norm (1/speed) on element e near the
-        given time; without a speed schedule, time is not read."""
-        if self.speed_schedule is None:
-            return self._static_caps[e]
-        c = float(self.speed_schedule(e, time))
-        if c <= 0:
-            raise MeshValidationError(
-                f"speed schedule returned non-positive speed for element {e}"
-            )
-        return 1.0 / c
-
-    def slope_caps(self, elements: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """slope_cap of each element at the matching time; one array
-        division unless a speed schedule must be called per element."""
-        if self.speed_schedule is None:
-            return 1.0 / self.speeds[elements]
-        return np.array([self.slope_cap(e, t)
-                         for e, t in zip(elements.tolist(), times.tolist())])
 
 
 def _split(items: list, counts: np.ndarray) -> list[list]:

@@ -812,8 +812,7 @@ def _lift_row(r: LiftRecord) -> str:
 
 
 def write_trace_json(trace: RunTrace) -> str:
-    """The trace as JSON, formatted one lift per row.  build_seconds is
-    wall clock and is left out, so that the file is byte-deterministic."""
+    """The trace as JSON, formatted one lift per row."""
     return (
         f'{{"epsilon": {_fmt(trace.epsilon)}, '
         f'"target_time": {_fmt(trace.target_time)}, '
@@ -865,7 +864,6 @@ def _trace_from_dict(data) -> RunTrace:
             [None if f is None else tuple(f) for f in col["face"]],
             col["patch"],
         )),
-        build_seconds=number("build_seconds", data.get("build_seconds", 0.0)),
     )
 
 

@@ -106,7 +106,7 @@ def _cone3(rec, t, cap, tol, e) -> float:
 
 def _star_constraints(front: Front, v: int, tol: float):
     """Yield every constraint on lifting vertex v as (value, kind, element,
-    face), each element's cap taken at v's time.
+    face).
 
     The order is star order and, within an element, the cone ceiling, the
     progress ceiling (d = 2), then the cone and progress ceilings of each
@@ -132,9 +132,9 @@ def _star_constraints(front: Front, v: int, tol: float):
     ground, cons, t = front.ground, front.constants, front.times
     d = ground.dim
     pf = 1.0 - front.epsilon
-    tv = t[v]
+    caps = ground.slope_caps
     for e, li in ground.stars[v]:
-        cap = ground.slope_cap(e, tv)
+        cap = caps[e]
         rec = cons.cone_recs[e][li]
         if d == 1:
             j, length = rec
@@ -253,7 +253,6 @@ class RunTrace:
     seed: int
     initial_times: list[float]
     lifts: list[LiftRecord] = field(default_factory=list)
-    build_seconds: float = 0.0
 
 
 def run(
@@ -298,7 +297,5 @@ def run(
             LiftRecord(v, old, bound.value, bound.kind, bound.element,
                        bound.face, patch.id)
         )
-    elapsed = perf_counter() - start
-    mesh.build_seconds = elapsed
-    trace.build_seconds = elapsed
+    mesh.build_seconds = perf_counter() - start
     return mesh, trace

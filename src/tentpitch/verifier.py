@@ -17,9 +17,10 @@ outflow facet its inflow facet with the apex in place of the base, each
 inflow facet the facet that the last earlier patch on its ground element
 left there (the causal sweep, a chain per ground element, with that
 patch as its producer), and the frontier the last facet left on each
-ground element.  Given a trace as well, the mesh's first vertices must be
-the ground vertices at the trace's initial times.  The cone check runs
-over CONE_CHUNK facets at a time, so that its row arrays stay small.
+ground element, no vertex of it below the last apex time.  Given a trace
+as well, the mesh's first vertices must be the ground vertices at the
+trace's initial times.  The cone check runs over CONE_CHUNK facets at a
+time, so that its row arrays stay small.
 
 The two replaying checks are whole-trace array kernels rather than loops
 over lifts.  The lifts are sorted once by (vertex, lift index), so the
@@ -63,20 +64,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "message": c.message,
-                    "details": c.details,
-                }
-                for c in self.checks
-            ],
-        }
 
     def summary(self) -> str:
         return "\n".join(c.line() for c in self.checks)
@@ -153,7 +140,7 @@ def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
         verts = mesh.facet_vertices[chunk]
         times = vertex_times[verts]
         slopes = _facet_slopes(ground, gels, times)
-        caps = ground.slope_caps(gels, times.min(axis=1))
+        caps = 1.0 / ground.speeds[gels]
         ratio = slopes / caps
         worst.append(ratio.max())
         # written so that a NaN ratio counts as a violation
@@ -485,7 +472,8 @@ def check_causality(mesh: Mesh) -> CheckResult:
     the patches describe (see _element_fault), and every stored facet must
     be the one the elements give: the initial and outflow facets before
     the sweep (_derived_fault), the inflow producers and the frontier
-    after it (_link_fault)."""
+    after it (_link_fault).  The frontier must be the terminal front:
+    no frontier vertex is below the last apex time."""
     mesh = _as_arrays(mesh)
     tents = _Tents(mesh)
     fault = _element_fault(mesh, tents) or _derived_fault(mesh, tents)
@@ -524,6 +512,15 @@ def check_causality(mesh: Mesh) -> CheckResult:
     fault = _link_fault(mesh, tents, prev, chain)
     if fault:
         return CheckResult("causality", False, fault)
+    if n_patches:
+        time = mesh.vertices[:, -1]
+        top = time[mesh.patch_apex].max()
+        frontier = mesh.facet_vertices[_facet_rows(mesh, [1])]
+        e = _first(~(time[frontier] >= top).all(axis=1))
+        if e is not None:
+            return CheckResult(
+                "causality", False,
+                f"frontier facet {e} is below the last apex time")
     return CheckResult(
         "causality", True,
         f"sweep of {n_patches} patches succeeded; {injected}",
@@ -615,7 +612,7 @@ def _liftability_margins(ground: GroundMesh, table, elems, T):
     rows = np.arange(len(elems))
     order = np.argsort(T, axis=1, kind="stable")
     low, mid = order[:, 0], order[:, 1]
-    cap = ground.slope_caps(elems, T[rows, low])
+    cap = 1.0 / ground.speeds[elems]
     FT = np.take_along_axis(T, geometry.facet_index(ground.dim)[low], axis=1)
     wl = w[elems, low]
     if ground.dim == 1:
@@ -731,7 +728,7 @@ def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
     X = ground.vertices[ids]                       # (R, d+1, d)
     T = times_of(ids, owner[:, None])              # (R, d+1)
     t_v = times_of(verts, np.arange(n_samples))
-    cap = ground.slope_caps(elems, t_v[owner])
+    cap = 1.0 / ground.speeds[elems]
     lifted = li[:, None] == np.arange(d + 1)
     opp = geometry.facet_index(d)
 

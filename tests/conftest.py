@@ -74,3 +74,15 @@ def face_caps(cons):
             for l, rec in zip(opp[i], recs):
                 caps[e, l] = rec[-1]
     return caps
+
+
+def alternating_speed_grid():
+    """A jittered 3 x 3 grid whose elements alternate between speeds 1.2
+    (even) and 1.5 (odd), so its slope caps are not 1.  The run tables
+    key it "d2_speed_schedule" or "schedule": a fixed table of speeds,
+    one per element, which keeps their test ids."""
+    from tentpitch.synthetic import jittered_grid_mesh
+
+    g = jittered_grid_mesh(3, 3, seed=2)
+    return GroundMesh(2, g.vertices, g.elements,
+                      speeds=[1.5 if e % 2 else 1.2 for e in range(g.n_elements)])

@@ -80,14 +80,7 @@ def cone_facets(mesh, ground=None, tol=1e-9) -> CheckResult:
     gels = np.array([f.ground_element for f in facets])
     verts = np.array([f.vertices for f in facets])
     slopes = _facet_slopes(ground, gels, st_times[verts])
-    if mesh.ground.speed_schedule is None:
-        caps = 1.0 / ground.speeds[[f.ground_element for f in facets]]
-    else:
-        tmin = st_times[verts].min(axis=1)
-        caps = np.array(
-            [ground.slope_cap(f.ground_element, tm)
-             for f, tm in zip(facets, tmin)]
-        )
+    caps = 1.0 / ground.speeds[gels]
     ratio = slopes / caps
     worst = float(ratio.max())
     bad = np.flatnonzero(~(ratio <= 1.0 + tol))

@@ -346,7 +346,7 @@ def test_criterion_11_d3_suite():
             times[r.vertex] = r.new_time
             for e, _ in ground.stars[r.vertex]:
                 ids = [int(x) for x in ground.elements[e]]
-                cap = ground.slope_cap(e, min(times[u] for u in ids))
+                cap = 1.0 / ground.speeds[e]
                 for l in range(4):
                     face = [ids[x] for x in range(4) if x != l]
                     coords = ground.vertices[face]

@@ -9,13 +9,14 @@ from tentpitch import (
     FrontInvariantError,
     GreedyLowest,
     GroundMesh,
-    MeshValidationError,
     MISPhases,
     PitchConfig,
     precompute,
     run,
 )
 from tentpitch.front import TOLERANCE
+
+from conftest import alternating_speed_grid
 
 
 def make_front(mesh, target=10.0, epsilon=0.1, initial=None):
@@ -56,16 +57,6 @@ class TestProgressState:
 # -- reference: element validation as it was ----------------------------------
 
 
-def _reference_cap(ground, e, time):
-    if ground.speed_schedule is not None:
-        c = float(ground.speed_schedule(e, time))
-        if c <= 0:
-            raise MeshValidationError(
-                f"speed schedule returned non-positive speed for element {e}")
-        return 1.0 / c
-    return 1.0 / float(ground.speeds[e])
-
-
 def _reference_progress(front, e, ids, ws, cap, kap):
     t = front.times
     t0, t1, t2 = t[ids[0]], t[ids[1]], t[ids[2]]
@@ -87,16 +78,12 @@ def _reference_progress(front, e, ids, ws, cap, kap):
 
 def reference_validate_element(front, e):
     """Front.validate_element before it read plain-int records: ids from
-    the numpy element row, the cap at the element's earliest time."""
+    the numpy element row, the cap 1/speed of the element."""
     cons = front.constants
     t = front.times
     d = front.ground.dim
-    t_min = math.inf
     ids = front.ground.elements[e]
-    for v in ids:
-        if t[v] < t_min:
-            t_min = t[v]
-    s = _reference_cap(front.ground, e, t_min)
+    s = 1.0 / float(front.ground.speeds[e])
     cap2 = (s * (1.0 + TOLERANCE)) ** 2
     if d == 1:
         a, b, inv_len = cons.slope_recs[e]
@@ -158,16 +145,6 @@ def _speedy_grid():
                       speeds=np.linspace(0.6, 1.6, g.n_elements))
 
 
-def _scheduled_grid():
-    # the schedule is assigned after construction, so the cached static
-    # caps must not be read
-    from tentpitch.synthetic import jittered_grid_mesh
-
-    g = jittered_grid_mesh(3, 3, seed=2)
-    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
-    return g
-
-
 def _tets():
     from tentpitch.synthetic import random_tet_mesh
 
@@ -175,7 +152,7 @@ def _tets():
 
 
 VALIDATE_MESHES = {"d1": (_graded_path, 2.0), "d2": (_speedy_grid, 1.0),
-                   "d2_speed_schedule": (_scheduled_grid, 1.0),
+                   "d2_speed_schedule": (alternating_speed_grid, 1.0),
                    "d3": (_tets, 0.6)}
 
 
@@ -219,20 +196,10 @@ class TestValidateElementReference:
     @pytest.mark.parametrize("make", [_graded_path, _speedy_grid, _tets])
     def test_static_slope_cap_is_bitwise_reciprocal_speed(self, make):
         mesh = make()
-        for e in range(mesh.n_elements):
-            for time in (0.0, 0.7):
-                got = mesh.slope_cap(e, time)
-                assert type(got) is float
-                assert got == 1.0 / float(mesh.speeds[e])
-
-    def test_schedule_set_after_construction_is_called(self):
-        mesh = _scheduled_grid()
-        calls = []
-        schedule = mesh.speed_schedule
-        mesh.speed_schedule = lambda e, t: calls.append((e, t)) or schedule(e, t)
-        assert mesh.slope_cap(1, 0.0) == 1.0 / 1.5
-        assert mesh.slope_cap(1, 0.5) == 1.0
-        assert calls == [(1, 0.0), (1, 0.5)]
+        assert len(mesh.slope_caps) == mesh.n_elements
+        for e, got in enumerate(mesh.slope_caps):
+            assert type(got) is float
+            assert got == 1.0 / float(mesh.speeds[e])
 
 
 class TestInit:

@@ -4,7 +4,9 @@ reports on small committed inputs.
 The sha256 digests of the pitch outputs were recorded from the program
 before the inline-leaf JSON writer and the plain-record lift loop, those
 of the verify stdout from the object-based verifier, before it read the
-mesh as arrays; neither may change.  A change that is meant to alter
+mesh as arrays; neither may change.  The digests of the Kuhn run with
+non-unit speeds were recorded before the slope cap became a constant
+per element.  A change that is meant to alter
 these files or reports must say so and record new digests; a speed-up
 must leave them as they are.
 """
@@ -40,6 +42,11 @@ GOLDEN = {
         "st.json": "2869f4fdc12e5cc733936290e985cd4343058b88400ab482521ee0e51eb9058a",
         "trace.json": "e740929e84b51e3ffa58afb8dc2eff950b77c6918f3219ee7c95194468d680b0",
     }),
+    # the Kuhn grid again, with speeds 1.5 on odd and 1.2 on even elements
+    "kuhn_d3_speeds": ("golden_kuhn_speeds.json", ["--target-time", "1"], {
+        "st.json": "e5a439fb609358966a08e6eabba2bdbe28be695281433dfb408880c42f1993f8",
+        "trace.json": "6f60488589910a15427f18bface1ecb66f2922b4f48e7baf6a38b18014697293",
+    }),
 }
 
 # name: sha256 of the stdout of `verify --mesh --ground --trace` on its outputs
@@ -48,6 +55,7 @@ VERIFY_STDOUT = {
     "grid_d2_greedy": "1290d3ffa0348d7a99a80e162ef857fe06f7be5b71e528533bf87aef74355982",
     "grid_d2_mis": "182e37c0ce5674cce6b46f83afe305392cc61c45f58ffaadbbf679b0e377521a",
     "kuhn_d3": "b27cf1b575a2f795b1e714ba4fa19f7e5a002f47534a88f409a139861d14bb5a",
+    "kuhn_d3_speeds": "1d5f2a1165637570f54852cfa858b94765cbfbdbbbad198d1a08750bf1da64af",
 }
 
 

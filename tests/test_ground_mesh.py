@@ -321,14 +321,3 @@ class TestBatchedRecords:
         for name, want in ref.items():
             _assert_records_close(getattr(cons, name), want, name)
 
-
-class TestSpeedSchedule:
-    def test_schedule_overrides_static(self, right_triangle):
-        right_triangle.speed_schedule = lambda e, t: 2.0 if t < 1.0 else 1.0
-        assert right_triangle.slope_cap(0, 0.5) == pytest.approx(0.5)
-        assert right_triangle.slope_cap(0, 2.0) == pytest.approx(1.0)
-
-    def test_schedule_must_be_positive(self, right_triangle):
-        right_triangle.speed_schedule = lambda e, t: 0.0
-        with pytest.raises(MeshValidationError):
-            right_triangle.slope_cap(0, 0.0)

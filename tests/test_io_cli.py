@@ -664,6 +664,28 @@ class TestVerifyRejectsWrongElements:
         assert lines[1] == ("FAIL causality: patch 46's apex time is not "
                             "above its base time")
 
+    def test_last_tent_cut_without_trace(self, tmp_path, capsys):
+        # the last patch removed with its elements and its apex, and the
+        # frontier given back its inflow facets: every stored link holds,
+        # but the run stops short of the terminal front
+        out, _ = self._pitch(tmp_path)
+        data = json.loads(out.read_text())
+        last = data["patches"].pop()
+        assert (last["id"], last["apex"]) == (46, 71)
+        assert last["elements"] == [183, 184, 185]
+        del data["elements"][183:], data["element_patch"][183:]
+        del data["vertices"][71:], data["vertex_ground"][71:]
+        for made, consumed in zip(last["outflow"], last["inflow"]):
+            data["frontier"][data["frontier"].index(made)] = consumed
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--mesh", str(out), "--ground",
+                     str(self.GRID)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("PASS cone_facets: ")
+        assert lines[1] == ("FAIL causality: frontier facet 22 is below the "
+                            "last apex time")
+
     def test_lift_that_misses_its_patch_apex(self, tmp_path, capsys):
         out, trace = self._pitch(tmp_path)
         data = json.loads(trace.read_text())

@@ -25,6 +25,8 @@ from tentpitch.io_formats import (
 )
 from tentpitch.spacetime import Facet
 
+from conftest import alternating_speed_grid
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -179,14 +181,6 @@ def _delaunay():
     return delaunay_mesh(14, np.random.default_rng(5))
 
 
-def _scheduled():
-    from tentpitch.synthetic import jittered_grid_mesh
-
-    g = jittered_grid_mesh(3, 3, seed=2)
-    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
-    return g
-
-
 def _tets():
     from tentpitch.synthetic import random_tet_mesh
 
@@ -198,7 +192,7 @@ RUNS = {
     "d1": (_line, 2.0, None),
     "d2": (_delaunay, 1.0, None),
     "d2_mis": (_delaunay, 1.0, MISPhases(seed=4)),
-    "d2_speed_schedule": (_scheduled, 1.0, None),
+    "d2_speed_schedule": (alternating_speed_grid, 1.0, None),
     "d3": (_tets, 0.6, None),
 }
 

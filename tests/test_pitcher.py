@@ -18,7 +18,7 @@ from tentpitch import (
 from tentpitch.pitcher import _star_constraints, compute_lift
 from tentpitch.verifier import check_cone_facets
 
-from conftest import face_caps, random_rigid_motion
+from conftest import alternating_speed_grid, face_caps, random_rigid_motion
 from reference_geometry import gradient, single_triangle_budget
 
 
@@ -424,12 +424,11 @@ def reference_lift(v, front, config):
     first of equal constraints.  Its check for a facet already past its
     cap is left out; a valid run never reaches it."""
     ground, cons, t = front.ground, front.constants, front.times
-    tv = t[v]
     d = ground.dim
     pf = 1.0 - config.epsilon
     best, kind, best_elem, best_face = math.inf, "cone", None, None
     for e, li in ground.stars[v]:
-        cap = ground.slope_cap(e, tv)
+        cap = 1.0 / ground.speeds[e]
         rec = cons.cone_recs[e][li]
         if d == 1:
             cb = t[rec[0]] + rec[1] * cap
@@ -461,14 +460,6 @@ def reference_lift(v, front, config):
     return best, kind, best_elem, best_face
 
 
-def _scheduled_grid():
-    from tentpitch.synthetic import jittered_grid_mesh
-
-    g = jittered_grid_mesh(3, 3, seed=2)
-    g.speed_schedule = lambda e, t: (1.5 if e % 2 else 1.2) if t < 0.4 else 1.0
-    return g
-
-
 def _reference_grounds():
     from tentpitch.synthetic import (
         delaunay_mesh,
@@ -484,7 +475,7 @@ def _reference_grounds():
                           speeds=[2.0, 2.0, 1.0, 0.5]), 2.0),
         "d2": (delaunay_mesh(14, np.random.default_rng(5)), 1.0),
         "d2_grid": (jittered_grid_mesh(3, 3, jitter=0.0), 1.0),
-        "d2_speed_schedule": (_scheduled_grid(), 1.0),
+        "d2_speed_schedule": (alternating_speed_grid(), 1.0),
         "d3": (random_tet_mesh(9, np.random.default_rng(3)), 0.6),
     }
 

@@ -46,12 +46,20 @@ class TestAppendPatch:
 
     def test_off_frontier_patch_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
-        patch = pitch_tent(mesh, 0, 0.75)
         assert check_causality(mesh).passed
-        patch.inflow[0] = Facet(0, (97, 98, 99), -1)
+        mesh.patches[-1].inflow[0] = Facet(0, (97, 98, 99), -1)
         result = check_causality(mesh)
         assert not result.passed
         assert "is not patch" in result.message
+
+    def test_tent_past_the_terminal_front_rejected(self, right_triangle):
+        # a well-linked tent above a finished front leaves the other
+        # frontier vertices below its apex
+        mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
+        pitch_tent(mesh, 0, 0.75)
+        result = check_causality(mesh)
+        assert not result.passed
+        assert result.message == "frontier facet 0 is below the last apex time"
 
     def test_out_of_order_patch_id_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
