@@ -99,7 +99,8 @@ def _cmd_pitch(args) -> int:
         with open(args.out, "w") as fh:
             fh.writelines(io_formats.spacetime_json_pieces(mesh))
     if args.vtk:
-        Path(args.vtk).write_text(io_formats.write_vtk(mesh))
+        with open(args.vtk, "w") as fh:
+            fh.writelines(io_formats.vtk_pieces(mesh))
     if args.stats:
         Path(args.stats).write_text(io_formats.dumps(st.to_dict()))
     if args.trace:

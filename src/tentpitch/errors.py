@@ -18,8 +18,4 @@ class FrontInvariantError(RuntimeError):
 
 
 class StallError(RuntimeError):
-    """A lift failed to advance its vertex; carries a diagnostic payload."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A lift failed to advance its vertex (the message says where)."""

@@ -49,28 +49,22 @@ TOLERANCE = 1e-9
 
 
 class Front:
-    """Mutable front state over an immutable ground mesh."""
+    """Mutable front state over an immutable ground mesh, starting at the
+    ground mesh's initial times, or at time 0 where it has none."""
 
     def __init__(
         self,
         ground: GroundMesh,
         constants: MeshConstants,
         target_time: float,
-        initial_times=None,
     ):
         self.ground = ground
         self.constants = constants
         self.target_time = float(target_time)
         self.epsilon = constants.epsilon
         n = ground.n_vertices
-        if initial_times is None:
-            initial_times = np.zeros(n)
-        t = np.asarray(initial_times, dtype=float)
-        if t.shape != (n,):
-            raise ValueError("initial times must supply one value per vertex")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("initial times must be finite")
-        self.times: list[float] = t.tolist()
+        t = ground.initial_times
+        self.times: list[float] = [0.0] * n if t is None else t.tolist()
         # per-element altitudes as plain floats, for the d = 2 progress check
         self._altitudes: list[list[float]] = constants.altitudes.tolist()
         self.finished: list[bool] = [ti >= self.target_time for ti in self.times]

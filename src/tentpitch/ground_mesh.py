@@ -83,11 +83,15 @@ class GroundMesh:
         # 1.0 / float(speeds[e])
         self.slope_caps: list[float] = (1.0 / self.speeds).tolist()
 
+        # the front's times at the start of a run; None means all zero
         self.initial_times = None
         if initial_times is not None:
             self.initial_times = np.asarray(initial_times, dtype=float)
             if self.initial_times.shape != (n,):
                 raise MeshValidationError("initial_times must supply one value per vertex")
+            bad = np.flatnonzero(~np.isfinite(self.initial_times))
+            if len(bad):
+                raise MeshValidationError(f"vertex {bad[0]} has a non-finite initial time")
 
         # stars in CSR form, from a stable sort of the flattened element
         # array by vertex: star_elements/star_locals[star_offsets[v]:
@@ -169,8 +173,6 @@ class MeshConstants:
     epsilon: float
     altitudes: np.ndarray            # (m, d+1)
     omega: np.ndarray                # (n,) min altitude over incident elements
-    omega_speed: np.ndarray          # (n,) min altitude/speed; sets the patch budget
-    progress_floor: np.ndarray       # (n,) omega_speed, for d=3 also min over capped faces
     cone_recs: list = field(repr=False, default_factory=list)
     face_recs: Optional[list] = field(repr=False, default=None)
     slope_recs: list = field(repr=False, default_factory=list)
@@ -258,10 +260,7 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     # altitude = d * |simplex| / |opposite facet|
     altitudes = (d * geometry.simplex_measures(X)[:, None]
                  / geometry.simplex_measures(F))
-    scaled = altitudes / mesh.speeds[:, None]
     omega = _vertex_min(n, ids, altitudes)
-    omega_speed = _vertex_min(n, ids, scaled)
-    progress_floor = omega_speed
     face_recs = face_state_recs = None
     E = geometry.edge_bases(X)
 
@@ -306,11 +305,6 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         fkappa = kappa[:, opp]
         face_recs = _records(ids[:, jk[..., 0]], ids[:, jk[..., 1]],
                              fbeta, finv_len, wf, fkappa, depth=3)
-        progress_floor = np.minimum(
-            omega_speed,
-            _vertex_min(n, ids[:, :, None],
-                        fkappa * wf / mesh.speeds[:, None, None]),
-        )
 
         slope_recs = list(zip(map(tuple, ids.tolist()),
                               np.linalg.inv(E @ np.swapaxes(E, 1, 2))))
@@ -329,8 +323,6 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         epsilon=epsilon,
         altitudes=altitudes,
         omega=omega,
-        omega_speed=omega_speed,
-        progress_floor=progress_floor,
         cone_recs=cone_recs,
         face_recs=face_recs,
         slope_recs=slope_recs,

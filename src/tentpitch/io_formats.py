@@ -874,8 +874,9 @@ def read_trace_json(text: str) -> RunTrace:
 # -- legacy VTK export -----------------------------------------------------------
 
 
-def write_vtk(mesh: SpaceTimeMesh) -> str:
-    """Legacy-VTK ASCII unstructured grid of the space-time mesh.
+def vtk_pieces(mesh: SpaceTimeMesh):
+    """Legacy-VTK ASCII unstructured grid of the space-time mesh, a section
+    at a time: each section is joined only when its turn comes.
 
     d = 2 ground meshes export as tetrahedra (x, y, t); d = 1 as triangles
     (x, t, 0).  Cell data carries the owning patch id and the element's
@@ -884,30 +885,23 @@ def write_vtk(mesh: SpaceTimeMesh) -> str:
     d = mesh.ground.dim
     if d == 3:
         raise ValueError("cannot export 4-dimensional space-time elements to VTK")
-    lines = [
-        "# vtk DataFile Version 2.0",
-        "space-time mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(mesh.vertices)} double",
-    ]
-    if d == 2:
-        lines.extend(f"{x:.17g} {y:.17g} {t:.17g}" for x, y, t in mesh.vertices)
-    else:
-        lines.extend(f"{x:.17g} {t:.17g} 0" for x, t in mesh.vertices)
     n_el = len(mesh.elements)
     per = d + 2
-    lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
-    cell = str(per) + " %d" * per
-    lines.extend(cell % e for e in mesh.elements)
-    lines.append(f"CELL_TYPES {n_el}")
-    cell_type = "10" if d == 2 else "5"
-    lines.extend([cell_type] * n_el)
-    lines.append(f"CELL_DATA {n_el}")
-    lines.append("SCALARS patch_id int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(map(str, mesh.element_patch))
-    lines.append("SCALARS duration double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(f"{x:.17g}" for x in element_durations(mesh).tolist())
-    return "\n".join(lines) + "\n"
+    yield ("# vtk DataFile Version 2.0\nspace-time mesh\nASCII\n"
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(mesh.vertices)} double\n")
+    if d == 2:
+        yield "".join(f"{x:.17g} {y:.17g} {t:.17g}\n" for x, y, t in mesh.vertices)
+    else:
+        yield "".join(f"{x:.17g} {t:.17g} 0\n" for x, t in mesh.vertices)
+    yield f"CELLS {n_el} {n_el * (per + 1)}\n"
+    cell = str(per) + " %d" * per + "\n"
+    yield "".join(cell % e for e in mesh.elements)
+    yield f"CELL_TYPES {n_el}\n" + ("10\n" if d == 2 else "5\n") * n_el
+    yield f"CELL_DATA {n_el}\nSCALARS patch_id int 1\nLOOKUP_TABLE default\n"
+    yield "".join(f"{p}\n" for p in mesh.element_patch)
+    yield "SCALARS duration double 1\nLOOKUP_TABLE default\n"
+    yield "".join(f"{x:.17g}\n" for x in element_durations(mesh).tolist())
+
+
+def write_vtk(mesh: SpaceTimeMesh) -> str:
+    return "".join(vtk_pieces(mesh))

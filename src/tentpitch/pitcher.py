@@ -156,38 +156,26 @@ def _star_constraints(front: Front, v: int, tol: float):
                 yield top + pf * wf * fcap, "progress", e, face
 
 
-def compute_lift(v: int, front: Front, config: PitchConfig) -> LiftBound:
+def compute_lift(v: int, front: Front) -> LiftBound:
     """Maximal admissible lift for local-minimum vertex v.
 
     Returns the first smallest of the constraints _star_constraints
-    yields, clamped at the target time.  Raises StallError when the result
-    fails to advance the vertex, which would mean the progress invariant
-    was broken upstream.
+    yields, clamped at the front's target time.  Raises StallError when
+    the result fails to advance the vertex, which would mean the progress
+    invariant was broken upstream.
     """
-    if front.constants.epsilon != config.epsilon:
-        raise ValueError(
-            "mesh constants were precomputed with a different epsilon"
-        )
     if not front.is_local_minimum(v):
         raise ValueError(f"vertex {v} is not a local minimum of the front")
     best, kind, best_elem, best_face = min(
         _star_constraints(front, v, TOLERANCE), key=itemgetter(0))
     best = _slacked(best)
-    if best >= config.target_time:
-        return LiftBound(config.target_time, "target")
+    if best >= front.target_time:
+        return LiftBound(front.target_time, "target")
     tv = front.times[v]
     if best <= tv + TOLERANCE * front.constants.omega[v]:
         raise StallError(
             f"lift of vertex {v} stalled at t={tv:.17g} "
-            f"(bound {best:.17g} from {kind} on element {best_elem})",
-            diagnostics={
-                "vertex": v,
-                "time": tv,
-                "bound": best,
-                "kind": kind,
-                "element": best_elem,
-                "face": best_face,
-            },
+            f"(bound {best:.17g} from {kind} on element {best_elem})"
         )
     return LiftBound(best, kind, best_elem, best_face)
 
@@ -258,25 +246,21 @@ class RunTrace:
 def run(
     ground: GroundMesh,
     config: PitchConfig,
-    initial_times=None,
     constants: Optional[MeshConstants] = None,
 ) -> tuple[SpaceTimeMesh, RunTrace]:
-    """Advance the whole front to the target time.
+    """Advance the whole front from the ground mesh's initial times to the
+    target time.
 
     Returns the space-time mesh (patches in causal creation order) and the
     per-lift trace.  Every vertex finishes at exactly the target time; the
-    last lift of each vertex is clamped there.
+    last lift of each vertex is clamped there.  Given constants must have
+    been precomputed with config's epsilon.
     """
     if constants is None:
         constants = precompute(ground, config.epsilon)
-    if initial_times is None and ground.initial_times is not None:
-        initial_times = ground.initial_times
-    front = Front(
-        ground,
-        constants,
-        config.target_time,
-        initial_times=initial_times,
-    )
+    elif constants.epsilon != config.epsilon:
+        raise ValueError("mesh constants were precomputed with a different epsilon")
+    front = Front(ground, constants, config.target_time)
     mesh = SpaceTimeMesh.initial(ground, front.times)
     strategy = config.strategy
     trace = RunTrace(
@@ -289,7 +273,7 @@ def run(
     )
     start = perf_counter()
     while (v := front.next_vertex(strategy)) is not None:
-        bound = compute_lift(v, front, config)
+        bound = compute_lift(v, front)
         old = front.times[v]
         front.apply_lift(v, bound.value)
         patch = pitch_tent(mesh, v, bound.value)

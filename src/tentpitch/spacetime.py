@@ -78,10 +78,6 @@ class SpaceTimeMesh:
         mesh.initial_facets = list(mesh.frontier)
         return mesh
 
-    @property
-    def dim(self) -> int:
-        return self.ground.dim + 1
-
     def add_vertex(self, ground_vertex: int, time: float) -> int:
         coords = self.ground.vertices[ground_vertex]
         self.vertices.append((*coords.tolist(), float(time)))

@@ -1,17 +1,19 @@
 """Independent re-checking of a finished space-time mesh and its trace.
 
-The checks deliberately avoid the pitcher's precomputed constraint tables:
-facet slopes are re-derived from raw coordinates (batched Gram solves),
-the liftability replay rebuilds its own per-element scalars, and a random
-sample of lifts is re-derived from scratch with a bisection feasibility
-oracle built on the geometry primitives alone.
+The checks deliberately avoid the generator's constraint tables: facet
+slopes are re-derived from raw coordinates (batched Gram solves), the
+progress floor and the liftability replay's per-element scalars from
+batched hull feet and clearance ratios, and a random sample of lifts is
+re-derived from scratch with a bisection feasibility oracle built on the
+geometry primitives alone.
 
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
-memory) and check the stored facet lists against the elements.  Each
-vertex must have the space coordinates of its ground vertex, and each
-element must be its patch's apex over the matching inflow facet, with
-the apex strictly later than the patch's base, so that every element has
+memory) and check the stored facet lists against the elements.  The
+first vertices must lie over the ground vertices in order, each vertex
+must have the space coordinates of its ground vertex, and each element
+must be its patch's apex over the matching inflow facet, with the apex
+strictly later than the patch's base, so that every element has
 positive volume.  The initial facets must be the ground elements, each
 outflow facet its inflow facet with the apex in place of the base, each
 inflow facet the facet that the last earlier patch on its ground element
@@ -40,7 +42,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry
-from .ground_mesh import GroundMesh, precompute
+from .ground_mesh import GroundMesh
 from .pitcher import RunTrace
 from .spacetime import MeshArrays, SpaceTimeMesh, mesh_arrays
 
@@ -211,6 +213,30 @@ def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
     return None
 
 
+def _progress_floors(ground: GroundMesh, epsilon: float):
+    """Per-vertex (omega_speed, floor) from coordinates: omega_speed(v) is
+    the least altitude / speed over v's star, the altitudes by hull feet.
+    For d = 3 the floor is also at most, for each triangular face holding
+    v, v's in-face altitude times the face's cap (1 - epsilon) times the
+    clearance ratio of the vertex opposite the face, over speed."""
+    ids, speeds = ground.elements, ground.speeds[:, None]
+    floor = np.full(ground.n_vertices, math.inf)
+    np.minimum.at(floor, ids, _element_scalars(ground)[0] / speeds)
+    omega_speed = floor.copy()
+    if ground.dim == 3:
+        X = ground.vertices[ids]
+        opp = geometry.facet_index(3)
+        kappa = (1.0 - epsilon) * geometry.clearance_ratios(X, X[:, opp])
+        # vertex i lies on face l, the face opposite l, for each l != i;
+        # its in-face altitude is over the edge of face l without i
+        i, l = np.nonzero(~np.eye(4, dtype=bool))
+        edge = [[x for x in opp[b] if x != a] for a, b in zip(i, l)]
+        foot, _ = geometry.hull_feet(X[:, i], X[:, edge])
+        wf = np.linalg.norm(X[:, i] - foot, axis=-1)
+        np.minimum.at(floor, ids[:, i], kappa[:, l] * wf / speeds)
+    return omega_speed, floor
+
+
 def check_progress_trace(trace: RunTrace, ground: GroundMesh,
                          tol: float = 1e-9,
                          mesh: Optional[Mesh] = None) -> CheckResult:
@@ -218,10 +244,11 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
 
     Every non-clamped lift must advance its vertex by at least
     epsilon * floor(v), where floor(v) is the speed-scaled minimum altitude
-    of v (for d = 3 additionally min over the capped triangular faces).
-    Total patches are bounded by (T/eps) * sum(1/omega) and, for d = 2,
-    total elements by six times that.  Given the mesh, the trace must also
-    be the run that built it (see _mesh_mismatch).
+    of v (for d = 3 additionally min over the capped triangular faces),
+    derived from coordinates by _progress_floors.  Total patches are
+    bounded by (T/eps) * sum(1/omega_speed) and, for d = 2, total elements
+    by six times that.  Given the mesh, the trace must also be the run
+    that built it (see _mesh_mismatch).
     """
     verts = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
     foreign = _foreign_trace(trace, ground, verts)
@@ -229,26 +256,20 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
         foreign = _mesh_mismatch(trace, _as_arrays(mesh))
     if foreign:
         return CheckResult("progress_trace", False, foreign)
-    cons = precompute(ground, trace.epsilon)
     eps = trace.epsilon
     T = trace.target_time
-    floor = cons.progress_floor
-    worst_margin = math.inf
-    offenders = []
-    n_elements = 0
-    for r in trace.lifts:
-        n_elements += len(ground.stars[r.vertex])
-        if r.new_time >= T:
-            continue
-        advance = r.new_time - r.old_time
-        required = eps * floor[r.vertex] * (1.0 - tol)
-        margin = advance / (eps * floor[r.vertex])
-        worst_margin = min(worst_margin, margin)
-        if advance < required:
-            offenders.append(
-                {"vertex": r.vertex, "advance": advance, "required": required}
-            )
-    inv_omega = float(np.sum(1.0 / cons.omega_speed))
+    omega_speed, floor = _progress_floors(ground, eps)
+    new = np.array([r.new_time for r in trace.lifts], dtype=float)
+    free = np.flatnonzero(new < T)  # the lifts not clamped at the target
+    advance = new[free] - np.array([r.old_time for r in trace.lifts])[free]
+    scale = eps * floor[verts[free]]
+    required = scale * (1.0 - tol)
+    offenders = [{"vertex": int(verts[free[i]]), "advance": float(advance[i]),
+                  "required": float(required[i])}
+                 for i in np.flatnonzero(advance < required)]
+    worst_margin = float(np.min(advance / scale, initial=math.inf))
+    n_elements = int(np.diff(ground.star_offsets)[verts].sum())
+    inv_omega = float(np.sum(1.0 / omega_speed))
     patch_budget = (T / eps) * inv_omega
     element_budget = 6.0 * patch_budget if ground.dim == 2 else None
     n_patches = len(trace.lifts)
@@ -270,7 +291,7 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
             "elements": n_elements,
             "element_budget": element_budget,
             "worst_advance_margin": None
-            if worst_margin is math.inf else worst_margin,
+            if worst_margin == math.inf else worst_margin,
             "violations": offenders[:5],
         },
     )
@@ -301,23 +322,28 @@ class _Tents:
 def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
     """Why the elements are not the tents the patches describe, or None.
 
-    Each vertex has the space coordinates of its ground vertex, exactly
-    (the writer's 17 digits round-trip).  Patch p has id p, its base and
-    apex lie over its ground vertex, and its inflow facets lie on the
-    elements of that vertex's star, in star order.  Its k-th element is
-    its apex over its k-th inflow facet, element_patch marks it as in p,
-    and the patch lists, in patch order, run through the element ids in
-    creation order, so that they partition them.  Each apex is strictly
-    later than its base: an element is its apex over a facet that holds
-    the base, so this is exactly every element having positive
-    (d+1)-volume.  Each rule is one comparison of whole arrays; a broken
-    one is scanned again for its first offender.
+    Vertices 0..n-1 lie over ground vertices 0..n-1, even those that no
+    patch lifts, and each vertex has the space coordinates of its ground
+    vertex, exactly (the writer's 17 digits round-trip).  Patch p has id
+    p, its base and apex lie over its ground vertex, and its inflow
+    facets lie on the elements of that vertex's star, in star order.  Its
+    k-th element is its apex over its k-th inflow facet, element_patch
+    marks it as in p, and the patch lists, in patch order, run through
+    the element ids in creation order, so that they partition them.  Each
+    apex is strictly later than its base: an element is its apex over a
+    facet that holds the base, so this is exactly every element having
+    positive (d+1)-volume.  Each rule is one comparison of whole arrays;
+    a broken one is scanned again for its first offender.
     """
     over, n = mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
         return (f"{len(over)} vertex_ground entries for "
                 f"{len(mesh.vertices)} vertices")
     ground = mesh.ground
+    n_ground = ground.n_vertices
+    v = _first(over[:n_ground] != np.arange(n_ground)[:len(over)])
+    if v is not None:
+        return f"initial vertex {v} is not over ground vertex {v}"
     v = _first((mesh.vertices[:, :-1] != ground.vertices[over]).any(axis=1))
     if v is not None:
         return (f"vertex {v} is not at the place of its ground vertex "

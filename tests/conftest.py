@@ -51,6 +51,13 @@ def fan_mesh():
     return GroundMesh(2, verts, tris)
 
 
+def with_initial_times(mesh, times):
+    """The ground mesh again with the given initial times, which the front
+    starts from."""
+    return GroundMesh(mesh.dim, mesh.vertices, mesh.elements,
+                      speeds=mesh.speeds, initial_times=times)
+
+
 def random_rigid_motion(rng, d):
     """Random rotation + translation in R^d."""
     a = rng.normal(size=(d, d))

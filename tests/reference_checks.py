@@ -107,6 +107,9 @@ def element_fault(mesh) -> Optional[str]:
     patches, over, n = mesh.patches, mesh.vertex_ground, len(mesh.elements)
     if len(over) != len(mesh.vertices):
         return f"{len(over)} vertex_ground entries for {len(mesh.vertices)} vertices"
+    for v, g in enumerate(over[:mesh.ground.n_vertices]):
+        if g != v:
+            return f"initial vertex {v} is not over ground vertex {v}"
     for v, (g, coords) in enumerate(zip(over, mesh.vertices)):
         if list(coords[:-1]) != mesh.ground.vertices[g].tolist():
             return f"vertex {v} is not at the place of its ground vertex {g}"

@@ -236,7 +236,7 @@ def test_criterion_06_oracle_equivalence():
         cons = precompute(ground, EPS)
         front = Front(ground, cons, target)
         while (v := front.next_vertex(cfg.strategy)) is not None:
-            bound = compute_lift(v, front, cfg)
+            bound = compute_lift(v, front)
             if checked < budget:
                 times = np.array(front.times)
                 oracle = _oracle_max_lifts(ground, np.array([v]),

@@ -16,11 +16,13 @@ from tentpitch import (
 )
 from tentpitch.front import TOLERANCE
 
-from conftest import alternating_speed_grid
+from conftest import alternating_speed_grid, with_initial_times
 
 
 def make_front(mesh, target=10.0, epsilon=0.1, initial=None):
-    return Front(mesh, precompute(mesh, epsilon), target, initial_times=initial)
+    if initial is not None:
+        mesh = with_initial_times(mesh, initial)
+    return Front(mesh, precompute(mesh, epsilon), target)
 
 
 def _sorted_progress_message(front, e, ids, ws, cap, kap):
@@ -237,8 +239,8 @@ class TestNextVertex:
 
     def test_unique_minimum_on_path(self):
         mesh = GroundMesh(1, [[0.0], [1.0], [2.0]], [[0, 1], [1, 2]])
-        front = Front(mesh, precompute(mesh), 10.0,
-                      initial_times=[0.1, 0.0, 0.2])
+        front = Front(with_initial_times(mesh, [0.1, 0.0, 0.2]),
+                      precompute(mesh), 10.0)
         assert front.next_vertex(GreedyLowest()) == 1
 
     def test_mis_single_vertex_per_phase_in_clique(self, right_triangle):
@@ -290,7 +292,7 @@ class TestApplyLift:
             v = front.next_vertex(GreedyLowest())
             from tentpitch.pitcher import compute_lift
 
-            bound = compute_lift(v, front, PitchConfig(target_time=10.0))
+            bound = compute_lift(v, front)
             front.apply_lift(v, bound.value)  # re-validates the star
             front.validate_star(v)
 
@@ -316,7 +318,6 @@ class TestDeterminism:
 
         def run_phases():
             front = Front(mesh, cons, 1.0)
-            cfg = PitchConfig(target_time=1.0, strategy=strategy)
             from tentpitch.pitcher import compute_lift
 
             phases = []
@@ -326,7 +327,7 @@ class TestDeterminism:
                     phases.append([])
                 phases[front.phase_counter - 1].append(v)
                 order.append(v)
-                front.apply_lift(v, compute_lift(v, front, cfg).value)
+                front.apply_lift(v, compute_lift(v, front).value)
             return phases, order
 
         phases1, order1 = run_phases()

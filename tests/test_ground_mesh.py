@@ -5,6 +5,7 @@ import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
 from tentpitch.synthetic import delaunay_mesh, path_mesh_1d, random_tet_mesh
+from tentpitch.verifier import _progress_floors
 
 import reference_geometry as refgeo
 from conftest import face_caps
@@ -173,6 +174,8 @@ class TestPrecompute:
             elements2 = inv[mesh.elements][eperm]
             mesh2 = GroundMesh(mesh.dim, verts2, elements2)
             cons2 = precompute(mesh2)
+            floor = _progress_floors(mesh, 0.1)[1]
+            floor2 = _progress_floors(mesh2, 0.1)[1]
             if mesh.dim == 3:
                 caps, caps2 = face_caps(cons), face_caps(cons2)
             for new_e, old_e in enumerate(eperm):
@@ -186,8 +189,8 @@ class TestPrecompute:
                 assert cons2.omega[inv[old_v]] == pytest.approx(
                     cons.omega[old_v], rel=1e-12
                 )
-                assert cons2.progress_floor[inv[old_v]] == pytest.approx(
-                    cons.progress_floor[old_v], rel=1e-12
+                assert floor2[inv[old_v]] == pytest.approx(
+                    floor[old_v], rel=1e-12
                 )
 
     def test_inverse_omega_sum_reproducible(self, right_triangle):
@@ -206,8 +209,9 @@ class TestPrecompute:
     def test_speed_scaled_floor(self):
         mesh = GroundMesh(2, [[0, 1], [0, 0], [1, 0]], [[0, 1, 2]],
                           speeds=[2.0])
-        cons = precompute(mesh)
-        assert cons.omega_speed[0] == pytest.approx(cons.omega[0] / 2.0)
+        omega_speed, floor = _progress_floors(mesh, 0.1)
+        assert omega_speed[0] == pytest.approx(precompute(mesh).omega[0] / 2.0)
+        assert floor[0] == omega_speed[0]
 
 
 def _reference_constants(mesh, epsilon):
@@ -300,24 +304,45 @@ def _assert_records_close(got, want, path):
             np.asarray(want, dtype=float), rel=1e-12), path
 
 
+def _speedy_mesh(dim, rng):
+    """A random mesh of dimension dim with random wave speeds."""
+    if dim == 1:
+        base = path_mesh_1d(np.cumsum(rng.uniform(0.2, 1.0, size=9)))
+    elif dim == 2:
+        base = delaunay_mesh(40, rng)
+    else:
+        base = random_tet_mesh(12, rng)
+    return GroundMesh(dim, base.vertices, base.elements,
+                      speeds=rng.uniform(0.5, 2.0, size=base.n_elements))
+
+
+# the reference entries that precompute does not hold: the verifier
+# derives them itself
+FLOORS = ("omega_speed", "progress_floor")
+
+
 class TestBatchedRecords:
     """precompute's array code against a per-element reference."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_every_field_matches_reference(self, dim, rng):
-        if dim == 1:
-            base = path_mesh_1d(np.cumsum(rng.uniform(0.2, 1.0, size=9)))
-        elif dim == 2:
-            base = delaunay_mesh(40, rng)
-        else:
-            base = random_tet_mesh(12, rng)
-        mesh = GroundMesh(dim, base.vertices, base.elements,
-                          speeds=rng.uniform(0.5, 2.0, size=base.n_elements))
+        mesh = _speedy_mesh(dim, rng)
         cons = precompute(mesh, epsilon=0.2)
         ref = _reference_constants(mesh, 0.2)
         if dim == 3:
             # the clearance branch outside the facet must be exercised
             assert np.any(face_caps(cons) < 1.0 - 0.2)
         for name, want in ref.items():
-            _assert_records_close(getattr(cons, name), want, name)
+            if name not in FLOORS:
+                _assert_records_close(getattr(cons, name), want, name)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_verifier_floors_match_reference(self, dim, rng):
+        mesh = _speedy_mesh(dim, rng)
+        ref = _reference_constants(mesh, 0.2)
+        for name, got in zip(FLOORS, _progress_floors(mesh, 0.2)):
+            assert got == pytest.approx(ref[name], rel=1e-12), name
+        if dim == 3:
+            # some face floors bind
+            assert np.any(ref["progress_floor"] < ref["omega_speed"])
 

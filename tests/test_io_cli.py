@@ -405,6 +405,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: element 1 has non-finite wave speed\n"
 
+    @pytest.mark.parametrize("command", ["info", "pitch"])
+    def test_nan_initial_time_is_exit_one(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan_time.json"
+        bad.write_text(
+            '{"dim": 2, "vertices": [[0, 1], [0, 0], [1, 0]], '
+            '"elements": [[0, 1, 2]], "initial_times": [0, NaN, 0]}'
+        )
+        argv = [command, "--input", str(bad)]
+        if command == "pitch":
+            argv += ["--target-time", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 1 has a non-finite initial time\n"
+
     @pytest.mark.parametrize("where, value, message", [
         # 10**400 is a valid JSON integer that no float can hold
         pytest.param(("vertices", 1, 0), 10**400,
@@ -685,6 +700,25 @@ class TestVerifyRejectsWrongElements:
         assert len(lines) == 2 and lines[0].startswith("PASS cone_facets: ")
         assert lines[1] == ("FAIL causality: frontier facet 22 is below the "
                             "last apex time")
+
+    def test_initial_vertices_swapped_without_trace(self, tmp_path, capsys):
+        # at target time 0 no patch lifts a vertex, so only the rule that
+        # the first vertices lie over the ground vertices in order sees
+        # vertices 0 and 1 exchange their ground vertices and places
+        out, _ = self._pitch(tmp_path, target="0")
+        data = json.loads(out.read_text())
+        assert data["patches"] == []
+        over, verts = data["vertex_ground"], data["vertices"]
+        over[0], over[1] = over[1], over[0]
+        verts[0][:-1], verts[1][:-1] = verts[1][:-1], verts[0][:-1]
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--mesh", str(out), "--ground",
+                     str(self.GRID)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("PASS cone_facets: ")
+        assert lines[1] == ("FAIL causality: initial vertex 0 is not over "
+                            "ground vertex 0")
 
     def test_lift_that_misses_its_patch_apex(self, tmp_path, capsys):
         out, trace = self._pitch(tmp_path)

@@ -18,7 +18,12 @@ from tentpitch import (
 from tentpitch.pitcher import _star_constraints, compute_lift
 from tentpitch.verifier import check_cone_facets
 
-from conftest import alternating_speed_grid, face_caps, random_rigid_motion
+from conftest import (
+    alternating_speed_grid,
+    face_caps,
+    random_rigid_motion,
+    with_initial_times,
+)
 from reference_geometry import gradient, single_triangle_budget
 
 
@@ -103,8 +108,8 @@ class TestPitchConfig:
 
 class TestConeBound:
     def test_right_triangle_tilted_edge(self, right_triangle):
-        front = Front(right_triangle, precompute(right_triangle), 10.0,
-                      initial_times=[0.0, 0.0, 0.3])
+        front = Front(with_initial_times(right_triangle, [0.0, 0.0, 0.3]),
+                      precompute(right_triangle), 10.0)
         got = constraint(front, 0, 0)
         oracle = cone_oracle(right_triangle.vertices, [0.0, 0.0, 0.3], 0)
         assert got == pytest.approx(oracle, rel=1e-9)
@@ -157,8 +162,8 @@ class TestConeBound:
 
 class TestProgressBound:
     def test_direct_substitution(self, right_triangle):
-        front = Front(right_triangle, precompute(right_triangle, 0.1), 10.0,
-                      initial_times=[0.0, 0.0, 0.3])
+        front = Front(with_initial_times(right_triangle, [0.0, 0.0, 0.3]),
+                      precompute(right_triangle, 0.1), 10.0)
         # top neighbor at 0.3 plus (1-eps) * altitude 1
         assert constraint(front, 0, 0, "progress") == pytest.approx(1.2)
 
@@ -244,33 +249,30 @@ class TestStarConstraints:
 
 class TestComputeLift:
     def test_binding_cone(self, right_triangle):
-        front = Front(right_triangle, precompute(right_triangle), 10.0,
-                      initial_times=[0.0, 0.0, 0.3])
-        cfg = PitchConfig(target_time=10.0, epsilon=0.1)
-        bound = compute_lift(0, front, cfg)
+        front = Front(with_initial_times(right_triangle, [0.0, 0.0, 0.3]),
+                      precompute(right_triangle), 10.0)
+        bound = compute_lift(0, front)
         assert bound.kind == "cone"
         assert bound.element == 0
         assert bound.value == pytest.approx(math.sqrt(0.91), rel=1e-9)
 
     def test_binding_progress_flat_equilateral(self, equilateral):
         front = Front(equilateral, precompute(equilateral), 10.0)
-        cfg = PitchConfig(target_time=10.0, epsilon=0.1)
-        bound = compute_lift(0, front, cfg)
+        bound = compute_lift(0, front)
         assert bound.kind == "progress"
         assert bound.value == pytest.approx(0.9 * math.sqrt(3) / 2, rel=1e-9)
 
     def test_target_clamp(self, equilateral):
         front = Front(equilateral, precompute(equilateral), 0.25)
-        cfg = PitchConfig(target_time=0.25, epsilon=0.1)
-        bound = compute_lift(0, front, cfg)
+        bound = compute_lift(0, front)
         assert bound.kind == "target"
         assert bound.value == 0.25
 
     def test_requires_local_minimum(self, right_triangle):
-        front = Front(right_triangle, precompute(right_triangle), 10.0,
-                      initial_times=[0.0, 0.0, 0.3])
+        front = Front(with_initial_times(right_triangle, [0.0, 0.0, 0.3]),
+                      precompute(right_triangle), 10.0)
         with pytest.raises(ValueError, match="local minimum"):
-            compute_lift(2, front, PitchConfig(target_time=10.0))
+            compute_lift(2, front)
 
     def test_monotone_in_epsilon(self, rng):
         from tentpitch.synthetic import delaunay_mesh
@@ -279,8 +281,7 @@ class TestComputeLift:
         values = []
         for eps in (0.05, 0.1, 0.2, 0.35, 0.5):
             front = Front(mesh, precompute(mesh, eps), 10.0)
-            cfg = PitchConfig(target_time=10.0, epsilon=eps)
-            values.append(compute_lift(0, front, cfg).value)
+            values.append(compute_lift(0, front).value)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_stall_detector_on_invalid_state(self):
@@ -289,11 +290,10 @@ class TestComputeLift:
         mesh = GroundMesh(2, [[3.0, 0.1], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
         front = Front(mesh, precompute(mesh), 10.0)
         front.times = [-1.84, 1.0, 0.05]  # bypasses init validation
-        cfg = PitchConfig(target_time=10.0)
-        ceiling = compute_lift(0, front, cfg).value
+        ceiling = compute_lift(0, front).value
         front.times[0] = ceiling
         with pytest.raises(StallError):
-            compute_lift(0, front, cfg)
+            compute_lift(0, front)
 
     def test_progress_floor_on_random_runs(self, rng):
         from tentpitch.synthetic import delaunay_mesh
@@ -317,7 +317,7 @@ class TestComputeLift:
         front = Front(mesh, precompute(mesh), 1.5)
         checked = 0
         while (v := front.next_vertex(cfg.strategy)) is not None:
-            bound = compute_lift(v, front, cfg)
+            bound = compute_lift(v, front)
             front.apply_lift(v, bound.value)
             if bound.kind == "cone" and bound.face is None:
                 e = bound.element
@@ -362,6 +362,12 @@ class TestRun:
         budget = single_triangle_budget(right_triangle, 10.0, 0.1)
         assert budget == pytest.approx(10.0 * (2 + math.sqrt(2)) / 0.1)
         assert len(mesh.elements) <= budget
+
+    def test_constants_for_another_epsilon_rejected(self, right_triangle):
+        constants = precompute(right_triangle, 0.2)
+        with pytest.raises(ValueError, match="different epsilon"):
+            run(right_triangle, PitchConfig(target_time=1.0, epsilon=0.1),
+                constants=constants)
 
     def test_zero_target_empty_mesh(self, right_triangle):
         mesh, trace = run(right_triangle, PitchConfig(target_time=0.0))
@@ -491,7 +497,7 @@ class TestReferenceEquivalence:
         front = Front(ground, precompute(ground), target)
         kinds = set()
         while (v := front.next_vertex(strategy)) is not None:
-            got = compute_lift(v, front, config)
+            got = compute_lift(v, front)
             got = (got.value, got.kind, got.element, got.face)
             assert got == reference_lift(v, front, config)
             kinds.add(got[1])

@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import json
 import math
+import sys
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -21,6 +23,7 @@ from tentpitch import (
 )
 from tentpitch.cli import _load_ground, main
 from tentpitch.geometry import facet_index
+from tentpitch import ground_mesh
 from tentpitch.ground_mesh import load
 from tentpitch.io_formats import (
     parse_triangle,
@@ -41,8 +44,8 @@ from tentpitch.verifier import (
 
 import reference_checks as reference
 import reference_geometry as refgeo
-from conftest import alternating_speed_grid
-from test_golden import GOLDEN
+from conftest import alternating_speed_grid, with_initial_times
+from test_golden import GOLDEN, VERIFY_STDOUT
 
 
 @pytest.fixture
@@ -287,9 +290,9 @@ class TestLiftBoundsSampled:
         from tentpitch import Front
         from tentpitch.pitcher import compute_lift
 
-        front = Front(right_triangle, precompute(right_triangle), 10.0,
-                      initial_times=[0.0, 0.0, 0.3])
-        bound = compute_lift(0, front, PitchConfig(target_time=10.0))
+        front = Front(with_initial_times(right_triangle, [0.0, 0.0, 0.3]),
+                      precompute(right_triangle), 10.0)
+        bound = compute_lift(0, front)
         times = np.array(front.times)
         oracle = verifier._oracle_max_lifts(
             right_triangle, np.array([0]), lambda u, s: times[u], 0.1)[0][0]
@@ -334,6 +337,31 @@ class TestVerifyOrchestration:
         g, _, trace = small_run
         report = verify(ground=g, trace=trace)
         assert report.passed
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_run_verifies_without_precompute(self, name, tmp_path,
+                                                    capsys, monkeypatch):
+        # the verifier derives its progress floor from coordinates: every
+        # binding of the generator's table builder refuses, and the report
+        # is still the recorded one
+        ground, args, _ = GOLDEN[name]
+        out, trace = tmp_path / "st.json", tmp_path / "trace.json"
+        assert main(["pitch", "--input", str(DATA / ground), *args,
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran precompute")
+
+        original = ground_mesh.precompute
+        for mod_name, module in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "tentpitch"
+                    and getattr(module, "precompute", None) is original):
+                monkeypatch.setattr(module, "precompute", refuse)
+        assert main(["verify", "--mesh", str(out), "--ground",
+                     str(DATA / ground), "--trace", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_STDOUT[name]
 
 
 # -- batched replay and oracle against lift-by-lift references ---------------
@@ -735,6 +763,13 @@ def _first_producer_is_its_patch(data):
             return
 
 
+def _initial_vertices_swapped(data):
+    # vertices 0 and 1 exchange their ground vertices and places
+    over, verts = data["vertex_ground"], data["vertices"]
+    over[0], over[1] = over[1], over[0]
+    verts[0][:-1], verts[1][:-1] = verts[1][:-1], verts[0][:-1]
+
+
 def _apex_moved(data):
     p = data["patches"][_interior(data)]
     data["vertices"][p["apex"]][0] += 5.0
@@ -773,6 +808,7 @@ FILE_TAMPERINGS = {
     "inflow_rerouted": _inflow_rerouted,
     "first_producer_is_its_patch": _first_producer_is_its_patch,
     "apex_moved": _apex_moved,
+    "initial_vertices_swapped": _initial_vertices_swapped,
     "initial_time_raised": _initial_time_raised,
     "apex_time_to_base_time": _apex_time_to_base_time,
     "apex_time_below_base_time": _apex_time_below_base_time,
