@@ -85,6 +85,9 @@ def _load_ground(path_text: str, format_override: str | None) -> GroundMesh:
 
 def _cmd_pitch(args) -> int:
     ground = _load_ground(args.input, args.format)
+    if args.vtk:
+        # before the run, so that a run that cannot be exported writes nothing
+        io_formats.check_vtk_dim(ground.dim)
     strategy = (
         MISPhases(seed=args.seed) if args.strategy == "mis" else GreedyLowest()
     )

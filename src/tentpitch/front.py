@@ -40,6 +40,11 @@ class MISPhases:
 
     seed: int = 0
 
+    def __post_init__(self):
+        # numpy's seeded generator takes nonnegative seeds only
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
 
 Strategy = Union[GreedyLowest, MISPhases]
 

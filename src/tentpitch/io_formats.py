@@ -555,9 +555,13 @@ def _scan_array(text: str, pos: int, size: int, take) -> int:
 WRITE_PIECE = 1 << 18
 
 
-def _patch_row(p) -> dict:
-    return {"id": p.id, "vertex": p.vertex, "base": p.base, "apex": p.apex,
-            "elements": p.elements, "inflow": p.inflow, "outflow": p.outflow}
+def _patch_rows(mesh: SpaceTimeMesh):
+    """The patch records of the file, each built from the mesh's columns
+    when its turn comes."""
+    for pid in range(len(mesh.patch_first)):
+        vertex, base, apex, elements, inflow, outflow = mesh.patch_row(pid)
+        yield {"id": pid, "vertex": vertex, "base": base, "apex": apex,
+               "elements": elements, "inflow": inflow, "outflow": outflow}
 
 
 def spacetime_json_pieces(mesh: SpaceTimeMesh):
@@ -565,9 +569,9 @@ def spacetime_json_pieces(mesh: SpaceTimeMesh):
 
     Each row (vertex, element, facet, patch) goes through _dump only when
     its turn comes, and the tokens are joined and yielded whenever they
-    reach WRITE_PIECE, so the writer holds one piece of the file on top
-    of the mesh.  A Facet is a tuple, so it is written as its list
-    [ground element, vertex ids, producer].
+    reach WRITE_PIECE, so the writer holds one piece of the file and one
+    patch record on top of the mesh's columns.  A facet is a tuple, so it
+    is written as its list [ground element, vertex ids, producer].
     """
     out: list[str] = ['{"format": "tentpitch-stmesh", "ground_dim": ']
     append = out.append
@@ -578,7 +582,7 @@ def spacetime_json_pieces(mesh: SpaceTimeMesh):
                        ("element_patch", mesh.element_patch),
                        ("initial_facets", mesh.initial_facets),
                        ("frontier", mesh.frontier),
-                       ("patches", map(_patch_row, mesh.patches))):
+                       ("patches", _patch_rows(mesh))):
         append(f', "{name}": [')
         sep = False
         for row in rows:
@@ -874,6 +878,13 @@ def read_trace_json(text: str) -> RunTrace:
 # -- legacy VTK export -----------------------------------------------------------
 
 
+def check_vtk_dim(dim: int) -> None:
+    """Raise ValueError if space-time elements over a ground mesh of
+    dimension dim cannot be exported."""
+    if dim == 3:
+        raise ValueError("cannot export 4-dimensional space-time elements to VTK")
+
+
 def vtk_pieces(mesh: SpaceTimeMesh):
     """Legacy-VTK ASCII unstructured grid of the space-time mesh, a section
     at a time: each section is joined only when its turn comes.
@@ -883,8 +894,7 @@ def vtk_pieces(mesh: SpaceTimeMesh):
     time extent.  4-dimensional elements (d = 3) cannot be exported.
     """
     d = mesh.ground.dim
-    if d == 3:
-        raise ValueError("cannot export 4-dimensional space-time elements to VTK")
+    check_vtk_dim(d)
     n_el = len(mesh.elements)
     per = d + 2
     yield ("# vtk DataFile Version 2.0\nspace-time mesh\nASCII\n"

@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import FrontInvariantError, StallError
 from .front import TOLERANCE, Front, GreedyLowest, MISPhases, Strategy
 from .ground_mesh import GroundMesh, MeshConstants, precompute
-from .spacetime import Facet, Patch, SpaceTimeMesh, new_facet
+from .spacetime import SpaceTimeMesh
 
 # Computed bounds are pulled back by this relative slack so re-validation at
 # TOLERANCE never trips on a facet that is cone-tight by construction.
@@ -180,46 +180,38 @@ def compute_lift(v: int, front: Front) -> LiftBound:
     return LiftBound(best, kind, best_elem, best_face)
 
 
-def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> Patch:
-    """Build and commit the patch for lifting vertex v to t_new.
+def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> int:
+    """Commit the patch for lifting vertex v to t_new and return its id.
 
-    One (d+1)-simplex per element of star(v): the apex, the old position of
-    v, and the other vertices at their current front positions.  All
-    internal facets of the patch share the base-apex edge.  Each inflow
-    facet is the frontier facet of its element, which the outflow facet
-    then replaces; check_causality re-checks these links.
+    One (d+1)-simplex per element of star(v): the apex over the element's
+    front facet, which holds the old position of v (the base) and the
+    other vertices at their current front positions.  All internal facets
+    of the patch share the base-apex edge.  The front facet then takes
+    the apex in place of the base, and this patch as its producer; the
+    mesh derives the inflow and outflow facets from the elements, and
+    check_causality re-checks these links.
     """
-    pid = len(mesh.patches)
-    base = mesh.current_vertex[v]
+    pid = len(mesh.patch_first)
+    elements, producers = mesh.elements, mesh.inflow_producer
+    front, front_producer = mesh.front, mesh.front_producer
     apex = mesh.add_vertex(v, t_new)
-    elements, frontier = mesh.elements, mesh.frontier
-    first = len(elements)
-    inflow: list[Facet] = []
-    outflow: list[Facet] = []
-    for e, li in mesh.ground.stars[v]:
-        fr = frontier[e]
-        inflow.append(fr)
-        verts = fr.vertices
-        out = new_facet((e, verts[:li] + (apex,) + verts[li + 1:], pid))
-        outflow.append(out)
-        frontier[e] = out
+    mesh.patch_vertex.append(v)
+    mesh.patch_base.append(mesh.current_vertex[v])
+    mesh.patch_apex.append(apex)
+    mesh.patch_first.append(len(elements))
+    star = mesh.ground.stars[v]
+    for e, li in star:
+        verts = front[e]
         elements.append((apex,) + verts)
-    mesh.element_patch.extend([pid] * len(inflow))
+        producers.append(front_producer[e])
+        front[e] = verts[:li] + (apex,) + verts[li + 1:]
+        front_producer[e] = pid
+    mesh.element_patch.extend([pid] * len(star))
     mesh.current_vertex[v] = apex
-    patch = Patch(
-        id=pid,
-        vertex=v,
-        base=base,
-        apex=apex,
-        elements=list(range(first, len(elements))),
-        inflow=inflow,
-        outflow=outflow,
-    )
-    mesh.patches.append(patch)
-    return patch
+    return pid
 
 
-@dataclass
+@dataclass(slots=True)
 class LiftRecord:
     vertex: int
     old_time: float
@@ -261,7 +253,7 @@ def run(
     elif constants.epsilon != config.epsilon:
         raise ValueError("mesh constants were precomputed with a different epsilon")
     front = Front(ground, constants, config.target_time)
-    mesh = SpaceTimeMesh.initial(ground, front.times)
+    mesh = SpaceTimeMesh(ground, front.times)
     strategy = config.strategy
     trace = RunTrace(
         epsilon=config.epsilon,
@@ -276,10 +268,10 @@ def run(
         bound = compute_lift(v, front)
         old = front.times[v]
         front.apply_lift(v, bound.value)
-        patch = pitch_tent(mesh, v, bound.value)
+        pid = pitch_tent(mesh, v, bound.value)
         trace.lifts.append(
             LiftRecord(v, old, bound.value, bound.kind, bound.element,
-                       bound.face, patch.id)
+                       bound.face, pid)
         )
     mesh.build_seconds = perf_counter() - start
     return mesh, trace

@@ -1,16 +1,26 @@
 """Output space-time mesh: vertices, elements, patches, causal order.
 
-Patches are stored in creation order, which is by construction a linear
-extension of the inter-patch dependency order: every inflow facet of a
-patch was produced either by the initial front or by a strictly earlier
-patch.  The verifier re-checks this rather than trusting it.
+The mesh is kept as columns, which the lift loop appends to: vertices and
+their ground vertices, elements with their patch and the producer of
+their inflow facet, per patch its vertex, base, apex and first element,
+and the current front, one vertex tuple and producer per ground element.
+Facets and patch records are derived from these when something reads
+them: an element is its patch's apex over its inflow facet, and its
+outflow facet is that facet with the apex in place of the base.
+
+Patches are numbered in creation order, which is by construction a
+linear extension of the inter-patch dependency order: every inflow facet
+of a patch was produced either by the initial front or by a strictly
+earlier patch.  The verifier re-checks this rather than trusting it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from itertools import chain, count, islice
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +41,7 @@ class Facet(NamedTuple):
     producer: int
 
 
-# Facet from an (element, vertices, producer) tuple, without the
-# Python-level NamedTuple constructor: the pitcher makes one per facet
-new_facet = partial(tuple.__new__, Facet)
-
-
-@dataclass
+@dataclass(slots=True)
 class Patch:
     """One tent: every element shares the edge from base to apex vertex."""
 
@@ -50,42 +55,93 @@ class Patch:
 
 
 class SpaceTimeMesh:
-    """Accumulated (d+1)-dimensional simplicial mesh grouped into patches."""
+    """Accumulated (d+1)-dimensional simplicial mesh grouped into patches,
+    starting from the ground vertices at the given times."""
 
-    def __init__(self, ground: GroundMesh):
+    def __init__(self, ground: GroundMesh, times):
         self.ground = ground
-        self.vertices: list[tuple[float, ...]] = []   # (*space, time)
-        self.vertex_ground: list[int] = []
+        # the ground coordinates as floats, shared by every vertex row
+        self._coords: list[list[float]] = ground.vertices.tolist()
+        self.vertices: list[tuple[float, ...]] = [     # (*space, time)
+            (*xs, float(t)) for xs, t in zip(self._coords, times)]
+        self.vertex_ground: list[int] = list(range(ground.n_vertices))
         self.elements: list[tuple[int, ...]] = []
         self.element_patch: list[int] = []
-        self.patches: list[Patch] = []
-        self.current_vertex: list[int] = []
-        self.frontier: list[Facet] = []
-        self.initial_facets: list[Facet] = []
+        self.inflow_producer: list[int] = []     # per element, or -1
+        self.patch_vertex: list[int] = []
+        self.patch_base: list[int] = []
+        self.patch_apex: list[int] = []
+        self.patch_first: list[int] = []         # first element's id
+        self.current_vertex: list[int] = list(range(ground.n_vertices))
+        self.front: list[tuple[int, ...]] = list(
+            map(tuple, ground.elements.tolist()))
+        self.front_producer: list[int] = [-1] * ground.n_elements
         self.build_seconds: float = 0.0
 
-    @classmethod
-    def initial(cls, ground: GroundMesh, times) -> "SpaceTimeMesh":
-        mesh = cls(ground)
-        for v in range(ground.n_vertices):
-            coords = ground.vertices[v]
-            mesh.vertices.append((*coords.tolist(), float(times[v])))
-            mesh.vertex_ground.append(v)
-        mesh.current_vertex = list(range(ground.n_vertices))
-        for e in range(ground.n_elements):
-            facet = Facet(e, tuple(int(x) for x in ground.elements[e]), -1)
-            mesh.frontier.append(facet)
-        mesh.initial_facets = list(mesh.frontier)
-        return mesh
-
     def add_vertex(self, ground_vertex: int, time: float) -> int:
-        coords = self.ground.vertices[ground_vertex]
-        self.vertices.append((*coords.tolist(), float(time)))
+        self.vertices.append((*self._coords[ground_vertex], float(time)))
         self.vertex_ground.append(ground_vertex)
         return len(self.vertices) - 1
 
     def times_array(self) -> np.ndarray:
         return np.array([v[-1] for v in self.vertices])
+
+    def patch_row(self, pid: int) -> tuple:
+        """Patch pid as (vertex, base, apex, elements, inflow, outflow),
+        its facets plain (ground element, vertices, producer) tuples.
+
+        Element k of the patch lies over the k-th pair (e, li) of its
+        vertex's star.  Its inflow facet is the element without the apex;
+        its outflow facet is that facet with the apex in slot li, where
+        the base was.
+        """
+        v, apex, first = (self.patch_vertex[pid], self.patch_apex[pid],
+                          self.patch_first[pid])
+        elements, producers = self.elements, self.inflow_producer
+        inflow, outflow = [], []
+        for k, (e, li) in enumerate(self.ground.stars[v], first):
+            verts = elements[k][1:]
+            inflow.append((e, verts, producers[k]))
+            outflow.append((e, verts[:li] + (apex,) + verts[li + 1:], pid))
+        return (v, self.patch_base[pid], apex,
+                list(range(first, first + len(inflow))), inflow, outflow)
+
+    @property
+    def patches(self) -> "PatchRows":
+        return PatchRows(self)
+
+    @property
+    def initial_facets(self) -> list[Facet]:
+        elements = map(tuple, self.ground.elements.tolist())
+        return [Facet(e, verts, -1) for e, verts in enumerate(elements)]
+
+    @property
+    def frontier(self) -> list[Facet]:
+        return list(map(Facet, count(), self.front, self.front_producer))
+
+
+class PatchRows(Sequence):
+    """The patches of a mesh as Patch records, each built from the mesh's
+    columns when it is read.  The mesh holds no reference to this view,
+    so the two make no reference cycle."""
+
+    __slots__ = ("_mesh",)
+
+    def __init__(self, mesh: SpaceTimeMesh):
+        self._mesh = mesh
+
+    def __len__(self) -> int:
+        return len(self._mesh.patch_first)
+
+    def __getitem__(self, pid: int) -> Patch:
+        pid = range(len(self))[pid]     # IndexError past either end
+        v, base, apex, elements, inflow, outflow = self._mesh.patch_row(pid)
+        return Patch(pid, v, base, apex, elements,
+                     list(map(Facet._make, inflow)),
+                     list(map(Facet._make, outflow)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(eq=False)
@@ -120,9 +176,11 @@ def _ids(values) -> np.ndarray:
 
 def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
     """The columns of an in-memory mesh, laid out as the space-time JSON
-    reader lays out those of a file."""
+    reader lays out those of a file.  Reads the mesh's lists and its
+    derived facets and patch records only, so any object with those
+    attributes will do."""
     d = mesh.ground.dim
-    patches = mesh.patches
+    patches = list(mesh.patches)
     groups = [mesh.initial_facets, mesh.frontier,
               *chain.from_iterable((p.inflow, p.outflow) for p in patches)]
     facets = list(chain.from_iterable(groups))
@@ -187,15 +245,15 @@ def element_durations(mesh: SpaceTimeMesh) -> np.ndarray:
 def stats(mesh: SpaceTimeMesh) -> MeshStats:
     """Summary counts and element-duration spread of a finished mesh."""
     durations = element_durations(mesh)
-    hist: dict[int, int] = {}
-    for p in mesh.patches:
-        size = len(p.elements)
-        hist[size] = hist.get(size, 0) + 1
     n_el = len(mesh.elements)
+    # a patch's elements run from its first to the next patch's first
+    firsts = mesh.patch_first
+    ends = chain(islice(firsts, 1, None), [n_el])
+    hist = dict(Counter(map(sub, ends, firsts)))
     dmin = float(durations.min()) if n_el else 0.0
     dmax = float(durations.max()) if n_el else 0.0
     return MeshStats(
-        patches=len(mesh.patches),
+        patches=len(firsts),
         elements=n_el,
         vertices=len(mesh.vertices),
         duration_min=dmin,

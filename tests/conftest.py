@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def with_initial_times(mesh, times):
     starts from."""
     return GroundMesh(mesh.dim, mesh.vertices, mesh.elements,
                       speeds=mesh.speeds, initial_times=times)
+
+
+def mesh_objects(mesh):
+    """A space-time mesh's lists and its derived facets and patch records,
+    as plain lists under the mesh's attribute names, for tests to tamper
+    with: the mesh derives its facets and patches afresh on each read."""
+    return SimpleNamespace(
+        ground=mesh.ground, vertices=list(mesh.vertices),
+        vertex_ground=list(mesh.vertex_ground), elements=list(mesh.elements),
+        element_patch=list(mesh.element_patch),
+        initial_facets=mesh.initial_facets, frontier=mesh.frontier,
+        patches=list(mesh.patches))
 
 
 def random_rigid_motion(rng, d):

@@ -76,7 +76,7 @@ def cone_facets(mesh, ground=None, tol=1e-9) -> CheckResult:
     facets.extend(mesh.frontier)
     if len(facets) == 0:
         return CheckResult("cone_facets", True, "no facets (empty mesh)")
-    st_times = mesh.times_array()
+    st_times = np.array([v[-1] for v in mesh.vertices])
     gels = np.array([f.ground_element for f in facets])
     verts = np.array([f.vertices for f in facets])
     slopes = _facet_slopes(ground, gels, st_times[verts])

@@ -478,6 +478,32 @@ class TestCli:
         ])
         assert rc == 0
 
+    def test_negative_seed_is_exit_one(self, capsys):
+        rc = main([
+            "pitch",
+            "--input", str(DATA / "single_triangle.node"),
+            "--target-time", "1",
+            "--strategy", "mis", "--seed", "-5",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be nonnegative, got -5\n")
+
+    def test_vtk_of_a_d3_mesh_fails_before_the_run(self, tmp_path, capsys):
+        out, vtk = tmp_path / "st.json", tmp_path / "st.vtk"
+        with mock.patch("tentpitch.cli.run") as pitch:
+            rc = main([
+                "pitch",
+                "--input", str(DATA / "golden_kuhn.json"),
+                "--target-time", "1",
+                "--out", str(out), "--vtk", str(vtk),
+            ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: cannot export 4-dimensional space-time elements to VTK\n")
+        pitch.assert_not_called()
+        assert not out.exists() and not vtk.exists()
+
 
 class TestVerifyRejectsWrongElements:
     """Tamperings that leave every facet link intact: verify must still

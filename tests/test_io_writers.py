@@ -306,6 +306,23 @@ class TestSpacetimePieces:
             # these meshes are far smaller than one piece
             assert len(pieces) == 1
 
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_derived_rows_equal_the_files_members(self, name):
+        _, mesh, _ = _run(name)
+        data = json.loads(write_spacetime_json(mesh))
+
+        def rows(facets):
+            return [[e, list(vertices), producer]
+                    for e, vertices, producer in facets]
+
+        assert rows(mesh.initial_facets) == data["initial_facets"]
+        assert rows(mesh.frontier) == data["frontier"]
+        assert [{"id": p.id, "vertex": p.vertex, "base": p.base,
+                 "apex": p.apex, "elements": p.elements,
+                 "inflow": rows(p.inflow), "outflow": rows(p.outflow)}
+                for p in mesh.patches] == data["patches"]
+        assert len(mesh.patches) == len(data["patches"])
+
     def test_cli_out_file_equals_writer(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io_formats, "WRITE_PIECE", 7)
         node = DATA / "golden_grid.node"

@@ -1,11 +1,15 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tentpitch import GroundMesh, PitchConfig, run, stats
+from tentpitch import GroundMesh, PitchConfig, precompute, run, stats
 from tentpitch.pitcher import pitch_tent
 from tentpitch.spacetime import Facet
 from tentpitch.verifier import check_causality
 
+from conftest import mesh_objects
 from reference_checks import causal_sweep
 
 
@@ -47,8 +51,9 @@ class TestAppendPatch:
     def test_off_frontier_patch_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
         assert check_causality(mesh).passed
-        mesh.patches[-1].inflow[0] = Facet(0, (97, 98, 99), -1)
-        result = check_causality(mesh)
+        objects = mesh_objects(mesh)
+        objects.patches[-1].inflow[0] = Facet(0, (97, 98, 99), -1)
+        result = check_causality(objects)
         assert not result.passed
         assert "is not patch" in result.message
 
@@ -63,11 +68,12 @@ class TestAppendPatch:
 
     def test_out_of_order_patch_id_rejected(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
-        patch = pitch_tent(mesh, 0, 0.75)
-        patch.id = 0
-        result = check_causality(mesh)
+        pitch_tent(mesh, 0, 0.75)
+        objects = mesh_objects(mesh)
+        objects.patches[-1].id = 0
+        result = check_causality(objects)
         assert not result.passed
-        assert result.message == f"patch {len(mesh.patches) - 1} has id 0"
+        assert result.message == f"patch {len(objects.patches) - 1} has id 0"
 
 
 class TestCausalSweep:
@@ -83,7 +89,7 @@ class TestCausalSweep:
             assert check_causality(mesh).passed
 
     def test_swapped_dependent_patches_fail(self, two_triangle_run):
-        _, mesh, _ = two_triangle_run
+        mesh = mesh_objects(two_triangle_run[1])
         dependent = next(
             p for p in mesh.patches if any(f.producer >= 0 for f in p.inflow)
         )
@@ -181,3 +187,24 @@ class TestFrontierConservation:
         for f in mesh.frontier:
             for vid in f.vertices:
                 assert mesh.vertices[vid][-1] == 0.8
+
+
+class TestColumns:
+    def test_run_retains_under_200_bytes_per_element(self):
+        # the mesh as columns plus the trace: about 170 bytes per element
+        # here, against 435 when every facet was a stored object
+        from tentpitch.synthetic import two_scale_mesh
+
+        g = two_scale_mesh(4.0, 0)
+        config = PitchConfig(target_time=1.0)
+        constants = precompute(g, config.epsilon)
+        run(g, config, constants=constants)  # first run: lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mesh, trace = run(g, config, constants=constants)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(mesh.elements) > 5000
+        assert held / len(mesh.elements) < 200

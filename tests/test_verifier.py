@@ -5,6 +5,7 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from tentpitch.io_formats import (
     write_spacetime_json,
 )
 from tentpitch.pitcher import LiftRecord, RunTrace
-from tentpitch.spacetime import Facet, Patch, SpaceTimeMesh, mesh_arrays
+from tentpitch.spacetime import Facet, Patch, mesh_arrays
 from tentpitch.verifier import (
     CheckResult,
     _element_scalars,
@@ -44,7 +45,7 @@ from tentpitch.verifier import (
 
 import reference_checks as reference
 import reference_geometry as refgeo
-from conftest import alternating_speed_grid, with_initial_times
+from conftest import alternating_speed_grid, mesh_objects, with_initial_times
 from test_golden import GOLDEN, VERIFY_STDOUT
 
 
@@ -147,7 +148,7 @@ class TestCausality:
         assert "injected swap" in result.message
 
     def test_tampered_mesh_fails(self, small_run):
-        _, mesh, _ = small_run
+        mesh = mesh_objects(small_run[1])
         dependent = next(
             p for p in mesh.patches if any(f.producer >= 0 for f in p.inflow)
         )
@@ -231,7 +232,7 @@ class TestCausality:
     ])
     def test_elements_that_are_not_the_patches_tents_fail(
             self, small_run, tamper, message):
-        _, mesh, _ = small_run
+        mesh = mesh_objects(small_run[1])
         p = self._patch(mesh)
         want = message.format(
             p=p.id, k=len(p.elements) - 1, j0=p.elements[0],
@@ -654,23 +655,24 @@ def _run(name):
     return g, write_spacetime_json(mesh), trace
 
 
-def _objects(data: dict, ground: GroundMesh) -> SpaceTimeMesh:
-    """A parsed space-time JSON file as the objects the reference reads."""
-    mesh = SpaceTimeMesh(ground)
-    mesh.vertices = [tuple(v) for v in data["vertices"]]
-    mesh.vertex_ground = list(data["vertex_ground"])
-    mesh.elements = [tuple(e) for e in data["elements"]]
-    mesh.element_patch = list(data["element_patch"])
-
+def _objects(data: dict, ground: GroundMesh) -> SimpleNamespace:
+    """A parsed space-time JSON file as the objects the reference reads,
+    under the attribute names of a space-time mesh."""
     def facets(rows):
         return [Facet(e, tuple(v), producer) for e, v, producer in rows]
 
-    mesh.initial_facets = facets(data["initial_facets"])
-    mesh.frontier = facets(data["frontier"])
-    mesh.patches = [Patch(p["id"], p["vertex"], p["base"], p["apex"],
-                          list(p["elements"]), facets(p["inflow"]),
-                          facets(p["outflow"])) for p in data["patches"]]
-    return mesh
+    return SimpleNamespace(
+        ground=ground,
+        vertices=[tuple(v) for v in data["vertices"]],
+        vertex_ground=list(data["vertex_ground"]),
+        elements=[tuple(e) for e in data["elements"]],
+        element_patch=list(data["element_patch"]),
+        initial_facets=facets(data["initial_facets"]),
+        frontier=facets(data["frontier"]),
+        patches=[Patch(p["id"], p["vertex"], p["base"], p["apex"],
+                       list(p["elements"]), facets(p["inflow"]),
+                       facets(p["outflow"])) for p in data["patches"]],
+    )
 
 
 def _interior(data: dict) -> int:
