@@ -10,7 +10,7 @@ from pathlib import Path
 from . import io_formats
 from .errors import FrontInvariantError, ParseError, StallError
 from .front import GreedyLowest, MISPhases
-from .ground_mesh import GroundMesh, load, precompute
+from .ground_mesh import GroundMesh, check_epsilon, load, precompute
 from .pitcher import PitchConfig, run
 from .spacetime import stats
 from .verifier import verify
@@ -21,10 +21,10 @@ def _epsilon_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value <= 0.5:
-        raise argparse.ArgumentTypeError(
-            f"epsilon must be in (0, 1/2], got {value}"
-        )
+    try:
+        check_epsilon(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pitch", help="build a space-time mesh")
     p.add_argument("--input", required=True, help="ground mesh (.node or .json)")
-    p.add_argument("--format", choices=["triangle", "json"],
-                   help="input format (default: from extension)")
     p.add_argument("--target-time", type=float, required=True)
     p.add_argument("--epsilon", type=_epsilon_arg, default=0.1)
     p.add_argument("--strategy", choices=["greedy", "mis"], default="greedy")
@@ -56,35 +54,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("info", help="summarize a ground mesh")
     i.add_argument("--input", required=True)
-    i.add_argument("--format", choices=["triangle", "json"])
     return parser
 
 
-def _load_ground(path_text: str, format_override: str | None) -> GroundMesh:
+def _load_ground(path_text: str) -> GroundMesh:
     path = Path(path_text)
-    fmt = format_override
-    if fmt is None:
-        if path.suffix == ".node":
-            fmt = "triangle"
-        elif path.suffix == ".json":
-            fmt = "json"
-        else:
-            raise ParseError(
-                f"cannot infer format of {path} (use --format)"
-            )
-    if fmt == "triangle":
-        node = path if path.suffix == ".node" else path.with_suffix(".node")
-        ele = node.with_suffix(".ele")
+    if path.suffix == ".node":
         raw = io_formats.parse_triangle(
-            node.read_text(), ele.read_text()
+            path.read_text(), path.with_suffix(".ele").read_text()
         )
-    else:
+    elif path.suffix == ".json":
         raw = io_formats.parse_json_mesh(path.read_text())
+    else:
+        raise ParseError(
+            f"cannot tell the format of {path}: expected .node or .json"
+        )
     return load(raw)
 
 
 def _cmd_pitch(args) -> int:
-    ground = _load_ground(args.input, args.format)
+    ground = _load_ground(args.input)
     if args.vtk:
         # before the run, so that a run that cannot be exported writes nothing
         io_formats.check_vtk_dim(ground.dim)
@@ -117,7 +106,7 @@ def _cmd_pitch(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ground = _load_ground(args.ground, None)
+    ground = _load_ground(args.ground)
     mesh = io_formats.read_spacetime_json(Path(args.mesh).read_text(), ground)
     trace = None
     if args.trace:
@@ -128,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    ground = _load_ground(args.input, args.format)
+    ground = _load_ground(args.input)
     cons = precompute(ground)
     print(f"dimension: {ground.dim}")
     print(f"vertices: {ground.n_vertices}")

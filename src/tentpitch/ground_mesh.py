@@ -234,6 +234,12 @@ def _vertex_min(n: int, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the progress parameter is in (0, 1/2]."""
+    if not 0 < epsilon <= 0.5:
+        raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+
+
 def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     """Compute all front-independent constants of the ground mesh.
 
@@ -248,8 +254,7 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     X = vertices[elements], shape (m, d+1, d); the hot loop's tuples are
     made at the end with one .tolist() per array.
     """
-    if not 0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+    check_epsilon(epsilon)
     d = mesh.dim
     n = mesh.n_vertices
     ids = mesh.elements

@@ -29,9 +29,10 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import MeshValidationError, ParseError
-from .ground_mesh import GroundMesh
+from .ground_mesh import GroundMesh, check_epsilon
 from .pitcher import LiftRecord, RunTrace
-from .spacetime import MeshArrays, SpaceTimeMesh, element_durations
+from .spacetime import (MeshArrays, SpaceTimeMesh, element_durations,
+                        element_patch, patch_records)
 
 
 def _fmt(x: float) -> str:
@@ -556,12 +557,11 @@ WRITE_PIECE = 1 << 18
 
 
 def _patch_rows(mesh: SpaceTimeMesh):
-    """The patch records of the file, each built from the mesh's columns
-    when its turn comes."""
-    for pid in range(len(mesh.patch_first)):
-        vertex, base, apex, elements, inflow, outflow = mesh.patch_row(pid)
-        yield {"id": pid, "vertex": vertex, "base": base, "apex": apex,
-               "elements": elements, "inflow": inflow, "outflow": outflow}
+    """The patch records of the file, each built when its turn comes."""
+    for p in patch_records(mesh):
+        yield {"id": p.id, "vertex": p.vertex, "base": p.base, "apex": p.apex,
+               "elements": p.elements, "inflow": p.inflow,
+               "outflow": p.outflow}
 
 
 def spacetime_json_pieces(mesh: SpaceTimeMesh):
@@ -570,16 +570,17 @@ def spacetime_json_pieces(mesh: SpaceTimeMesh):
     Each row (vertex, element, facet, patch) goes through _dump only when
     its turn comes, and the tokens are joined and yielded whenever they
     reach WRITE_PIECE, so the writer holds one piece of the file and one
-    patch record on top of the mesh's columns.  A facet is a tuple, so it
-    is written as its list [ground element, vertex ids, producer].
+    patch record on top of the mesh.  A facet is a tuple, so it is
+    written as its list [ground element, vertex ids, producer].
     """
     out: list[str] = ['{"format": "tentpitch-stmesh", "ground_dim": ']
     append = out.append
     _dump(mesh.ground.dim, out)
     for name, rows in (("vertices", mesh.vertices),
-                       ("vertex_ground", mesh.vertex_ground),
+                       ("vertex_ground",
+                        chain(range(mesh.ground.n_vertices), mesh.patch_vertex)),
                        ("elements", mesh.elements),
-                       ("element_patch", mesh.element_patch),
+                       ("element_patch", element_patch(mesh)),
                        ("initial_facets", mesh.initial_facets),
                        ("frontier", mesh.frontier),
                        ("patches", _patch_rows(mesh))):
@@ -853,8 +854,13 @@ def _trace_from_dict(data) -> RunTrace:
     faces = [() if f is None else f for f in col["face"]]
     ids, path = _flatten(faces, at("face"))
     _ints(ids, path, 0, n_vertices)
+    epsilon = number("epsilon", data["epsilon"])
+    try:
+        check_epsilon(epsilon)
+    except ValueError as exc:
+        raise ParseError(f"$.epsilon: {exc}") from None
     return RunTrace(
-        epsilon=number("epsilon", data["epsilon"]),
+        epsilon=epsilon,
         target_time=number("target_time", data["target_time"]),
         tolerance=number("tolerance", data["tolerance"]),
         strategy=data["strategy"],
@@ -908,7 +914,7 @@ def vtk_pieces(mesh: SpaceTimeMesh):
     yield "".join(cell % e for e in mesh.elements)
     yield f"CELL_TYPES {n_el}\n" + ("10\n" if d == 2 else "5\n") * n_el
     yield f"CELL_DATA {n_el}\nSCALARS patch_id int 1\nLOOKUP_TABLE default\n"
-    yield "".join(f"{p}\n" for p in mesh.element_patch)
+    yield "".join(f"{p}\n" for p in element_patch(mesh))
     yield "SCALARS duration double 1\nLOOKUP_TABLE default\n"
     yield "".join(f"{x:.17g}\n" for x in element_durations(mesh).tolist())
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import FrontInvariantError, StallError
 from .front import TOLERANCE, Front, GreedyLowest, MISPhases, Strategy
-from .ground_mesh import GroundMesh, MeshConstants, precompute
+from .ground_mesh import GroundMesh, MeshConstants, check_epsilon, precompute
 from .spacetime import SpaceTimeMesh
 
 # Computed bounds are pulled back by this relative slack so re-validation at
@@ -43,10 +43,7 @@ class PitchConfig:
     strategy: Strategy = GreedyLowest()
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ValueError(
-                f"epsilon must be in (0, 1/2], got {self.epsilon}"
-            )
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.target_time < math.inf:
             raise ValueError(
                 f"target time must be finite and nonnegative, got {self.target_time}"
@@ -187,28 +184,18 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> int:
     front facet, which holds the old position of v (the base) and the
     other vertices at their current front positions.  All internal facets
     of the patch share the base-apex edge.  The front facet then takes
-    the apex in place of the base, and this patch as its producer; the
-    mesh derives the inflow and outflow facets from the elements, and
-    check_causality re-checks these links.
+    the apex in place of the base.  The mesh derives the patch's base,
+    facets and producers from these (see spacetime), and check_causality
+    re-checks them.
     """
-    pid = len(mesh.patch_first)
-    elements, producers = mesh.elements, mesh.inflow_producer
-    front, front_producer = mesh.front, mesh.front_producer
+    front, elements = mesh.front, mesh.elements
     apex = mesh.add_vertex(v, t_new)
     mesh.patch_vertex.append(v)
-    mesh.patch_base.append(mesh.current_vertex[v])
-    mesh.patch_apex.append(apex)
-    mesh.patch_first.append(len(elements))
-    star = mesh.ground.stars[v]
-    for e, li in star:
+    for e, li in mesh.ground.stars[v]:
         verts = front[e]
         elements.append((apex,) + verts)
-        producers.append(front_producer[e])
         front[e] = verts[:li] + (apex,) + verts[li + 1:]
-        front_producer[e] = pid
-    mesh.element_patch.extend([pid] * len(star))
-    mesh.current_vertex[v] = apex
-    return pid
+    return len(mesh.patch_vertex) - 1
 
 
 @dataclass(slots=True)

@@ -1,12 +1,21 @@
 """Output space-time mesh: vertices, elements, patches, causal order.
 
-The mesh is kept as columns, which the lift loop appends to: vertices and
-their ground vertices, elements with their patch and the producer of
-their inflow facet, per patch its vertex, base, apex and first element,
-and the current front, one vertex tuple and producer per ground element.
-Facets and patch records are derived from these when something reads
-them: an element is its patch's apex over its inflow facet, and its
-outflow facet is that facet with the apex in place of the base.
+The mesh keeps what the lift loop makes: the vertices, the elements, the
+ground vertex each patch lifts and the current front, one vertex tuple
+per ground element.  With n ground vertices, four rules give the rest:
+
+1. patch p's apex is vertex n + p;
+2. its elements follow patch p-1's, one per element of its vertex's
+   star, in star order;
+3. an element's inflow facet is the element without its apex, with the
+   patch's base in the lifted slot; its outflow facet has the apex in
+   that slot;
+4. a facet's producer is its largest vertex id minus n, or -1 when every
+   vertex is initial.
+
+patch_records applies them one patch at a time, for the writer and
+mesh.patches; mesh_arrays applies them in whole-array steps, for the
+verifier.
 
 Patches are numbered in creation order, which is by construction a
 linear extension of the inter-patch dependency order: every inflow facet
@@ -17,10 +26,9 @@ earlier patch.  The verifier re-checks this rather than trusting it.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import sub
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -64,51 +72,22 @@ class SpaceTimeMesh:
         self._coords: list[list[float]] = ground.vertices.tolist()
         self.vertices: list[tuple[float, ...]] = [     # (*space, time)
             (*xs, float(t)) for xs, t in zip(self._coords, times)]
-        self.vertex_ground: list[int] = list(range(ground.n_vertices))
         self.elements: list[tuple[int, ...]] = []
-        self.element_patch: list[int] = []
-        self.inflow_producer: list[int] = []     # per element, or -1
         self.patch_vertex: list[int] = []
-        self.patch_base: list[int] = []
-        self.patch_apex: list[int] = []
-        self.patch_first: list[int] = []         # first element's id
-        self.current_vertex: list[int] = list(range(ground.n_vertices))
         self.front: list[tuple[int, ...]] = list(
             map(tuple, ground.elements.tolist()))
-        self.front_producer: list[int] = [-1] * ground.n_elements
         self.build_seconds: float = 0.0
 
     def add_vertex(self, ground_vertex: int, time: float) -> int:
         self.vertices.append((*self._coords[ground_vertex], float(time)))
-        self.vertex_ground.append(ground_vertex)
         return len(self.vertices) - 1
 
     def times_array(self) -> np.ndarray:
         return np.array([v[-1] for v in self.vertices])
 
-    def patch_row(self, pid: int) -> tuple:
-        """Patch pid as (vertex, base, apex, elements, inflow, outflow),
-        its facets plain (ground element, vertices, producer) tuples.
-
-        Element k of the patch lies over the k-th pair (e, li) of its
-        vertex's star.  Its inflow facet is the element without the apex;
-        its outflow facet is that facet with the apex in slot li, where
-        the base was.
-        """
-        v, apex, first = (self.patch_vertex[pid], self.patch_apex[pid],
-                          self.patch_first[pid])
-        elements, producers = self.elements, self.inflow_producer
-        inflow, outflow = [], []
-        for k, (e, li) in enumerate(self.ground.stars[v], first):
-            verts = elements[k][1:]
-            inflow.append((e, verts, producers[k]))
-            outflow.append((e, verts[:li] + (apex,) + verts[li + 1:], pid))
-        return (v, self.patch_base[pid], apex,
-                list(range(first, first + len(inflow))), inflow, outflow)
-
     @property
-    def patches(self) -> "PatchRows":
-        return PatchRows(self)
+    def patches(self) -> list[Patch]:
+        return list(patch_records(self))
 
     @property
     def initial_facets(self) -> list[Facet]:
@@ -117,31 +96,35 @@ class SpaceTimeMesh:
 
     @property
     def frontier(self) -> list[Facet]:
-        return list(map(Facet, count(), self.front, self.front_producer))
+        n = self.ground.n_vertices
+        return [Facet(e, verts, max(max(verts) - n, -1))
+                for e, verts in enumerate(self.front)]
 
 
-class PatchRows(Sequence):
-    """The patches of a mesh as Patch records, each built from the mesh's
-    columns when it is read.  The mesh holds no reference to this view,
-    so the two make no reference cycle."""
+def patch_records(mesh: SpaceTimeMesh) -> Iterator[Patch]:
+    """The patches of a mesh in id order, each built by the four rules
+    when its turn comes."""
+    n, stars, elements = mesh.ground.n_vertices, mesh.ground.stars, mesh.elements
+    first = 0
+    for pid, v in enumerate(mesh.patch_vertex):
+        apex, star = n + pid, stars[v]
+        end = first + len(star)
+        inflow, outflow = [], []
+        for (e, li), element in zip(star, elements[first:end]):
+            verts = element[1:]
+            inflow.append(Facet(e, verts, max(max(verts) - n, -1)))
+            outflow.append(Facet(e, verts[:li] + (apex,) + verts[li + 1:], pid))
+        base = inflow[0].vertices[star[0][1]]
+        yield Patch(pid, v, base, apex, list(range(first, end)), inflow,
+                    outflow)
+        first = end
 
-    __slots__ = ("_mesh",)
 
-    def __init__(self, mesh: SpaceTimeMesh):
-        self._mesh = mesh
-
-    def __len__(self) -> int:
-        return len(self._mesh.patch_first)
-
-    def __getitem__(self, pid: int) -> Patch:
-        pid = range(len(self))[pid]     # IndexError past either end
-        v, base, apex, elements, inflow, outflow = self._mesh.patch_row(pid)
-        return Patch(pid, v, base, apex, elements,
-                     list(map(Facet._make, inflow)),
-                     list(map(Facet._make, outflow)))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+def element_patch(mesh: SpaceTimeMesh) -> Iterator[int]:
+    """The patch of each element, in element order."""
+    stars = mesh.ground.stars
+    return chain.from_iterable(repeat(pid, len(stars[v]))
+                               for pid, v in enumerate(mesh.patch_vertex))
 
 
 @dataclass(eq=False)
@@ -170,37 +153,51 @@ class MeshArrays:
     facet_groups: np.ndarray      # (2 + 2P,) sizes of the facet groups
 
 
-def _ids(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
-
-
 def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
     """The columns of an in-memory mesh, laid out as the space-time JSON
-    reader lays out those of a file.  Reads the mesh's lists and its
-    derived facets and patch records only, so any object with those
-    attributes will do."""
-    d = mesh.ground.dim
-    patches = list(mesh.patches)
-    groups = [mesh.initial_facets, mesh.frontier,
-              *chain.from_iterable((p.inflow, p.outflow) for p in patches)]
-    facets = list(chain.from_iterable(groups))
+    reader lays out those of a file, by the four rules in whole-array
+    steps."""
+    ground = mesh.ground
+    d, n, n_el = ground.dim, ground.n_vertices, ground.n_elements
+    vertex = np.array(mesh.patch_vertex, dtype=np.int64)
+    pids = np.arange(len(vertex))
+    elements = np.array(mesh.elements, dtype=np.int64).reshape(-1, d + 2)
+    m = len(elements)
+    offsets = ground.star_offsets
+    sizes = offsets[vertex + 1] - offsets[vertex]
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(pids, sizes)
+    # element k of its patch lies over star row offsets[v] + k of its vertex
+    star = np.arange(m) + (offsets[vertex] - first)[owner]
+    slot = ground.star_locals[star]
+    # the initial facets, the frontier, then each patch's inflow and
+    # outflow facets
+    inflow = 2 * n_el + np.arange(m) + first[owner]
+    outflow = inflow + sizes[owner]
+    facets = np.empty((2 * n_el + 2 * m, d + 1), dtype=np.int64)
+    facets[:n_el] = ground.elements
+    facets[n_el:2 * n_el] = mesh.front
+    facets[inflow] = facets[outflow] = elements[:, 1:]
+    facets[outflow, slot] = elements[:, 0]
+    on = np.empty(len(facets), dtype=np.int64)
+    on[:n_el] = on[n_el:2 * n_el] = np.arange(n_el)
+    on[inflow] = on[outflow] = ground.star_elements[star]
     return MeshArrays(
-        ground=mesh.ground,
+        ground=ground,
         vertices=np.array(mesh.vertices, dtype=float).reshape(-1, d + 1),
-        vertex_ground=_ids(mesh.vertex_ground),
-        elements=_ids(mesh.elements).reshape(-1, d + 2),
-        element_patch=_ids(mesh.element_patch),
-        patch_id=_ids([p.id for p in patches]),
-        patch_vertex=_ids([p.vertex for p in patches]),
-        patch_base=_ids([p.base for p in patches]),
-        patch_apex=_ids([p.apex for p in patches]),
-        patch_elements=_ids(list(chain.from_iterable(
-            p.elements for p in patches))),
-        patch_sizes=_ids([len(p.elements) for p in patches]),
-        facet_element=_ids([f.ground_element for f in facets]),
-        facet_vertices=_ids([f.vertices for f in facets]).reshape(-1, d + 1),
-        facet_producer=_ids([f.producer for f in facets]),
-        facet_groups=_ids(list(map(len, groups))),
+        vertex_ground=np.concatenate([np.arange(n), vertex]),
+        elements=elements,
+        element_patch=owner,
+        patch_id=pids,
+        patch_vertex=vertex,
+        patch_base=elements[first, 1 + slot[first]],
+        patch_apex=n + pids,
+        patch_elements=np.arange(m),
+        patch_sizes=sizes,
+        facet_element=on,
+        facet_vertices=facets,
+        facet_producer=np.maximum(facets.max(axis=1) - n, -1),
+        facet_groups=np.concatenate([[n_el, n_el], np.repeat(sizes, 2)]),
     )
 
 
@@ -246,14 +243,12 @@ def stats(mesh: SpaceTimeMesh) -> MeshStats:
     """Summary counts and element-duration spread of a finished mesh."""
     durations = element_durations(mesh)
     n_el = len(mesh.elements)
-    # a patch's elements run from its first to the next patch's first
-    firsts = mesh.patch_first
-    ends = chain(islice(firsts, 1, None), [n_el])
-    hist = dict(Counter(map(sub, ends, firsts)))
+    stars = mesh.ground.stars
+    hist = dict(Counter(len(stars[v]) for v in mesh.patch_vertex))
     dmin = float(durations.min()) if n_el else 0.0
     dmax = float(durations.max()) if n_el else 0.0
     return MeshStats(
-        patches=len(firsts),
+        patches=len(mesh.patch_vertex),
         elements=n_el,
         vertices=len(mesh.vertices),
         duration_min=dmin,

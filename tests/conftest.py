@@ -1,3 +1,4 @@
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from tentpitch import GroundMesh
 from tentpitch.geometry import facet_index
+from tentpitch.spacetime import MeshArrays
 
 
 @pytest.fixture
@@ -62,14 +64,64 @@ def with_initial_times(mesh, times):
 
 def mesh_objects(mesh):
     """A space-time mesh's lists and its derived facets and patch records,
-    as plain lists under the mesh's attribute names, for tests to tamper
-    with: the mesh derives its facets and patches afresh on each read."""
+    as plain lists under the attribute names of a space-time file, for
+    tests to tamper with: the mesh derives its facets and patches afresh
+    on each read.  Each vertex past the initial ones lies over the vertex
+    of the patch whose apex it is, and each element is in the patch that
+    lists it."""
+    patches = list(mesh.patches)
+    vertex_ground = list(range(len(mesh.vertices)))
+    element_patch = list(range(len(mesh.elements)))
+    for p in patches:
+        vertex_ground[p.apex] = p.vertex
+        for j in p.elements:
+            element_patch[j] = p.id
     return SimpleNamespace(
         ground=mesh.ground, vertices=list(mesh.vertices),
-        vertex_ground=list(mesh.vertex_ground), elements=list(mesh.elements),
-        element_patch=list(mesh.element_patch),
-        initial_facets=mesh.initial_facets, frontier=mesh.frontier,
-        patches=list(mesh.patches))
+        vertex_ground=vertex_ground, elements=list(mesh.elements),
+        element_patch=element_patch, initial_facets=mesh.initial_facets,
+        frontier=mesh.frontier, patches=patches)
+
+
+def final_times(mesh) -> list[float]:
+    """The time each ground vertex ends a run at, read from the front: its
+    place in the first element of its star."""
+    return [mesh.vertices[mesh.front[e][li]][-1]
+            for (e, li), *_ in mesh.ground.stars]
+
+
+def _ids(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def reference_arrays(mesh) -> MeshArrays:
+    """The columns of a mesh's lists, facets and patch records, laid out
+    as the space-time JSON reader lays out those of a file: the layout
+    reference for spacetime.mesh_arrays.  Reads those attributes only, so
+    the containers of mesh_objects will do."""
+    d = mesh.ground.dim
+    patches = list(mesh.patches)
+    groups = [mesh.initial_facets, mesh.frontier,
+              *chain.from_iterable((p.inflow, p.outflow) for p in patches)]
+    facets = list(chain.from_iterable(groups))
+    return MeshArrays(
+        ground=mesh.ground,
+        vertices=np.array(mesh.vertices, dtype=float).reshape(-1, d + 1),
+        vertex_ground=_ids(mesh.vertex_ground),
+        elements=_ids(mesh.elements).reshape(-1, d + 2),
+        element_patch=_ids(mesh.element_patch),
+        patch_id=_ids([p.id for p in patches]),
+        patch_vertex=_ids([p.vertex for p in patches]),
+        patch_base=_ids([p.base for p in patches]),
+        patch_apex=_ids([p.apex for p in patches]),
+        patch_elements=_ids(list(chain.from_iterable(
+            p.elements for p in patches))),
+        patch_sizes=_ids([len(p.elements) for p in patches]),
+        facet_element=_ids([f.ground_element for f in facets]),
+        facet_vertices=_ids([f.vertices for f in facets]).reshape(-1, d + 1),
+        facet_producer=_ids([f.producer for f in facets]),
+        facet_groups=_ids(list(map(len, groups))),
+    )
 
 
 def random_rigid_motion(rng, d):

@@ -35,7 +35,7 @@ from tentpitch.verifier import (
     check_cone_facets,
 )
 
-from conftest import face_caps
+from conftest import face_caps, final_times
 from reference_geometry import gradient, single_triangle_budget
 
 EPS = 0.1
@@ -147,8 +147,7 @@ def test_criterion_02_obtuse_termination():
         ground = sweepline_mesh(int(rng.integers(14, 30)), rng,
                                 min_altitude=1e-3)
         mesh, trace = run(ground, PitchConfig(target_time=1.0, epsilon=EPS))
-        final = [mesh.vertices[mesh.current_vertex[v]][-1]
-                 for v in range(ground.n_vertices)]
+        final = final_times(mesh)
         assert all(t == 1.0 for t in final)
         completed += 1
     report(
@@ -354,8 +353,7 @@ def test_criterion_11_d3_suite():
                     ratio = float(np.linalg.norm(g)) / (caps[e][l] * cap)
                     worst_face = max(worst_face, ratio)
                     assert ratio <= 1 + TOL
-        final = [mesh.vertices[mesh.current_vertex[v]][-1]
-                 for v in range(ground.n_vertices)]
+        final = final_times(mesh)
         assert all(t == 0.5 for t in final)
     report(
         11, worst_face <= 1 + TOL,

@@ -338,6 +338,17 @@ class TestCli:
         err = self._verify_error(capsys, out, trace)
         assert err == "error: $.lifts[0].vertex: missing\n"
 
+    @pytest.mark.parametrize("epsilon", [0, -0.1, 0.7])
+    def test_trace_epsilon_out_of_range_is_exit_one(self, tmp_path, capsys,
+                                                    epsilon):
+        out, trace = self._pitched(tmp_path)
+        data = json.loads(trace.read_text())
+        data["epsilon"] = epsilon
+        trace.write_text(json.dumps(data))
+        err = self._verify_error(capsys, out, trace)
+        assert err == ("error: $.epsilon: epsilon must be in (0, 1/2], "
+                       f"got {float(epsilon)}\n")
+
     @pytest.mark.parametrize("file, where, value, message", [
         # ids outside their ranges
         pytest.param("trace", ("lifts", 2, "vertex"), 7,
@@ -503,6 +514,22 @@ class TestCli:
             "error: cannot export 4-dimensional space-time elements to VTK\n")
         pitch.assert_not_called()
         assert not out.exists() and not vtk.exists()
+
+
+    @pytest.mark.parametrize("command", ["pitch", "info"])
+    def test_unknown_ground_suffix_is_exit_one(self, tmp_path, capsys,
+                                               command):
+        ground = tmp_path / "mesh.txt"
+        ground.write_text((DATA / "single_triangle.node").read_text())
+        args = ["--target-time", "1"] if command == "pitch" else []
+        assert main([command, "--input", str(ground), *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot tell the format of {ground}: expected .node "
+            "or .json\n")
+        # the suffix decides: there is no flag to name the format
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(ground), *args, "--format", "json"])
+        assert excinfo.value.code == 2
 
 
 class TestVerifyRejectsWrongElements:

@@ -25,7 +25,7 @@ from tentpitch.io_formats import (
 )
 from tentpitch.spacetime import Facet
 
-from conftest import alternating_speed_grid
+from conftest import alternating_speed_grid, mesh_objects
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,6 +81,7 @@ def _reference_facet(f):
 
 
 def reference_spacetime_json(mesh) -> str:
+    mesh = mesh_objects(mesh)
     return reference_dumps({
         "format": "tentpitch-stmesh",
         "ground_dim": mesh.ground.dim,
@@ -157,7 +158,7 @@ def reference_vtk(mesh) -> str:
     lines.append(f"CELL_DATA {n_el}")
     lines.append("SCALARS patch_id int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(p) for p in mesh.element_patch)
+    lines.extend(str(p) for p in mesh_objects(mesh).element_patch)
     lines.append("SCALARS duration double 1")
     lines.append("LOOKUP_TABLE default")
     times = mesh.times_array()
@@ -294,9 +295,11 @@ class TestSpacetimePieces:
         monkeypatch.setattr(io_formats, "WRITE_PIECE", piece)
         pieces = list(spacetime_json_pieces(mesh))
         assert "".join(pieces) == reference_spacetime_json(mesh)
-        rows = sum(map(len, (mesh.vertices, mesh.vertex_ground, mesh.elements,
-                             mesh.element_patch, mesh.initial_facets,
-                             mesh.frontier, mesh.patches)))
+        objects = mesh_objects(mesh)
+        rows = sum(map(len, (objects.vertices, objects.vertex_ground,
+                             objects.elements, objects.element_patch,
+                             objects.initial_facets, objects.frontier,
+                             objects.patches)))
         if piece == 1:
             # a piece after every row, and the last one after the file's end
             assert len(pieces) == rows + 1

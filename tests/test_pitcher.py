@@ -21,6 +21,7 @@ from tentpitch.verifier import check_cone_facets
 from conftest import (
     alternating_speed_grid,
     face_caps,
+    final_times,
     random_rigid_motion,
     with_initial_times,
 )
@@ -379,8 +380,7 @@ class TestRun:
 
         mesh2 = delaunay_mesh(20, rng)
         mesh, _ = run(mesh2, PitchConfig(target_time=1.25))
-        for v in range(mesh2.n_vertices):
-            assert mesh.vertices[mesh.current_vertex[v]][-1] == 1.25
+        assert final_times(mesh) == [1.25] * mesh2.n_vertices
 
     def test_1d_run_facet_slopes(self):
         mesh1 = GroundMesh(1, [[0.0], [1.0], [3.0]], [[0, 1], [1, 2]])

@@ -1,16 +1,23 @@
 import gc
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tentpitch import GroundMesh, PitchConfig, precompute, run, stats
+from tentpitch import GroundMesh, PitchConfig, load, precompute, run, stats
+from tentpitch.io_formats import parse_triangle
 from tentpitch.pitcher import pitch_tent
-from tentpitch.spacetime import Facet
+from tentpitch.spacetime import Facet, mesh_arrays
 from tentpitch.verifier import check_causality
 
-from conftest import mesh_objects
+from conftest import mesh_objects, reference_arrays
 from reference_checks import causal_sweep
+from reference_reader import assert_same_columns
+from test_io_writers import RUNS, _run
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -53,7 +60,7 @@ class TestAppendPatch:
         assert check_causality(mesh).passed
         objects = mesh_objects(mesh)
         objects.patches[-1].inflow[0] = Facet(0, (97, 98, 99), -1)
-        result = check_causality(objects)
+        result = check_causality(reference_arrays(objects))
         assert not result.passed
         assert "is not patch" in result.message
 
@@ -71,7 +78,7 @@ class TestAppendPatch:
         pitch_tent(mesh, 0, 0.75)
         objects = mesh_objects(mesh)
         objects.patches[-1].id = 0
-        result = check_causality(objects)
+        result = check_causality(reference_arrays(objects))
         assert not result.passed
         assert result.message == f"patch {len(objects.patches) - 1} has id 0"
 
@@ -101,7 +108,7 @@ class TestCausalSweep:
         result = causal_sweep(mesh)
         assert not result.ok
         assert result.failed_patch == dependent.id
-        assert not check_causality(mesh).passed
+        assert not check_causality(reference_arrays(mesh)).passed
 
     def test_empty_mesh_succeeds(self, right_triangle):
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.0))
@@ -190,9 +197,10 @@ class TestFrontierConservation:
 
 
 class TestColumns:
-    def test_run_retains_under_200_bytes_per_element(self):
-        # the mesh as columns plus the trace: about 170 bytes per element
-        # here, against 435 when every facet was a stored object
+    def test_run_retains_under_150_bytes_per_element(self):
+        # the vertices, elements, lifted vertices and front plus the
+        # trace: about 140 bytes per element here, against 170 when the
+        # mesh also stored its patch and producer columns
         from tentpitch.synthetic import two_scale_mesh
 
         g = two_scale_mesh(4.0, 0)
@@ -207,4 +215,45 @@ class TestColumns:
         finally:
             tracemalloc.stop()
         assert len(mesh.elements) > 5000
-        assert held / len(mesh.elements) < 200
+        assert held / len(mesh.elements) < 150
+
+
+def _golden_grid_run():
+    node = DATA / "golden_grid.node"
+    g = load(parse_triangle(node.read_text(),
+                            node.with_suffix(".ele").read_text()))
+    return (g, *run(g, PitchConfig(target_time=1.0)))
+
+
+def _empty_run():
+    g = GroundMesh(2, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
+    return (g, *run(g, PitchConfig(target_time=0.0)))
+
+
+class TestMeshArrays:
+    """mesh_arrays against the columns of the mesh's patch records and
+    facets, laid out one record at a time (conftest.reference_arrays)."""
+
+    @pytest.mark.parametrize("name", [*sorted(RUNS), "golden_grid", "empty"])
+    def test_equal_the_reference_layout(self, name):
+        make = {"golden_grid": _golden_grid_run, "empty": _empty_run}
+        _, mesh, _ = make.get(name, partial(_run, name))()
+        assert_same_columns(mesh_arrays(mesh),
+                            reference_arrays(mesh_objects(mesh)))
+
+    def test_peak_under_400_bytes_per_element(self):
+        # about 200 bytes per element here, against 640 when every Patch
+        # and Facet was rebuilt first
+        from tentpitch.synthetic import two_scale_mesh
+
+        mesh, _ = run(two_scale_mesh(4.0, 0), PitchConfig(target_time=1.0))
+        mesh_arrays(mesh)  # first call: lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mesh_arrays(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mesh.elements) > 5000
+        assert peak / len(mesh.elements) < 400

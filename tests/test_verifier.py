@@ -45,7 +45,8 @@ from tentpitch.verifier import (
 
 import reference_checks as reference
 import reference_geometry as refgeo
-from conftest import alternating_speed_grid, mesh_objects, with_initial_times
+from conftest import (alternating_speed_grid, mesh_objects, reference_arrays,
+                      with_initial_times)
 from test_golden import GOLDEN, VERIFY_STDOUT
 
 
@@ -157,7 +158,7 @@ class TestCausality:
             mesh.patches[dependent.id],
             mesh.patches[i],
         )
-        result = check_causality(mesh)
+        result = check_causality(reference_arrays(mesh))
         assert not result.passed
 
 
@@ -240,7 +241,7 @@ class TestCausality:
             last=mesh.patches[-1].id, size=len(mesh.patches[-1].elements) - 1,
             m=len(mesh.elements), m1=len(mesh.elements) + 1)
         tamper(mesh)
-        result = check_causality(mesh)
+        result = check_causality(reference_arrays(mesh))
         assert not result.passed
         assert result.message.startswith(want)
         _same_result(result, reference.causality(mesh))
@@ -923,7 +924,7 @@ class TestPositiveVolume:
         out = tmp_path / "st.json"
         assert main(["pitch", "--input", str(DATA / ground_file), *args,
                      "--out", str(out)]) == 0
-        ground = _load_ground(str(DATA / ground_file), None)
+        ground = _load_ground(str(DATA / ground_file))
         valid = json.loads(out.read_text())
         last = valid["patches"][-1]
         # as pitched, the last tent flattened, and the last tent inverted
