@@ -3,8 +3,9 @@ legacy-VTK export, trace and stats files.
 
 All outputs are ASCII and byte-deterministic for a fixed input; reals are
 written with 17 significant digits so doubles round-trip losslessly.  The
-space-time JSON writer yields its file a piece at a time, so that `pitch`
-never holds the whole text or a copy of the mesh as a payload.
+space-time JSON writer yields its file in pieces of WRITE_PIECE tokens (a
+string per scalar and per separator) and renders its rows a chunk at a
+time, so that `pitch` holds neither the whole text nor whole-mesh columns.
 
 The space-time JSON reader never holds the parsed tree of its file.  It
 decodes the top-level object one member at a time, and the patches
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -32,7 +33,7 @@ from .errors import MeshValidationError, ParseError
 from .ground_mesh import GroundMesh, check_epsilon
 from .pitcher import LiftRecord, RunTrace
 from .spacetime import (MeshArrays, SpaceTimeMesh, element_durations,
-                        element_patch, patch_records)
+                        element_patch, patch_block)
 
 
 def _fmt(x: float) -> str:
@@ -40,47 +41,26 @@ def _fmt(x: float) -> str:
 
 
 def _dump(obj, out: list[str]) -> None:
-    """Deterministic JSON writer with 17-significant-digit floats.
-
-    Appends one token per scalar and per separator.  Containers are tested
-    first; inside an array, a leaf of exact type int or float is written
-    in place, without a call per value.  Anything else (bools, None, numpy
-    scalars, strings, tuple subclasses such as Facet) goes through the
-    branch for its kind.
-    """
+    """Deterministic JSON writer with 17-significant-digit floats: one
+    token per scalar and per separator."""
     append = out.append
     if isinstance(obj, (list, tuple, np.ndarray)):
         append("[")
-        sep = False
-        for v in obj:
-            if sep:
+        for i, v in enumerate(obj):
+            if i:
                 append(", ")
-            sep = True
-            kind = type(v)
-            if kind is int:
-                append(str(v))
-            elif kind is float:
-                append(format(v, ".17g"))
-            else:
-                _dump(v, out)
+            _dump(v, out)
         append("]")
     elif isinstance(obj, dict):
         append("{")
-        sep = False
-        for k, v in obj.items():
-            if sep:
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
                 append(", ")
-            sep = True
-            append(_quote(str(k)))
-            append(": ")
+            out += (_quote(str(k)), ": ")
             _dump(v, out)
         append("}")
-    elif obj is None:
-        append("null")
-    elif obj is True:
-        append("true")
-    elif obj is False:
-        append("false")
+    elif obj is None or obj is True or obj is False:
+        append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -551,51 +531,93 @@ def _scan_array(text: str, pos: int, size: int, take) -> int:
 # -- space-time mesh json ------------------------------------------------------
 
 
-# tokens the space-time JSON writer holds before it joins them into one
-# piece of text (about 0.7 MB) and yields it
+# tokens the space-time JSON writer holds before it joins them into one piece
+# of text (about 0.7 MB) and yields it; patches it renders at a time (and 16
+# times as many rows of other kinds, which have a thirtieth of the tokens)
 WRITE_PIECE = 1 << 18
+WRITE_CHUNK = 16
+_INFLOW, _OUTFLOW = (["]", ", ", f'"{k}"', ": ", "["] for k in ("inflow", "outflow"))
 
 
-def _patch_rows(mesh: SpaceTimeMesh):
-    """The patch records of the file, each built when its turn comes."""
-    for p in patch_records(mesh):
-        yield {"id": p.id, "vertex": p.vertex, "base": p.base, "apex": p.apex,
-               "elements": p.elements, "inflow": p.inflow,
-               "outflow": p.outflow}
+def _fill(template: list, values, write=repr) -> list[str]:
+    """Rows of template, its None entries taking the values row after row."""
+    values, slots = list(map(write, values)), template.count(None)
+    tokens = template * (len(values) // slots)
+    for j, i in enumerate(i for i, t in enumerate(template) if t is None):
+        tokens[i::len(template)] = values[j::slots]
+    return tokens
+
+
+def _rows(template: list, rows, write=repr):
+    """(tokens, row ends) of rows (tuples of values), a chunk at a time; repr
+    writes an int as str does, and is the faster call."""
+    rows, size = iter(rows), len(template)
+    while chunk := list(islice(rows, 16 * WRITE_CHUNK)):
+        tokens = _fill(template, chain.from_iterable(chunk), write)
+        yield tokens, range(size, len(tokens) + 1, size)
+
+
+def _patch_chunks(mesh: SpaceTimeMesh, facet: list):
+    """(tokens, row ends) of the patches, one patch_block at a time."""
+    keys = ("id", "vertex", "base", "apex")
+    head = [", ", "{", *chain.from_iterable((f'"{k}"', ": ", None, ", ") for k in keys),
+            '"elements"', ": ", "["]
+    h, w, first = len(head), len(facet), 0
+    for start in range(0, len(mesh.patch_vertex), WRITE_CHUNK):
+        c = patch_block(mesh, start, start + WRITE_CHUNK, first)
+        heads = _fill(head, np.column_stack(
+            [c["patch_" + k] for k in keys]).ravel().tolist())
+        facets = _fill(facet, np.column_stack([c["facet_" + k] for k in (
+            "element", "vertices", "producer")]).ravel().tolist())
+        ids = _fill([", ", None], range(first, first + len(c["elements"])))
+        tokens, ends, a = [], [], 0
+        for p, z in enumerate(np.cumsum(c["patch_sizes"]).tolist()):
+            # inflow facets are facet rows 2a to a + z - 1, outflow ones to 2z - 1
+            tokens += [*heads[h * p:h * p + h], *ids[2 * a + 1:2 * z], *_INFLOW,
+                       *facets[2 * w * a + 1:w * (a + z)], *_OUTFLOW,
+                       *facets[w * (a + z) + 1:2 * w * z], "]", "}"]
+            ends.append(len(tokens))
+            a = z
+        first += a
+        yield tokens, ends
 
 
 def spacetime_json_pieces(mesh: SpaceTimeMesh):
     """The space-time JSON, a piece of text at a time.
 
-    Each row (vertex, element, facet, patch) goes through _dump only when
-    its turn comes, and the tokens are joined and yielded whenever they
-    reach WRITE_PIECE, so the writer holds one piece of the file and one
-    patch record on top of the mesh.  A facet is a tuple, so it is
-    written as its list [ground element, vertex ids, producer].
-    """
-    out: list[str] = ['{"format": "tentpitch-stmesh", "ground_dim": ']
-    append = out.append
-    _dump(mesh.ground.dim, out)
-    for name, rows in (("vertices", mesh.vertices),
-                       ("vertex_ground",
-                        chain(range(mesh.ground.n_vertices), mesh.patch_vertex)),
-                       ("elements", mesh.elements),
-                       ("element_patch", element_patch(mesh)),
-                       ("initial_facets", mesh.initial_facets),
-                       ("frontier", mesh.frontier),
-                       ("patches", _patch_rows(mesh))):
-        append(f', "{name}": [')
-        sep = False
-        for row in rows:
-            if sep:
-                append(", ")
-            sep = True
-            _dump(row, out)
-            if len(out) >= WRITE_PIECE:
+    The text is one token per scalar and per separator, and a piece is yielded
+    at a row end once WRITE_PIECE tokens are held.  Rows are made a chunk at a
+    time by filling a template (the patches' from patch_block), so one chunk
+    of columns and tokens is held beside the piece, never whole-mesh columns.
+    Rows stay tokens, not a string each: a leaner writer would take pitch's
+    memory peak on kuhn_tet below the benchmark's lean-spawn check (ROADMAP)."""
+    d, n = mesh.ground.dim, mesh.ground.n_vertices
+    vertex = [", ", "[", *[None, ", "] * d, None, "]"]  # d + 1 values
+    element = [", ", "[", *[None, ", "] * (d + 1), None, "]"]
+    facet = [", ", "[", None, ", ", *vertex[1:], ", ", None, "]"]
+    out = ['{"format": "tentpitch-stmesh", "ground_dim": ', str(d)]
+    for name, chunks in (
+            ("vertices", _rows(vertex, mesh.vertices, "{:.17g}".format)),
+            ("vertex_ground", _rows([", ", None], zip(chain(range(n),
+                                                            mesh.patch_vertex)))),
+            ("elements", _rows(element, mesh.elements)),
+            ("element_patch", _rows([", ", None], zip(element_patch(mesh)))),
+            ("initial_facets", _rows(facet, ((e, *v, p)
+                                             for e, v, p in mesh.initial_facets))),
+            ("frontier", _rows(facet, ((e, *v, p) for e, v, p in mesh.frontier))),
+            ("patches", _patch_chunks(mesh, facet))):
+        out.append(f', "{name}": [')
+        at = 1  # the section's first row has no separator
+        for tokens, ends in chunks:
+            while (i := bisect_left(ends, WRITE_PIECE - len(out) + at)) < len(ends):
+                out += tokens[at:ends[i]]
                 yield "".join(out)
                 out.clear()
-        append("]")
-    append("}\n")
+                at = ends[i]
+            out += tokens[at:]
+            at = 0
+        out.append("]")
+    out.append("}\n")
     yield "".join(out)
 
 

@@ -13,9 +13,9 @@ per ground element.  With n ground vertices, four rules give the rest:
 4. a facet's producer is its largest vertex id minus n, or -1 when every
    vertex is initial.
 
-patch_records applies them one patch at a time, for the writer and
-mesh.patches; mesh_arrays applies them in whole-array steps, for the
-verifier.
+patch_block applies them to a range of patches in whole-array steps: the
+space-time JSON writer calls it a chunk at a time, mesh_arrays (for the
+verifier) and mesh.patches once for all.  facet_producer is rule 4.
 
 Patches are numbered in creation order, which is by construction a
 linear extension of the inter-patch dependency order: every inflow facet
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +87,13 @@ class SpaceTimeMesh:
 
     @property
     def patches(self) -> list[Patch]:
-        return list(patch_records(self))
+        c = {k: v.tolist() for k, v in patch_block(self).items()}
+        f = list(map(Facet, c["facet_element"], map(tuple, c["facet_vertices"]),
+                     c["facet_producer"]))
+        ends = list(accumulate(c["patch_sizes"]))
+        heads = zip(c["patch_id"], c["patch_vertex"], c["patch_base"], c["patch_apex"])
+        return [Patch(*h, list(range(a, z)), f[2 * a:a + z], f[a + z:2 * z])
+                for h, a, z in zip(heads, [0, *ends], ends)]
 
     @property
     def initial_facets(self) -> list[Facet]:
@@ -96,28 +102,47 @@ class SpaceTimeMesh:
 
     @property
     def frontier(self) -> list[Facet]:
-        n = self.ground.n_vertices
-        return [Facet(e, verts, max(max(verts) - n, -1))
-                for e, verts in enumerate(self.front)]
+        producers = facet_producer(np.array(self.front), self.ground.n_vertices)
+        return list(map(Facet, range(len(self.front)), self.front,
+                        producers.tolist()))
 
 
-def patch_records(mesh: SpaceTimeMesh) -> Iterator[Patch]:
-    """The patches of a mesh in id order, each built by the four rules
-    when its turn comes."""
-    n, stars, elements = mesh.ground.n_vertices, mesh.ground.stars, mesh.elements
-    first = 0
-    for pid, v in enumerate(mesh.patch_vertex):
-        apex, star = n + pid, stars[v]
-        end = first + len(star)
-        inflow, outflow = [], []
-        for (e, li), element in zip(star, elements[first:end]):
-            verts = element[1:]
-            inflow.append(Facet(e, verts, max(max(verts) - n, -1)))
-            outflow.append(Facet(e, verts[:li] + (apex,) + verts[li + 1:], pid))
-        base = inflow[0].vertices[star[0][1]]
-        yield Patch(pid, v, base, apex, list(range(first, end)), inflow,
-                    outflow)
-        first = end
+def facet_producer(facets: np.ndarray, n: int) -> np.ndarray:
+    """Rule 4, for rows of facet vertex ids."""
+    return np.maximum(facets.max(axis=1) - n, -1)
+
+
+def patch_block(mesh: SpaceTimeMesh, start: int = 0, stop: int | None = None,
+                first: int = 0) -> dict:
+    """The MeshArrays columns of patches start to stop - 1 (by default, to the
+    last), whose first element is first: elements, element_patch, patch_* but
+    patch_elements, and facet_* of each patch's inflow, then outflow facets."""
+    ground = mesh.ground
+    d, n = ground.dim, ground.n_vertices
+    vertex = np.array(mesh.patch_vertex[start:stop], dtype=np.int64)
+    pids = np.arange(start, start + len(vertex))
+    offsets = ground.star_offsets
+    sizes = offsets[vertex + 1] - offsets[vertex]
+    m = int(sizes.sum())
+    elements = np.array(mesh.elements[first:first + m], np.int64).reshape(-1, d + 2)
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(vertex)), sizes)
+    # element k of its patch lies over star row offsets[v] + k of its vertex
+    star = np.arange(m) + (offsets[vertex] - starts)[owner]
+    slot = ground.star_locals[star]
+    inflow = np.arange(m) + starts[owner]
+    outflow = inflow + sizes[owner]
+    facets = np.empty((2 * m, d + 1), dtype=np.int64)
+    facets[inflow] = facets[outflow] = elements[:, 1:]
+    facets[outflow, slot] = elements[:, 0]
+    on = np.empty(2 * m, dtype=np.int64)
+    on[inflow] = on[outflow] = ground.star_elements[star]
+    return {"elements": elements, "element_patch": pids[owner],
+            "patch_id": pids, "patch_vertex": vertex,
+            "patch_base": elements[starts, 1 + slot[starts]],
+            "patch_apex": n + pids, "patch_sizes": sizes,
+            "facet_element": on, "facet_vertices": facets,
+            "facet_producer": facet_producer(facets, n)}
 
 
 def element_patch(mesh: SpaceTimeMesh) -> Iterator[int]:
@@ -155,50 +180,23 @@ class MeshArrays:
 
 def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
     """The columns of an in-memory mesh, laid out as the space-time JSON
-    reader lays out those of a file, by the four rules in whole-array
-    steps."""
+    reader lays out those of a file: the initial facets and the frontier,
+    then the patch_block of every patch."""
     ground = mesh.ground
     d, n, n_el = ground.dim, ground.n_vertices, ground.n_elements
-    vertex = np.array(mesh.patch_vertex, dtype=np.int64)
-    pids = np.arange(len(vertex))
-    elements = np.array(mesh.elements, dtype=np.int64).reshape(-1, d + 2)
-    m = len(elements)
-    offsets = ground.star_offsets
-    sizes = offsets[vertex + 1] - offsets[vertex]
-    first = np.cumsum(sizes) - sizes
-    owner = np.repeat(pids, sizes)
-    # element k of its patch lies over star row offsets[v] + k of its vertex
-    star = np.arange(m) + (offsets[vertex] - first)[owner]
-    slot = ground.star_locals[star]
-    # the initial facets, the frontier, then each patch's inflow and
-    # outflow facets
-    inflow = 2 * n_el + np.arange(m) + first[owner]
-    outflow = inflow + sizes[owner]
-    facets = np.empty((2 * n_el + 2 * m, d + 1), dtype=np.int64)
-    facets[:n_el] = ground.elements
-    facets[n_el:2 * n_el] = mesh.front
-    facets[inflow] = facets[outflow] = elements[:, 1:]
-    facets[outflow, slot] = elements[:, 0]
-    on = np.empty(len(facets), dtype=np.int64)
-    on[:n_el] = on[n_el:2 * n_el] = np.arange(n_el)
-    on[inflow] = on[outflow] = ground.star_elements[star]
+    c = patch_block(mesh)
+    c["facet_element"] = np.concatenate(
+        [np.tile(np.arange(n_el), 2), c["facet_element"]])
+    c["facet_vertices"] = np.concatenate(
+        [ground.elements, np.array(mesh.front, dtype=np.int64), c["facet_vertices"]])
+    c["facet_producer"] = facet_producer(c["facet_vertices"], n)
     return MeshArrays(
         ground=ground,
         vertices=np.array(mesh.vertices, dtype=float).reshape(-1, d + 1),
-        vertex_ground=np.concatenate([np.arange(n), vertex]),
-        elements=elements,
-        element_patch=owner,
-        patch_id=pids,
-        patch_vertex=vertex,
-        patch_base=elements[first, 1 + slot[first]],
-        patch_apex=n + pids,
-        patch_elements=np.arange(m),
-        patch_sizes=sizes,
-        facet_element=on,
-        facet_vertices=facets,
-        facet_producer=np.maximum(facets.max(axis=1) - n, -1),
-        facet_groups=np.concatenate([[n_el, n_el], np.repeat(sizes, 2)]),
-    )
+        vertex_ground=np.concatenate([np.arange(n), c["patch_vertex"]]),
+        patch_elements=np.arange(len(c["elements"])),
+        facet_groups=np.concatenate([[n_el, n_el], np.repeat(c["patch_sizes"], 2)]),
+        **c)
 
 
 @dataclass

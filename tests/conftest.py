@@ -6,7 +6,7 @@ import pytest
 
 from tentpitch import GroundMesh
 from tentpitch.geometry import facet_index
-from tentpitch.spacetime import MeshArrays
+from tentpitch.spacetime import Facet, MeshArrays, Patch
 
 
 @pytest.fixture
@@ -62,14 +62,43 @@ def with_initial_times(mesh, times):
                       speeds=mesh.speeds, initial_times=times)
 
 
+def patch_records(mesh) -> list[Patch]:
+    """The patches of a mesh in id order, built by the four rules of the
+    spacetime module one patch at a time: the reference for mesh.patches
+    (spacetime.patch_block, which applies them in whole-array steps)."""
+    n, stars, elements = mesh.ground.n_vertices, mesh.ground.stars, mesh.elements
+    records, first = [], 0
+    for pid, v in enumerate(mesh.patch_vertex):
+        apex, star = n + pid, stars[v]
+        end = first + len(star)
+        inflow, outflow = [], []
+        for (e, li), element in zip(star, elements[first:end]):
+            verts = element[1:]
+            inflow.append(Facet(e, verts, max(max(verts) - n, -1)))
+            outflow.append(Facet(e, verts[:li] + (apex,) + verts[li + 1:], pid))
+        base = inflow[0].vertices[star[0][1]]
+        records.append(Patch(pid, v, base, apex, list(range(first, end)),
+                             inflow, outflow))
+        first = end
+    return records
+
+
+def frontier_facets(mesh) -> list[Facet]:
+    """The mesh's frontier, each facet's producer by rule 4 one facet at a
+    time: the reference for mesh.frontier."""
+    n = mesh.ground.n_vertices
+    return [Facet(e, verts, max(max(verts) - n, -1))
+            for e, verts in enumerate(mesh.front)]
+
+
 def mesh_objects(mesh):
-    """A space-time mesh's lists and its derived facets and patch records,
-    as plain lists under the attribute names of a space-time file, for
-    tests to tamper with: the mesh derives its facets and patches afresh
-    on each read.  Each vertex past the initial ones lies over the vertex
-    of the patch whose apex it is, and each element is in the patch that
-    lists it."""
-    patches = list(mesh.patches)
+    """A space-time mesh's lists and its derived facets and patch records
+    (by the one-at-a-time references above), as plain lists under the
+    attribute names of a space-time file, for tests to tamper with: the
+    mesh derives its facets and patches afresh on each read.  Each vertex
+    past the initial ones lies over the vertex of the patch whose apex it
+    is, and each element is in the patch that lists it."""
+    patches = patch_records(mesh)
     vertex_ground = list(range(len(mesh.vertices)))
     element_patch = list(range(len(mesh.elements)))
     for p in patches:
@@ -80,7 +109,7 @@ def mesh_objects(mesh):
         ground=mesh.ground, vertices=list(mesh.vertices),
         vertex_ground=vertex_ground, elements=list(mesh.elements),
         element_patch=element_patch, initial_facets=mesh.initial_facets,
-        frontier=mesh.frontier, patches=patches)
+        frontier=frontier_facets(mesh), patches=patches)
 
 
 def final_times(mesh) -> list[float]:
@@ -97,8 +126,9 @@ def _ids(values) -> np.ndarray:
 def reference_arrays(mesh) -> MeshArrays:
     """The columns of a mesh's lists, facets and patch records, laid out
     as the space-time JSON reader lays out those of a file: the layout
-    reference for spacetime.mesh_arrays.  Reads those attributes only, so
-    the containers of mesh_objects will do."""
+    reference for spacetime.mesh_arrays.  Reads those attributes only:
+    give it the containers of mesh_objects, whose patch records and
+    frontier come from the one-at-a-time references, not the mesh."""
     d = mesh.ground.dim
     patches = list(mesh.patches)
     groups = [mesh.initial_facets, mesh.frontier,

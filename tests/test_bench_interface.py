@@ -1,7 +1,9 @@
 """What the benchmark's scripts read of the program: bench/traced.py wraps
 the lift-loop calls by name and reads the patch DAG and the facet count
 from mesh.patches, bench/dag.py reads them from the written file.  A
-refactor that breaks either breaks `bench/run.py --trace 1`."""
+refactor that breaks either breaks `bench/run.py --trace 1`.  The patch
+records themselves must be those of the four rules applied one patch at
+a time (conftest.patch_records)."""
 
 import io
 import json
@@ -15,6 +17,7 @@ import pytest
 from tentpitch import GreedyLowest, PitchConfig, run
 from tentpitch.io_formats import write_spacetime_json
 
+from conftest import frontier_facets, patch_records
 from test_io_writers import RUNS, _run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -24,6 +27,15 @@ import traced  # noqa: E402
 
 # the runs with a patch DAG deeper than one level, greedy and MIS
 NAMES = ["d2", "d2_mis", "d3"]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_patch_records_equal_the_one_at_a_time_reference(name):
+    _, mesh, _ = _run(name)
+    patches = mesh.patches
+    assert patches == patch_records(mesh)
+    assert len(patches) == len(mesh.patch_vertex) > 0
+    assert mesh.frontier == frontier_facets(mesh)
 
 
 @pytest.mark.parametrize("name", NAMES)

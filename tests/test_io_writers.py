@@ -1,19 +1,25 @@
-"""The row-formatting trace and VTK writers, the inline-leaf generic
-writer and the piece-at-a-time space-time JSON writer against the writers
-they replaced, and the no-cycles property that lets the CLI run with the
-cyclic garbage collector off."""
+"""The row-formatting trace and VTK writers, the generic writer and the
+piece-at-a-time space-time JSON writer against the writers they replaced,
+a property over random runs that write, read back and verify, and the
+no-cycles property that lets the CLI run with the cyclic garbage
+collector off."""
 
 import gc
 import json
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tentpitch import (GroundMesh, PitchConfig, io_formats, load, run, stats,
+from tentpitch import (FrontInvariantError, GreedyLowest, GroundMesh,
+                       PitchConfig, io_formats, load, precompute, run, stats,
                        verify)
 from tentpitch.cli import main
-from tentpitch.front import MISPhases
+from tentpitch.front import Front, MISPhases
 from tentpitch.io_formats import (
     dumps,
     read_spacetime_json,
@@ -23,11 +29,12 @@ from tentpitch.io_formats import (
     write_trace_json,
     write_vtk,
 )
-from tentpitch.spacetime import Facet
+from tentpitch.spacetime import Facet, mesh_arrays
 
-from conftest import alternating_speed_grid, mesh_objects
+from conftest import alternating_speed_grid, mesh_objects, with_initial_times
 
 DATA = Path(__file__).parent / "data"
+WRITE_CHUNK = io_formats.WRITE_CHUNK  # the default, before any monkeypatch
 
 
 # -- reference: the generic writers as they were ------------------------------
@@ -80,11 +87,11 @@ def _reference_facet(f):
     return [f.ground_element, list(f.vertices), f.producer]
 
 
-def reference_spacetime_json(mesh) -> str:
+def _reference_members(mesh) -> dict:
+    """The members of the space-time JSON after format and ground_dim, from
+    the one-at-a-time reference records of conftest."""
     mesh = mesh_objects(mesh)
-    return reference_dumps({
-        "format": "tentpitch-stmesh",
-        "ground_dim": mesh.ground.dim,
+    return {
         "vertices": [list(v) for v in mesh.vertices],
         "vertex_ground": mesh.vertex_ground,
         "elements": [list(e) for e in mesh.elements],
@@ -103,7 +110,33 @@ def reference_spacetime_json(mesh) -> str:
             }
             for p in mesh.patches
         ],
-    })
+    }
+
+
+def reference_spacetime_json(mesh) -> str:
+    return reference_dumps({"format": "tentpitch-stmesh",
+                            "ground_dim": mesh.ground.dim,
+                            **_reference_members(mesh)})
+
+
+def reference_pieces(mesh, piece: int) -> list[str]:
+    """The space-time JSON in the pieces of the writer that dumped one row
+    at a time, and yielded its tokens whenever they reached piece after a
+    row."""
+    out = ['{"format": "tentpitch-stmesh", "ground_dim": ', str(mesh.ground.dim)]
+    pieces = []
+    for name, rows in _reference_members(mesh).items():
+        out.append(f', "{name}": [')
+        for i, row in enumerate(rows):
+            if i:
+                out.append(", ")
+            _dump(row, out)
+            if len(out) >= piece:
+                pieces.append("".join(out))
+                out.clear()
+        out.append("]")
+    out.append("}\n")
+    return [*pieces, "".join(out)]
 
 
 def reference_trace_json(trace) -> str:
@@ -207,6 +240,14 @@ def _run(name):
     return g, *run(g, config)
 
 
+def _mesh(name):
+    """The space-time mesh of a RUNS entry, or of an empty run (T = 0)."""
+    if name == "empty":
+        g = GroundMesh(2, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
+        return run(g, PitchConfig(target_time=0.0))[0]
+    return _run(name)[1]
+
+
 class TestRowWriters:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_trace_bytes_equal_generic_writer(self, name):
@@ -289,12 +330,18 @@ class TestGenericWriter:
 
 class TestSpacetimePieces:
     @pytest.mark.parametrize("piece", [1, 7, io_formats.WRITE_PIECE])
-    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("name", [*sorted(RUNS), "empty"])
     def test_pieces_join_to_reference(self, name, piece, monkeypatch):
-        _, mesh, _ = _run(name)
+        mesh = _mesh(name)
         monkeypatch.setattr(io_formats, "WRITE_PIECE", piece)
-        pieces = list(spacetime_json_pieces(mesh))
-        assert "".join(pieces) == reference_spacetime_json(mesh)
+        want = reference_pieces(mesh, piece)
+        assert "".join(want) == reference_spacetime_json(mesh)
+        # the same pieces whether the rows are rendered one at a time, a
+        # few at a time or in the default chunks
+        for chunk in (1, 2, 3, WRITE_CHUNK):
+            monkeypatch.setattr(io_formats, "WRITE_CHUNK", chunk)
+            pieces = list(spacetime_json_pieces(mesh))
+            assert pieces == want, f"WRITE_CHUNK {chunk}"
         objects = mesh_objects(mesh)
         rows = sum(map(len, (objects.vertices, objects.vertex_ground,
                              objects.elements, objects.element_patch,
@@ -308,6 +355,29 @@ class TestSpacetimePieces:
         else:
             # these meshes are far smaller than one piece
             assert len(pieces) == 1
+
+    def test_peak_under_a_quarter_of_mesh_arrays(self, monkeypatch):
+        # the writer holds one piece and one chunk of columns and tokens,
+        # about a sixth of what mesh_arrays holds here; rendering from the
+        # columns of the whole mesh would hold more than mesh_arrays does
+        from tentpitch.synthetic import two_scale_mesh
+
+        mesh, _ = run(two_scale_mesh(4.0, 0), PitchConfig(target_time=1.0))
+        monkeypatch.setattr(io_formats, "WRITE_PIECE", 1024)
+
+        def peak(call) -> int:
+            call()  # first call: lazy imports
+            gc.collect()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        writer = peak(lambda: deque(spacetime_json_pieces(mesh), maxlen=0))
+        assert len(mesh.elements) > 5000
+        assert writer < peak(lambda: mesh_arrays(mesh)) / 4
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_derived_rows_equal_the_files_members(self, name):
@@ -336,6 +406,62 @@ class TestSpacetimePieces:
             node.read_text(), node.with_suffix(".ele").read_text())
         mesh, _ = run(load(ground), PitchConfig(target_time=1.0))
         assert out.read_bytes() == write_spacetime_json(mesh).encode()
+
+
+# -- random runs: write, read back, verify -------------------------------------
+
+
+def _random_ground(dim: int, rng) -> GroundMesh:
+    """A small random ground mesh of dimension dim with random speeds."""
+    from tentpitch.synthetic import delaunay_mesh, random_tet_mesh
+
+    if dim == 1:
+        x = np.cumsum(rng.uniform(0.2, 1.5, size=int(rng.integers(3, 12))))
+        g = GroundMesh(1, x[:, None], [[i, i + 1] for i in range(len(x) - 1)])
+    elif dim == 2:
+        g = delaunay_mesh(int(rng.integers(6, 14)), rng)
+    else:
+        g = random_tet_mesh(int(rng.integers(6, 9)), rng)
+    return GroundMesh(dim, g.vertices, g.elements,
+                      speeds=rng.uniform(0.5, 2.0, size=g.n_elements))
+
+
+def _random_front(ground: GroundMesh, rng) -> GroundMesh:
+    """The ground mesh with random initial times that make a valid front:
+    uniform times in [0, 1), halved until every element meets the cone and
+    progress constraints (a flat front always does)."""
+    times = rng.uniform(0.0, 1.0, size=ground.n_vertices)
+    constants = precompute(ground)
+    for scale in 0.5 ** np.arange(40):
+        g = with_initial_times(ground, times * scale)
+        try:
+            Front(g, constants, target_time=np.inf)
+            return g
+        except FrontInvariantError:
+            pass
+    return with_initial_times(ground, np.zeros(ground.n_vertices))
+
+
+class TestRandomRuns:
+    """Random valid ground meshes with random valid initial fronts, in
+    d = 1, 2 and 3: each run writes the reference writer's text, reads back
+    and passes all five verify checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           mis=st.booleans(), rise=st.floats(0.2, 0.8))
+    def test_run_write_read_verify(self, dim, seed, mis, rise):
+        rng = np.random.default_rng(seed)
+        g = _random_front(_random_ground(dim, rng), rng)
+        strategy = MISPhases(seed=seed % 1000) if mis else GreedyLowest()
+        config = PitchConfig(target_time=float(g.initial_times.max()) + rise,
+                             strategy=strategy)
+        mesh, trace = run(g, config)
+        text = write_spacetime_json(mesh)
+        assert text == reference_spacetime_json(mesh)
+        report = verify(read_spacetime_json(text, g), g,
+                        read_trace_json(write_trace_json(trace)))
+        assert len(report.checks) == 5 and report.passed, report.summary()
 
 
 # -- no reference cycles -------------------------------------------------------
