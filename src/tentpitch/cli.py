@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -141,14 +142,15 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "pitch":
-            return _cmd_pitch(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_info(args)
+        code = {"pitch": _cmd_pitch, "verify": _cmd_verify,
+                "info": _cmd_info}[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     # ParseError and MeshValidationError are ValueErrors
-    except (FileNotFoundError, ValueError, FrontInvariantError,
-            StallError) as exc:
+    except (OSError, ValueError, FrontInvariantError, StallError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # as the Python docs advise: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -548,13 +548,29 @@ def _fill(template: list, values, write=repr) -> list[str]:
     return tokens
 
 
-def _rows(template: list, rows, write=repr):
-    """(tokens, row ends) of rows (tuples of values), a chunk at a time; repr
-    writes an int as str does, and is the faster call."""
-    rows, size = iter(rows), len(template)
-    while chunk := list(islice(rows, 16 * WRITE_CHUNK)):
-        tokens = _fill(template, chain.from_iterable(chunk), write)
+def _rows(template: list, chunks, write=repr):
+    """(tokens, row ends) of each chunk of flat row values; repr writes ints."""
+    size = len(template)
+    for values in chunks:
+        tokens = _fill(template, values, write)
         yield tokens, range(size, len(tokens) + 1, size)
+
+
+def _chunks(values, width: int = 1):
+    """The flat values of 16 * WRITE_CHUNK rows of width values, a list at a
+    time: an array's slices, or the runs of an iterable."""
+    size = 16 * WRITE_CHUNK * width
+    if hasattr(values, "tolist"):
+        return (values[a:a + size].tolist() for a in range(0, len(values), size))
+    values = iter(values)
+    return iter(lambda: list(islice(values, size)), [])
+
+
+def _vertex_chunks(mesh: SpaceTimeMesh):
+    """The vertex rows, flat, 16 * WRITE_CHUNK rows at a time (rule 1)."""
+    size = 16 * WRITE_CHUNK
+    return (mesh.vertex_rows(a, a + size).ravel().tolist()
+            for a in range(0, len(mesh.times), size))
 
 
 def _patch_chunks(mesh: SpaceTimeMesh, facet: list):
@@ -597,14 +613,15 @@ def spacetime_json_pieces(mesh: SpaceTimeMesh):
     facet = [", ", "[", None, ", ", *vertex[1:], ", ", None, "]"]
     out = ['{"format": "tentpitch-stmesh", "ground_dim": ', str(d)]
     for name, chunks in (
-            ("vertices", _rows(vertex, mesh.vertices, "{:.17g}".format)),
-            ("vertex_ground", _rows([", ", None], zip(chain(range(n),
-                                                            mesh.patch_vertex)))),
-            ("elements", _rows(element, mesh.elements)),
-            ("element_patch", _rows([", ", None], zip(element_patch(mesh)))),
-            ("initial_facets", _rows(facet, ((e, *v, p)
-                                             for e, v, p in mesh.initial_facets))),
-            ("frontier", _rows(facet, ((e, *v, p) for e, v, p in mesh.frontier))),
+            ("vertices", _rows(vertex, _vertex_chunks(mesh), "{:.17g}".format)),
+            ("vertex_ground", _rows([", ", None], _chunks(chain(range(n),
+                                                                mesh.patch_vertex)))),
+            ("elements", _rows(element, _chunks(mesh.elements, d + 2))),
+            ("element_patch", _rows([", ", None], _chunks(element_patch(mesh)))),
+            ("initial_facets", _rows(facet, _chunks(chain.from_iterable(
+                (e, *v, p) for e, v, p in mesh.initial_facets), d + 3))),
+            ("frontier", _rows(facet, _chunks(chain.from_iterable(
+                (e, *v, p) for e, v, p in mesh.frontier), d + 3))),
             ("patches", _patch_chunks(mesh, facet))):
         out.append(f', "{name}": [')
         at = 1  # the section's first row has no separator
@@ -915,7 +932,7 @@ def check_vtk_dim(dim: int) -> None:
 
 def vtk_pieces(mesh: SpaceTimeMesh):
     """Legacy-VTK ASCII unstructured grid of the space-time mesh, a section
-    at a time: each section is joined only when its turn comes.
+    at a time: each is joined, a chunk of rows at a time, when its turn comes.
 
     d = 2 ground meshes export as tetrahedra (x, y, t); d = 1 as triangles
     (x, t, 0).  Cell data carries the owning patch id and the element's
@@ -923,22 +940,25 @@ def vtk_pieces(mesh: SpaceTimeMesh):
     """
     d = mesh.ground.dim
     check_vtk_dim(d)
-    n_el = len(mesh.elements)
+    n_el = mesh.n_elements
     per = d + 2
     yield ("# vtk DataFile Version 2.0\nspace-time mesh\nASCII\n"
-           f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(mesh.vertices)} double\n")
-    if d == 2:
-        yield "".join(f"{x:.17g} {y:.17g} {t:.17g}\n" for x, y, t in mesh.vertices)
-    else:
-        yield "".join(f"{x:.17g} {t:.17g} 0\n" for x, t in mesh.vertices)
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(mesh.times)} double\n")
+    yield _lines("%.17g %.17g %.17g\n" if d == 2 else "%.17g %.17g 0\n",
+                 _vertex_chunks(mesh))
     yield f"CELLS {n_el} {n_el * (per + 1)}\n"
-    cell = str(per) + " %d" * per + "\n"
-    yield "".join(cell % e for e in mesh.elements)
+    yield _lines(str(per) + " %d" * per + "\n", _chunks(mesh.elements, per))
     yield f"CELL_TYPES {n_el}\n" + ("10\n" if d == 2 else "5\n") * n_el
     yield f"CELL_DATA {n_el}\nSCALARS patch_id int 1\nLOOKUP_TABLE default\n"
-    yield "".join(f"{p}\n" for p in element_patch(mesh))
+    yield _lines("%d\n", _chunks(element_patch(mesh)))
     yield "SCALARS duration double 1\nLOOKUP_TABLE default\n"
-    yield "".join(f"{x:.17g}\n" for x in element_durations(mesh).tolist())
+    yield _lines("%.17g\n", _chunks(element_durations(mesh)))
+
+
+def _lines(row: str, chunks) -> str:
+    """row % values for the rows of every chunk of flat values, as one string."""
+    per = row.count("%")
+    return "".join((row * (len(c) // per)) % tuple(c) for c in chunks)
 
 
 def write_vtk(mesh: SpaceTimeMesh) -> str:

@@ -188,12 +188,13 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> int:
     facets and producers from these (see spacetime), and check_causality
     re-checks them.
     """
-    front, elements = mesh.front, mesh.elements
-    apex = mesh.add_vertex(v, t_new)
+    front, extend = mesh.front, mesh.elements.extend
+    apex = len(mesh.times)
+    mesh.times.append(t_new)
     mesh.patch_vertex.append(v)
     for e, li in mesh.ground.stars[v]:
         verts = front[e]
-        elements.append((apex,) + verts)
+        extend((apex,) + verts)
         front[e] = verts[:li] + (apex,) + verts[li + 1:]
     return len(mesh.patch_vertex) - 1
 

@@ -1,10 +1,14 @@
 """Output space-time mesh: vertices, elements, patches, causal order.
 
-The mesh keeps what the lift loop makes: the vertices, the elements, the
-ground vertex each patch lifts and the current front, one vertex tuple
-per ground element.  With n ground vertices, four rules give the rest:
+The mesh keeps what the lift loop makes: times, a flat array of doubles
+(the n initial times, then each patch's apex time); elements, a flat
+int64 array of d + 2 vertex ids per element, apex first; the ground
+vertex each patch lifts; and the front, one vertex tuple per ground
+element.  Four rules give the rest:
 
-1. patch p's apex is vertex n + p;
+1. patch p's apex is vertex n + p, over ground vertex patch_vertex[p]
+   (vertex i < n is over ground vertex i), so a vertex row is that ground
+   vertex's coordinates beside the vertex's time;
 2. its elements follow patch p-1's, one per element of its vertex's
    star, in star order;
 3. an element's inflow facet is the element without its apex, with the
@@ -13,9 +17,11 @@ per ground element.  With n ground vertices, four rules give the rest:
 4. a facet's producer is its largest vertex id minus n, or -1 when every
    vertex is initial.
 
-patch_block applies them to a range of patches in whole-array steps: the
-space-time JSON writer calls it a chunk at a time, mesh_arrays (for the
-verifier) and mesh.patches once for all.  facet_producer is rule 4.
+vertex_rows is rule 1 and facet_producer rule 4; patch_block applies the
+rules to a range of patches in whole-array steps.  The writers call them
+a chunk at a time, mesh_arrays (for the verifier) and mesh.patches once.
+A reader's numpy views of the buffers die with the call: an array cannot
+grow while a view of it lives.
 
 Patches are numbered in creation order, which is by construction a
 linear extension of the inter-patch dependency order: every inflow facet
@@ -25,9 +31,10 @@ earlier patch.  The verifier re-checks this rather than trusting it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
@@ -68,22 +75,25 @@ class SpaceTimeMesh:
 
     def __init__(self, ground: GroundMesh, times):
         self.ground = ground
-        # the ground coordinates as floats, shared by every vertex row
-        self._coords: list[list[float]] = ground.vertices.tolist()
-        self.vertices: list[tuple[float, ...]] = [     # (*space, time)
-            (*xs, float(t)) for xs, t in zip(self._coords, times)]
-        self.elements: list[tuple[int, ...]] = []
+        self.times = array("d", times)
+        self.elements = array("q")
         self.patch_vertex: list[int] = []
         self.front: list[tuple[int, ...]] = list(
             map(tuple, ground.elements.tolist()))
         self.build_seconds: float = 0.0
 
-    def add_vertex(self, ground_vertex: int, time: float) -> int:
-        self.vertices.append((*self._coords[ground_vertex], float(time)))
-        return len(self.vertices) - 1
+    @property
+    def n_elements(self) -> int:
+        return len(self.elements) // (self.ground.dim + 2)
 
-    def times_array(self) -> np.ndarray:
-        return np.array([v[-1] for v in self.vertices])
+    def vertex_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """(*space, time) rows of vertices start to stop - 1 (or the last), by rule 1."""
+        n = self.ground.n_vertices
+        stop = len(self.times) if stop is None else stop
+        over = np.concatenate([np.arange(start, min(stop, n)), np.array(
+            self.patch_vertex[max(start - n, 0):max(stop - n, 0)], np.int64)])
+        return np.column_stack([self.ground.vertices[over],
+                                np.frombuffer(self.times[start:stop])])
 
     @property
     def patches(self) -> list[Patch]:
@@ -124,7 +134,8 @@ def patch_block(mesh: SpaceTimeMesh, start: int = 0, stop: int | None = None,
     offsets = ground.star_offsets
     sizes = offsets[vertex + 1] - offsets[vertex]
     m = int(sizes.sum())
-    elements = np.array(mesh.elements[first:first + m], np.int64).reshape(-1, d + 2)
+    elements = np.frombuffer(mesh.elements[first * (d + 2):(first + m) * (d + 2)],
+                             np.int64).reshape(-1, d + 2)
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(vertex)), sizes)
     # element k of its patch lies over star row offsets[v] + k of its vertex
@@ -183,7 +194,7 @@ def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
     reader lays out those of a file: the initial facets and the frontier,
     then the patch_block of every patch."""
     ground = mesh.ground
-    d, n, n_el = ground.dim, ground.n_vertices, ground.n_elements
+    n, n_el = ground.n_vertices, ground.n_elements
     c = patch_block(mesh)
     c["facet_element"] = np.concatenate(
         [np.tile(np.arange(n_el), 2), c["facet_element"]])
@@ -192,7 +203,7 @@ def mesh_arrays(mesh: SpaceTimeMesh) -> MeshArrays:
     c["facet_producer"] = facet_producer(c["facet_vertices"], n)
     return MeshArrays(
         ground=ground,
-        vertices=np.array(mesh.vertices, dtype=float).reshape(-1, d + 1),
+        vertices=mesh.vertex_rows(),
         vertex_ground=np.concatenate([np.arange(n), c["patch_vertex"]]),
         patch_elements=np.arange(len(c["elements"])),
         facet_groups=np.concatenate([[n_el, n_el], np.repeat(c["patch_sizes"], 2)]),
@@ -213,19 +224,12 @@ class MeshStats:
     elements_per_second: float
 
     def to_dict(self) -> dict:
-        return {
-            "patches": self.patches,
-            "elements": self.elements,
-            "vertices": self.vertices,
-            "duration_min": self.duration_min,
-            "duration_max": self.duration_max,
-            "duration_mean": self.duration_mean,
-            "duration_ratio": self.duration_ratio,
-            "patch_size_histogram": {str(k): v for k, v in
-                                     sorted(self.patch_size_histogram.items())},
-            "seconds": self.build_seconds,
-            "elements_per_second": self.elements_per_second,
-        }
+        """The fields in order; build_seconds is "seconds", the histogram by size."""
+        d = {"seconds" if k == "build_seconds" else k: v
+             for k, v in asdict(self).items()}
+        d["patch_size_histogram"] = {str(k): v for k, v in
+                                     sorted(self.patch_size_histogram.items())}
+        return d
 
 
 def element_durations(mesh: SpaceTimeMesh) -> np.ndarray:
@@ -233,29 +237,21 @@ def element_durations(mesh: SpaceTimeMesh) -> np.ndarray:
     from one (m, d+2) gather of the vertex times."""
     if not mesh.elements:
         return np.zeros(0)
-    et = mesh.times_array()[np.array(mesh.elements)]
+    et = np.frombuffer(mesh.times)[
+        np.frombuffer(mesh.elements, np.int64).reshape(-1, mesh.ground.dim + 2)]
     return et.max(axis=1) - et.min(axis=1)
 
 
 def stats(mesh: SpaceTimeMesh) -> MeshStats:
     """Summary counts and element-duration spread of a finished mesh."""
     durations = element_durations(mesh)
-    n_el = len(mesh.elements)
-    stars = mesh.ground.stars
-    hist = dict(Counter(len(stars[v]) for v in mesh.patch_vertex))
-    dmin = float(durations.min()) if n_el else 0.0
-    dmax = float(durations.max()) if n_el else 0.0
+    n_el, seconds, stars = mesh.n_elements, mesh.build_seconds, mesh.ground.stars
+    dmin, dmax, dmean = (float(f(durations)) if n_el else 0.0
+                         for f in (np.min, np.max, np.mean))
     return MeshStats(
-        patches=len(mesh.patch_vertex),
-        elements=n_el,
-        vertices=len(mesh.vertices),
-        duration_min=dmin,
-        duration_max=dmax,
-        duration_mean=float(durations.mean()) if n_el else 0.0,
-        duration_ratio=(dmax / dmin) if n_el and dmin > 0 else 0.0,
-        patch_size_histogram=hist,
-        build_seconds=mesh.build_seconds,
-        elements_per_second=(n_el / mesh.build_seconds)
-        if mesh.build_seconds > 0
-        else 0.0,
+        patches=len(mesh.patch_vertex), elements=n_el, vertices=len(mesh.times),
+        duration_min=dmin, duration_max=dmax, duration_mean=dmean,
+        duration_ratio=dmax / dmin if dmin > 0 else 0.0,
+        patch_size_histogram=dict(Counter(len(stars[v]) for v in mesh.patch_vertex)),
+        build_seconds=seconds, elements_per_second=n_el / seconds if seconds > 0 else 0.0,
     )

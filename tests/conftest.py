@@ -66,7 +66,7 @@ def patch_records(mesh) -> list[Patch]:
     """The patches of a mesh in id order, built by the four rules of the
     spacetime module one patch at a time: the reference for mesh.patches
     (spacetime.patch_block, which applies them in whole-array steps)."""
-    n, stars, elements = mesh.ground.n_vertices, mesh.ground.stars, mesh.elements
+    n, stars, elements = mesh.ground.n_vertices, mesh.ground.stars, element_rows(mesh)
     records, first = [], 0
     for pid, v in enumerate(mesh.patch_vertex):
         apex, star = n + pid, stars[v]
@@ -81,6 +81,20 @@ def patch_records(mesh) -> list[Patch]:
                              inflow, outflow))
         first = end
     return records
+
+
+def vertex_rows(mesh) -> list[tuple[float, ...]]:
+    """The mesh's (*space, time) vertex rows, one vertex at a time by
+    rule 1: vertex n + p lies over the vertex patch p lifts."""
+    coords = mesh.ground.vertices.tolist()
+    over = [*range(mesh.ground.n_vertices), *mesh.patch_vertex]
+    return [(*coords[g], t) for g, t in zip(over, mesh.times)]
+
+
+def element_rows(mesh) -> list[tuple[int, ...]]:
+    """The mesh's elements as tuples of d + 2 vertex ids, apex first."""
+    k, flat = mesh.ground.dim + 2, mesh.elements.tolist()
+    return [tuple(flat[i:i + k]) for i in range(0, len(flat), k)]
 
 
 def frontier_facets(mesh) -> list[Facet]:
@@ -99,15 +113,15 @@ def mesh_objects(mesh):
     past the initial ones lies over the vertex of the patch whose apex it
     is, and each element is in the patch that lists it."""
     patches = patch_records(mesh)
-    vertex_ground = list(range(len(mesh.vertices)))
-    element_patch = list(range(len(mesh.elements)))
+    vertex_ground = list(range(len(mesh.times)))
+    element_patch = list(range(mesh.n_elements))
     for p in patches:
         vertex_ground[p.apex] = p.vertex
         for j in p.elements:
             element_patch[j] = p.id
     return SimpleNamespace(
-        ground=mesh.ground, vertices=list(mesh.vertices),
-        vertex_ground=vertex_ground, elements=list(mesh.elements),
+        ground=mesh.ground, vertices=vertex_rows(mesh),
+        vertex_ground=vertex_ground, elements=element_rows(mesh),
         element_patch=element_patch, initial_facets=mesh.initial_facets,
         frontier=frontier_facets(mesh), patches=patches)
 
@@ -115,7 +129,7 @@ def mesh_objects(mesh):
 def final_times(mesh) -> list[float]:
     """The time each ground vertex ends a run at, read from the front: its
     place in the first element of its star."""
-    return [mesh.vertices[mesh.front[e][li]][-1]
+    return [mesh.times[mesh.front[e][li]]
             for (e, li), *_ in mesh.ground.stars]
 
 

@@ -115,7 +115,7 @@ def pool():
                 injection_seen="injected swap" in causal.message,
                 patches=len(trace.lifts),
                 patch_budget=(TARGET / EPS) * cons.inverse_omega_sum,
-                elements=len(mesh.elements),
+                elements=mesh.n_elements,
                 element_budget=(6 * TARGET / EPS) * cons.inverse_omega_sum,
                 floor_ok=floor_ok,
                 worst_floor_margin=worst,
@@ -161,10 +161,10 @@ def test_criterion_03_single_triangle_budget():
     ground = GroundMesh(2, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
     mesh, _ = run(ground, PitchConfig(target_time=10.0, epsilon=0.1))
     budget = single_triangle_budget(ground, 10.0, 0.1)
-    ok = len(mesh.elements) <= budget
+    ok = mesh.n_elements <= budget
     report(
         3, ok,
-        f"single right triangle: {len(mesh.elements)} tetrahedra "
+        f"single right triangle: {mesh.n_elements} tetrahedra "
         f"<= budget {budget:.1f}",
     )
 
@@ -282,7 +282,7 @@ def test_criterion_07_epsilon_sensitivity():
     counts = {}
     for eps in (0.01, 0.1, 1.0 / 3.0):
         mesh, _ = run(ground, PitchConfig(target_time=6.0, epsilon=eps))
-        counts[eps] = len(mesh.elements)
+        counts[eps] = mesh.n_elements
     values = list(counts.values())
     spread = (max(values) - min(values)) / min(values)
     ok = spread <= 0.25

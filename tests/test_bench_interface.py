@@ -5,6 +5,7 @@ refactor that breaks either breaks `bench/run.py --trace 1`.  The patch
 records themselves must be those of the four rules applied one patch at
 a time (conftest.patch_records)."""
 
+import hashlib
 import io
 import json
 import sys
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from tentpitch import GreedyLowest, PitchConfig, run
+from tentpitch.cli import main
 from tentpitch.io_formats import write_spacetime_json
+from tentpitch.synthetic import jittered_grid_mesh
 
 from conftest import frontier_facets, patch_records
 from test_io_writers import RUNS, _run
@@ -23,6 +26,7 @@ from test_io_writers import RUNS, _run
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import dag  # noqa: E402
+import gen  # noqa: E402
 import traced  # noqa: E402
 
 # the runs with a patch DAG deeper than one level, greedy and MIS
@@ -74,3 +78,21 @@ def test_traced_wrappers_see_every_lift(name):
                      "pitcher.pitch_tent": lifts,
                      "front.apply_lift": lifts,
                      "front.next_vertex": lifts + 1}
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "mis"])
+def test_traced_run_end_to_end(strategy, tmp_path, monkeypatch, capsys):
+    # the whole of bench/traced.py on a small .node/.ele mesh: every check
+    # passes, and it pitches the bytes that the CLI writes
+    node = gen.write_ground(jittered_grid_mesh(4, 4, seed=1), tmp_path)
+    args = ["--target-time", "1", "--strategy", strategy]
+    monkeypatch.setattr(traced, "OVERHEAD_SECONDS", 0)
+    assert traced.main([str(node), str(tmp_path / "spans.json"), *args]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["passed"] is True
+    st, tr = tmp_path / "st.json", tmp_path / "trace.json"
+    assert main(["pitch", "--input", str(node), *args,
+                 "--out", str(st), "--trace", str(tr)]) == 0
+    assert result["sha256"] == {
+        "stmesh": hashlib.sha256(st.read_bytes()).hexdigest(),
+        "trace": hashlib.sha256(tr.read_bytes()).hexdigest()}

@@ -176,9 +176,9 @@ class TestWriteVtk:
         text = write_vtk(mesh)
         lines = text.splitlines()
         assert lines[0] == "# vtk DataFile Version 2.0"
-        n_pts = len(mesh.vertices)
+        n_pts = len(mesh.times)
         assert f"POINTS {n_pts} double" in lines
-        n_cells = len(mesh.elements)
+        n_cells = mesh.n_elements
         assert f"CELLS {n_cells} {n_cells * 5}" in lines
         assert lines[lines.index(f"CELL_TYPES {n_cells}") + 1] == "10"
 
@@ -187,7 +187,7 @@ class TestWriteVtk:
         st = stats(mesh)
         lines = write_vtk(mesh).splitlines()
         start = lines.index("SCALARS duration double 1") + 2
-        durations = [float(x) for x in lines[start:start + len(mesh.elements)]]
+        durations = [float(x) for x in lines[start:start + mesh.n_elements]]
         assert min(durations) == pytest.approx(st.duration_min)
         assert max(durations) == pytest.approx(st.duration_max)
 
@@ -195,7 +195,7 @@ class TestWriteVtk:
         g = GroundMesh(1, [[0.0], [1.0]], [[0, 1]])
         mesh, _ = run(g, PitchConfig(target_time=1.0))
         lines = write_vtk(mesh).splitlines()
-        n_cells = len(mesh.elements)
+        n_cells = mesh.n_elements
         assert lines[lines.index(f"CELL_TYPES {n_cells}") + 1] == "5"
 
     def test_d3_rejected(self, regular_tet):
@@ -279,18 +279,22 @@ class TestCli:
         rc = main(["pitch", "--input", str(bad), "--target-time", "1"])
         assert rc == 1
 
-    def test_infinite_target_time_is_exit_one(self):
-        # in a child with a timeout: an accepted inf target never finishes
+    @staticmethod
+    def _child(*args, **kwargs) -> subprocess.CompletedProcess:
+        """The CLI run in a child process with a timeout, its stdout
+        buffered as in a shell."""
         env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tentpitch.cli", "pitch",
-             "--input", str(DATA / "single_triangle.node"),
-             "--target-time", "inf"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "tentpitch.cli", *args],
+                              text=True, timeout=60, env=env, **kwargs)
+
+    def test_infinite_target_time_is_exit_one(self):
+        # in a child with a timeout: an accepted inf target never finishes
+        proc = self._child("pitch", "--input", str(DATA / "single_triangle.node"),
+                           "--target-time", "inf", capture_output=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: target time must be finite")
         assert proc.stderr.count("\n") == 1
@@ -305,6 +309,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: $.dim: unsupported dimension True")
         assert err.count("\n") == 1
+
+    def test_out_to_a_directory_is_exit_one(self, tmp_path, capsys):
+        rc = main(["pitch", "--input", str(DATA / "single_triangle.node"),
+                   "--target-time", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    def test_input_that_is_a_directory_is_exit_one(self, tmp_path, capsys):
+        (tmp_path / "x.node").mkdir()
+        rc = main(["info", "--input", str(tmp_path / "x.node")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "info"])
+    def test_closed_stdout_is_exit_one(self, tmp_path, command):
+        # as in `tentpitch verify ... | true`: the reader is gone before
+        # the CLI prints
+        out, trace = self._pitched(tmp_path)
+        args = {"verify": ["verify", "--mesh", str(out), "--trace", str(trace),
+                           "--ground", str(DATA / "single_triangle.node")],
+                "info": ["info", "--input", str(DATA / "single_triangle.node")]}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._child(*args[command], stdout=write,
+                               stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def _pitched(self, tmp_path):
         out, trace = tmp_path / "st.json", tmp_path / "trace.json"

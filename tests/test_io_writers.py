@@ -166,36 +166,36 @@ def reference_trace_json(trace) -> str:
 
 
 def reference_vtk(mesh) -> str:
-    d = mesh.ground.dim
+    d, objects = mesh.ground.dim, mesh_objects(mesh)
     lines = [
         "# vtk DataFile Version 2.0",
         "space-time mesh",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(mesh.vertices)} double",
+        f"POINTS {len(objects.vertices)} double",
     ]
-    for v in mesh.vertices:
+    for v in objects.vertices:
         if d == 2:
             x, y, t = v
             lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(t)}")
         else:
             x, t = v
             lines.append(f"{_fmt(x)} {_fmt(t)} 0")
-    n_el = len(mesh.elements)
+    n_el = len(objects.elements)
     per = d + 2
     lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
-    for e in mesh.elements:
+    for e in objects.elements:
         lines.append(f"{per} " + " ".join(str(v) for v in e))
     lines.append(f"CELL_TYPES {n_el}")
     lines.extend(["10" if d == 2 else "5"] * n_el)
     lines.append(f"CELL_DATA {n_el}")
     lines.append("SCALARS patch_id int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(p) for p in mesh_objects(mesh).element_patch)
+    lines.extend(str(p) for p in objects.element_patch)
     lines.append("SCALARS duration double 1")
     lines.append("LOOKUP_TABLE default")
-    times = mesh.times_array()
-    for e in mesh.elements:
+    times = np.array([v[-1] for v in objects.vertices])
+    for e in objects.elements:
         ts = times[list(e)]
         lines.append(_fmt(float(ts.max() - ts.min())))
     return "\n".join(lines) + "\n"
@@ -255,9 +255,13 @@ class TestRowWriters:
         assert write_trace_json(trace) == reference_trace_json(trace)
 
     @pytest.mark.parametrize("name", sorted(n for n in RUNS if n != "d3"))
-    def test_vtk_bytes_equal_generic_writer(self, name):
+    def test_vtk_bytes_equal_generic_writer(self, name, monkeypatch):
         _, mesh, _ = _run(name)
-        assert write_vtk(mesh) == reference_vtk(mesh)
+        want = reference_vtk(mesh)
+        # the same bytes whatever the chunk of rows each section is made in
+        for chunk in (1, 3, WRITE_CHUNK):
+            monkeypatch.setattr(io_formats, "WRITE_CHUNK", chunk)
+            assert write_vtk(mesh) == want, f"WRITE_CHUNK {chunk}"
 
     def test_runs_cover_every_lift_row_shape(self):
         # lifts with and without a binding element and a d = 3 face
@@ -269,7 +273,7 @@ class TestRowWriters:
 
     def test_empty_trace_and_mesh(self, right_triangle):
         mesh, trace = run(right_triangle, PitchConfig(target_time=0.0))
-        assert not trace.lifts and not mesh.elements
+        assert not trace.lifts and not mesh.n_elements
         assert write_trace_json(trace) == reference_trace_json(trace)
         assert write_vtk(mesh) == reference_vtk(mesh)
         assert write_spacetime_json(mesh) == reference_spacetime_json(mesh)
@@ -376,7 +380,7 @@ class TestSpacetimePieces:
                 tracemalloc.stop()
 
         writer = peak(lambda: deque(spacetime_json_pieces(mesh), maxlen=0))
-        assert len(mesh.elements) > 5000
+        assert mesh.n_elements > 5000
         assert writer < peak(lambda: mesh_arrays(mesh)) / 4
 
     @pytest.mark.parametrize("name", sorted(RUNS))

@@ -20,6 +20,7 @@ from tentpitch.verifier import check_cone_facets
 
 from conftest import (
     alternating_speed_grid,
+    element_rows,
     face_caps,
     final_times,
     random_rigid_motion,
@@ -339,7 +340,7 @@ class TestPitchTent:
         assert len(first.inflow) == 6
         assert len(first.outflow) == 6
         for el in first.elements:
-            verts = mesh.elements[el]
+            verts = element_rows(mesh)[el]
             assert first.apex in verts and first.base in verts
 
     def test_single_triangle_patch(self, right_triangle):
@@ -352,7 +353,7 @@ class TestPitchTent:
         middle_patches = [p for p in mesh.patches if p.vertex == 1]
         assert middle_patches
         assert len(middle_patches[0].elements) == 2
-        for el in mesh.elements:
+        for el in element_rows(mesh):
             assert len(el) == 3
 
 
@@ -362,7 +363,7 @@ class TestRun:
         mesh, _ = run(right_triangle, cfg)
         budget = single_triangle_budget(right_triangle, 10.0, 0.1)
         assert budget == pytest.approx(10.0 * (2 + math.sqrt(2)) / 0.1)
-        assert len(mesh.elements) <= budget
+        assert mesh.n_elements <= budget
 
     def test_constants_for_another_epsilon_rejected(self, right_triangle):
         constants = precompute(right_triangle, 0.2)

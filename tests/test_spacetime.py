@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import deque
 from functools import partial
 from pathlib import Path
 
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 
 from tentpitch import GroundMesh, PitchConfig, load, precompute, run, stats
-from tentpitch.io_formats import parse_triangle
+from tentpitch.io_formats import (parse_triangle, spacetime_json_pieces,
+                                  vtk_pieces, write_spacetime_json)
 from tentpitch.pitcher import pitch_tent
-from tentpitch.spacetime import Facet, mesh_arrays
+from tentpitch.spacetime import Facet, SpaceTimeMesh, mesh_arrays
 from tentpitch.verifier import check_causality
 
-from conftest import mesh_objects, reference_arrays
+from conftest import element_rows, mesh_objects, reference_arrays
 from reference_checks import causal_sweep
 from reference_reader import assert_same_columns
 from test_io_writers import RUNS, _run
@@ -138,7 +140,7 @@ class TestStats:
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.4))
         st = stats(mesh)
         assert st.patches == len(mesh.patches)
-        assert st.elements == len(mesh.elements)
+        assert st.elements == len(element_rows(mesh))
         assert st.patch_size_histogram == {1: st.patches}
 
     def test_identical_patches_ratio_one(self):
@@ -162,8 +164,8 @@ class TestStats:
 
     def test_durations_positive(self, two_triangle_run):
         _, mesh, _ = two_triangle_run
-        times = mesh.times_array()
-        for el in mesh.elements:
+        times = np.array(mesh.times)
+        for el in element_rows(mesh):
             ts = times[list(el)]
             assert ts.max() - ts.min() > 0
 
@@ -193,14 +195,14 @@ class TestFrontierConservation:
         mesh, _ = run(g, PitchConfig(target_time=0.8))
         for f in mesh.frontier:
             for vid in f.vertices:
-                assert mesh.vertices[vid][-1] == 0.8
+                assert mesh.times[vid] == 0.8
 
 
 class TestColumns:
-    def test_run_retains_under_150_bytes_per_element(self):
-        # the vertices, elements, lifted vertices and front plus the
-        # trace: about 140 bytes per element here, against 170 when the
-        # mesh also stored its patch and producer columns
+    def test_run_retains_under_90_bytes_per_element(self):
+        # the times and elements buffers, lifted vertices and front plus
+        # the trace: about 72 bytes per element here, against 140 when the
+        # mesh kept a tuple per element and a coordinate tuple per vertex
         from tentpitch.synthetic import two_scale_mesh
 
         g = two_scale_mesh(4.0, 0)
@@ -214,8 +216,27 @@ class TestColumns:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(mesh.elements) > 5000
-        assert held / len(mesh.elements) < 150
+        assert mesh.n_elements > 5000
+        assert held / mesh.n_elements < 90
+
+    @pytest.mark.parametrize("name", ["d2", "d3"])
+    def test_no_view_outlives_a_read(self, name):
+        # an array cannot grow while a numpy view of it lives: every reader
+        # must let go of the buffers before pitching goes on
+        g, whole, trace = _run(name)
+        mesh = SpaceTimeMesh(g, trace.initial_times)
+        half = len(trace.lifts) // 2
+        for r in trace.lifts[:half]:
+            pitch_tent(mesh, r.vertex, r.new_time)
+        stats(mesh)
+        mesh_arrays(mesh)
+        assert mesh.patches and mesh.frontier
+        deque(spacetime_json_pieces(mesh), maxlen=0)
+        if g.dim == 2:
+            deque(vtk_pieces(mesh), maxlen=0)
+        for r in trace.lifts[half:]:
+            pitch_tent(mesh, r.vertex, r.new_time)
+        assert write_spacetime_json(mesh) == write_spacetime_json(whole)
 
 
 def _golden_grid_run():
@@ -255,5 +276,5 @@ class TestMeshArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(mesh.elements) > 5000
-        assert peak / len(mesh.elements) < 400
+        assert mesh.n_elements > 5000
+        assert peak / mesh.n_elements < 400

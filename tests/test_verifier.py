@@ -75,8 +75,7 @@ class TestConeFacets:
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
         # push one apex far into the future: slope ~1.5 on its facets
         apex = mesh.patches[0].apex
-        coords = mesh.vertices[apex]
-        mesh.vertices[apex] = (*coords[:-1], coords[-1] + 1.5)
+        mesh.times[apex] += 1.5
         result = check_cone_facets(mesh)
         assert not result.passed
         assert result.details["offenders"]
@@ -87,7 +86,7 @@ class TestConeFacets:
         # so this is the library path
         mesh, _ = run(right_triangle, PitchConfig(target_time=0.5))
         apex = mesh.patches[0].apex
-        mesh.vertices[apex] = (*mesh.vertices[apex][:-1], math.nan)
+        mesh.times[apex] = math.nan
         result = check_cone_facets(mesh)
         assert not result.passed
         assert result.details["violations"] > 0
@@ -126,7 +125,7 @@ class TestProgressTrace:
     def test_single_triangle_budget(self, right_triangle):
         mesh, trace = run(right_triangle, PitchConfig(target_time=10.0))
         budget = refgeo.single_triangle_budget(right_triangle, 10.0, 0.1)
-        assert len(mesh.elements) <= budget
+        assert mesh.n_elements <= budget
 
     def test_doctored_tiny_advance_fails(self, small_run):
         g, _, trace = small_run
