@@ -55,7 +55,7 @@ TOLERANCE = 1e-9
 
 class Front:
     """Mutable front state over an immutable ground mesh, starting at the
-    ground mesh's initial times, or at time 0 where it has none."""
+    ground mesh's initial times, none of which may be past the target."""
 
     def __init__(
         self,
@@ -68,8 +68,12 @@ class Front:
         self.target_time = float(target_time)
         self.epsilon = constants.epsilon
         n = ground.n_vertices
-        t = ground.initial_times
-        self.times: list[float] = [0.0] * n if t is None else t.tolist()
+        self.times: list[float] = ground.initial_times.tolist()
+        late = np.flatnonzero(ground.initial_times > self.target_time)
+        if len(late):
+            v = late[0]
+            raise ValueError(f"target time {self.target_time:g} is below the "
+                             f"initial time {self.times[v]:g} of vertex {v}")
         # per-element altitudes as plain floats, for the d = 2 progress check
         self._altitudes: list[list[float]] = constants.altitudes.tolist()
         self.finished: list[bool] = [ti >= self.target_time for ti in self.times]

@@ -83,15 +83,14 @@ class GroundMesh:
         # 1.0 / float(speeds[e])
         self.slope_caps: list[float] = (1.0 / self.speeds).tolist()
 
-        # the front's times at the start of a run; None means all zero
-        self.initial_times = None
-        if initial_times is not None:
-            self.initial_times = np.asarray(initial_times, dtype=float)
-            if self.initial_times.shape != (n,):
-                raise MeshValidationError("initial_times must supply one value per vertex")
-            bad = np.flatnonzero(~np.isfinite(self.initial_times))
-            if len(bad):
-                raise MeshValidationError(f"vertex {bad[0]} has a non-finite initial time")
+        # the front's times at the start of a run: 0 where none are given
+        self.initial_times = (np.zeros(n) if initial_times is None
+                              else np.asarray(initial_times, dtype=float))
+        if self.initial_times.shape != (n,):
+            raise MeshValidationError("initial_times must supply one value per vertex")
+        bad = np.flatnonzero(~np.isfinite(self.initial_times))
+        if len(bad):
+            raise MeshValidationError(f"vertex {bad[0]} has a non-finite initial time")
 
         # stars in CSR form, from a stable sort of the flattened element
         # array by vertex: star_elements/star_locals[star_offsets[v]:

@@ -100,8 +100,9 @@ def _token(tokens, pos, lineno, name, kind=float):
 def parse_triangle(node_text: str, ele_text: str) -> dict:
     """Parse the community .node/.ele pair into a raw json-mesh dict (d=2).
 
-    Indexing base (0 or 1) is taken from the first listed vertex index; an
-    optional first triangle attribute is read as the per-element wave speed.
+    Indexing base (0 or 1) is taken from the first listed vertex index, and
+    the vertices must be listed in order from it; an optional first
+    triangle attribute is read as the per-element wave speed.
     """
     node_lines = list(_data_lines(node_text))
     if not node_lines:
@@ -118,7 +119,7 @@ def parse_triangle(node_text: str, ele_text: str) -> dict:
         )
     base = None
     vertices = []
-    for lineno, tokens in node_lines[1:]:
+    for k, (lineno, tokens) in enumerate(node_lines[1:]):
         idx = _token(tokens, 0, lineno, "node", int)
         if base is None:
             base = idx
@@ -126,6 +127,10 @@ def parse_triangle(node_text: str, ele_text: str) -> dict:
                 raise ParseError(
                     f"node line {lineno}: first vertex index must be 0 or 1"
                 )
+        if idx != base + k:
+            raise ParseError(
+                f"node line {lineno}: vertex index {idx}, expected {base + k}"
+            )
         x = _token(tokens, 1, lineno, "node")
         y = _token(tokens, 2, lineno, "node")
         vertices.append([x, y])

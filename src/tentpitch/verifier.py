@@ -9,28 +9,19 @@ geometry primitives alone.
 
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
-memory) and check the stored facet lists against the elements.  The
-first vertices must lie over the ground vertices in order, each vertex
-must have the space coordinates of its ground vertex, and each element
-must be its patch's apex over the matching inflow facet, with the apex
-strictly later than the patch's base, so that every element has
-positive volume.  The initial facets must be the ground elements, each
-outflow facet its inflow facet with the apex in place of the base, each
-inflow facet the facet that the last earlier patch on its ground element
-left there (the causal sweep, a chain per ground element, with that
-patch as its producer), and the frontier the last facet left on each
-ground element, no vertex of it below the last apex time.  Given a trace
-as well, the mesh's first vertices must be the ground vertices at the
-trace's initial times.  The cone check runs over CONE_CHUNK facets at a
+memory).  The ground mesh and the lift sequence fix every column, so the
+causality check replays the lifts and compares each stored column with
+its replay, a derivation of its own rather than spacetime.patch_block's,
+which the writer uses.  The cone check runs over CONE_CHUNK facets at a
 time, so that its row arrays stay small.
 
-The two replaying checks are whole-trace array kernels rather than loops
-over lifts.  The lifts are sorted once by (vertex, lift index), so the
-front time of any vertex just after any lift is one searchsorted lookup.
-The liftability replay checks every recorded old time in one pass and
-evaluates the (lift, star element) ceilings in batched passes, reporting
-the first failure in lift order; the sampled lifts are bisected together
-over flattened (sample, star element) rows.
+Every replay, of a mesh's vertex ids or of a trace's front times, is one
+_Replay: the lifts sorted once by (vertex, place), so the value of any
+vertex just after any lift is one searchsorted lookup.  The liftability
+replay checks every recorded old time in one pass and evaluates the
+(lift, star element) ceilings in batched passes, reporting the first
+failure in lift order; the sampled lifts are bisected together over
+flattened (sample, star element) rows.
 """
 
 from __future__ import annotations
@@ -172,12 +163,17 @@ def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
 def _foreign_trace(trace: RunTrace, ground: GroundMesh,
                    verts: np.ndarray) -> Optional[str]:
     """Why a trace whose lifts move verts cannot be a run on ground, or
-    None: its initial times are not one per ground vertex, or a lift moves
-    a vertex the ground mesh does not have."""
+    None: its initial times are not the ground mesh's, or a lift moves a
+    vertex the ground mesh does not have."""
     n = ground.n_vertices
     if len(trace.initial_times) != n:
         return (f"trace has {len(trace.initial_times)} initial times for a "
                 f"ground mesh of {n} vertices")
+    v = _first(np.asarray(trace.initial_times, dtype=float)
+               != ground.initial_times)
+    if v is not None:
+        return (f"trace starts vertex {v} at {trace.initial_times[v]}, the "
+                f"ground mesh at {ground.initial_times[v]}")
     foreign = np.flatnonzero((verts < 0) | (verts >= n))
     if len(foreign):
         idx = int(foreign[0])
@@ -187,22 +183,13 @@ def _foreign_trace(trace: RunTrace, ground: GroundMesh,
 
 
 def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
-    """Why the trace is not the run that built mesh, or None: the mesh's
-    vertices 0..n-1 must be ground vertices 0..n-1 at the trace's initial
-    times, and lift i must have made patch i, of the same vertex, with its
-    apex at the lift's new time."""
+    """Why the trace is not the run that built mesh, or None: lift i must
+    have made patch i, of the same vertex, with its apex at the lift's new
+    time.  (Both start from the ground mesh's initial times: the trace by
+    _foreign_trace, the mesh by check_causality.)"""
     if len(trace.lifts) != len(mesh.patch_id):
         return (f"trace has {len(trace.lifts)} lifts for a mesh of "
                 f"{len(mesh.patch_id)} patches")
-    n = len(trace.initial_times)
-    over, times = mesh.vertex_ground[:n], mesh.vertices[:n, -1]
-    if len(over) < n or len(times) < n:
-        return f"mesh has fewer vertices than the trace's {n} initial times"
-    v = _first((over != np.arange(n))
-               | (times != np.asarray(trace.initial_times, dtype=float)))
-    if v is not None:
-        return (f"mesh vertex {v} is not ground vertex {v} at its initial "
-                f"time in the trace")
     lifts = trace.lifts
     i = _first((np.array([r.patch for r in lifts]) != mesh.patch_id)
                | (np.array([r.vertex for r in lifts]) != mesh.patch_vertex)
@@ -297,291 +284,48 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     )
 
 
-# -- causality -------------------------------------------------------------
-
-
-class _Tents:
-    """Per-patch rows the causality checks share.  Inflow rows run in
-    patch order; owner and k give each one's patch and its place there."""
-
-    def __init__(self, mesh: MeshArrays):
-        sizes = mesh.facet_groups
-        self.inflow_sizes = sizes[2::2]
-        self.outflow_sizes = sizes[3::2]
-        self.inflow = _facet_rows(mesh, np.s_[2::2])
-        self.outflow = _facet_rows(mesh, np.s_[3::2])
-        self.owner = np.repeat(np.arange(len(self.inflow_sizes)),
-                               self.inflow_sizes)
-        # the star of each patch's vertex: element and the vertex's slot
-        _, self.star, self.slot = _star_rows(mesh.ground, mesh.patch_vertex)
-        self.k = (np.arange(len(self.inflow))
-                  - (np.cumsum(self.inflow_sizes)
-                     - self.inflow_sizes)[self.owner])
-
-
-def _element_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
-    """Why the elements are not the tents the patches describe, or None.
-
-    Vertices 0..n-1 lie over ground vertices 0..n-1, even those that no
-    patch lifts, and each vertex has the space coordinates of its ground
-    vertex, exactly (the writer's 17 digits round-trip).  Patch p has id
-    p, its base and apex lie over its ground vertex, and its inflow
-    facets lie on the elements of that vertex's star, in star order.  Its
-    k-th element is its apex over its k-th inflow facet, element_patch
-    marks it as in p, and the patch lists, in patch order, run through
-    the element ids in creation order, so that they partition them.  Each
-    apex is strictly later than its base: an element is its apex over a
-    facet that holds the base, so this is exactly every element having
-    positive (d+1)-volume.  Each rule is one comparison of whole arrays;
-    a broken one is scanned again for its first offender.
-    """
-    over, n = mesh.vertex_ground, len(mesh.elements)
-    if len(over) != len(mesh.vertices):
-        return (f"{len(over)} vertex_ground entries for "
-                f"{len(mesh.vertices)} vertices")
-    ground = mesh.ground
-    n_ground = ground.n_vertices
-    v = _first(over[:n_ground] != np.arange(n_ground)[:len(over)])
-    if v is not None:
-        return f"initial vertex {v} is not over ground vertex {v}"
-    v = _first((mesh.vertices[:, :-1] != ground.vertices[over]).any(axis=1))
-    if v is not None:
-        return (f"vertex {v} is not at the place of its ground vertex "
-                f"{over[v]}")
-    pids = np.arange(len(mesh.patch_id))
-    pid = _first(mesh.patch_id != pids)
-    if pid is not None:
-        return f"patch {pid} has id {mesh.patch_id[pid]}"
-    vertex = mesh.patch_vertex
-    for end, at in (("base", mesh.patch_base), ("apex", mesh.patch_apex)):
-        pid = _first(over[at] != vertex)
-        if pid is not None:
-            return f"patch {pid} has its {end} off its vertex {vertex[pid]}"
-    on, star = mesh.facet_element[tents.inflow], tents.star
-    if len(on) != len(star) or (on != star).any():
-        starts = np.cumsum(tents.inflow_sizes) - tents.inflow_sizes
-        offsets = ground.star_offsets
-        pid = next(pid for pid, v in enumerate(vertex.tolist())
-                   if not np.array_equal(
-                       on[starts[pid]:starts[pid] + tents.inflow_sizes[pid]],
-                       ground.star_elements[offsets[v]:offsets[v + 1]]))
-        return (f"patch {pid}'s inflow facets are not on the star of its "
-                f"vertex {vertex[pid]}")
-    sizes = mesh.patch_sizes
-    pid = _first(sizes != tents.inflow_sizes)
-    if pid is not None:
-        return (f"patch {pid} has {sizes[pid]} elements for "
-                f"{tents.inflow_sizes[pid]} inflow facets")
-    if sizes.sum() != n or len(mesh.element_patch) != n:
-        return (f"the patches list {sizes.sum()} elements and element_patch "
-                f"marks {len(mesh.element_patch)}, of {n} elements")
-    owner = tents.owner
-    tops = np.column_stack([mesh.patch_apex[owner],
-                            mesh.facet_vertices[tents.inflow]])
-    j = _first((mesh.patch_elements != np.arange(n))
-               | (mesh.element_patch != owner)
-               | (mesh.elements != tops).any(axis=1))
-    if j is not None:
-        pid, k = owner[j], tents.k[j]
-        return (f"element {j} is not patch {pid}'s element {k}: listed "
-                f"there, marked as in patch {pid}, and its apex over "
-                f"inflow facet {k}")
-    time = mesh.vertices[:, -1]
-    pid = _first(~(time[mesh.patch_apex] > time[mesh.patch_base]))
-    if pid is not None:
-        return f"patch {pid}'s apex time is not above its base time"
-    return None
-
-
-def _derived_fault(mesh: MeshArrays, tents: _Tents) -> Optional[str]:
-    """Why the stored initial and outflow facets are not the ones the
-    elements give, or None.  Initial facet e is ground element e over its
-    initial vertices, made by no patch (-1).  Outflow facet k of patch p
-    is its inflow facet k, which holds p's base in p's vertex's slot, with
-    the apex in that slot, made by p."""
-    ground = mesh.ground
-    n_initial = mesh.facet_groups[0]
-    if n_initial != ground.n_elements:
-        return (f"{n_initial} initial facets for {ground.n_elements} "
-                f"ground elements")
-    e = _first((mesh.facet_element[:n_initial] != np.arange(n_initial))
-               | (mesh.facet_vertices[:n_initial] != ground.elements).any(axis=1)
-               | (mesh.facet_producer[:n_initial] != -1))
-    if e is not None:
-        return (f"initial facet {e} is not ground element {e} over its "
-                f"initial vertices")
-    pid = _first(tents.outflow_sizes != tents.inflow_sizes)
-    if pid is not None:
-        return (f"patch {pid} has {tents.outflow_sizes[pid]} outflow facets "
-                f"for {tents.inflow_sizes[pid]} inflow facets")
-    owner, inflow, outflow, slot = (tents.owner, tents.inflow, tents.outflow,
-                                    tents.slot)
-    rows = np.arange(len(inflow))
-    tops = mesh.facet_vertices[inflow]
-    held = tops[rows, slot] == mesh.patch_base[owner]
-    tops[rows, slot] = mesh.patch_apex[owner]
-    i = _first(~held
-               | (mesh.facet_element[outflow] != mesh.facet_element[inflow])
-               | (mesh.facet_vertices[outflow] != tops).any(axis=1)
-               | (mesh.facet_producer[outflow] != owner))
-    if i is not None:
-        pid, k = owner[i], tents.k[i]
-        return (f"patch {pid}'s outflow facet {k} is not its inflow facet "
-                f"{k} with the base replaced by the apex, made by patch {pid}")
-    return None
-
-
-def _previous_rows(mesh: MeshArrays, tents: _Tents, position: np.ndarray):
-    """For each inflow row, in patch order, the facet row it must consume
-    when the patches run in the given order (position[p] is p's place):
-    the outflow row of the last earlier patch on its ground element, or
-    else that element's initial facet.  Also returns the inflow rows
-    sorted by (ground element, place), the chain the answer comes from."""
-    on = mesh.facet_element[tents.inflow]
-    chain = np.argsort(on * len(position) + position[tents.owner])
-    first = np.ones(len(chain), dtype=bool)
-    first[1:] = on[chain[1:]] != on[chain[:-1]]
-    prev = np.empty(len(chain), dtype=np.int64)
-    prev[chain[1:]] = tents.outflow[chain[:-1]]
-    prev[chain[first]] = on[chain[first]]
-    return prev, chain
-
-
-def _unproduced(mesh: MeshArrays, tents: _Tents,
-                prev: np.ndarray) -> np.ndarray:
-    """Mask of the inflow rows that are not the facet rows prev names
-    (see _previous_rows).  Given _element_fault and _derived_fault, each
-    patch swaps one facet for one on each element of its star, so this is
-    the causal sweep: a patch may only consume facets already produced and
-    not yet consumed."""
-    return (mesh.facet_vertices[tents.inflow]
-            != mesh.facet_vertices[prev]).any(axis=1)
-
-
-def _link_fault(mesh: MeshArrays, tents: _Tents, prev: np.ndarray,
-                chain: np.ndarray) -> Optional[str]:
-    """Why the stored producers of the inflow facets or the stored
-    frontier are not the ones the sweep in creation order (prev, chain)
-    gives, or None.  An inflow facet names the patch whose outflow it is,
-    or -1; frontier facet e is the last facet made on ground element e."""
-    given = mesh.facet_producer[tents.inflow]
-    made = mesh.facet_producer[prev]
-    i = _first(given != made)
-    if i is not None:
-        return (f"patch {tents.owner[i]}'s inflow facet {tents.k[i]} has "
-                f"producer {given[i]}, not {made[i]}")
-    n_elements = mesh.ground.n_elements
-    n_frontier = mesh.facet_groups[1]
-    if n_frontier != n_elements:
-        return f"{n_frontier} frontier facets for {n_elements} ground elements"
-    # the last row of each element's stretch of the chain, or else the
-    # element's initial facet
-    on = mesh.facet_element[tents.inflow][chain]
-    end = np.ones(len(chain), dtype=bool)
-    end[:-1] = on[:-1] != on[1:]
-    last = np.arange(n_elements)
-    last[on[end]] = tents.outflow[chain[end]]
-    frontier = np.arange(n_elements) + mesh.facet_groups[0]
-    e = _first((mesh.facet_element[frontier] != mesh.facet_element[last])
-               | (mesh.facet_vertices[frontier]
-                  != mesh.facet_vertices[last]).any(axis=1)
-               | (mesh.facet_producer[frontier] != mesh.facet_producer[last]))
-    if e is not None:
-        return (f"frontier facet {e} is not the last facet made on ground "
-                f"element {e}")
-    return None
-
-
-def check_causality(mesh: Mesh) -> CheckResult:
-    """Causal sweep must succeed; a self-test swaps two dependent patches
-    and asserts the sweep then fails.  The elements must be the tents that
-    the patches describe (see _element_fault), and every stored facet must
-    be the one the elements give: the initial and outflow facets before
-    the sweep (_derived_fault), the inflow producers and the frontier
-    after it (_link_fault).  The frontier must be the terminal front:
-    no frontier vertex is below the last apex time."""
-    mesh = _as_arrays(mesh)
-    tents = _Tents(mesh)
-    fault = _element_fault(mesh, tents) or _derived_fault(mesh, tents)
-    if fault:
-        return CheckResult("causality", False, fault)
-    n_patches = len(mesh.patch_id)
-    order = np.arange(n_patches)
-    prev, chain = _previous_rows(mesh, tents, order)
-    i = _first(_unproduced(mesh, tents, prev))
-    if i is not None:
-        pid = int(tents.owner[i])
-        row = tents.inflow[i]
-        key = (int(mesh.facet_element[row]),
-               tuple(mesh.facet_vertices[row].tolist()))
-        return CheckResult(
-            "causality", False,
-            f"sweep failed at patch {pid}: patch {pid} consumes facet {key} "
-            "before it was produced",
-            details={"failed_patch": pid},
-        )
-    injected = "no dependent pair to inject"
-    producers = mesh.facet_producer[tents.inflow]
-    first = _first(producers >= 0)
-    if first is not None:
-        i, j = int(producers[first]), int(tents.owner[first])
-        swapped = order.copy()
-        swapped[[i, j]] = swapped[[j, i]]
-        if not _unproduced(mesh, tents,
-                           _previous_rows(mesh, tents, swapped)[0]).any():
-            return CheckResult(
-                "causality", False,
-                "injected patch-order swap was not detected",
-                details={"swapped": [i, j]},
-            )
-        injected = f"injected swap of patches {i},{j} detected"
-    fault = _link_fault(mesh, tents, prev, chain)
-    if fault:
-        return CheckResult("causality", False, fault)
-    if n_patches:
-        time = mesh.vertices[:, -1]
-        top = time[mesh.patch_apex].max()
-        frontier = mesh.facet_vertices[_facet_rows(mesh, [1])]
-        e = _first(~(time[frontier] >= top).all(axis=1))
-        if e is not None:
-            return CheckResult(
-                "causality", False,
-                f"frontier facet {e} is below the last apex time")
-    return CheckResult(
-        "causality", True,
-        f"sweep of {n_patches} patches succeeded; {injected}",
-    )
-
-
-# -- whole-trace replay --------------------------------------------------------
+# -- replay of the lift sequence ---------------------------------------------
 
 
 class _Replay:
-    """Front times anywhere in a trace without stepping through it.
+    """The value of any vertex after any lift, without stepping through
+    the lifts.
 
-    The lifts are sorted once by (vertex, lift index), so the time of
-    vertex u just after lift i, the new time of u's last lift up to i or
-    else u's initial time, is one searchsorted lookup.  A sentinel key of
-    -1 in front keeps every lookup position in range.
+    Lift i sets vertex[i] to new[i] and runs in place position[i], a
+    permutation of the lift indices.  The lifts are sorted once by
+    (vertex, place), so the value of vertex u just after the lift in place
+    i, that of u's last lift up to there or else initial[u], is one
+    searchsorted lookup.  A sentinel key of -1 in front keeps every lookup
+    position in range.  A trace replays the front's times; a mesh replays
+    its vertex ids, patch p making vertex n + p, its apex.
     """
 
-    def __init__(self, trace: RunTrace):
-        lifts = trace.lifts
-        self.initial = np.asarray(trace.initial_times, dtype=float)
-        self.vertex = np.array([r.vertex for r in lifts], dtype=np.int64)
-        self.old = np.array([r.old_time for r in lifts], dtype=float)
-        new = np.array([r.new_time for r in lifts], dtype=float)
-        order = np.argsort(self.vertex, kind="stable")
-        self._n = len(lifts)
-        self._owner = np.concatenate([[-1], self.vertex[order]])
-        self._keys = np.concatenate([[-1], self.vertex[order] * self._n + order])
-        self._new = np.concatenate([[math.nan], new[order]])
+    def __init__(self, vertex: np.ndarray, initial: np.ndarray,
+                 new: np.ndarray, position: np.ndarray):
+        order = np.lexsort((position, vertex))
+        self.vertex = vertex
+        self.initial = initial
+        self._n = len(vertex)
+        self._owner = np.concatenate([[-1], vertex[order]])
+        self._keys = np.concatenate([[-1], self._owner[1:] * self._n
+                                     + position[order]])
+        self._new = np.concatenate([np.zeros(1, new.dtype), new[order]])
 
-    def times_after(self, u, i) -> np.ndarray:
-        """Times of vertices u just after lift i (broadcast together);
-        i = -1 gives the initial times."""
+    def after(self, u: np.ndarray, i) -> np.ndarray:
+        """Values of vertices u just after the lift in place i (broadcast
+        against u); i = -1 gives the initial values."""
         pos = np.searchsorted(self._keys, u * self._n + i, side="right") - 1
         return np.where(self._owner[pos] == u, self._new[pos], self.initial[u])
+
+
+def _trace_replay(trace: RunTrace):
+    """The replay of a trace's front times, and each lift's old time as
+    the trace records it."""
+    vertex = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
+    new = np.array([r.new_time for r in trace.lifts], dtype=float)
+    old = np.array([r.old_time for r in trace.lifts], dtype=float)
+    return _Replay(vertex, np.asarray(trace.initial_times, dtype=float), new,
+                   np.arange(len(new))), old
 
 
 def _star_rows(ground: GroundMesh, verts: np.ndarray):
@@ -595,10 +339,166 @@ def _star_rows(ground: GroundMesh, verts: np.ndarray):
     return owner, ground.star_elements[pos], ground.star_locals[pos]
 
 
-def _recorded_time(trace: RunTrace, v: int, end: int):
-    """Time of v before lift `end`, as the trace holds it (for messages)."""
-    return next((r.new_time for r in reversed(trace.lifts[:end])
-                 if r.vertex == v), trace.initial_times[v])
+# -- causality -------------------------------------------------------------
+
+
+def _facet_mismatch(mesh: MeshArrays, rows, on, vertices, producer):
+    """Mask of the stored facet rows that are not the facets on ground
+    elements on over vertices, made by producer."""
+    return ((mesh.facet_element[rows] != on)
+            | (mesh.facet_vertices[rows] != vertices).any(axis=1)
+            | (mesh.facet_producer[rows] != producer))
+
+
+def _replay_fault(mesh: MeshArrays, replay: _Replay, owner: np.ndarray,
+                  star: np.ndarray, slot: np.ndarray) -> Optional[str]:
+    """Why the stored columns are not the replayed ones (see
+    check_causality), or None: the first differing row of the first
+    column that differs, in the order of the comparisons below."""
+    ground, vertex, time = mesh.ground, mesh.patch_vertex, mesh.vertices[:, -1]
+    n, n_el, n_patches, m = (ground.n_vertices, ground.n_elements,
+                             len(vertex), len(owner))
+    pids, over, n_vertices = np.arange(n_patches), mesh.vertex_ground, len(time)
+    if len(over) != n_vertices:
+        return f"{len(over)} vertex_ground entries for {n_vertices} vertices"
+    p = _first(mesh.patch_id != pids)
+    if p is not None:
+        return f"patch {p} has id {mesh.patch_id[p]}"
+    if n_vertices != n + n_patches:
+        return (f"{n_vertices} vertices for {n} ground vertices and "
+                f"{n_patches} patches")
+    ground_of = np.concatenate([np.arange(n), vertex])
+    v = _first(over != ground_of)
+    if v is not None:
+        return (f"{'initial ' * (v < n)}vertex {v} is not over ground vertex "
+                f"{ground_of[v]}")
+    v = _first((mesh.vertices[:, :-1] != ground.vertices[ground_of]).any(axis=1))
+    if v is not None:
+        return (f"vertex {v} is not at the place of its ground vertex "
+                f"{ground_of[v]}")
+    v = _first(time[:n] != ground.initial_times)
+    if v is not None:
+        return f"initial vertex {v} is not at the initial time of ground vertex {v}"
+    base, apex = replay.after(vertex, pids - 1), n + pids
+    for end, stored, replayed in (("base", mesh.patch_base, base),
+                                  ("apex", mesh.patch_apex, apex)):
+        p = _first(stored != replayed)
+        if p is not None:
+            return f"patch {p}'s {end} is vertex {stored[p]}, not {replayed[p]}"
+    sizes = np.diff(ground.star_offsets)[vertex]
+    p = _first(mesh.patch_sizes != sizes)
+    if p is not None:
+        return (f"patch {p} has {mesh.patch_sizes[p]} elements for the "
+                f"{sizes[p]} elements of its vertex's star")
+    if len(mesh.elements) != m or len(mesh.element_patch) != m:
+        return (f"the patches list {m} elements and element_patch marks "
+                f"{len(mesh.element_patch)}, of {len(mesh.elements)} elements")
+    # each row's inflow facet, a column at a time to bound the memory
+    facets = np.empty((m, ground.dim + 1), dtype=np.int64)
+    for k, u in enumerate(ground.elements.T):
+        facets[:, k] = replay.after(u[star], owner - 1)
+    first = np.cumsum(sizes) - sizes  # each patch's first row
+    j = _first((mesh.patch_elements != np.arange(m))
+               | (mesh.element_patch != owner)
+               | (mesh.elements[:, 0] != n + owner)
+               | (mesh.elements[:, 1:] != facets).any(axis=1))
+    if j is not None:
+        p, k = owner[j], j - first[owner[j]]
+        return (f"element {j} is not patch {p}'s element {k}: listed "
+                f"there, marked as in patch {p}, and its apex over "
+                f"inflow facet {k}")
+    p = _first(~(time[apex] > time[base]))
+    if p is not None:
+        return f"patch {p}'s apex time is not above its base time"
+    groups = np.concatenate([[n_el, n_el], np.repeat(sizes, 2)])
+    g = _first(mesh.facet_groups != groups)
+    if g is not None and g < 2:
+        return (f"{mesh.facet_groups[g]} {('initial', 'frontier')[g]} facets "
+                f"for {n_el} ground elements")
+    if g is not None:
+        return (f"patch {g // 2 - 1} has {mesh.facet_groups[g]} "
+                f"{('inflow', 'outflow')[g % 2]} facets for {groups[g]} elements")
+    on = np.arange(n_el)
+    e = _first(_facet_mismatch(mesh, on, on, ground.elements, -1))
+    if e is not None:
+        return (f"initial facet {e} is not ground element {e} over its "
+                f"initial vertices")
+    # patch p's inflow facets follow the initial facets, the frontier and
+    # both groups of every earlier patch, and its outflow facets follow them
+    rows = 2 * n_el + np.arange(m) + first[owner]
+    made = np.maximum(facets.max(axis=1) - n, -1)
+    r = _first(_facet_mismatch(mesh, rows, star, facets, made))
+    if r is not None:
+        return (f"sweep failed at patch {owner[r]}: its inflow facet "
+                f"{r - first[owner[r]]} is not the last facet made on ground "
+                f"element {star[r]}")
+    facets[np.arange(m), slot] = n + owner  # now the outflow facets
+    rows += sizes[owner]
+    r = _first(_facet_mismatch(mesh, rows, star, facets, owner))
+    if r is not None:
+        p, k = owner[r], r - first[owner[r]]
+        return (f"patch {p}'s outflow facet {k} is not its inflow facet "
+                f"{k} with the base replaced by the apex, made by patch {p}")
+    front = replay.after(ground.elements, n_patches - 1)
+    made = np.maximum(front.max(axis=1) - n, -1)
+    e = _first(_facet_mismatch(mesh, n_el + on, on, front, made))
+    if e is not None:
+        return (f"frontier facet {e} is not the last facet made on ground "
+                f"element {e}")
+    e = _first(~(time[front] >= time[n:].max(initial=-math.inf)).all(axis=1))
+    if e is not None:
+        return f"frontier facet {e} is below the last apex time"
+    return None
+
+
+def check_causality(mesh: Mesh) -> CheckResult:
+    """The mesh must be the one its lift sequence builds, and so a causal
+    sweep: each patch consumes only facets made and not yet consumed.
+
+    Replayed with patch p making vertex n + p, the inflow facet of each
+    (patch, star element) row is the element's vertices just before the
+    patch.  The elements, the outflow facets (the apex in the lifted
+    slot), the patch columns and the producers follow; the initial facets
+    and the frontier are the lookups before the first and after the last
+    patch.  Each stored column must equal its replay, and each vertex lie
+    exactly at its ground vertex's place, the first n at the ground
+    mesh's initial times.  Each apex must be later than its base, which
+    is every element having positive volume, and no frontier vertex below
+    the last apex time.  A self-test swaps a patch with the producer of
+    one of its inflow facets in the replay: the elements must then differ
+    from it.
+    """
+    mesh = _as_arrays(mesh)
+    ground = mesh.ground
+    n, vertex = ground.n_vertices, mesh.patch_vertex
+    pids = np.arange(len(vertex))
+    owner, star, slot = _star_rows(ground, vertex)
+    fault = _replay_fault(mesh, _Replay(vertex, np.arange(n), n + pids, pids),
+                          owner, star, slot)
+    if fault:
+        return CheckResult("causality", False, fault)
+    injected = "no dependent pair to inject"
+    facets = mesh.elements[:, 1:]
+    r = _first(facets.max(axis=1) >= n)
+    if r is not None:
+        i, j = int(facets[r].max()) - n, int(owner[r])
+        position = pids.copy()
+        position[[i, j]] = j, i
+        # in the swapped order the sweep fails from patch i's place to j's
+        rows = (owner >= i) & (owner <= j)
+        swapped = _Replay(vertex, np.arange(n), n + pids, position).after(
+            ground.elements[star[rows]], position[owner[rows], None] - 1)
+        if np.array_equal(swapped, facets[rows]):
+            return CheckResult(
+                "causality", False,
+                "injected patch-order swap was not detected",
+                details={"swapped": [i, j]},
+            )
+        injected = f"injected swap of patches {i},{j} detected"
+    return CheckResult(
+        "causality", True,
+        f"sweep of {len(vertex)} patches succeeded; {injected}",
+    )
 
 
 # -- liftability replay ------------------------------------------------------
@@ -672,13 +572,13 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     name = "front_snapshots"
     n = ground.n_vertices
     n_lifts = len(trace.lifts)
-    replay = _Replay(trace)
+    replay, old = _trace_replay(trace)
     verts = replay.vertex
     foreign = _foreign_trace(trace, ground, verts)
     if foreign:
         return CheckResult(name, False, foreign)
-    prev = replay.times_after(verts, np.arange(n_lifts) - 1)
-    stale = np.flatnonzero(prev != replay.old)
+    prev = replay.after(verts, np.arange(n_lifts) - 1)
+    stale = np.flatnonzero(prev != old)
     stop = int(stale[0]) if len(stale) else n_lifts
     table = _element_scalars(ground)
     worst = math.inf
@@ -687,7 +587,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
         owner, elems, _ = _star_rows(ground, verts[lifts])
         lift = lifts[owner]
         ids = ground.elements[elems]
-        T = replay.times_after(ids, lift[:, None])
+        T = replay.after(ids, lift[:, None])
         margin, low, t_mid = _liftability_margins(ground, table, elems, T)
         worst = float(np.fmin.reduce(margin, initial=worst))
         bad = np.flatnonzero(margin < -tol * (1.0 + np.abs(t_mid)))
@@ -706,16 +606,16 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
         return CheckResult(
             name, False,
             f"trace inconsistent at lift {stop}: vertex {r.vertex} was at "
-            f"{_recorded_time(trace, r.vertex, stop)}, trace says {r.old_time}",
+            f"{float(prev[stop])}, trace says {r.old_time}",
         )
-    final = replay.times_after(np.arange(n), n_lifts - 1)
+    final = replay.after(np.arange(n), n_lifts - 1)
     unfinished = np.flatnonzero(final != trace.target_time)
     if len(unfinished) and trace.target_time > 0:
         v = int(unfinished[0])
         return CheckResult(
             name, False,
             f"replay ended with {len(unfinished)} vertices not at the "
-            f"target time (first: {v} at {_recorded_time(trace, v, n_lifts)})",
+            f"target time (first: {v} at {float(final[v])})",
         )
     return CheckResult(
         name, True,
@@ -835,7 +735,7 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
     n = len(trace.lifts)
     if n == 0:
         return CheckResult("lift_bounds_sampled", True, "empty trace")
-    replay = _Replay(trace)
+    replay, _ = _trace_replay(trace)
     foreign = _foreign_trace(trace, ground, replay.vertex)
     if foreign:
         return CheckResult("lift_bounds_sampled", False, foreign)
@@ -844,7 +744,7 @@ def check_lift_bounds_sampled(trace: RunTrace, ground: GroundMesh,
     sample = np.sort(rng.choice(n, size=min(k, n), replace=False))
     oracles, omegas = _oracle_max_lifts(
         ground, replay.vertex[sample],
-        lambda u, s: replay.times_after(u, sample[s] - 1), trace.epsilon,
+        lambda u, s: replay.after(u, sample[s] - 1), trace.epsilon,
     )
     worst = 0.0
     offenders = []

@@ -1,10 +1,12 @@
 """Object-based mesh checks, kept as the reference for the array checks in
-tentpitch.verifier: the cone gather, element ties and dict-keyed causal
-sweep that walk Facet and Patch objects, plus the stored-facet ties, the
-vertex coordinates, the initial front and the tents' heights written as
+tentpitch.verifier: the cone gather and dict-keyed causal sweep that walk
+Facet and Patch objects, and the causality check's replay of the lift
+sequence, one patch at a time on lists, with every stored column, the
+vertex coordinates, the initial front and the tents' heights compared in
 plain loops.  The array checks must give the same results.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Optional
@@ -103,131 +105,144 @@ def cone_facets(mesh, ground=None, tol=1e-9) -> CheckResult:
 # -- causality ---------------------------------------------------------------
 
 
-def element_fault(mesh) -> Optional[str]:
-    patches, over, n = mesh.patches, mesh.vertex_ground, len(mesh.elements)
-    if len(over) != len(mesh.vertices):
-        return f"{len(over)} vertex_ground entries for {len(mesh.vertices)} vertices"
-    for v, g in enumerate(over[:mesh.ground.n_vertices]):
-        if g != v:
-            return f"initial vertex {v} is not over ground vertex {v}"
-    for v, (g, coords) in enumerate(zip(over, mesh.vertices)):
-        if list(coords[:-1]) != mesh.ground.vertices[g].tolist():
-            return f"vertex {v} is not at the place of its ground vertex {g}"
-    pids = list(range(len(patches)))
+def _replay(mesh, order):
+    """The lift sequence replayed one patch at a time on lists, the
+    patches taken in the given order of ids, patch p making vertex n + p:
+    the base and the (ground element, inflow facet) pairs of each patch,
+    by id, and the front after the last patch."""
+    ground = mesh.ground
+    n, stars = ground.n_vertices, ground.stars
+    front = [tuple(verts) for verts in ground.elements.tolist()]
+    last = list(range(n))
+    bases, inflows = {}, {}
+    for pid in order:
+        v = mesh.patches[pid].vertex
+        bases[pid] = last[v]
+        inflows[pid] = [(e, front[e]) for e, _ in stars[v]]
+        for e, li in stars[v]:
+            front[e] = front[e][:li] + (n + pid,) + front[e][li + 1:]
+        last[v] = n + pid
+    return bases, inflows, front
+
+
+def replay_fault(mesh) -> Optional[str]:
+    """The stored columns against a replay of the lift sequence, column by
+    column in the verifier's order."""
+    ground, patches = mesh.ground, mesh.patches
+    n, n_el, n_patches = ground.n_vertices, ground.n_elements, len(patches)
+    over, n_vertices = list(mesh.vertex_ground), len(mesh.vertices)
+    if len(over) != n_vertices:
+        return f"{len(over)} vertex_ground entries for {n_vertices} vertices"
+    pids = list(range(n_patches))
     ids = [p.id for p in patches]
     if ids != pids:
         pid = _first_diff(ids, pids)
         return f"patch {pid} has id {ids[pid]}"
-    vertex = [p.vertex for p in patches]
-    for end, at in (("base", [over[p.base] for p in patches]),
-                    ("apex", [over[p.apex] for p in patches])):
-        if at != vertex:
-            pid = _first_diff(at, vertex)
-            return f"patch {pid} has its {end} off its vertex {vertex[pid]}"
-    stars = mesh.ground.stars
-    on = [f.ground_element for p in patches for f in p.inflow]
-    star = [e for v in vertex for e, _ in stars[v]]
-    if on != star:
-        pid = next(pid for pid, p in enumerate(patches)
-                   if [f.ground_element for f in p.inflow]
-                   != [e for e, _ in stars[p.vertex]])
-        return (f"patch {pid}'s inflow facets are not on the star of its "
-                f"vertex {vertex[pid]}")
-    sizes = [len(p.elements) for p in patches]
-    facets = [len(p.inflow) for p in patches]
-    if sizes != facets:
-        pid = _first_diff(sizes, facets)
-        return (f"patch {pid} has {sizes[pid]} elements for "
-                f"{facets[pid]} inflow facets")
-    if sum(sizes) != n or len(mesh.element_patch) != n:
-        return (f"the patches list {sum(sizes)} elements and element_patch "
-                f"marks {len(mesh.element_patch)}, of {n} elements")
-    ordered = list(range(n))
+    if n_vertices != n + n_patches:
+        return (f"{n_vertices} vertices for {n} ground vertices and "
+                f"{n_patches} patches")
+    ground_of = [*range(n), *(p.vertex for p in patches)]
+    if over != ground_of:
+        v = _first_diff(over, ground_of)
+        initial = "initial " if v < n else ""
+        return f"{initial}vertex {v} is not over ground vertex {ground_of[v]}"
+    places = ground.vertices.tolist()
+    for v, (g, row) in enumerate(zip(ground_of, mesh.vertices)):
+        if list(row[:-1]) != places[g]:
+            return f"vertex {v} is not at the place of its ground vertex {g}"
+    times = [row[-1] for row in mesh.vertices]
+    start = ground.initial_times.tolist()
+    for v in range(n):
+        if times[v] != start[v]:
+            return (f"initial vertex {v} is not at the initial time of "
+                    f"ground vertex {v}")
+    bases, inflows, front = _replay(mesh, pids)
+    for end, stored, replayed in (
+            ("base", [p.base for p in patches], [bases[p] for p in pids]),
+            ("apex", [p.apex for p in patches], [n + p for p in pids])):
+        if stored != replayed:
+            pid = _first_diff(stored, replayed)
+            return (f"patch {pid}'s {end} is vertex {stored[pid]}, not "
+                    f"{replayed[pid]}")
+    sizes = [len(inflows[p]) for p in pids]
+    for p in patches:
+        if len(p.elements) != sizes[p.id]:
+            return (f"patch {p.id} has {len(p.elements)} elements for the "
+                    f"{sizes[p.id]} elements of its vertex's star")
+    m = sum(sizes)
+    if len(mesh.elements) != m or len(mesh.element_patch) != m:
+        return (f"the patches list {m} elements and element_patch marks "
+                f"{len(mesh.element_patch)}, of {len(mesh.elements)} elements")
     listed = list(chain.from_iterable(p.elements for p in patches))
     marks = list(chain.from_iterable(map(repeat, pids, sizes)))
-    tents = [(p.apex,) + f.vertices for p in patches for f in p.inflow]
-    if listed != ordered or mesh.element_patch != marks or mesh.elements != tents:
-        j = min(_first_diff(listed, ordered),
-                _first_diff(mesh.element_patch, marks),
-                _first_diff(mesh.elements, tents))
-        pid = marks[j]
-        k = j - sum(sizes[:pid])
-        return (f"element {j} is not patch {pid}'s element {k}: listed "
-                f"there, marked as in patch {pid}, and its apex over "
-                f"inflow facet {k}")
-    times = [v[-1] for v in mesh.vertices]
-    low = [not times[p.apex] > times[p.base] for p in patches]
-    if any(low):
-        return f"patch {low.index(True)}'s apex time is not above its base time"
-    return None
-
-
-def derived_fault(mesh) -> Optional[str]:
-    """The initial and outflow facets against those the elements give."""
-    ground = mesh.ground
-    if len(mesh.initial_facets) != ground.n_elements:
-        return (f"{len(mesh.initial_facets)} initial facets for "
-                f"{ground.n_elements} ground elements")
+    tents = [(n + pid,) + facet for pid in pids for _, facet in inflows[pid]]
+    for j in range(m):
+        if (listed[j], mesh.element_patch[j], tuple(mesh.elements[j])) != (
+                j, marks[j], tents[j]):
+            pid = marks[j]
+            k = j - sum(sizes[:pid])
+            return (f"element {j} is not patch {pid}'s element {k}: listed "
+                    f"there, marked as in patch {pid}, and its apex over "
+                    f"inflow facet {k}")
+    for pid in pids:
+        if not times[n + pid] > times[bases[pid]]:
+            return f"patch {pid}'s apex time is not above its base time"
+    stored = [len(mesh.initial_facets), len(mesh.frontier),
+              *chain.from_iterable((len(p.inflow), len(p.outflow))
+                                   for p in patches)]
+    wanted = [n_el, n_el, *chain.from_iterable((s, s) for s in sizes)]
+    for g, (got, want) in enumerate(zip(stored, wanted)):
+        if got != want and g < 2:
+            return (f"{got} {('initial', 'frontier')[g]} facets for {n_el} "
+                    f"ground elements")
+        if got != want:
+            return (f"patch {g // 2 - 1} has {got} "
+                    f"{('inflow', 'outflow')[g % 2]} facets for {want} "
+                    f"elements")
     for e, f in enumerate(mesh.initial_facets):
         if f != (e, tuple(ground.elements[e].tolist()), -1):
             return (f"initial facet {e} is not ground element {e} over its "
                     f"initial vertices")
-    for p in mesh.patches:
-        if len(p.outflow) != len(p.inflow):
-            return (f"patch {p.id} has {len(p.outflow)} outflow facets for "
-                    f"{len(p.inflow)} inflow facets")
-    for p in mesh.patches:
-        for k, ((_, slot), f, out) in enumerate(
-                zip(ground.stars[p.vertex], p.inflow, p.outflow)):
-            top = list(f.vertices)
-            held = top[slot] == p.base
-            top[slot] = p.apex
-            if not held or out != (f.ground_element, tuple(top), p.id):
+    for p in patches:
+        for k, (f, (e, facet)) in enumerate(zip(p.inflow, inflows[p.id])):
+            if f != (e, facet, max(max(facet) - n, -1)):
+                return (f"sweep failed at patch {p.id}: its inflow facet {k} "
+                        f"is not the last facet made on ground element {e}")
+    for p in patches:
+        for k, (f, (e, li), (_, facet)) in enumerate(
+                zip(p.outflow, ground.stars[p.vertex], inflows[p.id])):
+            top = facet[:li] + (p.apex,) + facet[li + 1:]
+            if f != (e, top, p.id):
                 return (f"patch {p.id}'s outflow facet {k} is not its inflow "
                         f"facet {k} with the base replaced by the apex, made "
                         f"by patch {p.id}")
-    return None
-
-
-def link_fault(mesh) -> Optional[str]:
-    """The inflow producers and the frontier against the sweep."""
-    live = dict(enumerate(mesh.initial_facets))
-    for p in mesh.patches:
-        for k, (f, out) in enumerate(zip(p.inflow, p.outflow)):
-            made = live[f.ground_element].producer
-            if f.producer != made:
-                return (f"patch {p.id}'s inflow facet {k} has producer "
-                        f"{f.producer}, not {made}")
-            live[f.ground_element] = out
-    n = mesh.ground.n_elements
-    if len(mesh.frontier) != n:
-        return f"{len(mesh.frontier)} frontier facets for {n} ground elements"
     for e, f in enumerate(mesh.frontier):
-        if f != live[e]:
+        if f != (e, front[e], max(max(front[e]) - n, -1)):
             return (f"frontier facet {e} is not the last facet made on "
                     f"ground element {e}")
+    top = max(times[n:], default=-math.inf)
+    for e, facet in enumerate(front):
+        if not all(times[v] >= top for v in facet):
+            return f"frontier facet {e} is below the last apex time"
     return None
 
 
 def causality(mesh) -> CheckResult:
-    fault = element_fault(mesh) or derived_fault(mesh)
+    fault = replay_fault(mesh)
     if fault:
         return CheckResult("causality", False, fault)
-    result = causal_sweep(mesh)
-    if not result.ok:
-        return CheckResult(
-            "causality", False,
-            f"sweep failed at patch {result.failed_patch}: {result.message}",
-            details={"failed_patch": result.failed_patch},
-        )
     injected = "no dependent pair to inject"
-    for j, patch in enumerate(mesh.patches):
-        producers = [f.producer for f in patch.inflow if f.producer >= 0]
-        if producers:
-            i = producers[0]
-            tampered = list(mesh.patches)
-            tampered[i], tampered[j] = tampered[j], tampered[i]
-            if _sweep(mesh.initial_facets, tampered).ok:
+    n = mesh.ground.n_vertices
+    pids = list(range(len(mesh.patches)))
+    for j, element in zip(mesh.element_patch, mesh.elements):
+        if max(element[1:]) >= n:
+            i = max(element[1:]) - n
+            order = list(pids)
+            order[i], order[j] = order[j], order[i]
+            _, inflows, _ = _replay(mesh, order)
+            swapped = [(n + pid,) + facet for pid in pids
+                       for _, facet in inflows[pid]]
+            if swapped == [tuple(element) for element in mesh.elements]:
                 return CheckResult(
                     "causality", False,
                     "injected patch-order swap was not detected",
@@ -235,9 +250,6 @@ def causality(mesh) -> CheckResult:
                 )
             injected = f"injected swap of patches {i},{j} detected"
             break
-    fault = link_fault(mesh)
-    if fault:
-        return CheckResult("causality", False, fault)
     return CheckResult(
         "causality", True,
         f"sweep of {len(mesh.patches)} patches succeeded; {injected}",
@@ -248,13 +260,6 @@ def mesh_mismatch(trace, mesh) -> Optional[str]:
     if len(trace.lifts) != len(mesh.patches):
         return (f"trace has {len(trace.lifts)} lifts for a mesh of "
                 f"{len(mesh.patches)} patches")
-    n = len(trace.initial_times)
-    if len(mesh.vertices) < n or len(mesh.vertex_ground) < n:
-        return f"mesh has fewer vertices than the trace's {n} initial times"
-    for v, t in enumerate(trace.initial_times):
-        if mesh.vertex_ground[v] != v or mesh.vertices[v][-1] != t:
-            return (f"mesh vertex {v} is not ground vertex {v} at its "
-                    f"initial time in the trace")
     made = [(r.patch, r.vertex, r.new_time) for r in trace.lifts]
     patches = [(p.id, p.vertex, mesh.vertices[p.apex][-1])
                for p in mesh.patches]

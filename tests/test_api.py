@@ -1,4 +1,4 @@
-"""The public surface of the package: the names it exports, and no public
+"""The public surface of the package: the names it exports, and no
 function, class or method in src/ that only tests reach."""
 
 import ast
@@ -81,6 +81,19 @@ def test_no_public_name_that_only_tests_reach():
                            if isinstance(sub, ast.FunctionDef)
                            and not sub.name.startswith("_")
                            and sub.name not in attrs]
+    assert unused == []
+
+
+def test_no_private_name_that_only_tests_reach():
+    # a private module-level function or class that nothing in src/ or
+    # bench/ names is test-only code; its own def does not count
+    names, attrs = _references()
+    unused = [f"{path.stem}.{node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and node.name not in names | attrs]
     assert unused == []
 
 

@@ -103,6 +103,18 @@ class TestParseTriangle:
         assert raw["speeds"] == [2.5]
         assert load(raw).speeds[0] == 2.5
 
+    def test_vertices_out_of_order_is_exit_one(self, tmp_path, capsys):
+        # read in file order, vertices listed 0, 1, 3, 2 would give the
+        # elements the wrong coordinates
+        node = tmp_path / "square.node"
+        node.write_text("4 2 0 0\n0 0.0 0.0\n1 1.0 0.0\n3 0.0 1.0\n"
+                        "2 1.0 1.0\n")
+        node.with_suffix(".ele").write_text("2 3 0\n0 0 1 2\n1 0 2 3\n")
+        assert main(["info", "--input", str(node)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node line 4: vertex index 3, expected 2\n"
+
 
 class TestParseJsonMesh:
     def test_1d_two_segments(self):
@@ -653,17 +665,15 @@ class TestVerifyRejectsWrongElements:
         def tamper(data):
             pid = self._interior_patch(data)
             p = data["patches"][pid]
+            where.extend([pid, p["base"], p["apex"]])
             p["apex"] = p["base"]
-            where.extend([p["elements"][0], pid])
 
         rc, failed = self._tampered(capsys, tmp_path, tamper)
-        j, pid = where
+        pid, base, apex = where
         assert rc == 1
         # the trace's lift no longer ends at the patch's apex either
         assert failed == [
-            f"FAIL causality: element {j} is not patch {pid}'s element 0: "
-            f"listed there, marked as in patch {pid}, and its apex over "
-            f"inflow facet 0",
+            f"FAIL causality: patch {pid}'s apex is vertex {base}, not {apex}",
             f"FAIL progress_trace: lift {pid} did not make patch {pid} of "
             f"the mesh"]
 
@@ -739,8 +749,8 @@ class TestVerifyRejectsWrongElements:
 
         rc, failed = self._tampered(capsys, tmp_path, tamper)
         assert rc == 1
-        assert failed == ["FAIL progress_trace: mesh vertex 3 is not ground "
-                          "vertex 3 at its initial time in the trace"]
+        assert failed == ["FAIL causality: initial vertex 3 is not at the "
+                          "initial time of ground vertex 3"]
 
     def test_trace_of_another_run(self, tmp_path, capsys):
         out, _ = self._pitch(tmp_path, "2")
@@ -824,6 +834,72 @@ class TestVerifyRejectsWrongElements:
         assert rc == 1
         assert failed[0] == ("FAIL progress_trace: lift 5 did not make patch 5 "
                              "of the mesh")
+
+
+class TestInitialTimes:
+    """The ground mesh's initial times belong to the run: pitch starts
+    from them, and verify holds the mesh and the trace to them."""
+
+    TIMES = [0, 0.05, 0.1, 0.05, 0, 0.05, 0]
+
+    @staticmethod
+    def _ground(tmp_path, name, times):
+        """golden_path.json with the given initial times, or none."""
+        doc = json.loads((DATA / "golden_path.json").read_text())
+        if times is not None:
+            doc["initial_times"] = times
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _pitched(self, tmp_path, capsys):
+        ground = self._ground(tmp_path, "timed", self.TIMES)
+        out, trace = str(tmp_path / "st.json"), str(tmp_path / "trace.json")
+        assert main(["pitch", "--input", ground, "--target-time", "1",
+                     "--out", out, "--trace", trace]) == 0
+        assert main(["verify", "--mesh", out, "--ground", ground,
+                     "--trace", trace]) == 0
+        capsys.readouterr()
+        return out, trace
+
+    @pytest.mark.parametrize("times", [None, [0] * 7], ids=["absent", "zero"])
+    def test_mesh_from_other_initial_times_fails(self, tmp_path, capsys,
+                                                 times):
+        out, _ = self._pitched(tmp_path, capsys)
+        other = self._ground(tmp_path, "other", times)
+        assert main(["verify", "--mesh", out, "--ground", other]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("PASS cone_facets: ")
+        assert lines[1] == ("FAIL causality: initial vertex 1 is not at the "
+                            "initial time of ground vertex 1")
+
+    @pytest.mark.parametrize("times", [None, [0] * 7], ids=["absent", "zero"])
+    def test_trace_from_other_initial_times_fails(self, tmp_path, capsys,
+                                                  times):
+        out, trace = self._pitched(tmp_path, capsys)
+        other = self._ground(tmp_path, "other", times)
+        assert main(["verify", "--mesh", out, "--ground", other,
+                     "--trace", trace]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        foreign = "trace starts vertex 1 at 0.05, the ground mesh at 0.0"
+        assert lines[1:] == [
+            "FAIL causality: initial vertex 1 is not at the initial time of "
+            "ground vertex 1",
+            f"FAIL progress_trace: {foreign}",
+            f"FAIL front_snapshots: {foreign}",
+            f"FAIL lift_bounds_sampled: {foreign}"]
+
+    def test_target_time_below_an_initial_time_is_exit_one(self, tmp_path,
+                                                            capsys):
+        ground = self._ground(tmp_path, "timed", self.TIMES)
+        out = tmp_path / "st.json"
+        assert main(["pitch", "--input", ground, "--target-time", "0.04",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: target time 0.04 is below the initial "
+                                "time 0.05 of vertex 1\n")
+        assert not out.exists()
 
 
 def _put(data, where, value):

@@ -64,7 +64,9 @@ class TestAppendPatch:
         objects.patches[-1].inflow[0] = Facet(0, (97, 98, 99), -1)
         result = check_causality(reference_arrays(objects))
         assert not result.passed
-        assert "is not patch" in result.message
+        assert result.message == (
+            f"sweep failed at patch {len(objects.patches) - 1}: its inflow "
+            f"facet 0 is not the last facet made on ground element 0")
 
     def test_tent_past_the_terminal_front_rejected(self, right_triangle):
         # a well-linked tent above a finished front leaves the other

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from tentpitch import (
     GroundMesh,
+    MeshValidationError,
     MISPhases,
+    ParseError,
     PitchConfig,
     precompute,
     run,
@@ -27,6 +29,7 @@ from tentpitch.geometry import facet_index
 from tentpitch import ground_mesh
 from tentpitch.ground_mesh import load
 from tentpitch.io_formats import (
+    parse_json_mesh,
     parse_triangle,
     read_spacetime_json,
     write_spacetime_json,
@@ -216,10 +219,10 @@ class TestCausality:
 
     @pytest.mark.parametrize("tamper, message", [
         (_swap_ids, "patch 3 has id 4"),
-        (_base_off_vertex, "patch {p} has its base off its vertex"),
+        (_base_off_vertex, "patch {p}'s base is vertex"),
         (_short_vertex_ground, "{v} vertex_ground entries for {v1} vertices"),
-        (_tent_dropped, "patch {p}'s inflow facets are not on the star of "
-                        "its vertex"),
+        (_tent_dropped, "patch {p} has {k} elements for the {k1} elements "
+                        "of its vertex's star"),
         (_element_moved_to_next_patch, "patch {p} has {k} elements for"),
         (_element_marked_elsewhere, "element {j1} is not patch {p}'s element 1"),
         (_elements_listed_out_of_order,
@@ -235,7 +238,7 @@ class TestCausality:
         mesh = mesh_objects(small_run[1])
         p = self._patch(mesh)
         want = message.format(
-            p=p.id, k=len(p.elements) - 1, j0=p.elements[0],
+            p=p.id, k=len(p.elements) - 1, k1=len(p.elements), j0=p.elements[0],
             j1=p.elements[1], v=len(mesh.vertices) - 1, v1=len(mesh.vertices),
             last=mesh.patches[-1].id, size=len(mesh.patches[-1].elements) - 1,
             m=len(mesh.elements), m1=len(mesh.elements) + 1)
@@ -258,7 +261,8 @@ class TestFrontSnapshots:
     def test_crafted_unliftable_state_fails(self):
         # after the fake lift the thin vertex's cone ceiling extrapolates far
         # below the middle vertex, so the progress invariant is broken
-        g = GroundMesh(2, [[-2.0, 0.1], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]])
+        g = GroundMesh(2, [[-2.0, 0.1], [0.0, 0.0], [1.0, 0.0]], [[0, 1, 2]],
+                       initial_times=[-0.01, 0.0, 0.0])
         trace = RunTrace(
             epsilon=0.1, target_time=1.0, tolerance=1e-9,
             strategy="greedy", seed=0,
@@ -607,10 +611,10 @@ class TestBatchedOracle:
         make, target = MESHES[mesh]
         g = make()
         _, trace = run(g, PitchConfig(target_time=target))
-        replay = verifier._Replay(trace)
+        replay, _ = verifier._trace_replay(trace)
         lifts = np.arange(len(trace.lifts))
         got, omega = verifier._oracle_max_lifts(
-            g, replay.vertex, lambda u, s: replay.times_after(u, lifts[s] - 1),
+            g, replay.vertex, lambda u, s: replay.after(u, lifts[s] - 1),
             trace.epsilon,
         )
         times = list(trace.initial_times)
@@ -887,6 +891,42 @@ class TestArrayMeshChecks:
                 if group:
                     group.pop(data.draw(st.integers(0, len(group) - 1)))
         _compare_mesh_checks(doc, g, trace)
+
+
+class TestEverySingleDamage:
+    def test_each_integer_off_by_one_is_rejected(self):
+        """+1 and -1 on each integer entry of a space-time file, but its
+        vertices and ground_dim: the reader or mesh-only verify rejects
+        every damaged file."""
+        ground = load(parse_json_mesh((DATA / "golden_path.json").read_text()))
+        mesh, _ = run(ground, PitchConfig(target_time=1.0))
+        doc = json.loads(write_spacetime_json(mesh))
+        entries = []
+
+        def walk(node, path):
+            for key, child in (node.items() if isinstance(node, dict)
+                               else enumerate(node)):
+                if isinstance(child, (dict, list)):
+                    walk(child, path + (key,))
+                elif type(child) is int and path[:1] not in [
+                        (), ("vertices",)]:
+                    entries.append((node, key, path + (key,)))
+
+        walk(doc, ())
+        read = 0
+        for node, key, path in entries:
+            value = node[key]
+            for delta in (1, -1):
+                node[key] = value + delta
+                text = json.dumps(doc)
+                node[key] = value
+                try:
+                    arrays = read_spacetime_json(text, ground)
+                except (ParseError, MeshValidationError):
+                    continue
+                read += 1
+                assert not verify(arrays, ground).passed, (path, delta)
+        assert (len(entries), read) == (951, 1818)
 
 
 # -- positive volume -------------------------------------------------------------
