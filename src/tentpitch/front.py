@@ -1,11 +1,13 @@
 """The advancing front: per-vertex times plus local-minimum scheduling.
 
 The front is the graph of a piecewise-linear time function over the ground
-mesh.  Two invariants are maintained at all times and re-checked after
-every lift: each element's time gradient stays within its slope cap (cone
-constraint), and no element's top vertex sits more than (1-epsilon) * its
-altitude * cap above the middle vertex (progress constraint, which is what
-guarantees the front never locks up).
+mesh.  Two invariants hold on it: each element's time gradient stays
+within its slope cap (cone constraint), and no element's top vertex sits
+more than (1-epsilon) * its altitude * cap above the middle vertex
+(progress constraint, which is what guarantees the front never locks
+up).  _star_constraints gives the ceilings they put on a lift: the
+initial front, user input, is checked against them once, and each lift
+is bounded by them (verify's progress_trace re-checks every lift).
 """
 
 from __future__ import annotations
@@ -48,9 +50,94 @@ class MISPhases:
 
 Strategy = Union[GreedyLowest, MISPhases]
 
-# relative slack of the cone and progress checks on the front and of the
-# pitcher's stall test; the trace records it as its tolerance
+# slack of the front's checks (a facet past its cap, an initial time above
+# a ceiling) and of the pitcher's stall test; the trace records it
 TOLERANCE = 1e-9
+
+
+def _edge_cone_scalar(tj, tk, beta, inv_len, w, cap, tol, e) -> float:
+    dt = tk - tj
+    mu = dt * inv_len
+    rad = cap * cap - mu * mu
+    if rad < 0.0:
+        if rad < -tol * cap * cap:
+            raise FrontInvariantError(
+                f"facet of element {e} violates its cone constraint "
+                f"(slope {abs(mu):g}, cap {cap:g})"
+            )
+        rad = 0.0
+    return tj + beta * dt + w * math.sqrt(rad)
+
+
+def _cone3(rec, t, cap, tol, e) -> float:
+    j, k, l, h11, h12, h22, b1, b2, w = rec
+    d1 = t[k] - t[j]
+    d2 = t[l] - t[j]
+    a1 = h11 * d1 + h12 * d2
+    a2 = h12 * d1 + h22 * d2
+    slope2 = a1 * d1 + a2 * d2
+    rad = cap * cap - slope2
+    if rad < 0.0:
+        if rad < -tol * cap * cap:
+            raise FrontInvariantError(
+                f"facet of element {e} violates its cone constraint "
+                f"(slope {math.sqrt(slope2):g}, cap {cap:g})"
+            )
+        rad = 0.0
+    return t[j] + a1 * b1 + a2 * b2 + w * math.sqrt(rad)
+
+
+def _star_constraints(front: Front, v: int, tol: float):
+    """Yield every ceiling on lifting vertex v as (value, kind, element,
+    face), in star order and, per element, in this order: the cone ceiling
+    t(foot) + w * sqrt(cap^2 - |grad_H t|^2), with H the hull of the facet
+    opposite v, w the altitude of v and cap the slope cap (1/wave speed);
+    for d = 2 the progress ceiling t(top) + (1 - epsilon) * w * cap; for
+    d = 3 both on each triangular face (v, j, k) of the element, with w
+    the in-face altitude and cap times the face's kappa.  face is None for
+    a whole-element constraint.  The records read, for local vertex i of
+    element e, are:
+
+    * cone_recs[e][i], d = 1: (j, L), the other end and the length;
+    * cone_recs[e][i], d = 2: (j, k, beta, inv_len, w), the opposite edge,
+      the foot of the altitude at j + beta * (k - j), 1/|k - j| and the
+      altitude w;
+    * cone_recs[e][i], d = 3: (j, k, l, h11, h12, h22, b1, b2, w), the
+      opposite facet, the inverse Gram matrix of its edge basis
+      (k - j, l - j), the foot's offset from j dotted with that basis, and
+      the altitude w;
+    * face_recs[e][i], d = 3: (j, k, beta, inv_len, w, kappa) per face, in
+      the d = 2 edge form with w the in-face altitude and kappa the face's
+      cap as a fraction of the element's.
+
+    d = 2 keeps the edge form rather than the Gram form: the two round
+    differently, and lift times would change in their last digit.
+    """
+    ground, cons, t = front.ground, front.constants, front.times
+    d = ground.dim
+    pf = 1.0 - front.epsilon
+    caps = ground.slope_caps
+    for e, li in ground.stars[v]:
+        cap = caps[e]
+        rec = cons.cone_recs[e][li]
+        if d == 1:
+            j, length = rec
+            yield t[j] + length * cap, "cone", e, None
+        elif d == 2:
+            j, k, beta, inv_len, w = rec
+            yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, w, cap, tol, e),
+                   "cone", e, None)
+            top = t[j] if t[j] > t[k] else t[k]
+            yield top + pf * w * cap, "progress", e, None
+        else:
+            yield _cone3(rec, t, cap, tol, e), "cone", e, None
+            for j, k, beta, inv_len, wf, kap in cons.face_recs[e][li]:
+                fcap = kap * cap
+                face = (v, j, k)
+                yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, wf, fcap,
+                                         tol, e), "cone", e, face)
+                top = t[j] if t[j] > t[k] else t[k]
+                yield top + pf * wf * fcap, "progress", e, face
 
 
 class Front:
@@ -74,10 +161,8 @@ class Front:
             v = late[0]
             raise ValueError(f"target time {self.target_time:g} is below the "
                              f"initial time {self.times[v]:g} of vertex {v}")
-        # per-element altitudes as plain floats, for the d = 2 progress check
-        self._altitudes: list[list[float]] = constants.altitudes.tolist()
         self.finished: list[bool] = [ti >= self.target_time for ti in self.times]
-        self.validate_all()
+        self._check_initial()
 
         self._heap: list[tuple[float, int]] = [
             (self.times[v], v) for v in range(n) if not self.finished[v]
@@ -86,90 +171,20 @@ class Front:
         self._phase: deque[int] = deque()
         self.phase_counter = 0
 
-    # -- constraint validation -------------------------------------------
-
-    def validate_element(self, e: int) -> None:
-        """Raise FrontInvariantError if element e violates cone or progress.
-
-        Vertex ids come from the plain-int slope records, so no numpy
-        scalar is read per call.
-        """
-        cons = self.constants
-        t = self.times
-        d = self.ground.dim
-        rec = cons.slope_recs[e]
-        s = self.ground.slope_caps[e]
-        cap2 = (s * (1.0 + TOLERANCE)) ** 2
-
-        if d == 1:
-            a, b, inv_len = rec
-            slope = abs(t[b] - t[a]) * inv_len
-            if slope * slope > cap2:
-                raise FrontInvariantError(
-                    f"element {e} violates the cone constraint (slope {slope:g})"
-                )
-            return
-
-        if d == 2:
-            a, b, c, h11, h12, h22 = rec
-            d1, d2 = t[b] - t[a], t[c] - t[a]
-            g2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
-            if g2 > cap2:
-                raise FrontInvariantError(
-                    f"element {e} violates the cone constraint "
-                    f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})"
-                )
-            self._check_progress_state(e, (a, b, c), self._altitudes[e], s, 1.0)
-            return
-
-        ids_t, ginv = rec
-        dts = np.array([t[ids_t[1]] - t[ids_t[0]],
-                        t[ids_t[2]] - t[ids_t[0]],
-                        t[ids_t[3]] - t[ids_t[0]]])
-        g2 = float(dts @ ginv @ dts)
-        if g2 > cap2:
-            raise FrontInvariantError(
-                f"element {e} violates the cone constraint "
-                f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})"
-            )
-        for a, b, c, h11, h12, h22, kap, ws in cons.face_state_recs[e]:
-            d1, d2 = t[b] - t[a], t[c] - t[a]
-            f2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
-            fcap = kap * s
-            if f2 > (fcap * (1.0 + TOLERANCE)) ** 2:
-                raise FrontInvariantError(
-                    f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
-                    f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})"
-                )
-            self._check_progress_state(e, (a, b, c), ws, s, kap)
-
-    def _check_progress_state(self, e, ids, ws, cap, kap) -> None:
-        t = self.times
-        # top and middle of the three vertices, picked as the last two of a
-        # stable ascending sort would be: a tie goes to the higher index
-        t0, t1, t2 = t[ids[0]], t[ids[1]], t[ids[2]]
-        if t2 >= t1 and t2 >= t0:
-            top, mid = 2, (1 if t1 >= t0 else 0)
-        elif t1 >= t0:
-            top, mid = 1, (2 if t2 >= t0 else 0)
-        else:
-            top, mid = 0, (2 if t2 >= t1 else 1)
-        gap = t[ids[top]] - t[ids[mid]]
-        allowed = (1.0 - self.epsilon) * ws[top] * cap * kap
-        if gap > allowed * (1.0 + TOLERANCE):
-            raise FrontInvariantError(
-                f"element {e} violates the progress constraint: vertex "
-                f"{ids[top]} is {gap:g} above the middle vertex "
-                f"(allowed {allowed:g})"
-            )
-
-    def validate_star(self, v: int) -> None:
-        for e, _ in self.ground.stars[v]:
-            self.validate_element(e)
-
-    def validate_all(self) -> None:
-        for e in range(self.ground.n_elements):
-            self.validate_element(e)
+    def _check_initial(self) -> None:
+        """Raise FrontInvariantError unless each vertex starts at or below
+        its ceilings (_star_constraints), to slack TOLERANCE * omega * cap."""
+        caps, omega = self.ground.slope_caps, self.constants.omega.tolist()
+        for v, tv in enumerate(self.times):
+            try:
+                for value, kind, e, face in _star_constraints(self, v, TOLERANCE):
+                    if tv > value + TOLERANCE * omega[v] * caps[e]:
+                        raise FrontInvariantError(
+                            f"time {tv:g} is above its {kind} ceiling "
+                            f"{value:g} on element {e}"
+                            + (f" face {face}" if face else ""))
+            except FrontInvariantError as exc:
+                raise FrontInvariantError(f"vertex {v}: {exc}") from None
 
     # -- scheduling -------------------------------------------------------
 
@@ -220,12 +235,8 @@ class Front:
         return self._phase.popleft()
 
     def apply_lift(self, v: int, t_new: float) -> None:
-        """Move vertex v forward to time t_new.
-
-        The caller must supply a bound from the pitcher; the star of v is
-        re-validated and any violation (a pitcher bug) raises
-        FrontInvariantError with the state rolled back.
-        """
+        """Move vertex v forward to time t_new, a bound from the pitcher:
+        nothing here checks it against the ceilings."""
         t_old = self.times[v]
         if not t_new > t_old:
             raise ValueError(f"lift of vertex {v} must increase time "
@@ -235,9 +246,3 @@ class Front:
             self.finished[v] = True
         else:
             heapq.heappush(self._heap, (t_new, v))
-        try:
-            self.validate_star(v)
-        except FrontInvariantError:
-            self.times[v] = t_old
-            self.finished[v] = t_old >= self.target_time
-            raise

@@ -2,10 +2,9 @@
 
 The ground mesh is the d-dimensional spatial input (d in {1,2,3}).  All
 geometric quantities the advancing front needs per lift are computed once
-here, as array code over all elements: vertex altitudes, the per-vertex
-minimum altitude, projection clearance ratios and per-face gradient caps
-for d = 3, and flattened scalar records that let the hot loop evaluate
-every bound without array math.
+here, as array code over all elements: the per-vertex minimum altitude,
+and flattened scalar records (with the per-face gradient caps for d = 3)
+that let the hot loop evaluate every bound without array math.
 """
 
 from __future__ import annotations
@@ -156,26 +155,22 @@ def load(raw: dict) -> GroundMesh:
 class MeshConstants:
     """Geometry constants precomputed from the ground mesh alone.
 
-    Flattened per-(element, vertex) records drive the lift-bound hot loop:
+    Flattened per-(element, vertex) records, the one copy of the constraint
+    data that the lift bound and the initial front's check read:
 
     * cone_recs[e][i]: scalar data for the full-element cone ceiling when
       lifting local vertex i, and for d = 2 also its progress ceiling.
     * face_recs[e][i] (d = 3): per triangular face of e containing i,
       (j, k, beta, inv_len, w_face, kappa).
-    * slope_recs[e] / face_state_recs[e]: inverse-Gram data used to
-      re-validate the front state after each lift.
 
-    pitcher._star_constraints documents the cone_recs and face_recs
+    front._star_constraints documents the cone_recs and face_recs
     layouts, per dimension.
     """
 
     epsilon: float
-    altitudes: np.ndarray            # (m, d+1)
     omega: np.ndarray                # (n,) min altitude over incident elements
     cone_recs: list = field(repr=False, default_factory=list)
     face_recs: Optional[list] = field(repr=False, default=None)
-    slope_recs: list = field(repr=False, default_factory=list)
-    face_state_recs: Optional[list] = field(repr=False, default=None)
 
     @property
     def inverse_omega_sum(self) -> float:
@@ -265,18 +260,14 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     altitudes = (d * geometry.simplex_measures(X)[:, None]
                  / geometry.simplex_measures(F))
     omega = _vertex_min(n, ids, altitudes)
-    face_recs = face_state_recs = None
-    E = geometry.edge_bases(X)
+    face_recs = None
 
     if d == 1:
+        E = geometry.edge_bases(X)
         L = np.sqrt(dots(E[:, 0], E[:, 0]))
         cone_recs = _records(ids[:, ::-1], np.stack([L, L], axis=1), depth=2)
-        slope_recs = _records(ids[:, 0], ids[:, 1], 1.0 / L, depth=1)
     elif d == 2:
         cone_recs = _triangle_records(X, ids)
-        g = E @ np.swapaxes(E, 1, 2)
-        h = _sym2_inverse(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])
-        slope_recs = _records(ids[:, 0], ids[:, 1], ids[:, 2], *h, depth=1)
     else:
         # full-element cone record for vertex i: project it onto the
         # opposite facet plane, cache the Gram inverse of the facet edge
@@ -310,25 +301,9 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
         face_recs = _records(ids[:, jk[..., 0]], ids[:, jk[..., 1]],
                              fbeta, finv_len, wf, fkappa, depth=3)
 
-        slope_recs = list(zip(map(tuple, ids.tolist()),
-                              np.linalg.inv(E @ np.swapaxes(E, 1, 2))))
-        # face l's state record: its Gram inverse is the cone record's of
-        # vertex l; the in-face altitude of its vertex i = opp[l][p] is
-        # wf[:, i, s] at the slot s where opp[i][s] == l
-        slot = np.array([[list(opp[i]).index(l) for i in opp[l]]
-                         for l in range(4)])
-        ws = wf[:, opp, slot]
-        face_state_recs = _records(
-            fids[..., 0], fids[..., 1], fids[..., 2], h11, h12, h22, kappa,
-            ws, depth=2,
-        )
-
     return MeshConstants(
         epsilon=epsilon,
-        altitudes=altitudes,
         omega=omega,
         cone_recs=cone_recs,
         face_recs=face_recs,
-        slope_recs=slope_recs,
-        face_state_recs=face_state_recs,
     )

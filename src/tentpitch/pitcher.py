@@ -1,19 +1,11 @@
 """Lift-bound computation and tent construction.
 
-For a local-minimum vertex v, the admissible new time is the minimum over
-every incident element of:
-
-* the cone ceiling t(foot) + w * sqrt(cap^2 - |grad_H t|^2), where H is the
-  affine hull of the element's facet opposite v, w the altitude of v, and
-  cap the element's slope cap (1/wave speed);
-* the progress ceiling t(top) + (1 - epsilon) * w * cap on each triangle
-  (for d = 3, on each triangular face of the element, with both slopes
-  additionally scaled by the face's precomputed gradient cap);
-* the target time T.
-
-The progress ceiling is what guarantees every lift advances the vertex by
-at least epsilon * (scaled altitude), so the front reaches any target time
-in a bounded number of steps even on arbitrarily obtuse meshes.
+The admissible new time of a local-minimum vertex is the least of the
+ceilings that front._star_constraints yields over its star, and of the
+target time T.  The progress ceiling is what guarantees every lift
+advances the vertex by at least epsilon * (scaled altitude), so the front
+reaches any target time in a bounded number of steps even on arbitrarily
+obtuse meshes.
 """
 
 from __future__ import annotations
@@ -24,13 +16,14 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Optional
 
-from .errors import FrontInvariantError, StallError
-from .front import TOLERANCE, Front, GreedyLowest, MISPhases, Strategy
+from .errors import StallError
+from .front import (TOLERANCE, Front, GreedyLowest, MISPhases, Strategy,
+                    _star_constraints)
 from .ground_mesh import GroundMesh, MeshConstants, check_epsilon, precompute
 from .spacetime import SpaceTimeMesh
 
-# Computed bounds are pulled back by this relative slack so re-validation at
-# TOLERANCE never trips on a facet that is cone-tight by construction.
+# Computed bounds are pulled back by this relative slack, so that a lift
+# whose ceiling rounds up still lands at or below the ceiling itself.
 BOUND_SLACK = 1e-12
 
 
@@ -67,90 +60,6 @@ class LiftBound:
 def _slacked(x: float) -> float:
     # an unbounded lift stays unbounded; inf - inf would be nan
     return x - abs(x) * BOUND_SLACK if x < math.inf else x
-
-
-def _edge_cone_scalar(tj, tk, beta, inv_len, w, cap, tol, e) -> float:
-    dt = tk - tj
-    mu = dt * inv_len
-    rad = cap * cap - mu * mu
-    if rad < 0.0:
-        if rad < -tol * cap * cap:
-            raise FrontInvariantError(
-                f"facet of element {e} violates its cone constraint "
-                f"(slope {abs(mu):g}, cap {cap:g})"
-            )
-        rad = 0.0
-    return tj + beta * dt + w * math.sqrt(rad)
-
-
-def _cone3(rec, t, cap, tol, e) -> float:
-    j, k, l, h11, h12, h22, b1, b2, w = rec
-    d1 = t[k] - t[j]
-    d2 = t[l] - t[j]
-    a1 = h11 * d1 + h12 * d2
-    a2 = h12 * d1 + h22 * d2
-    slope2 = a1 * d1 + a2 * d2
-    rad = cap * cap - slope2
-    if rad < 0.0:
-        if rad < -tol * cap * cap:
-            raise FrontInvariantError(
-                f"facet of element {e} violates its cone constraint "
-                f"(slope {math.sqrt(slope2):g}, cap {cap:g})"
-            )
-        rad = 0.0
-    return t[j] + a1 * b1 + a2 * b2 + w * math.sqrt(rad)
-
-
-def _star_constraints(front: Front, v: int, tol: float):
-    """Yield every constraint on lifting vertex v as (value, kind, element,
-    face).
-
-    The order is star order and, within an element, the cone ceiling, the
-    progress ceiling (d = 2), then the cone and progress ceilings of each
-    triangular face (v, j, k) containing v (d = 3); face is None for a
-    whole-element constraint.  The records read, for local vertex i of
-    element e, are:
-
-    * cone_recs[e][i], d = 1: (j, L), the other end and the length;
-    * cone_recs[e][i], d = 2: (j, k, beta, inv_len, w), the opposite edge,
-      the foot of the altitude at j + beta * (k - j), 1/|k - j| and the
-      altitude w;
-    * cone_recs[e][i], d = 3: (j, k, l, h11, h12, h22, b1, b2, w), the
-      opposite facet, the inverse Gram matrix of its edge basis
-      (k - j, l - j), the foot's offset from j dotted with that basis, and
-      the altitude w;
-    * face_recs[e][i], d = 3: (j, k, beta, inv_len, w, kappa) per face, in
-      the d = 2 edge form with w the in-face altitude and kappa the face's
-      cap as a fraction of the element's.
-
-    d = 2 keeps the edge form rather than the Gram form: the two round
-    differently, and lift times would change in their last digit.
-    """
-    ground, cons, t = front.ground, front.constants, front.times
-    d = ground.dim
-    pf = 1.0 - front.epsilon
-    caps = ground.slope_caps
-    for e, li in ground.stars[v]:
-        cap = caps[e]
-        rec = cons.cone_recs[e][li]
-        if d == 1:
-            j, length = rec
-            yield t[j] + length * cap, "cone", e, None
-        elif d == 2:
-            j, k, beta, inv_len, w = rec
-            yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, w, cap, tol, e),
-                   "cone", e, None)
-            top = t[j] if t[j] > t[k] else t[k]
-            yield top + pf * w * cap, "progress", e, None
-        else:
-            yield _cone3(rec, t, cap, tol, e), "cone", e, None
-            for j, k, beta, inv_len, wf, kap in cons.face_recs[e][li]:
-                fcap = kap * cap
-                face = (v, j, k)
-                yield (_edge_cone_scalar(t[j], t[k], beta, inv_len, wf, fcap,
-                                         tol, e), "cone", e, face)
-                top = t[j] if t[j] > t[k] else t[k]
-                yield top + pf * wf * fcap, "progress", e, face
 
 
 def compute_lift(v: int, front: Front) -> LiftBound:

@@ -1,11 +1,12 @@
 """Independent re-checking of a finished space-time mesh and its trace.
 
 The checks deliberately avoid the generator's constraint tables: facet
-slopes are re-derived from raw coordinates (batched Gram solves), the
-progress floor and the liftability replay's per-element scalars from
-batched hull feet and clearance ratios, and a random sample of lifts is
-re-derived from scratch with a bisection feasibility oracle built on the
-geometry primitives alone.
+slopes are re-derived from raw coordinates (batched Gram solves), and
+the liftability replay's per-element scalars from batched hull feet.
+The ceilings on a lift (_ceilings) are written once, on the statics of
+_lift_statics (hull feet, clearance ratios, gradient operators), which
+the progress floor reads too: progress_trace holds every lift below
+them, and the bisection re-deriving a sample of lifts is their test.
 
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
@@ -200,44 +201,133 @@ def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
     return None
 
 
-def _progress_floors(ground: GroundMesh, epsilon: float):
-    """Per-vertex (omega_speed, floor) from coordinates: omega_speed(v) is
-    the least altitude / speed over v's star, the altitudes by hull feet.
-    For d = 3 the floor is also at most, for each triangular face holding
-    v, v's in-face altitude times the face's cap (1 - epsilon) times the
-    clearance ratio of the vertex opposite the face, over speed."""
+# -- lift ceilings ------------------------------------------------------------
+
+
+def _lift_statics(X: np.ndarray, epsilon: float):
+    """(w, G, faces) of k-simplices X (..., k+1, d), by the geometry
+    primitives: each vertex's altitude w over its opposite facet's hull
+    and the gradient operators G; for k = 3, faces = (kappa, fw, fG),
+    each face l's cap kappa as a fraction of the element's, (1 - epsilon)
+    times vertex l's clearance ratio over it, and the (w, G) of the face
+    as a triangle, with its vertices in the order facet_index(3)[l]."""
+    k = X.shape[-2] - 1
+    F = X[..., geometry.facet_index(k), :]
+    foot, _ = geometry.hull_feet(X, F)
+    w = np.sqrt(geometry.dots(X - foot, X - foot))
+    G = geometry.gradient_operators(X)
+    if k < 3:
+        return w, G, None
+    kappa = (1.0 - epsilon) * geometry.clearance_ratios(X, F)
+    return w, G, (kappa, *_lift_statics(F, epsilon)[:2])
+
+
+def _ceilings(ground: GroundMesh, elems: np.ndarray, li: np.ndarray,
+              T: np.ndarray, statics, at: np.ndarray, epsilon: float,
+              slack: float):
+    """The test of lifting local vertex li[r] of element elems[r] from the
+    times T[r], with row r's _lift_statics at index at[r]: given the
+    lifted times, (kind, mask of the rows above it) per ceiling, to a
+    relative and an absolute slack.  The ceilings: the cone (gradient
+    within the cap); for d = 2 the progress ceiling, the top other vertex
+    plus (1 - epsilon) * w * cap; for d = 3 both on each face holding the
+    lifted vertex, with cap kappa * cap."""
+    d, pf = ground.dim, 1.0 - epsilon
+    rows = np.arange(len(elems))
+    w, G, faces = statics
+    G, cap = G[at], 1.0 / ground.speeds[elems]
+    cone_cap = cap * (1.0 + slack)
+    lifted = li[:, None] == np.arange(d + 1)
+    if d == 2:
+        # the element is the one triangle holding the lifted vertex
+        top = np.where(lifted, -math.inf, T).max(axis=1)[:, None]
+        wf, kappa, cap = w[at, li][:, None], 1.0, cap[:, None]
+    elif d == 3:
+        # the faces l != li hold the lifted vertex, at place p in each
+        l = geometry.facet_index(3)[li]              # (R, 3)
+        face = geometry.facet_index(3)[l]            # (R, 3, 3)
+        p = li[:, None] - (li[:, None] > l)
+        kappa, fw, fG = faces
+        kappa, wf = kappa[at[:, None], l], fw[at[:, None], l, p]
+        GF, cap = fG[at[:, None], l], cap[:, None]
+        face_cap = kappa * cap * (1.0 + slack)
+        top = np.where(face == li[:, None, None], -math.inf,
+                       T[rows[:, None, None], face]).max(axis=-1)
+    if d > 1:
+        progress = top + pf * wf * kappa * cap * (1.0 + slack) + slack
+
+    def test(tr: np.ndarray) -> list:
+        ts = np.where(lifted, tr[:, None], T)
+        grad = (G @ (ts[:, 1:] - ts[:, :1])[..., None])[..., 0]
+        found = [("cone", np.sqrt(geometry.dots(grad, grad)) > cone_cap)]
+        if d == 3:
+            fts = ts[rows[:, None, None], face]
+            fgrad = (GF @ (fts[..., 1:] - fts[..., :1])[..., None])[..., 0]
+            found.append(("face cap", (np.sqrt(geometry.dots(fgrad, fgrad))
+                                       > face_cap).any(axis=1)))
+        if d > 1:
+            found.append(("progress" if d == 2 else "face progress",
+                          (tr[:, None] > progress).any(axis=1)))
+        return found
+
+    return test
+
+
+def _ceiling_fault(ground: GroundMesh, replay, statics, epsilon: float,
+                   slack: float) -> Optional[str]:
+    """The first lift of a replayed trace above one of its ceilings in the
+    front just before it, as a message, or None; REPLAY_CHUNK at a time."""
+    verts, new = replay.vertex, replay.new
+    for start in range(0, len(new), REPLAY_CHUNK):
+        lifts = np.arange(start, min(start + REPLAY_CHUNK, len(new)))
+        owner, elems, li = _star_rows(ground, verts[lifts])
+        lift = lifts[owner]
+        T = replay.after(ground.elements[elems], lift[:, None] - 1)
+        found = _ceilings(ground, elems, li, T, statics, elems, epsilon,
+                          slack)(new[lift])
+        r = _first(np.logical_or.reduce([mask for _, mask in found]))
+        if r is not None:
+            i = int(lift[r])
+            kind = next(kind for kind, mask in found if mask[r])
+            return (f"lift {i} (vertex {verts[i]}) to {new[i]:.17g} is above "
+                    f"its {kind} ceiling on element {elems[r]}")
+    return None
+
+
+def _progress_floors(ground: GroundMesh, statics):
+    """Per-vertex (omega_speed, floor) from the ground mesh's
+    _lift_statics: omega_speed(v) is the least altitude / speed over v's
+    star.  For d = 3 the floor is also at most v's in-face altitude times
+    kappa over speed, on each face holding v."""
+    w, _, faces = statics
     ids, speeds = ground.elements, ground.speeds[:, None]
     floor = np.full(ground.n_vertices, math.inf)
-    np.minimum.at(floor, ids, _element_scalars(ground)[0] / speeds)
+    np.minimum.at(floor, ids, w / speeds)
     omega_speed = floor.copy()
-    if ground.dim == 3:
-        X = ground.vertices[ids]
-        opp = geometry.facet_index(3)
-        kappa = (1.0 - epsilon) * geometry.clearance_ratios(X, X[:, opp])
-        # vertex i lies on face l, the face opposite l, for each l != i;
-        # its in-face altitude is over the edge of face l without i
-        i, l = np.nonzero(~np.eye(4, dtype=bool))
-        edge = [[x for x in opp[b] if x != a] for a, b in zip(i, l)]
-        foot, _ = geometry.hull_feet(X[:, i], X[:, edge])
-        wf = np.linalg.norm(X[:, i] - foot, axis=-1)
-        np.minimum.at(floor, ids[:, i], kappa[:, l] * wf / speeds)
+    if faces is not None:
+        kappa, fw, _ = faces
+        np.minimum.at(floor, ids[:, geometry.facet_index(3)],
+                      kappa[..., None] * fw / speeds[..., None])
     return omega_speed, floor
 
 
 def check_progress_trace(trace: RunTrace, ground: GroundMesh,
                          tol: float = 1e-9,
                          mesh: Optional[Mesh] = None) -> CheckResult:
-    """Per-lift advance floor plus the worst-case patch and element budgets.
+    """Every lift between its floor and its ceilings, plus the worst-case
+    patch and element budgets.
 
     Every non-clamped lift must advance its vertex by at least
     epsilon * floor(v), where floor(v) is the speed-scaled minimum altitude
     of v (for d = 3 additionally min over the capped triangular faces),
-    derived from coordinates by _progress_floors.  Total patches are
-    bounded by (T/eps) * sum(1/omega_speed) and, for d = 2, total elements
-    by six times that.  Given the mesh, the trace must also be the run
-    that built it (see _mesh_mismatch).
+    derived from coordinates by _progress_floors, and no lift may end
+    above a ceiling (_ceilings, slack tol) in the front just before it.
+    Total patches are bounded by (T/eps) * sum(1/omega_speed) and, for
+    d = 2, total elements by six times that.  Given the mesh, the trace
+    must also be the run that built it (see _mesh_mismatch).
     """
-    verts = np.array([r.vertex for r in trace.lifts], dtype=np.int64)
+    replay, old = _trace_replay(trace)
+    verts, new = replay.vertex, replay.new
     foreign = _foreign_trace(trace, ground, verts)
     if foreign is None and mesh is not None:
         foreign = _mesh_mismatch(trace, _as_arrays(mesh))
@@ -245,10 +335,11 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
         return CheckResult("progress_trace", False, foreign)
     eps = trace.epsilon
     T = trace.target_time
-    omega_speed, floor = _progress_floors(ground, eps)
-    new = np.array([r.new_time for r in trace.lifts], dtype=float)
+    statics = _lift_statics(ground.vertices[ground.elements], eps)
+    omega_speed, floor = _progress_floors(ground, statics)
+    ceiling = _ceiling_fault(ground, replay, statics, eps, tol)
     free = np.flatnonzero(new < T)  # the lifts not clamped at the target
-    advance = new[free] - np.array([r.old_time for r in trace.lifts])[free]
+    advance = new[free] - old[free]
     scale = eps * floor[verts[free]]
     required = scale * (1.0 - tol)
     offenders = [{"vertex": int(verts[free[i]]), "advance": float(advance[i]),
@@ -263,10 +354,11 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     over_budget = n_patches > patch_budget
     if ground.dim == 2 and n_elements > element_budget:
         over_budget = True
-    passed = not offenders and not over_budget
+    passed = not offenders and not over_budget and ceiling is None
     return CheckResult(
         "progress_trace",
         passed,
+        ceiling or
         f"{n_patches} patches (budget {patch_budget:.1f}), "
         f"{n_elements} elements"
         + (f" (budget {element_budget:.1f})" if element_budget else "")
@@ -303,8 +395,7 @@ class _Replay:
     def __init__(self, vertex: np.ndarray, initial: np.ndarray,
                  new: np.ndarray, position: np.ndarray):
         order = np.lexsort((position, vertex))
-        self.vertex = vertex
-        self.initial = initial
+        self.vertex, self.initial, self.new = vertex, initial, new
         self._n = len(vertex)
         self._owner = np.concatenate([[-1], vertex[order]])
         self._keys = np.concatenate([[-1], self._owner[1:] * self._n
@@ -636,65 +727,25 @@ def _oracle_max_lifts(ground: GroundMesh, verts: np.ndarray, times_of,
     by bisection on the feasibility predicate.
 
     times_of(u, s) gives the times of vertices u in the front state of
-    sample s (broadcast together).  The predicate is evaluated over the
-    flattened (sample, star element) rows: altitudes by direct projection,
-    face caps by clearance ratios and gradient operators of each element
-    and d = 3 face, all re-derived from the geometry primitives.  Each
-    sample grows its bracket and bisects as a lone bisection would.
+    sample s (broadcast together).  The predicate is _ceilings over the
+    flattened (sample, star element) rows, with the rows' own statics.
+    Each sample grows its bracket and bisects as a lone bisection would.
 
     Returns (max lifts, minimum altitude over each vertex's star).
     """
-    d = ground.dim
-    slack = 1e-12  # the predicate's relative and absolute slack
-    pf = 1.0 - epsilon
     n_samples = len(verts)
     owner, elems, li = _star_rows(ground, verts)
     rows = np.arange(len(owner))
     ids = ground.elements[elems]
-    X = ground.vertices[ids]                       # (R, d+1, d)
-    T = times_of(ids, owner[:, None])              # (R, d+1)
+    statics = _lift_statics(ground.vertices[ids], epsilon)
+    test = _ceilings(ground, elems, li, times_of(ids, owner[:, None]),
+                     statics, rows, epsilon, 1e-12)
     t_v = times_of(verts, np.arange(n_samples))
+    w = statics[0][rows, li]
     cap = 1.0 / ground.speeds[elems]
-    lifted = li[:, None] == np.arange(d + 1)
-    opp = geometry.facet_index(d)
-
-    P = X[rows, li]
-    foot, _ = geometry.hull_feet(P, X[rows[:, None], opp[li]])
-    w = np.sqrt(geometry.dots(P - foot, P - foot))
-    G = geometry.gradient_operators(X)
-    cone_cap = cap * (1.0 + slack)
-    if d == 2:
-        top = np.where(lifted, -math.inf, T).max(axis=1)
-        progress_cap = top + pf * w * cap * (1.0 + slack) + slack
-    elif d == 3:
-        # the three triangular faces containing the lifted vertex: face l
-        # (opposite vertex l != li), its in-face altitude of li over the
-        # edge formed by its two other vertices
-        face_of = opp[li]                          # (R, 3) the l's
-        face = opp[face_of]                        # (R, 3, 3) face locals
-        edge = face[face != li[:, None, None]].reshape(-1, 3, 2)
-        XF = X[rows[:, None, None], face]          # (R, 3, 3, 3)
-        kappa = pf * geometry.clearance_ratios(X[rows[:, None], face_of], XF)
-        ffoot, _ = geometry.hull_feet(P[:, None], X[rows[:, None, None], edge])
-        wf = np.sqrt(geometry.dots(P[:, None] - ffoot, P[:, None] - ffoot))
-        GF = geometry.gradient_operators(XF)
-        face_cap = kappa * cap[:, None] * (1.0 + slack)
-        ftop = T[rows[:, None, None], edge].max(axis=-1)
-        face_progress_cap = (ftop + pf * wf * kappa * cap[:, None]
-                             * (1.0 + slack) + slack)
 
     def feasible(t_new: np.ndarray) -> np.ndarray:
-        tr = t_new[owner]
-        ts = np.where(lifted, tr[:, None], T)
-        grad = (G @ (ts[:, 1:] - ts[:, :1])[..., None])[..., 0]
-        bad = np.sqrt(geometry.dots(grad, grad)) > cone_cap
-        if d == 2:
-            bad |= tr > progress_cap
-        elif d == 3:
-            fts = ts[rows[:, None, None], face]
-            fgrad = (GF @ (fts[..., 1:] - fts[..., :1])[..., None])[..., 0]
-            bad |= (np.sqrt(geometry.dots(fgrad, fgrad)) > face_cap).any(axis=1)
-            bad |= (tr[:, None] > face_progress_cap).any(axis=1)
+        bad = np.logical_or.reduce([mask for _, mask in test(t_new[owner])])
         ok = np.ones(n_samples, dtype=bool)
         ok[owner[bad]] = False
         return ok

@@ -20,7 +20,8 @@ from tentpitch import (
     run,
     stats,
 )
-from tentpitch.pitcher import _star_constraints, compute_lift
+from tentpitch.front import _star_constraints
+from tentpitch.pitcher import compute_lift
 from tentpitch.synthetic import (
     delaunay_mesh,
     jittered_grid_mesh,

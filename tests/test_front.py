@@ -15,7 +15,9 @@ from tentpitch import (
     run,
 )
 from tentpitch.front import TOLERANCE
+from tentpitch.geometry import facet_index
 
+import reference_geometry as refgeo
 from conftest import alternating_speed_grid, with_initial_times
 
 
@@ -25,104 +27,53 @@ def make_front(mesh, target=10.0, epsilon=0.1, initial=None):
     return Front(mesh, precompute(mesh, epsilon), target)
 
 
-def _sorted_progress_message(front, e, ids, ws, cap, kap):
-    """The sort-based top/middle pick that _check_progress_state replaced;
-    returns the violation message, or None."""
+# -- reference: the element check the lift loop used to run -------------------
+
+
+def _reference_cone(what, X, ts, cap):
+    g = refgeo.gradient(X, ts)
+    if float(g @ g) > (cap * (1.0 + TOLERANCE)) ** 2:
+        raise FrontInvariantError(f"{what} violates the cone constraint")
+
+
+def _reference_progress(front, e, ids, ws, cap):
+    # top and middle vertex by a stable sort: a tie goes to the higher index
     t = front.times
     order = sorted(range(len(ids)), key=lambda i: t[ids[i]])
     top, mid = order[-1], order[-2]
     gap = t[ids[top]] - t[ids[mid]]
-    allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
-    if gap > allowed * (1.0 + TOLERANCE):
-        return (f"element {e} violates the progress constraint: vertex "
-                f"{ids[top]} is {gap:g} above the middle vertex "
-                f"(allowed {allowed:g})")
-    return None
-
-
-class TestProgressState:
-    @pytest.mark.parametrize("times", list(itertools.product(
-        [0.0, 0.3, 2.0], repeat=3)))
-    def test_matches_sorted_pick_with_ties(self, right_triangle, times):
-        front = make_front(right_triangle)
-        front.times = list(times)
-        ids, ws = [0, 1, 2], [0.5, 1.0, 2.0]
-        want = _sorted_progress_message(front, 0, ids, ws, 1.0, 1.0)
-        if want is None:
-            front._check_progress_state(0, ids, ws, 1.0, 1.0)
-        else:
-            with pytest.raises(FrontInvariantError) as excinfo:
-                front._check_progress_state(0, ids, ws, 1.0, 1.0)
-            assert str(excinfo.value) == want
-
-
-# -- reference: element validation as it was ----------------------------------
-
-
-def _reference_progress(front, e, ids, ws, cap, kap):
-    t = front.times
-    t0, t1, t2 = t[ids[0]], t[ids[1]], t[ids[2]]
-    if t2 >= t1 and t2 >= t0:
-        top, mid = 2, (1 if t1 >= t0 else 0)
-    elif t1 >= t0:
-        top, mid = 1, (2 if t2 >= t0 else 0)
-    else:
-        top, mid = 0, (2 if t2 >= t1 else 1)
-    gap = t[ids[top]] - t[ids[mid]]
-    allowed = (1.0 - front.epsilon) * ws[top] * cap * kap
-    if gap > allowed * (1.0 + TOLERANCE):
+    if gap > (1.0 - front.epsilon) * ws[top] * cap * (1.0 + TOLERANCE):
         raise FrontInvariantError(
-            f"element {e} violates the progress constraint: vertex "
-            f"{ids[top]} is {gap:g} above the middle vertex "
-            f"(allowed {allowed:g})"
-        )
+            f"element {e} violates the progress constraint at vertex "
+            f"{ids[top]}")
 
 
 def reference_validate_element(front, e):
-    """Front.validate_element before it read plain-int records: ids from
-    the numpy element row, the cap 1/speed of the element."""
-    cons = front.constants
-    t = front.times
-    d = front.ground.dim
-    ids = front.ground.elements[e]
-    s = 1.0 / float(front.ground.speeds[e])
-    cap2 = (s * (1.0 + TOLERANCE)) ** 2
-    if d == 1:
-        a, b, inv_len = cons.slope_recs[e]
-        slope = abs(t[b] - t[a]) * inv_len
-        if slope * slope > cap2:
-            raise FrontInvariantError(
-                f"element {e} violates the cone constraint (slope {slope:g})")
-        return
-    if d == 2:
-        a, b, c, h11, h12, h22 = cons.slope_recs[e]
-        d1, d2 = t[b] - t[a], t[c] - t[a]
-        g2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
-        if g2 > cap2:
-            raise FrontInvariantError(
-                f"element {e} violates the cone constraint "
-                f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})")
-        _reference_progress(front, e, [int(x) for x in ids],
-                            cons.altitudes[e], s, 1.0)
-        return
-    ids_t, ginv = cons.slope_recs[e]
-    dts = np.array([t[ids_t[1]] - t[ids_t[0]],
-                    t[ids_t[2]] - t[ids_t[0]],
-                    t[ids_t[3]] - t[ids_t[0]]])
-    g2 = float(dts @ ginv @ dts)
-    if g2 > cap2:
-        raise FrontInvariantError(
-            f"element {e} violates the cone constraint "
-            f"(slope {math.sqrt(max(g2, 0)):g}, cap {s:g})")
-    for a, b, c, h11, h12, h22, kap, ws in cons.face_state_recs[e]:
-        d1, d2 = t[b] - t[a], t[c] - t[a]
-        f2 = h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2
-        fcap = kap * s
-        if f2 > (fcap * (1.0 + TOLERANCE)) ** 2:
-            raise FrontInvariantError(
-                f"element {e} face ({a},{b},{c}) exceeds its gradient cap "
-                f"(slope {math.sqrt(max(f2, 0)):g}, cap {fcap:g})")
-        _reference_progress(front, e, [a, b, c], ws, s, kap)
+    """The check that Front once ran on the star of every lifted vertex,
+    with its records built here from the reference geometry: the
+    element's time gradient within its cap 1/speed; for d = 2 the gap of
+    its top vertex over the middle one within (1 - epsilon) * the top
+    vertex's altitude * cap; for d = 3 both on each triangular face, with
+    the face's in-face altitudes and its cap scaled by kappa, (1 - epsilon)
+    times the clearance ratio of the vertex opposite it.  The slack is
+    TOLERANCE, relative."""
+    ground = front.ground
+    ids = [int(x) for x in ground.elements[e]]
+    X = ground.vertices[ids]
+    ts = [front.times[u] for u in ids]
+    cap = 1.0 / float(ground.speeds[e])
+    _reference_cone(f"element {e}", X, ts, cap)
+    if ground.dim == 2:
+        _reference_progress(front, e, ids,
+                            [refgeo.altitude(X, i) for i in range(3)], cap)
+    elif ground.dim == 3:
+        for l, face in enumerate(facet_index(3).tolist()):
+            kap = (1.0 - front.epsilon) * refgeo.clearance(X[l], X[face])
+            _reference_cone(f"element {e} face {face}", X[face],
+                            [ts[i] for i in face], kap * cap)
+            _reference_progress(front, e, [ids[i] for i in face],
+                                [refgeo.altitude(X[face], p)
+                                 for p in range(3)], kap * cap)
 
 
 def _outcome(validate, front, e):
@@ -131,6 +82,41 @@ def _outcome(validate, front, e):
     except FrontInvariantError as exc:
         return str(exc)
     return None
+
+
+def _reference_verdict(front, times):
+    """The first element message of the reference on the front at times,
+    or None."""
+    front.times = list(times)
+    return next(filter(None, (_outcome(reference_validate_element, front, e)
+                              for e in range(front.ground.n_elements))), None)
+
+
+def _initial_verdict(mesh, constants, times):
+    """The message with which Front refuses to start at times, or None."""
+    try:
+        Front(with_initial_times(mesh, times), constants, math.inf)
+    except FrontInvariantError as exc:
+        return str(exc)
+    return None
+
+
+class TestProgressState:
+    """The initial-front check on one triangle whose times tie in every
+    way, against the reference's sort-based pick of the top and middle
+    vertex."""
+
+    @pytest.mark.parametrize("times", list(itertools.product(
+        [0.0, 0.3, 2.0], repeat=3)))
+    def test_matches_sorted_pick_with_ties(self, times):
+        # cap 2: some of these fronts break the cone, some only progress
+        mesh = GroundMesh(2, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+                          [[0, 1, 2]], speeds=[0.5])
+        want = _reference_verdict(make_front(mesh), times)
+        got = _initial_verdict(mesh, precompute(mesh), times)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert ("progress" in got) == ("progress" in want)
 
 
 def _graded_path():
@@ -179,19 +165,21 @@ def _perturbed_fronts(mesh, target, rng):
 
 class TestValidateElementReference:
     @pytest.mark.parametrize("name", sorted(VALIDATE_MESHES))
-    def test_same_verdicts_and_messages(self, name, rng):
+    def test_initial_check_same_verdicts(self, name, rng):
+        # the check of the initial front, through the ceilings of every
+        # vertex, accepts exactly the fronts on which every element passes
+        # the element reference
         make, target = VALIDATE_MESHES[name]
         mesh = make()
+        constants = precompute(mesh)
         front = make_front(mesh, target=target)
         outcomes = set()
         for state in _perturbed_fronts(mesh, target, rng):
-            front.times = state
-            for e in range(mesh.n_elements):
-                want = _outcome(reference_validate_element, front, e)
-                got = _outcome(Front.validate_element, front, e)
-                assert got == want
-                outcomes.add(None if want is None else
-                              "progress" if "progress" in want else "cap")
+            want = _reference_verdict(front, state)
+            got = _initial_verdict(mesh, constants, state)
+            assert (got is None) == (want is None), (state, got, want)
+            outcomes.add(None if want is None else
+                         "progress" if "progress" in want else "cap")
         kinds = {None, "cap"} if mesh.dim == 1 else {None, "cap", "progress"}
         assert outcomes == kinds
 
@@ -270,12 +258,6 @@ class TestApplyLift:
         assert front.times[0] == 0.5
         assert not front.is_local_minimum(0)
 
-    def test_beyond_cone_rejected_and_rolled_back(self, right_triangle):
-        front = make_front(right_triangle)
-        with pytest.raises(FrontInvariantError):
-            front.apply_lift(0, 5.0)
-        assert front.times[0] == 0.0
-
     def test_lift_to_target_marks_finished(self, right_triangle):
         front = make_front(right_triangle, target=0.5)
         front.apply_lift(0, 0.5)
@@ -286,15 +268,17 @@ class TestApplyLift:
         with pytest.raises(ValueError):
             front.apply_lift(0, 0.0)
 
-    def test_star_revalidated_after_lift(self, fan_mesh, rng):
-        front = make_front(fan_mesh)
+    def test_star_revalidated_after_lift(self, fan_mesh):
+        # apply_lift does not re-check the star; a front at the lifted
+        # times still passes the check of an initial front
+        from tentpitch.pitcher import compute_lift
+
+        constants = precompute(fan_mesh)
+        front = Front(fan_mesh, constants, 10.0)
         for _ in range(30):
             v = front.next_vertex(GreedyLowest())
-            from tentpitch.pitcher import compute_lift
-
-            bound = compute_lift(v, front)
-            front.apply_lift(v, bound.value)  # re-validates the star
-            front.validate_star(v)
+            front.apply_lift(v, compute_lift(v, front).value)
+            Front(with_initial_times(fan_mesh, front.times), constants, 10.0)
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
 from tentpitch.synthetic import delaunay_mesh, path_mesh_1d, random_tet_mesh
-from tentpitch.verifier import _progress_floors
+from tentpitch.verifier import _lift_statics, _progress_floors
 
 import reference_geometry as refgeo
 from conftest import face_caps
@@ -14,6 +14,19 @@ from conftest import face_caps
 def star(mesh, v):
     """Element ids of the elements containing vertex v."""
     return [e for e, _ in mesh.stars[v]]
+
+
+def altitudes(cons, e):
+    """The altitude of each vertex of element e over its opposite facet,
+    as its cone record holds it: the last entry (w, or for d = 1 the
+    length)."""
+    return [rec[-1] for rec in cons.cone_recs[e]]
+
+
+def floors(mesh, epsilon):
+    """The verifier's (omega_speed, floor) of the mesh."""
+    return _progress_floors(
+        mesh, _lift_statics(mesh.vertices[mesh.elements], epsilon))
 
 
 class TestLoad:
@@ -126,7 +139,7 @@ class TestPrecompute:
     def test_right_triangle_altitudes(self, right_triangle):
         # w = 2*Area/opposite-edge-length with Area = 0.5
         cons = precompute(right_triangle)
-        w = cons.altitudes[0]
+        w = altitudes(cons, 0)
         assert w[0] == pytest.approx(1.0)
         assert w[1] == pytest.approx(1.0 / math.sqrt(2.0))
         assert w[2] == pytest.approx(1.0)
@@ -139,14 +152,13 @@ class TestPrecompute:
             [[0, 1, 2], [0, 3, 4]],
         )
         cons = precompute(mesh)
-        assert cons.altitudes[0][0] == pytest.approx(0.3)
-        assert cons.altitudes[1][0] == pytest.approx(0.2)
+        assert altitudes(cons, 0)[0] == pytest.approx(0.3)
+        assert altitudes(cons, 1)[0] == pytest.approx(0.2)
         assert cons.omega[0] == pytest.approx(0.2)
 
     def test_d2_has_no_face_caps(self, right_triangle):
         cons = precompute(right_triangle)
         assert cons.face_recs is None
-        assert cons.face_state_recs is None
 
     def test_d3_face_caps(self, regular_tet):
         cons = precompute(regular_tet, epsilon=0.1)
@@ -174,13 +186,13 @@ class TestPrecompute:
             elements2 = inv[mesh.elements][eperm]
             mesh2 = GroundMesh(mesh.dim, verts2, elements2)
             cons2 = precompute(mesh2)
-            floor = _progress_floors(mesh, 0.1)[1]
-            floor2 = _progress_floors(mesh2, 0.1)[1]
+            floor = floors(mesh, 0.1)[1]
+            floor2 = floors(mesh2, 0.1)[1]
             if mesh.dim == 3:
                 caps, caps2 = face_caps(cons), face_caps(cons2)
             for new_e, old_e in enumerate(eperm):
-                assert cons2.altitudes[new_e] == pytest.approx(
-                    cons.altitudes[old_e], rel=1e-12
+                assert altitudes(cons2, new_e) == pytest.approx(
+                    altitudes(cons, old_e), rel=1e-12
                 )
                 if mesh.dim == 3:
                     assert caps2[new_e] == pytest.approx(caps[old_e],
@@ -209,7 +221,7 @@ class TestPrecompute:
     def test_speed_scaled_floor(self):
         mesh = GroundMesh(2, [[0, 1], [0, 0], [1, 0]], [[0, 1, 2]],
                           speeds=[2.0])
-        omega_speed, floor = _progress_floors(mesh, 0.1)
+        omega_speed, floor = floors(mesh, 0.1)
         assert omega_speed[0] == pytest.approx(precompute(mesh).omega[0] / 2.0)
         assert floor[0] == omega_speed[0]
 
@@ -219,8 +231,8 @@ def _reference_constants(mesh, epsilon):
     first-principles scalar geometry (least-squares feet, altitudes and
     clearance ratios)."""
     d = mesh.dim
-    ref = {"altitudes": [], "cone_recs": [], "slope_recs": [],
-           "face_recs": [], "face_state_recs": []}
+    ref = {"cone_recs": [], "face_recs": []}
+    alts = []
     face_floor = np.full(mesh.n_vertices, np.inf)
 
     def edge_record(p, a, b):
@@ -232,19 +244,15 @@ def _reference_constants(mesh, epsilon):
     for e, ids in enumerate(mesh.elements.tolist()):
         X = mesh.vertices[ids]
         alt = [refgeo.altitude(X, i) for i in range(d + 1)]
-        ref["altitudes"].append(alt)
+        alts.append(alt)
         opp = [[x for x in range(d + 1) if x != i] for i in range(d + 1)]
         if d == 1:
             ref["cone_recs"].append([(ids[1], alt[0]), (ids[0], alt[1])])
-            ref["slope_recs"].append((ids[0], ids[1], 1.0 / alt[0]))
             continue
         if d == 2:
             recs = [(ids[o[0]], ids[o[1]]) + edge_record(X[i], *X[o])
                     for i, o in enumerate(opp)]
             ref["cone_recs"].append(recs)
-            h = refgeo.gram_inverse(X)
-            ref["slope_recs"].append(
-                (ids[0], ids[1], ids[2], h[0, 0], h[0, 1], h[1, 1]))
             continue
         kap = [(1.0 - epsilon) * refgeo.clearance(X[i], X[opp[i]])
                for i in range(4)]
@@ -266,18 +274,8 @@ def _reference_constants(mesh, epsilon):
             faces.append(frecs)
         ref["cone_recs"].append(cone)
         ref["face_recs"].append(faces)
-        ref["slope_recs"].append((tuple(ids), refgeo.gram_inverse(X)))
-        states = []
-        for l, o in enumerate(opp):
-            face = X[o]
-            h = refgeo.gram_inverse(face)
-            ws = [refgeo.altitude(face, p) for p in range(3)]
-            states.append((ids[o[0]], ids[o[1]], ids[o[2]],
-                           h[0, 0], h[0, 1], h[1, 1], kap[l], ws))
-        ref["face_state_recs"].append(states)
 
-    alt = np.array(ref["altitudes"])
-    ref["altitudes"] = alt
+    alt = np.array(alts)
     ref["omega"] = np.array([min(alt[e, li] for e, li in mesh.stars[v])
                              for v in range(mesh.n_vertices)])
     ref["omega_speed"] = np.array([
@@ -286,7 +284,7 @@ def _reference_constants(mesh, epsilon):
     ])
     ref["progress_floor"] = np.minimum(ref["omega_speed"], face_floor)
     if d < 3:
-        ref["face_recs"] = ref["face_state_recs"] = None
+        ref["face_recs"] = None
     return ref
 
 
@@ -340,7 +338,7 @@ class TestBatchedRecords:
     def test_verifier_floors_match_reference(self, dim, rng):
         mesh = _speedy_mesh(dim, rng)
         ref = _reference_constants(mesh, 0.2)
-        for name, got in zip(FLOORS, _progress_floors(mesh, 0.2)):
+        for name, got in zip(FLOORS, floors(mesh, 0.2)):
             assert got == pytest.approx(ref[name], rel=1e-12), name
         if dim == 3:
             # some face floors bind

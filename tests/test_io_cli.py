@@ -23,7 +23,9 @@ from tentpitch import (
     run,
     stats,
 )
+from tentpitch import pitcher
 from tentpitch.cli import main
+from tentpitch.front import TOLERANCE, _star_constraints
 from tentpitch.io_formats import (
     dumps,
     parse_json_mesh,
@@ -34,6 +36,7 @@ from tentpitch.io_formats import (
     write_trace_json,
     write_vtk,
 )
+from tentpitch.pitcher import LiftBound, _slacked
 from tentpitch.spacetime import mesh_arrays
 
 import reference_reader
@@ -834,6 +837,98 @@ class TestVerifyRejectsWrongElements:
         assert rc == 1
         assert failed[0] == ("FAIL progress_trace: lift 5 did not make patch 5 "
                              "of the mesh")
+
+
+class TestInitialFrontFailsFast:
+    """pitch refuses initial times that break a constraint of the front,
+    before the run: exit 1 and one error: line that names the vertex, the
+    constraint and the element."""
+
+    @pytest.mark.parametrize("dim, vertices, times, message", [
+        # gradient 0.9 / 0.866 > 1, though no edge is that steep
+        (2, [[0, 0], [1, 0], [0.5, 0.75 ** 0.5]], [0, 0, 0.9],
+         "vertex 2: time 0.9 is above its cone ceiling 0.866025 on "
+         "element 0"),
+        # cone-legal (gradient 0.95), but vertex 2 is far above the others
+        (2, [[-2.0, 0.1], [0.0, 0.0], [1.0, 0.0]], [-1.9, 0.0, 0.95],
+         "vertex 2: time 0.95 is above its progress ceiling 0.0449439 on "
+         "element 0"),
+        # regular tet: the element's gradient is within its cap (0.8 is
+        # below the altitude 0.816), face (3, 1, 2)'s is not within 0.9
+        (3, [[0, 0, 0], [1, 0, 0], [0.5, 0.75 ** 0.5, 0],
+             [0.5, 12 ** -0.5, (2 / 3) ** 0.5]], [0, 0, 0, 0.8],
+         "vertex 3: time 0.8 is above its cone ceiling 0.779423 on "
+         "element 0 face (3, 1, 2)"),
+    ], ids=["cone", "progress", "d3_face_cap"])
+    def test_pitch_is_exit_one(self, tmp_path, capsys, dim, vertices, times,
+                               message):
+        ground = tmp_path / "ground.json"
+        ground.write_text(json.dumps({
+            "dim": dim, "vertices": vertices,
+            "elements": [list(range(dim + 1))], "initial_times": times}))
+        out = tmp_path / "st.json"
+        assert main(["pitch", "--input", str(ground), "--target-time", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestInjectedPitcherBug:
+    """A pitcher bug that lifts one vertex, mid-run, above one kind of its
+    ceilings: the lift loop does not re-check the star, so pitch exits 0,
+    and verify exits 1 with a message that names the lift.  Only the
+    every-lift ceiling pass of progress_trace fails: the cone holds, and
+    the sample of lift_bounds_sampled misses the lift."""
+
+    @pytest.mark.parametrize("ground, target, start, kind, on_face, label", [
+        ("golden_grid.node", "2", 26, "progress", False, "progress"),
+        ("golden_kuhn.json", "1", 18, "cone", True, "face cap"),
+        ("golden_kuhn.json", "1", 18, "progress", True, "face progress"),
+    ], ids=["d2_progress", "d3_face_cap", "d3_face_progress"])
+    def test_verify_names_the_lift(self, tmp_path, capsys, monkeypatch,
+                                   ground, target, start, kind, on_face,
+                                   label):
+        real = pitcher.compute_lift
+        verts, bugged = [], []
+
+        def ignored(constraint):
+            _, k, _, face = constraint
+            return k == kind and (face is not None) == on_face
+
+        def buggy(v, front):
+            # the first lift from lift `start` on that this kind binds
+            # ignores every ceiling of this kind
+            bound = real(v, front)
+            verts.append(v)
+            if (bugged or len(verts) <= start or bound.kind != kind
+                    or (bound.face is not None) != on_face):
+                return bound
+            bugged.append(len(verts) - 1)
+            value, k, e, face = min(
+                (c for c in _star_constraints(front, v, TOLERANCE)
+                 if not ignored(c)), key=lambda c: c[0])
+            value = _slacked(value)
+            if value >= front.target_time:
+                return LiftBound(front.target_time, "target")
+            return LiftBound(value, k, e, face)
+
+        monkeypatch.setattr(pitcher, "compute_lift", buggy)
+        paths = [str(tmp_path / name) for name in ("st.json", "trace.json")]
+        assert main(["pitch", "--input", str(DATA / ground), "--target-time",
+                     target, "--out", paths[0], "--trace", paths[1]]) == 0
+        assert len(bugged) == 1
+        capsys.readouterr()
+        assert main(["verify", "--mesh", paths[0], "--ground",
+                     str(DATA / ground), "--trace", paths[1]]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if not line.startswith("PASS ")]
+        lift = bugged[0]
+        assert len(lines) == 5 and len(fails) == 1
+        assert fails[0].startswith(
+            f"FAIL progress_trace: lift {lift} (vertex {verts[lift]}) to ")
+        assert f" is above its {label} ceiling on element " in fails[0]
 
 
 class TestInitialTimes:

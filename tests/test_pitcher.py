@@ -15,7 +15,8 @@ from tentpitch import (
     precompute,
     run,
 )
-from tentpitch.pitcher import _star_constraints, compute_lift
+from tentpitch.front import _star_constraints
+from tentpitch.pitcher import compute_lift
 from tentpitch.verifier import check_cone_facets
 
 from conftest import (
