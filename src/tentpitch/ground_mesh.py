@@ -1,21 +1,24 @@
-"""Immutable simplicial ground mesh and its precomputed constants.
+"""Immutable simplicial ground mesh, its parsers and its precomputed
+constants.
 
-The ground mesh is the d-dimensional spatial input (d in {1,2,3}).  All
-geometric quantities the advancing front needs per lift are computed once
-here, as array code over all elements: the per-vertex minimum altitude,
-and flattened scalar records (with the per-face gradient caps for d = 3)
-that let the hot loop evaluate every bound without array math.
+The ground mesh is the d-dimensional spatial input (d in {1,2,3}), read
+from a .node/.ele pair or a JSON mesh.  All geometric quantities the
+advancing front needs per lift are computed once here, as array code over
+all elements: the per-vertex minimum altitude, and flattened scalar
+records (with the per-face gradient caps for d = 3) that let the hot loop
+evaluate every bound without array math.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import MeshValidationError
+from .errors import MeshValidationError, ParseError
 from .geometry import dots
 
 
@@ -151,6 +154,157 @@ def load(raw: dict) -> GroundMesh:
     )
 
 
+# -- .node / .ele ------------------------------------------------------------
+
+
+def _data_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def _token(tokens, pos, lineno, name, kind=float):
+    try:
+        return kind(tokens[pos])
+    except (IndexError, ValueError):
+        raise ParseError(
+            f"{name} line {lineno}: expected {kind.__name__} at column {pos + 1}"
+        ) from None
+
+
+def parse_triangle(node_text: str, ele_text: str) -> dict:
+    """Parse the community .node/.ele pair into a raw json-mesh dict (d=2).
+
+    Indexing base (0 or 1) is taken from the first listed vertex index, and
+    the vertices must be listed in order from it; an optional first
+    triangle attribute is read as the per-element wave speed.
+    """
+    node_lines = list(_data_lines(node_text))
+    if not node_lines:
+        raise ParseError("node line 1: empty file")
+    lineno, header = node_lines[0]
+    n_pts = _token(header, 0, lineno, "node", int)
+    dim = _token(header, 1, lineno, "node", int)
+    if dim != 2:
+        raise ParseError(f"node line {lineno}: dimension {dim} unsupported (need 2)")
+    if len(node_lines) - 1 != n_pts:
+        raise ParseError(
+            f"node line {lineno}: header promises {n_pts} vertices, "
+            f"found {len(node_lines) - 1}"
+        )
+    base = None
+    vertices = []
+    for k, (lineno, tokens) in enumerate(node_lines[1:]):
+        idx = _token(tokens, 0, lineno, "node", int)
+        if base is None:
+            base = idx
+            if base not in (0, 1):
+                raise ParseError(
+                    f"node line {lineno}: first vertex index must be 0 or 1"
+                )
+        if idx != base + k:
+            raise ParseError(
+                f"node line {lineno}: vertex index {idx}, expected {base + k}"
+            )
+        x = _token(tokens, 1, lineno, "node")
+        y = _token(tokens, 2, lineno, "node")
+        vertices.append([x, y])
+
+    ele_lines = list(_data_lines(ele_text))
+    if not ele_lines:
+        raise ParseError("ele line 1: empty file")
+    lineno, header = ele_lines[0]
+    n_tri = _token(header, 0, lineno, "ele", int)
+    per = _token(header, 1, lineno, "ele", int)
+    n_attr = _token(header, 2, lineno, "ele", int) if len(header) > 2 else 0
+    if per != 3:
+        raise ParseError(f"ele line {lineno}: {per} nodes per triangle unsupported")
+    if len(ele_lines) - 1 != n_tri:
+        raise ParseError(
+            f"ele line {lineno}: header promises {n_tri} triangles, "
+            f"found {len(ele_lines) - 1}"
+        )
+    elements = []
+    speeds = [] if n_attr >= 1 else None
+    for lineno, tokens in ele_lines[1:]:
+        tri = [_token(tokens, c, lineno, "ele", int) - base for c in (1, 2, 3)]
+        for v in tri:
+            if not 0 <= v < n_pts:
+                raise ParseError(f"ele line {lineno}: vertex index out of range")
+        elements.append(tri)
+        if speeds is not None:
+            speeds.append(_token(tokens, 4, lineno, "ele"))
+    raw = {"dim": 2, "vertices": vertices, "elements": elements}
+    if speeds is not None:
+        raw["speeds"] = speeds
+    return raw
+
+
+# -- json mesh ----------------------------------------------------------------
+
+
+def _check_reals(values: list, path: str) -> None:
+    """Raise ParseError unless every entry is a JSON number (not `true` or
+    `false`) that a float can hold; an integer literal can be any length."""
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"{path}[{i}]: not a number")
+        if isinstance(x, int):
+            try:
+                float(x)
+            except OverflowError:
+                raise ParseError(
+                    f"{path}[{i}]: integer too large for a float") from None
+
+
+def parse_json_mesh(text: str) -> dict:
+    """Parse and validate the json-mesh schema, reporting the JSON path of
+    any violation."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("$: mesh description must be an object")
+    if "dim" not in data:
+        raise ParseError("$.dim: missing")
+    dim = data["dim"]
+    # bool is a subclass of int, but `true` is not a dimension
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2, 3):
+        raise ParseError(f"$.dim: unsupported dimension {dim!r} (need 1, 2 or 3)")
+    for key in ("vertices", "elements"):
+        if key not in data or not isinstance(data[key], list):
+            raise ParseError(f"$.{key}: missing or not an array")
+    for i, v in enumerate(data["vertices"]):
+        if not isinstance(v, list) or len(v) != dim:
+            raise ParseError(f"$.vertices[{i}]: expected {dim} coordinates")
+        _check_reals(v, f"$.vertices[{i}]")
+    n = len(data["vertices"])
+    for i, el in enumerate(data["elements"]):
+        if not isinstance(el, list) or len(el) != dim + 1:
+            raise ParseError(f"$.elements[{i}]: expected {dim + 1} vertex indices")
+        for j, x in enumerate(el):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ParseError(f"$.elements[{i}][{j}]: not an integer")
+            if not 0 <= x < n:
+                raise ParseError(
+                    f"$.elements[{i}][{j}]: {x} is out of range [0, {n})")
+    for key in ("speeds", "initial_times"):
+        if key in data:
+            arr = data[key]
+            if not isinstance(arr, list):
+                raise ParseError(f"$.{key}: not an array")
+            _check_reals(arr, f"$.{key}")
+    return {
+        "dim": dim,
+        "vertices": data["vertices"],
+        "elements": data["elements"],
+        "speeds": data.get("speeds"),
+        "initial_times": data.get("initial_times"),
+    }
+
+
 @dataclass
 class MeshConstants:
     """Geometry constants precomputed from the ground mesh alone.
@@ -168,13 +322,9 @@ class MeshConstants:
     """
 
     epsilon: float
-    omega: np.ndarray                # (n,) min altitude over incident elements
+    omega: np.ndarray                # (n,) min_altitudes(mesh)
     cone_recs: list = field(repr=False, default_factory=list)
     face_recs: Optional[list] = field(repr=False, default=None)
-
-    @property
-    def inverse_omega_sum(self) -> float:
-        return float(np.sum(1.0 / self.omega))
 
 
 def _edge_feet(Xi, Xj, Xk):
@@ -228,6 +378,21 @@ def _vertex_min(n: int, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def min_altitudes(mesh: GroundMesh) -> np.ndarray:
+    """omega: each vertex's smallest altitude over the elements of its
+    star, an altitude being d * |simplex| / |opposite facet|."""
+    X = mesh.vertices[mesh.elements]
+    altitudes = (mesh.dim * geometry.simplex_measures(X)[:, None]
+                 / geometry.simplex_measures(X[:, geometry.facet_index(mesh.dim)]))
+    return _vertex_min(mesh.n_vertices, mesh.elements, altitudes)
+
+
+def inverse_omega_sum(omega: np.ndarray) -> float:
+    """Sum of 1/omega over the vertices: a run to target time T makes at
+    most (T / epsilon) times this many patches."""
+    return float(np.sum(1.0 / omega))
+
+
 def check_epsilon(epsilon: float) -> None:
     """Raise ValueError unless the progress parameter is in (0, 1/2]."""
     if not 0 < epsilon <= 0.5:
@@ -250,16 +415,9 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     """
     check_epsilon(epsilon)
     d = mesh.dim
-    n = mesh.n_vertices
     ids = mesh.elements
     X = mesh.vertices[ids]
-    opp = geometry.facet_index(d)    # (d+1, d) local vertices opposite i
-    F = X[:, opp]                    # (m, d+1, d, d) facet opposite vertex i
-
-    # altitude = d * |simplex| / |opposite facet|
-    altitudes = (d * geometry.simplex_measures(X)[:, None]
-                 / geometry.simplex_measures(F))
-    omega = _vertex_min(n, ids, altitudes)
+    omega = min_altitudes(mesh)
     face_recs = None
 
     if d == 1:
@@ -269,6 +427,8 @@ def precompute(mesh: GroundMesh, epsilon: float = 0.1) -> MeshConstants:
     elif d == 2:
         cone_recs = _triangle_records(X, ids)
     else:
+        opp = geometry.facet_index(d)    # (4, 3) local vertices opposite i
+        F = X[:, opp]                    # (m, 4, 3, 3) facet opposite vertex i
         # full-element cone record for vertex i: project it onto the
         # opposite facet plane, cache the Gram inverse of the facet edge
         # basis and the foot's edge-coordinates

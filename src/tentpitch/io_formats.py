@@ -1,5 +1,7 @@
-"""File formats: .node/.ele ground meshes, JSON meshes, space-time JSON,
-legacy-VTK export, trace and stats files.
+"""File formats: space-time JSON, legacy-VTK export, trace and stats
+files.  The ground mesh parsers live beside load in ground_mesh; they are
+imported here by name too, so io_formats.parse_triangle and
+io_formats.parse_json_mesh still read a ground mesh.
 
 All outputs are ASCII and byte-deterministic for a fixed input; reals are
 written with 17 significant digits so doubles round-trip losslessly.  The
@@ -30,10 +32,10 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import MeshValidationError, ParseError
-from .ground_mesh import GroundMesh, check_epsilon
-from .pitcher import LiftRecord, RunTrace
-from .spacetime import (MeshArrays, SpaceTimeMesh, element_durations,
-                        element_patch, patch_block)
+from .ground_mesh import (GroundMesh, check_epsilon, parse_json_mesh,
+                          parse_triangle)
+from .spacetime import (LiftRecord, MeshArrays, RunTrace, SpaceTimeMesh,
+                        element_durations, element_patch, patch_block)
 
 
 def _fmt(x: float) -> str:
@@ -76,157 +78,6 @@ def dumps(obj) -> str:
     _dump(obj, out)
     out.append("\n")
     return "".join(out)
-
-
-# -- .node / .ele ------------------------------------------------------------
-
-
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
-def _token(tokens, pos, lineno, name, kind=float):
-    try:
-        return kind(tokens[pos])
-    except (IndexError, ValueError):
-        raise ParseError(
-            f"{name} line {lineno}: expected {kind.__name__} at column {pos + 1}"
-        ) from None
-
-
-def parse_triangle(node_text: str, ele_text: str) -> dict:
-    """Parse the community .node/.ele pair into a raw json-mesh dict (d=2).
-
-    Indexing base (0 or 1) is taken from the first listed vertex index, and
-    the vertices must be listed in order from it; an optional first
-    triangle attribute is read as the per-element wave speed.
-    """
-    node_lines = list(_data_lines(node_text))
-    if not node_lines:
-        raise ParseError("node line 1: empty file")
-    lineno, header = node_lines[0]
-    n_pts = _token(header, 0, lineno, "node", int)
-    dim = _token(header, 1, lineno, "node", int)
-    if dim != 2:
-        raise ParseError(f"node line {lineno}: dimension {dim} unsupported (need 2)")
-    if len(node_lines) - 1 != n_pts:
-        raise ParseError(
-            f"node line {lineno}: header promises {n_pts} vertices, "
-            f"found {len(node_lines) - 1}"
-        )
-    base = None
-    vertices = []
-    for k, (lineno, tokens) in enumerate(node_lines[1:]):
-        idx = _token(tokens, 0, lineno, "node", int)
-        if base is None:
-            base = idx
-            if base not in (0, 1):
-                raise ParseError(
-                    f"node line {lineno}: first vertex index must be 0 or 1"
-                )
-        if idx != base + k:
-            raise ParseError(
-                f"node line {lineno}: vertex index {idx}, expected {base + k}"
-            )
-        x = _token(tokens, 1, lineno, "node")
-        y = _token(tokens, 2, lineno, "node")
-        vertices.append([x, y])
-
-    ele_lines = list(_data_lines(ele_text))
-    if not ele_lines:
-        raise ParseError("ele line 1: empty file")
-    lineno, header = ele_lines[0]
-    n_tri = _token(header, 0, lineno, "ele", int)
-    per = _token(header, 1, lineno, "ele", int)
-    n_attr = _token(header, 2, lineno, "ele", int) if len(header) > 2 else 0
-    if per != 3:
-        raise ParseError(f"ele line {lineno}: {per} nodes per triangle unsupported")
-    if len(ele_lines) - 1 != n_tri:
-        raise ParseError(
-            f"ele line {lineno}: header promises {n_tri} triangles, "
-            f"found {len(ele_lines) - 1}"
-        )
-    elements = []
-    speeds = [] if n_attr >= 1 else None
-    for lineno, tokens in ele_lines[1:]:
-        tri = [_token(tokens, c, lineno, "ele", int) - base for c in (1, 2, 3)]
-        for v in tri:
-            if not 0 <= v < n_pts:
-                raise ParseError(f"ele line {lineno}: vertex index out of range")
-        elements.append(tri)
-        if speeds is not None:
-            speeds.append(_token(tokens, 4, lineno, "ele"))
-    raw = {"dim": 2, "vertices": vertices, "elements": elements}
-    if speeds is not None:
-        raw["speeds"] = speeds
-    return raw
-
-
-# -- json mesh ----------------------------------------------------------------
-
-
-def _check_reals(values: list, path: str) -> None:
-    """Raise ParseError unless every entry is a JSON number (not `true` or
-    `false`) that a float can hold; an integer literal can be any length."""
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{path}[{i}]: not a number")
-        if isinstance(x, int):
-            try:
-                float(x)
-            except OverflowError:
-                raise ParseError(
-                    f"{path}[{i}]: integer too large for a float") from None
-
-
-def parse_json_mesh(text: str) -> dict:
-    """Parse and validate the json-mesh schema, reporting the JSON path of
-    any violation."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ParseError("$: mesh description must be an object")
-    if "dim" not in data:
-        raise ParseError("$.dim: missing")
-    dim = data["dim"]
-    # bool is a subclass of int, but `true` is not a dimension
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2, 3):
-        raise ParseError(f"$.dim: unsupported dimension {dim!r} (need 1, 2 or 3)")
-    for key in ("vertices", "elements"):
-        if key not in data or not isinstance(data[key], list):
-            raise ParseError(f"$.{key}: missing or not an array")
-    for i, v in enumerate(data["vertices"]):
-        if not isinstance(v, list) or len(v) != dim:
-            raise ParseError(f"$.vertices[{i}]: expected {dim} coordinates")
-        _check_reals(v, f"$.vertices[{i}]")
-    n = len(data["vertices"])
-    for i, el in enumerate(data["elements"]):
-        if not isinstance(el, list) or len(el) != dim + 1:
-            raise ParseError(f"$.elements[{i}]: expected {dim + 1} vertex indices")
-        for j, x in enumerate(el):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ParseError(f"$.elements[{i}][{j}]: not an integer")
-            if not 0 <= x < n:
-                raise ParseError(
-                    f"$.elements[{i}][{j}]: {x} is out of range [0, {n})")
-    for key in ("speeds", "initial_times"):
-        if key in data:
-            arr = data[key]
-            if not isinstance(arr, list):
-                raise ParseError(f"$.{key}: not an array")
-            _check_reals(arr, f"$.{key}")
-    return {
-        "dim": dim,
-        "vertices": data["vertices"],
-        "elements": data["elements"],
-        "speeds": data.get("speeds"),
-        "initial_times": data.get("initial_times"),
-    }
 
 
 # -- reading parsed JSON ---------------------------------------------------------

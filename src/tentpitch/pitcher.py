@@ -11,7 +11,7 @@ obtuse meshes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from time import perf_counter
 from typing import Optional
@@ -20,7 +20,7 @@ from .errors import StallError
 from .front import (TOLERANCE, Front, GreedyLowest, MISPhases, Strategy,
                     _star_constraints)
 from .ground_mesh import GroundMesh, MeshConstants, check_epsilon, precompute
-from .spacetime import SpaceTimeMesh
+from .spacetime import LiftRecord, RunTrace, SpaceTimeMesh
 
 # Computed bounds are pulled back by this relative slack, so that a lift
 # whose ceiling rounds up still lands at or below the ceiling itself.
@@ -106,30 +106,6 @@ def pitch_tent(mesh: SpaceTimeMesh, v: int, t_new: float) -> int:
         extend((apex,) + verts)
         front[e] = verts[:li] + (apex,) + verts[li + 1:]
     return len(mesh.patch_vertex) - 1
-
-
-@dataclass(slots=True)
-class LiftRecord:
-    vertex: int
-    old_time: float
-    new_time: float
-    kind: str
-    element: Optional[int]
-    face: Optional[tuple[int, ...]]
-    patch: int
-
-
-@dataclass
-class RunTrace:
-    """Everything the verifier needs to replay and re-check a run."""
-
-    epsilon: float
-    target_time: float
-    tolerance: float
-    strategy: str
-    seed: int
-    initial_times: list[float]
-    lifts: list[LiftRecord] = field(default_factory=list)
 
 
 def run(

@@ -23,6 +23,9 @@ a chunk at a time, mesh_arrays (for the verifier) and mesh.patches once.
 A reader's numpy views of the buffers die with the call: an array cannot
 grow while a view of it lives.
 
+RunTrace holds a run's lifts, one LiftRecord each: pitcher.run records
+them, the trace file stores them and the verifier replays them.
+
 Patches are numbered in creation order, which is by construction a
 linear extension of the inter-patch dependency order: every inflow facet
 of a patch was produced either by the initial front or by a strictly
@@ -34,9 +37,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain, repeat
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -67,6 +70,30 @@ class Patch:
     elements: list[int]
     inflow: list[Facet]
     outflow: list[Facet]
+
+
+@dataclass(slots=True)
+class LiftRecord:
+    vertex: int
+    old_time: float
+    new_time: float
+    kind: str
+    element: Optional[int]
+    face: Optional[tuple[int, ...]]
+    patch: int
+
+
+@dataclass
+class RunTrace:
+    """Everything the verifier needs to replay and re-check a run."""
+
+    epsilon: float
+    target_time: float
+    tolerance: float
+    strategy: str
+    seed: int
+    initial_times: list[float]
+    lifts: list[LiftRecord] = field(default_factory=list)
 
 
 class SpaceTimeMesh:

@@ -16,13 +16,15 @@ its replay, a derivation of its own rather than spacetime.patch_block's,
 which the writer uses.  The cone check runs over CONE_CHUNK facets at a
 time, so that its row arrays stay small.
 
-Every replay, of a mesh's vertex ids or of a trace's front times, is one
-_Replay: the lifts sorted once by (vertex, place), so the value of any
-vertex just after any lift is one searchsorted lookup.  The liftability
-replay checks every recorded old time in one pass and evaluates the
-(lift, star element) ceilings in batched passes, reporting the first
-failure in lift order; the sampled lifts are bisected together over
-flattened (sample, star element) rows.
+A replay of a trace's front times, or of a few of a mesh's vertex ids,
+is one _Replay: the lifts sorted once by (vertex, place), so the value
+of any vertex just after any lift is one searchsorted lookup.  The
+inflow facets of all a mesh's elements are replayed per ground element
+instead (_inflow_facets), by running maxima over the rows sorted once by
+element.  The liftability replay checks every recorded old time in one
+pass and evaluates the (lift, star element) ceilings in batched passes,
+reporting the first failure in lift order; the sampled lifts are
+bisected together over flattened (sample, star element) rows.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ import numpy as np
 
 from . import geometry
 from .ground_mesh import GroundMesh
-from .pitcher import RunTrace
-from .spacetime import MeshArrays, SpaceTimeMesh, mesh_arrays
+from .spacetime import MeshArrays, RunTrace, SpaceTimeMesh, mesh_arrays
 
 
 @dataclass
@@ -430,6 +431,32 @@ def _star_rows(ground: GroundMesh, verts: np.ndarray):
     return owner, ground.star_elements[pos], ground.star_locals[pos]
 
 
+def _inflow_facets(ground: GroundMesh, owner: np.ndarray, star: np.ndarray,
+                   slot: np.ndarray) -> np.ndarray:
+    """The inflow facet of each (patch, star element) row, replayed per
+    ground element.  The rows on one element, in patch order, each put
+    their patch's apex in their slot, so slot k of a row's inflow facet
+    holds the apex of the last earlier row on its element with slot k,
+    or else the element's initial vertex.  That is a running maximum of
+    owner + 1 over the element's rows with slot k, taken over all rows
+    sorted by element, with element e's values offset by e * (m + 1) so
+    that no maximum runs on into the next element."""
+    n, m = ground.n_vertices, len(owner)
+    order = np.argsort(star * m + np.arange(m))  # by element, then row
+    on, lifted = star[order], slot[order]
+    offset = on * (m + 1)
+    apex = offset + owner[order] + 1
+    facets = np.empty((m, ground.dim + 1), dtype=np.int64)
+    last = np.empty(m, dtype=np.int64)
+    for k, initial in enumerate(ground.elements.T):
+        ran = np.maximum.accumulate(np.where(lifted == k, apex, offset))
+        # owner + 1 of the last earlier row with slot k; 0 or below if none
+        last[:1], last[1:] = -1, ran[:-1]
+        last -= offset
+        facets[order, k] = np.where(last > 0, n - 1 + last, initial[on])
+    return facets
+
+
 # -- causality -------------------------------------------------------------
 
 
@@ -484,10 +511,7 @@ def _replay_fault(mesh: MeshArrays, replay: _Replay, owner: np.ndarray,
     if len(mesh.elements) != m or len(mesh.element_patch) != m:
         return (f"the patches list {m} elements and element_patch marks "
                 f"{len(mesh.element_patch)}, of {len(mesh.elements)} elements")
-    # each row's inflow facet, a column at a time to bound the memory
-    facets = np.empty((m, ground.dim + 1), dtype=np.int64)
-    for k, u in enumerate(ground.elements.T):
-        facets[:, k] = replay.after(u[star], owner - 1)
+    facets = _inflow_facets(ground, owner, star, slot)
     first = np.cumsum(sizes) - sizes  # each patch's first row
     j = _first((mesh.patch_elements != np.arange(m))
                | (mesh.element_patch != owner)

@@ -21,6 +21,7 @@ from tentpitch import (
     stats,
 )
 from tentpitch.front import _star_constraints
+from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.pitcher import compute_lift
 from tentpitch.synthetic import (
     delaunay_mesh,
@@ -115,9 +116,9 @@ def pool():
                 causality_ok=causal.passed,
                 injection_seen="injected swap" in causal.message,
                 patches=len(trace.lifts),
-                patch_budget=(TARGET / EPS) * cons.inverse_omega_sum,
+                patch_budget=(TARGET / EPS) * inverse_omega_sum(cons.omega),
                 elements=mesh.n_elements,
-                element_budget=(6 * TARGET / EPS) * cons.inverse_omega_sum,
+                element_budget=(6 * TARGET / EPS) * inverse_omega_sum(cons.omega),
                 floor_ok=floor_ok,
                 worst_floor_margin=worst,
             )

@@ -86,15 +86,27 @@ def test_no_public_name_that_only_tests_reach():
 
 def test_no_private_name_that_only_tests_reach():
     # a private module-level function or class that nothing in src/ or
-    # bench/ names is test-only code; its own def does not count
+    # bench/ names is test-only code; its own def does not count.  A
+    # dunder (the package's __getattr__ and __dir__) is not private:
+    # Python itself calls it by name
     names, attrs = _references()
     unused = [f"{path.stem}.{node.name}"
               for path in sorted(SRC.glob("*.py"))
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name.startswith("_")
+              and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in names | attrs]
     assert unused == []
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60, env=env, cwd=cwd, check=True)
 
 
 def test_runtime_needs_numpy_alone():
@@ -102,11 +114,53 @@ def test_runtime_needs_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tentpitch.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=60, env=env, check=True)
+    proc = _python("-c", "import sys, tentpitch.cli; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.stdout == "[]\n"
+
+
+def test_exports_load_on_first_use():
+    proc = _python("-c", "\n".join([
+        "import sys, tentpitch",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tentpitch'))",
+        "print(sorted(set(tentpitch.__all__) - set(dir(tentpitch))))",
+        "from tentpitch import *",
+        "print(sorted(set(tentpitch.__all__) - set(globals())))",
+    ]))
+    assert proc.stdout == "['tentpitch']\n[]\n[]\n"
+    assert not hasattr(tentpitch, "no_such_name")
+
+
+# the package's modules that each command loads besides the package
+# itself; python -m runs tentpitch.cli as __main__, not as tentpitch.cli
+COMMAND_MODULES = {
+    "info": ["errors", "geometry", "ground_mesh"],
+    "pitch": ["errors", "front", "geometry", "ground_mesh", "io_formats",
+              "pitcher", "spacetime"],
+    "verify": ["errors", "geometry", "ground_mesh", "io_formats",
+               "spacetime", "verifier"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    ground = str(ROOT / "tests" / "data" / "single_triangle.node")
+    argv = {
+        "info": ["--input", ground],
+        "pitch": ["--input", ground, "--target-time", "1", "--out", "st.json",
+                  "--trace", "trace.json", "--stats", "stats.json",
+                  "--vtk", "st.vtk"],
+        "verify": ["--mesh", "st.json", "--ground", ground,
+                   "--trace", "trace.json"],
+    }
+    if command == "verify":
+        _python("-m", "tentpitch.cli", "pitch", *argv["pitch"], cwd=tmp_path)
+    # -X importtime names every module on the first import of it
+    proc = _python("-X", "importtime", "-m", "tentpitch.cli", command,
+                   *argv[command], cwd=tmp_path)
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert sorted(m for m in loaded if m.split(".")[0] == "tentpitch") == [
+        "tentpitch", *(f"tentpitch.{m}" for m in COMMAND_MODULES[command])]
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

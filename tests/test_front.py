@@ -16,6 +16,7 @@ from tentpitch import (
 )
 from tentpitch.front import TOLERANCE
 from tentpitch.geometry import facet_index
+from tentpitch.ground_mesh import inverse_omega_sum
 
 import reference_geometry as refgeo
 from conftest import alternating_speed_grid, with_initial_times
@@ -342,6 +343,6 @@ class TestTermination:
         cons = precompute(mesh, 0.1)
         T = 3.0
         _, trace = run(mesh, PitchConfig(target_time=T, epsilon=0.1))
-        budget = (T / 0.1) * cons.inverse_omega_sum
+        budget = (T / 0.1) * inverse_omega_sum(cons.omega)
         assert len(trace.lifts) <= budget
         assert trace.lifts[-1].new_time == T

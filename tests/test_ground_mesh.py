@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
+from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.synthetic import delaunay_mesh, path_mesh_1d, random_tet_mesh
 from tentpitch.verifier import _lift_statics, _progress_floors
 
@@ -206,8 +207,8 @@ class TestPrecompute:
                 )
 
     def test_inverse_omega_sum_reproducible(self, right_triangle):
-        a = precompute(right_triangle).inverse_omega_sum
-        b = precompute(right_triangle).inverse_omega_sum
+        a = inverse_omega_sum(precompute(right_triangle).omega)
+        b = inverse_omega_sum(precompute(right_triangle).omega)
         assert a == b
         assert math.isfinite(a)
         assert a == pytest.approx(2.0 + math.sqrt(2.0))

@@ -20,12 +20,14 @@ from tentpitch import (
     PitchConfig,
     io_formats,
     load,
+    precompute,
     run,
     stats,
 )
 from tentpitch import pitcher
 from tentpitch.cli import main
 from tentpitch.front import TOLERANCE, _star_constraints
+from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.io_formats import (
     dumps,
     parse_json_mesh,
@@ -256,6 +258,26 @@ class TestCli:
         assert "PASS cone_facets" in captured.out
         rc = main(["info", "--input", str(DATA / "single_triangle.node")])
         assert rc == 0
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in DATA.iterdir() if p.suffix in (".node", ".json")))
+    def test_info_omega_is_precomputes(self, name, capsys):
+        # info runs precompute's altitude step alone; its three omega
+        # lines must read as if it had run all of precompute
+        path = DATA / name
+        if path.suffix == ".node":
+            raw = parse_triangle(path.read_text(),
+                                 path.with_suffix(".ele").read_text())
+        else:
+            raw = parse_json_mesh(path.read_text())
+        omega = precompute(load(raw)).omega
+        assert main(["info", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:6] == [
+            f"min altitude (omega): {omega.min():.6g}",
+            f"max altitude (omega): {omega.max():.6g}",
+            f"sum 1/omega: {inverse_omega_sum(omega):.6g}",
+        ]
 
     def test_epsilon_out_of_range_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -558,7 +580,7 @@ class TestCli:
 
     def test_vtk_of_a_d3_mesh_fails_before_the_run(self, tmp_path, capsys):
         out, vtk = tmp_path / "st.json", tmp_path / "st.vtk"
-        with mock.patch("tentpitch.cli.run") as pitch:
+        with mock.patch("tentpitch.pitcher.run") as pitch:
             rc = main([
                 "pitch",
                 "--input", str(DATA / "golden_kuhn.json"),
