@@ -6,14 +6,16 @@ io_formats.parse_json_mesh still read a ground mesh.
 All outputs are ASCII and byte-deterministic for a fixed input; reals are
 written with 17 significant digits so doubles round-trip losslessly.  The
 space-time JSON writer yields its file in pieces of WRITE_PIECE tokens (a
-string per scalar and per separator) and renders its rows a chunk at a
-time, so that `pitch` holds neither the whole text nor whole-mesh columns.
+string per scalar and per separator, with no whitespace between them) and
+renders its rows a chunk at a time, so that `pitch` holds neither the
+whole text nor whole-mesh columns.  The trace and stats files keep a space
+after each "," and ":".
 
 The space-time JSON reader never holds the parsed tree of its file.  It
 decodes the top-level object one member at a time, and the patches
 READ_CHUNK at a time, and turns each part into int64 column pieces before
-it decodes the next: its memory peaks near 3x the text length, against
-8-9x for the whole tree.  The checks of ids whose bound is a count of the
+it decodes the next: its memory peaks near 3.5x the text length, against
+9x for the whole tree.  The checks of ids whose bound is a count of the
 whole file (vertices, elements, patches) run once on the assembled
 columns, and the first failed check is reported in one fixed order, so
 that the member order of the file does not change the message.
@@ -187,6 +189,15 @@ def _bad_int(values, path_of, lo, hi):
     integer in [lo, hi)."""
     k, x = _first_bad(values, lambda x: type(x) is int and lo <= x < hi)
     raise _int_error(path_of(k), x, lo, hi)
+
+
+def _choices(values, allowed: frozenset, path_of):
+    """values, each checked to be one of the strings in allowed."""
+    if not (set(map(type, values)) <= {str} and set(values) <= allowed):
+        k, x = _first_bad(values, lambda x: type(x) is str and x in allowed)
+        raise ParseError(f"{path_of(k)}: {x!r} is not one of "
+                         f"{', '.join(map(repr, sorted(allowed)))}")
+    return values
 
 
 def _is_int64(x) -> bool:
@@ -388,11 +399,11 @@ def _scan_array(text: str, pos: int, size: int, take) -> int:
 
 
 # tokens the space-time JSON writer holds before it joins them into one piece
-# of text (about 0.7 MB) and yields it; patches it renders at a time (and 16
+# of text (about 0.6 MB) and yields it; patches it renders at a time (and 16
 # times as many rows of other kinds, which have a thirtieth of the tokens)
 WRITE_PIECE = 1 << 18
 WRITE_CHUNK = 16
-_INFLOW, _OUTFLOW = (["]", ", ", f'"{k}"', ": ", "["] for k in ("inflow", "outflow"))
+_INFLOW, _OUTFLOW = (["]", ",", f'"{k}"', ":", "["] for k in ("inflow", "outflow"))
 
 
 def _fill(template: list, values, write=repr) -> list[str]:
@@ -432,8 +443,8 @@ def _vertex_chunks(mesh: SpaceTimeMesh):
 def _patch_chunks(mesh: SpaceTimeMesh, facet: list):
     """(tokens, row ends) of the patches, one patch_block at a time."""
     keys = ("id", "vertex", "base", "apex")
-    head = [", ", "{", *chain.from_iterable((f'"{k}"', ": ", None, ", ") for k in keys),
-            '"elements"', ": ", "["]
+    head = [",", "{", *chain.from_iterable((f'"{k}"', ":", None, ",") for k in keys),
+            '"elements"', ":", "["]
     h, w, first = len(head), len(facet), 0
     for start in range(0, len(mesh.patch_vertex), WRITE_CHUNK):
         c = patch_block(mesh, start, start + WRITE_CHUNK, first)
@@ -441,7 +452,7 @@ def _patch_chunks(mesh: SpaceTimeMesh, facet: list):
             [c["patch_" + k] for k in keys]).ravel().tolist())
         facets = _fill(facet, np.column_stack([c["facet_" + k] for k in (
             "element", "vertices", "producer")]).ravel().tolist())
-        ids = _fill([", ", None], range(first, first + len(c["elements"])))
+        ids = _fill([",", None], range(first, first + len(c["elements"])))
         tokens, ends, a = [], [], 0
         for p, z in enumerate(np.cumsum(c["patch_sizes"]).tolist()):
             # inflow facets are facet rows 2a to a + z - 1, outflow ones to 2z - 1
@@ -464,22 +475,22 @@ def spacetime_json_pieces(mesh: SpaceTimeMesh):
     Rows stay tokens, not a string each: a leaner writer would take pitch's
     memory peak on kuhn_tet below the benchmark's lean-spawn check (ROADMAP)."""
     d, n = mesh.ground.dim, mesh.ground.n_vertices
-    vertex = [", ", "[", *[None, ", "] * d, None, "]"]  # d + 1 values
-    element = [", ", "[", *[None, ", "] * (d + 1), None, "]"]
-    facet = [", ", "[", None, ", ", *vertex[1:], ", ", None, "]"]
-    out = ['{"format": "tentpitch-stmesh", "ground_dim": ', str(d)]
+    vertex = [",", "[", *[None, ","] * d, None, "]"]  # d + 1 values
+    element = [",", "[", *[None, ","] * (d + 1), None, "]"]
+    facet = [",", "[", None, ",", *vertex[1:], ",", None, "]"]
+    out = ['{"format":"tentpitch-stmesh","ground_dim":', str(d)]
     for name, chunks in (
             ("vertices", _rows(vertex, _vertex_chunks(mesh), "{:.17g}".format)),
-            ("vertex_ground", _rows([", ", None], _chunks(chain(range(n),
+            ("vertex_ground", _rows([",", None], _chunks(chain(range(n),
                                                                 mesh.patch_vertex)))),
             ("elements", _rows(element, _chunks(mesh.elements, d + 2))),
-            ("element_patch", _rows([", ", None], _chunks(element_patch(mesh)))),
+            ("element_patch", _rows([",", None], _chunks(element_patch(mesh)))),
             ("initial_facets", _rows(facet, _chunks(chain.from_iterable(
                 (e, *v, p) for e, v, p in mesh.initial_facets), d + 3))),
             ("frontier", _rows(facet, _chunks(chain.from_iterable(
                 (e, *v, p) for e, v, p in mesh.frontier), d + 3))),
             ("patches", _patch_chunks(mesh, facet))):
-        out.append(f', "{name}": [')
+        out.append(f',"{name}":[')
         at = 1  # the section's first row has no separator
         for tokens, ends in chunks:
             while (i := bisect_left(ends, WRITE_PIECE - len(out) + at)) < len(ends):
@@ -725,13 +736,18 @@ def write_trace_json(trace: RunTrace) -> str:
 
 _LIFT_KEYS = ("vertex", "old_time", "new_time", "kind", "element", "face",
               "patch")
+# what pitch writes as a lift's binding kind and as the strategy
+_KINDS = frozenset({"cone", "progress", "target"})
+_STRATEGIES = frozenset({"greedy", "mis"})
 
 
 def _trace_from_dict(data) -> RunTrace:
     """The trace, with every integer field checked to be a JSON integer
-    and every real one a JSON number.  Vertex ids (of lifts and faces)
-    must index the initial times and patch ids the lifts; whether the
-    vertices are those of a given ground mesh is for the verifier."""
+    and every real one a JSON number, and the kinds, the strategy and the
+    seed to be ones that pitch writes.  Vertex ids (of lifts and faces)
+    must index the initial times, patch ids the lifts, and a face have 3
+    vertices; whether they are those of a given ground mesh, and the
+    element one of the vertex's, is for the verifier."""
     def number(key, value):
         return _floats([value], lambda _: f"$.{key}")[0]
 
@@ -743,11 +759,12 @@ def _trace_from_dict(data) -> RunTrace:
     at = partial(_entry_path, "$.lifts")
     _ints(col["vertex"], at("vertex"), 0, n_vertices)
     _ints(col["patch"], at("patch"), 0, len(lifts))
+    _choices(col["kind"], _KINDS, at("kind"))
     # null: a lift bound by the target has no element, one bound in
-    # d < 3 no face
+    # d < 3 or by a whole element no face (a null face passes as 0, 0, 0)
     _ints([0 if e is None else e for e in col["element"]], at("element"))
-    faces = [() if f is None else f for f in col["face"]]
-    ids, path = _flatten(faces, at("face"))
+    faces = [(0, 0, 0) if f is None else f for f in col["face"]]
+    ids, path = _flatten(faces, at("face"), 3)
     _ints(ids, path, 0, n_vertices)
     epsilon = number("epsilon", data["epsilon"])
     try:
@@ -758,8 +775,9 @@ def _trace_from_dict(data) -> RunTrace:
         epsilon=epsilon,
         target_time=number("target_time", data["target_time"]),
         tolerance=number("tolerance", data["tolerance"]),
-        strategy=data["strategy"],
-        seed=_ints([data["seed"]], lambda _: "$.seed")[0],
+        strategy=_choices([data["strategy"]], _STRATEGIES,
+                          lambda _: "$.strategy")[0],
+        seed=_ints([data["seed"]], lambda _: "$.seed", 0)[0],
         initial_times=initial_times,
         lifts=list(map(
             LiftRecord, col["vertex"],

@@ -184,6 +184,35 @@ def _foreign_trace(trace: RunTrace, ground: GroundMesh,
     return None
 
 
+def _foreign_binding(trace: RunTrace, ground: GroundMesh) -> Optional[str]:
+    """Why a lift's binding cannot be one that a run on ground records, or
+    None.  The element is null exactly when the target bound the lift,
+    and otherwise a ground element holding the lifted vertex.  A face is
+    null unless d = 3, and there it is (vertex, j, k) with j and k two
+    other vertices of the element (see front._star_constraints)."""
+    elements = ground.elements.tolist()
+    for i, r in enumerate(trace.lifts):
+        e, face = r.element, r.face
+        if e is None and r.kind != "target":
+            return f"lift {i} is bound by {r.kind} on no element"
+        if e is not None and r.kind == "target":
+            return f"lift {i} is bound by the target on element {e}"
+        if e is not None and not (0 <= e < len(elements)
+                                  and r.vertex in elements[e]):
+            return (f"lift {i}'s element {e} is not a ground element holding "
+                    f"its vertex {r.vertex}")
+        if face is None:
+            continue
+        if ground.dim != 3 or e is None:
+            return (f"lift {i} records face {list(face)}, which only a cone "
+                    f"or progress lift of a d = 3 run has")
+        if (face[0] != r.vertex or len(set(face)) != 3
+                or not set(face) <= set(elements[e])):
+            return (f"lift {i}'s face {list(face)} is not its vertex "
+                    f"{r.vertex} and two other vertices of element {e}")
+    return None
+
+
 def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
     """Why the trace is not the run that built mesh, or None: lift i must
     have made patch i, of the same vertex, with its apex at the lift's new
@@ -214,12 +243,13 @@ def _lift_statics(X: np.ndarray, epsilon: float):
     as a triangle, with its vertices in the order facet_index(3)[l]."""
     k = X.shape[-2] - 1
     F = X[..., geometry.facet_index(k), :]
-    foot, _ = geometry.hull_feet(X, F)
+    foot, bary = geometry.hull_feet(X, F)
     w = np.sqrt(geometry.dots(X - foot, X - foot))
     G = geometry.gradient_operators(X)
     if k < 3:
         return w, G, None
-    kappa = (1.0 - epsilon) * geometry.clearance_ratios(X, F)
+    # clearance_ratios(X, F), on the feet already found
+    kappa = (1.0 - epsilon) * geometry._clearance(X, F, foot, bary)
     return w, G, (kappa, *_lift_statics(F, epsilon)[:2])
 
 
@@ -325,11 +355,13 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     above a ceiling (_ceilings, slack tol) in the front just before it.
     Total patches are bounded by (T/eps) * sum(1/omega_speed) and, for
     d = 2, total elements by six times that.  Given the mesh, the trace
-    must also be the run that built it (see _mesh_mismatch).
+    must also be the run that built it (see _mesh_mismatch).  Each lift's
+    binding must be one a run on ground records (_foreign_binding).
     """
     replay, old = _trace_replay(trace)
     verts, new = replay.vertex, replay.new
-    foreign = _foreign_trace(trace, ground, verts)
+    foreign = (_foreign_trace(trace, ground, verts)
+               or _foreign_binding(trace, ground))
     if foreign is None and mesh is not None:
         foreign = _mesh_mismatch(trace, _as_arrays(mesh))
     if foreign:

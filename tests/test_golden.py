@@ -6,9 +6,11 @@ before the inline-leaf JSON writer and the plain-record lift loop, those
 of the verify stdout from the object-based verifier, before it read the
 mesh as arrays; neither may change.  The digests of the Kuhn run with
 non-unit speeds were recorded before the slope cap became a constant
-per element.  A change that is meant to alter
-these files or reports must say so and record new digests; a speed-up
-must leave them as they are.
+per element.  The st.json digests were recorded again when the
+space-time JSON dropped the space after "," and ":" (the same members
+and values in fewer bytes); the trace, VTK and verify digests did not
+change.  A change that is meant to alter these files or reports must
+say so and record new digests; a speed-up must leave them as they are.
 """
 
 import hashlib
@@ -23,28 +25,28 @@ DATA = Path(__file__).parent / "data"
 # name: (input, pitch arguments, {output file: sha256})
 GOLDEN = {
     "path_d1": ("golden_path.json", ["--target-time", "3"], {
-        "st.json": "6f9a1cf6780c2b21da71bd5dd0e98f67bce67f59b9e2efe4ad650c7d16fe2965",
+        "st.json": "ea21acf8afcc072e6ef697799cf89caaaf92d46decbba9d54e404464d07386c3",
         "trace.json": "3a2aa34b6bd4eec0e4f0de0bd24b6af6a3e1979843dd99e1063c4797c63d51f8",
         "st.vtk": "0cb29679fe777402e97c22d08d819c9a4018bb2bb4c6a217eb1574d943a868b6",
     }),
     "grid_d2_greedy": ("golden_grid.node", ["--target-time", "2"], {
-        "st.json": "04bfea2cd7eecb3af1e077e34f8890ecfb68b7dfd992e869c6ef5d8d26206afb",
+        "st.json": "3579c53e87e054d6054aadfcc6438b324e29a0308cdc63ab0bcc631034b3e194",
         "trace.json": "33e6f1b1fd831da4c49c021138978151143206e5e6b801feb8339c1f98db93a9",
         "st.vtk": "f555415de86f863304e52b45c353f7d756c9465921ef7457e01cd5e9c47aef57",
     }),
     "grid_d2_mis": ("golden_grid.node", ["--target-time", "2", "--strategy",
                                          "mis", "--seed", "3"], {
-        "st.json": "8efcbea87728a9fdaf1cd9d469dce5e23688268d4288ad0875b4048a673d203d",
+        "st.json": "457bd5109919d52b03735e3f766eaa4591031cc0e115e96e9061383d8b84ec91",
         "trace.json": "5b84512d456f2ae148c2e79cedec647930ed60c6f0ad4a2d10fe08517eb11b35",
         "st.vtk": "9733b63ccc8f3ae4fd697fdd6d6ee3c2c13ca74ff69bf7214848b716133ab15f",
     }),
     "kuhn_d3": ("golden_kuhn.json", ["--target-time", "1"], {
-        "st.json": "2869f4fdc12e5cc733936290e985cd4343058b88400ab482521ee0e51eb9058a",
+        "st.json": "89a85a5e8dfa7803d7330815bbee879eca26d7b91a3a1a69e36e3bc2b8faef67",
         "trace.json": "e740929e84b51e3ffa58afb8dc2eff950b77c6918f3219ee7c95194468d680b0",
     }),
     # the Kuhn grid again, with speeds 1.5 on odd and 1.2 on even elements
     "kuhn_d3_speeds": ("golden_kuhn_speeds.json", ["--target-time", "1"], {
-        "st.json": "e5a439fb609358966a08e6eabba2bdbe28be695281433dfb408880c42f1993f8",
+        "st.json": "00968afff5e418db15fcb78d505bce671aaf20a18c9c3fd5a6acc2b9e404ebca",
         "trace.json": "6f60488589910a15427f18bface1ecb66f2922b4f48e7baf6a38b18014697293",
     }),
 }

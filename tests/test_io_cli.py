@@ -1019,6 +1019,76 @@ class TestInitialTimes:
         assert not out.exists()
 
 
+class TestForeignBindings:
+    """A trace whose binding fields no run writes: a value that pitch never
+    writes is one error line from the trace reader, and a binding that is
+    not one of the ground mesh fails progress_trace alone."""
+
+    # name: (ground, target time); path's lift 0 lifts vertex 0 on element
+    # 0 = [0, 1], kuhn's on element 2 = [0, 3, 13, 12] with face [0, 3, 13],
+    # and kuhn's lift 26 is the first one bound by the target
+    RUNS = {"path": ("golden_path.json", "3"), "kuhn": ("golden_kuhn.json", "1")}
+
+    @pytest.mark.parametrize("name, where, value, message", [
+        # the trace reader
+        ("path", ("lifts", 0, "kind"), 5,
+         "error: $.lifts[0].kind: 5 is not one of 'cone', 'progress', 'target'"),
+        ("path", ("lifts", 0, "kind"), "bogus",
+         "error: $.lifts[0].kind: 'bogus' is not one of 'cone', 'progress', "
+         "'target'"),
+        ("path", ("lifts", 0, "face"), [0],
+         "error: $.lifts[0].face: 1 entries, expected 3"),
+        ("path", ("strategy",), [1],
+         "error: $.strategy: [1] is not one of 'greedy', 'mis'"),
+        ("path", ("seed",), -3, "error: $.seed: -3 is out of range [0, inf)"),
+        # the verifier
+        ("path", ("lifts", 0, "element"), 99999,
+         "lift 0's element 99999 is not a ground element holding its vertex 0"),
+        ("path", ("lifts", 0, "element"), 2,
+         "lift 0's element 2 is not a ground element holding its vertex 0"),
+        ("path", ("lifts", 0, "element"), None,
+         "lift 0 is bound by cone on no element"),
+        ("path", ("lifts", 0, "kind"), "target",
+         "lift 0 is bound by the target on element 0"),
+        ("path", ("lifts", 0, "face"), [0, 1, 2],
+         "lift 0 records face [0, 1, 2], which only a cone or progress lift "
+         "of a d = 3 run has"),
+        ("kuhn", ("lifts", 26, "face"), [26, 0, 1],
+         "lift 26 records face [26, 0, 1], which only a cone or progress "
+         "lift of a d = 3 run has"),
+        ("kuhn", ("lifts", 0, "face"), [3, 0, 13],
+         "lift 0's face [3, 0, 13] is not its vertex 0 and two other "
+         "vertices of element 2"),
+        ("kuhn", ("lifts", 0, "face"), [0, 3, 3],
+         "lift 0's face [0, 3, 3] is not its vertex 0 and two other "
+         "vertices of element 2"),
+        ("kuhn", ("lifts", 0, "face"), [0, 3, 26],
+         "lift 0's face [0, 3, 26] is not its vertex 0 and two other "
+         "vertices of element 2"),
+    ])
+    def test_damaged_binding_is_exit_one(self, tmp_path, capsys, name, where,
+                                         value, message):
+        ground, target = self.RUNS[name]
+        ground = str(DATA / ground)
+        out, trace = tmp_path / "st.json", tmp_path / "trace.json"
+        assert main(["pitch", "--input", ground, "--target-time", target,
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        _put(data, where, value)
+        trace.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--mesh", str(out), "--ground", ground,
+                     "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        if message.startswith("error: "):
+            assert (captured.out, captured.err) == ("", message + "\n")
+        else:
+            lines = captured.out.splitlines()
+            assert len(lines) == 5
+            assert [x for x in lines if not x.startswith("PASS ")] == [
+                f"FAIL progress_trace: {message}"]
+
+
 def _put(data, where, value):
     """Set the value at a JSON path given as a key/index sequence."""
     for key in where[:-1]:

@@ -211,7 +211,9 @@ class TestOneFault:
 class TestBoundedMemory:
     def test_peak_under_five_times_the_text(self):
         """The whole-tree reader peaked at 7.8x the text length on this
-        mesh; a chunk of patches at a time stays near 3.3x."""
+        mesh, written with a space after each separator; a chunk of
+        patches at a time stays near 3.3x that text, or 4.3x the compact
+        text the writer makes now (the columns did not shrink with it)."""
         from tentpitch.synthetic import jittered_grid_mesh
 
         g = jittered_grid_mesh(8, 8, seed=0)

@@ -32,6 +32,7 @@ from tentpitch.io_formats import (
 from tentpitch.spacetime import Facet, mesh_arrays
 
 from conftest import alternating_speed_grid, mesh_objects, with_initial_times
+from reference_reader import assert_same_columns
 
 DATA = Path(__file__).parent / "data"
 WRITE_CHUNK = io_formats.WRITE_CHUNK  # the default, before any monkeypatch
@@ -39,12 +40,16 @@ WRITE_CHUNK = io_formats.WRITE_CHUNK  # the default, before any monkeypatch
 
 # -- reference: the generic writers as they were ------------------------------
 
+# the separators after "," and ":": the space-time JSON is written compact,
+# the trace and stats files with a space after each
+COMPACT, SPACED = (",", ":"), (", ", ": ")
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _dump(obj, out: list) -> None:
+def _dump(obj, out: list, sep=SPACED) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -61,17 +66,17 @@ def _dump(obj, out: list) -> None:
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                out.append(", ")
+                out.append(sep[0])
             out.append(json.dumps(str(k)))
-            out.append(": ")
-            _dump(v, out)
+            out.append(sep[1])
+            _dump(v, out, sep)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
-                out.append(", ")
-            _dump(v, out)
+                out.append(sep[0])
+            _dump(v, out, sep)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -113,24 +118,27 @@ def _reference_members(mesh) -> dict:
     }
 
 
-def reference_spacetime_json(mesh) -> str:
-    return reference_dumps({"format": "tentpitch-stmesh",
-                            "ground_dim": mesh.ground.dim,
-                            **_reference_members(mesh)})
+def reference_spacetime_json(mesh, sep=COMPACT) -> str:
+    """The space-time JSON; with sep=SPACED, in the layout written before
+    the separators went compact."""
+    out: list = []
+    _dump({"format": "tentpitch-stmesh", "ground_dim": mesh.ground.dim,
+           **_reference_members(mesh)}, out, sep)
+    return "".join(out) + "\n"
 
 
 def reference_pieces(mesh, piece: int) -> list[str]:
     """The space-time JSON in the pieces of the writer that dumped one row
     at a time, and yielded its tokens whenever they reached piece after a
     row."""
-    out = ['{"format": "tentpitch-stmesh", "ground_dim": ', str(mesh.ground.dim)]
+    out = ['{"format":"tentpitch-stmesh","ground_dim":', str(mesh.ground.dim)]
     pieces = []
     for name, rows in _reference_members(mesh).items():
-        out.append(f', "{name}": [')
+        out.append(f',"{name}":[')
         for i, row in enumerate(rows):
             if i:
-                out.append(", ")
-            _dump(row, out)
+                out.append(",")
+            _dump(row, out, COMPACT)
             if len(out) >= piece:
                 pieces.append("".join(out))
                 out.clear()
@@ -410,6 +418,25 @@ class TestSpacetimePieces:
             node.read_text(), node.with_suffix(".ele").read_text())
         mesh, _ = run(load(ground), PitchConfig(target_time=1.0))
         assert out.read_bytes() == write_spacetime_json(mesh).encode()
+
+
+class TestSpacedLayout:
+    """Files written before the separators went compact, with a space
+    after each "," and ":", still read and verify as the compact ones."""
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_spaced_file_reads_and_verifies_as_compact(self, name):
+        g, mesh, trace = _run(name)
+        compact = write_spacetime_json(mesh)
+        spaced = reference_spacetime_json(mesh, SPACED)
+        # only the separators differ
+        assert spaced != compact
+        assert spaced.replace(", ", ",").replace(": ", ":") == compact
+        got, want = (read_spacetime_json(text, g) for text in (spaced, compact))
+        assert_same_columns(got, want)
+        # the report's lines are what verify prints
+        trace = read_trace_json(write_trace_json(trace))
+        assert verify(got, g, trace).summary() == verify(want, g, trace).summary()
 
 
 # -- random runs: write, read back, verify -------------------------------------
