@@ -771,7 +771,7 @@ def _trace_from_dict(data) -> RunTrace:
         check_epsilon(epsilon)
     except ValueError as exc:
         raise ParseError(f"$.epsilon: {exc}") from None
-    return RunTrace(
+    trace = RunTrace(
         epsilon=epsilon,
         target_time=number("target_time", data["target_time"]),
         tolerance=number("tolerance", data["tolerance"]),
@@ -788,6 +788,9 @@ def _trace_from_dict(data) -> RunTrace:
             col["patch"],
         )),
     )
+    if trace.strategy == "greedy" and trace.seed != 0:
+        raise ParseError(f"$.seed: a greedy run has seed 0, not {trace.seed}")
+    return trace
 
 
 def read_trace_json(text: str) -> RunTrace:

@@ -1,12 +1,11 @@
 """Independent re-checking of a finished space-time mesh and its trace.
 
-The checks deliberately avoid the generator's constraint tables: facet
-slopes are re-derived from raw coordinates (batched Gram solves), and
-the liftability replay's per-element scalars from batched hull feet.
-The ceilings on a lift (_ceilings) are written once, on the statics of
-_lift_statics (hull feet, clearance ratios, gradient operators), which
-the progress floor reads too: progress_trace holds every lift below
-them, and the bisection re-deriving a sample of lifts is their test.
+The checks deliberately avoid the generator's constraint tables.  Every
+cone test reads the gradient operators of the ground elements
+(_gradients): the facet slopes, the liftability margins and the
+ceilings on a lift (_ceilings), written once on the statics of
+_lift_statics, which the progress floor reads too: progress_trace holds
+every lift below them, and the sampled bisection is their test.
 
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
@@ -92,21 +91,16 @@ def _facet_rows(mesh: MeshArrays, groups) -> np.ndarray:
 # -- cone constraint on patch-boundary facets -----------------------------
 
 
-def _facet_slopes(ground: GroundMesh, gels: np.ndarray,
-                  times: np.ndarray) -> np.ndarray:
-    """Max slope of each lifted ground-element facet, batched; times holds
-    the facets' vertex times in the elements' local order.
+def _gradients(G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradients G @ (t[1:] - t[0]) of the affine interpolants of vertex
+    times t (..., k+1) on simplices with gradient operators G (..., d, k)."""
+    return (G @ (t[..., 1:] - t[..., :1])[..., None])[..., 0]
 
-    Each facet spans a full ground element, so the spatial Gram matrix is
-    invertible and the squared slope is dt^T G^{-1} dt.
-    """
-    coords = ground.vertices[ground.elements[gels]]
-    E = geometry.edge_bases(coords)
-    dt = times[:, 1:] - times[:, :1]
-    G = E @ np.transpose(E, (0, 2, 1))
-    y = np.linalg.solve(G, dt[..., None])[..., 0]
-    slope2 = np.einsum("fi,fi->f", y, dt)
-    return np.sqrt(np.maximum(slope2, 0.0))
+
+def _slopes(G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Lengths of the _gradients(G, t)."""
+    grad = _gradients(G, t)
+    return np.sqrt(geometry.dots(grad, grad))
 
 
 # facet rows per pass of the cone check: bounds the memory of its row arrays
@@ -118,8 +112,9 @@ def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
     """Every inter-patch, initial and terminal facet obeys its slope cap.
 
     Internal facets of a patch (those containing the base-apex edge) are
-    exempt and not enumerated here.  The facets are checked CONE_CHUNK
-    rows at a time, each row as in one pass over all of them.
+    exempt and not enumerated here.  A facet on ground element e, with
+    vertex times t, has the slope |G[e] @ (t[1:] - t[0])|.  The facets
+    are checked CONE_CHUNK rows at a time, as in one pass over them all.
     """
     mesh = _as_arrays(mesh)
     ground = ground or mesh.ground
@@ -128,13 +123,13 @@ def check_cone_facets(mesh: Mesh, ground: Optional[GroundMesh] = None,
     if len(rows) == 0:
         return CheckResult("cone_facets", True, "no facets (empty mesh)")
     vertex_times = mesh.vertices[:, -1]
+    G = geometry.gradient_operators(ground.vertices[ground.elements])
     worst, violations, offenders = [], 0, []
     for start in range(0, len(rows), CONE_CHUNK):
         chunk = rows[start:start + CONE_CHUNK]
         gels = mesh.facet_element[chunk]
         verts = mesh.facet_vertices[chunk]
-        times = vertex_times[verts]
-        slopes = _facet_slopes(ground, gels, times)
+        slopes = _slopes(G[gels], vertex_times[verts])
         caps = 1.0 / ground.speeds[gels]
         ratio = slopes / caps
         worst.append(ratio.max())
@@ -289,13 +284,11 @@ def _ceilings(ground: GroundMesh, elems: np.ndarray, li: np.ndarray,
 
     def test(tr: np.ndarray) -> list:
         ts = np.where(lifted, tr[:, None], T)
-        grad = (G @ (ts[:, 1:] - ts[:, :1])[..., None])[..., 0]
-        found = [("cone", np.sqrt(geometry.dots(grad, grad)) > cone_cap)]
+        found = [("cone", _slopes(G, ts) > cone_cap)]
         if d == 3:
             fts = ts[rows[:, None, None], face]
-            fgrad = (GF @ (fts[..., 1:] - fts[..., :1])[..., None])[..., 0]
-            found.append(("face cap", (np.sqrt(geometry.dots(fgrad, fgrad))
-                                       > face_cap).any(axis=1)))
+            found.append(("face cap",
+                          (_slopes(GF, fts) > face_cap).any(axis=1)))
         if d > 1:
             found.append(("progress" if d == 2 else "face progress",
                           (tr[:, None] > progress).any(axis=1)))
@@ -654,52 +647,35 @@ def check_causality(mesh: Mesh) -> CheckResult:
 REPLAY_CHUNK = 1024
 
 
-def _element_scalars(ground: GroundMesh):
-    """Per-(element, vertex) static scalars for the liftability ceiling,
-    derived directly from raw coordinates (batched hull feet).
-
-    Returns (w, ginv, b): the altitude w (m, d+1) of each vertex over its
-    opposite facet and, for d >= 2, the Gram inverse (m, d+1, d-1, d-1) of
-    that facet's edge basis and the foot's edge coordinates (m, d+1, d-1).
-    """
-    d = ground.dim
-    X = ground.vertices[ground.elements]
-    F = X[:, geometry.facet_index(d)]
-    if d == 1:
-        return np.linalg.norm(F[:, :, 0] - X, axis=-1), None, None
-    foot, _ = geometry.hull_feet(X, F)
-    E = geometry.edge_bases(F)
-    ginv = np.linalg.inv(E @ np.swapaxes(E, -1, -2))
-    b = np.einsum("...ij,...j->...i", E, foot - F[..., 0, :])
-    return np.linalg.norm(X - foot, axis=-1), ginv, b
+def _margin_table(ground: GroundMesh):
+    """The ground elements' gradient operators G, and the gradients of
+    their barycentric coordinates (m, d+1, d): for vertex j >= 1 G's
+    column j - 1, for vertex 0 minus the sum of G's columns."""
+    G = geometry.gradient_operators(ground.vertices[ground.elements])
+    Gt = np.swapaxes(G, 1, 2)
+    return G, np.concatenate([-Gt.sum(axis=1, keepdims=True), Gt], axis=1)
 
 
 def _liftability_margins(ground: GroundMesh, table, elems, T):
     """Margin by which each row's lowest vertex can clear its middle one.
 
-    Row r is element elems[r] with vertex times T[r]; the lowest vertex's
-    cone ceiling over its fixed opposite facet is compared with the middle
-    vertex's time.  Returns (margins, lowest local indices, middle times).
+    Row r is element elems[r] with vertex times T[r].  Lifting the lowest
+    vertex by s turns the gradient g into g + s * a, a the gradient of its
+    barycentric coordinate, so its cone ceiling is its time plus the larger
+    root of |g + s * a| = cap (-inf if none).  Returns (margins, lowest
+    local indices, middle times).
     """
-    w, ginv, b = table
+    G, grad_lambda = table
     rows = np.arange(len(elems))
     order = np.argsort(T, axis=1, kind="stable")
     low, mid = order[:, 0], order[:, 1]
     cap = 1.0 / ground.speeds[elems]
-    FT = np.take_along_axis(T, geometry.facet_index(ground.dim)[low], axis=1)
-    wl = w[elems, low]
-    if ground.dim == 1:
-        ceiling = FT[:, 0] + wl * cap
-    else:
-        t0 = FT[:, 0]
-        dt = FT[:, 1:] - t0[:, None]
-        y = (ginv[elems, low] @ dt[..., None])[..., 0]
-        rad = cap * cap - geometry.dots(y, dt)
-        ceiling = np.where(
-            rad < 0, -math.inf,
-            t0 + geometry.dots(y, b[elems, low])
-            + wl * np.sqrt(np.maximum(rad, 0.0)),
-        )
+    g = _gradients(G[elems], T)
+    a = grad_lambda[elems, low]
+    aa, ag = geometry.dots(a, a), geometry.dots(a, g)
+    disc = ag * ag - aa * (geometry.dots(g, g) - cap * cap)
+    root = (np.sqrt(np.maximum(disc, 0.0)) - ag) / aa
+    ceiling = np.where(disc < 0, -math.inf, T[rows, low] + root)
     t_mid = T[rows, mid]
     return ceiling - t_mid, low, t_mid
 
@@ -717,7 +693,6 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     failure reported is the one a lift-by-lift replay meets first.
     """
     name = "front_snapshots"
-    n = ground.n_vertices
     n_lifts = len(trace.lifts)
     replay, old = _trace_replay(trace)
     verts = replay.vertex
@@ -727,7 +702,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     prev = replay.after(verts, np.arange(n_lifts) - 1)
     stale = np.flatnonzero(prev != old)
     stop = int(stale[0]) if len(stale) else n_lifts
-    table = _element_scalars(ground)
+    table = _margin_table(ground)
     worst = math.inf
     for start in range(0, stop, REPLAY_CHUNK):
         lifts = np.arange(start, min(start + REPLAY_CHUNK, stop))
@@ -755,7 +730,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
             f"trace inconsistent at lift {stop}: vertex {r.vertex} was at "
             f"{float(prev[stop])}, trace says {r.old_time}",
         )
-    final = replay.after(np.arange(n), n_lifts - 1)
+    final = replay.after(np.arange(ground.n_vertices), n_lifts - 1)
     unfinished = np.flatnonzero(final != trace.target_time)
     if len(unfinished) and trace.target_time > 0:
         v = int(unfinished[0])

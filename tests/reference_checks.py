@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from tentpitch.verifier import CheckResult, _facet_slopes
+from tentpitch.geometry import gradient_operators
+from tentpitch.verifier import CheckResult, _slopes
 
 
 def _first_diff(a: list, b: list) -> int:
@@ -81,7 +82,8 @@ def cone_facets(mesh, ground=None, tol=1e-9) -> CheckResult:
     st_times = np.array([v[-1] for v in mesh.vertices])
     gels = np.array([f.ground_element for f in facets])
     verts = np.array([f.vertices for f in facets])
-    slopes = _facet_slopes(ground, gels, st_times[verts])
+    G = gradient_operators(ground.vertices[ground.elements])
+    slopes = _slopes(G[gels], st_times[verts])
     caps = 1.0 / ground.speeds[gels]
     ratio = slopes / caps
     worst = float(ratio.max())

@@ -100,6 +100,16 @@ def test_no_private_name_that_only_tests_reach():
     assert unused == []
 
 
+def test_verifier_takes_its_matrix_kernels_from_geometry():
+    # the verifier's one cone gradient is geometry.gradient_operators: a
+    # numpy.linalg call of its own would be a second derivation of it
+    tree = ast.parse((SRC / "verifier.py").read_text())
+    linalg = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "linalg"
+              or isinstance(node, ast.alias) and "linalg" in node.name]
+    assert linalg == []
+
+
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on this checkout's package."""
     env = dict(os.environ)

@@ -1065,6 +1065,9 @@ class TestForeignBindings:
         ("kuhn", ("lifts", 0, "face"), [0, 3, 26],
          "lift 0's face [0, 3, 26] is not its vertex 0 and two other "
          "vertices of element 2"),
+        # the trace reader again (last, so that the cases above keep their
+        # ids): pitch records seed 0 for a greedy run
+        ("path", ("seed",), 3, "error: $.seed: a greedy run has seed 0, not 3"),
     ])
     def test_damaged_binding_is_exit_one(self, tmp_path, capsys, name, where,
                                          value, message):

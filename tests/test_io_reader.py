@@ -209,11 +209,12 @@ class TestOneFault:
 
 
 class TestBoundedMemory:
-    def test_peak_under_five_times_the_text(self):
-        """The whole-tree reader peaked at 7.8x the text length on this
-        mesh, written with a space after each separator; a chunk of
-        patches at a time stays near 3.3x that text, or 4.3x the compact
-        text the writer makes now (the columns did not shrink with it)."""
+    def test_peak_under_512_bytes_per_element(self):
+        """A chunk of patches at a time peaked at 438 bytes per element of
+        this mesh; the whole-tree reader it replaced took 7.8x the text
+        length, written then with a space after each separator.  The bound
+        is by the mesh, not the text, so a more compact file does not
+        tighten it."""
         from tentpitch.synthetic import jittered_grid_mesh
 
         g = jittered_grid_mesh(8, 8, seed=0)
@@ -228,4 +229,4 @@ class TestBoundedMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * len(text)
+        assert peak < 512 * mesh.n_elements

@@ -26,7 +26,7 @@ from tentpitch import (
 )
 from tentpitch.cli import _load_ground, main
 from tentpitch.geometry import facet_index
-from tentpitch import ground_mesh
+from tentpitch import geometry, ground_mesh
 from tentpitch.ground_mesh import load
 from tentpitch.io_formats import (
     parse_json_mesh,
@@ -38,7 +38,6 @@ from tentpitch.pitcher import LiftRecord, RunTrace
 from tentpitch.spacetime import Facet, Patch, mesh_arrays
 from tentpitch.verifier import (
     CheckResult,
-    _element_scalars,
     check_causality,
     check_cone_facets,
     check_front_snapshots,
@@ -373,9 +372,12 @@ class TestVerifyOrchestration:
 
 
 def reference_front_snapshots(trace, ground, tol=1e-9):
-    """The lift-by-lift replay that check_front_snapshots batches."""
-    w, ginv, b = _element_scalars(ground)
-    opp = facet_index(ground.dim)
+    """The lift-by-lift replay that check_front_snapshots batches, each
+    ceiling the larger root of |g + s * a| = cap: the gradient g on the
+    element, plus s times the gradient a of the lowest vertex's
+    barycentric coordinate, a column of the gradient operator or, for
+    vertex 0, minus their sum."""
+    G = geometry.gradient_operators(ground.vertices[ground.elements])
     times = list(trace.initial_times)
     worst = math.inf
     for idx, r in enumerate(trace.lifts):
@@ -388,19 +390,16 @@ def reference_front_snapshots(trace, ground, tol=1e-9):
         times[r.vertex] = r.new_time
         for e, _ in ground.stars[r.vertex]:
             ids = [int(x) for x in ground.elements[e]]
+            t = np.array([times[u] for u in ids])
             order = sorted(range(len(ids)), key=lambda i: times[ids[i]])
             low, mid = order[0], order[1]
             cap = 1.0 / ground.speeds[e]
-            others = [ids[j] for j in opp[low]]
-            if ground.dim == 1:
-                ceiling = times[others[0]] + w[e, low] * cap
-            else:
-                t0 = times[others[0]]
-                dt = np.array([times[u] - t0 for u in others[1:]])
-                y = ginv[e, low] @ dt
-                rad = cap * cap - float(y @ dt)
-                ceiling = (-math.inf if rad < 0 else
-                           t0 + float(y @ b[e, low]) + w[e, low] * math.sqrt(rad))
+            g = G[e] @ (t[1:] - t[0])
+            a = G[e][:, low - 1] if low else -G[e].sum(axis=1)
+            aa, ag = float(a @ a), float(a @ g)
+            disc = ag * ag - aa * (float(g @ g) - cap * cap)
+            ceiling = (-math.inf if disc < 0 else
+                       t[low] + (math.sqrt(disc) - ag) / aa)
             margin = float(ceiling - times[ids[mid]])
             worst = min(worst, margin)
             if margin < -tol * (1.0 + abs(times[ids[mid]])):
@@ -624,6 +623,73 @@ class TestBatchedOracle:
             assert got[idx] == pytest.approx(want, rel=1e-12, abs=0)
             assert omega[idx] == pytest.approx(cons.omega[r.vertex], rel=1e-12)
             times[r.vertex] = r.new_time
+
+
+# -- the gradient-operator forms against the Gram and hull-foot forms -----------
+
+# simplices with a vertex whose hull foot falls outside its opposite
+# facet (for d = 1, a short segment)
+OBTUSE = {
+    1: [[0.0], [1e-3]],
+    2: [[0.0, 0.0], [1.0, 0.0], [3.0, 0.2]],
+    3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 2.5, 0.1]],
+}
+
+
+def _cross_form_simplices(d):
+    rng = np.random.default_rng(d)
+    simplices = [rng.normal(size=(d + 1, d)) for _ in range(20)]
+    return simplices + [np.array(OBTUSE[d]), np.array(OBTUSE[d])[::-1]]
+
+
+def _gram_slope(X, t):
+    """The slope sqrt(dt^T (E E^T)^-1 dt) on the simplex X of times t."""
+    dt = np.asarray(t[1:]) - t[0]
+    return math.sqrt(dt @ refgeo.gram_inverse(X) @ dt) if len(dt) else 0.0
+
+
+class TestOneConeGradient:
+    """The verifier's slopes and liftability ceilings, read from the
+    gradient operators, against the forms they replaced: a Gram solve per
+    facet, and the opposite facet's Gram inverse plus the hull foot."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slope_matches_gram_solve(self, d):
+        rng = np.random.default_rng(10 + d)
+        for X in _cross_form_simplices(d):
+            t = rng.uniform(1.0, 2.0, size=d + 1)
+            got = verifier._slopes(geometry.gradient_operators(X)[None],
+                                   t[None])[0]
+            assert got == pytest.approx(_gram_slope(X, t), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ceiling_matches_hull_foot(self, d):
+        rng = np.random.default_rng(20 + d)
+        for X in _cross_form_simplices(d):
+            for low in range(d + 1):
+                t = rng.uniform(1.0, 2.0, size=d + 1)
+                t[low] = 0.5
+                opposite = facet_index(d)[low]
+                F, tF = X[opposite], t[opposite]
+                facet_slope = _gram_slope(F, tF)
+                foot, bary = refgeo.foot(X[low], F)
+                w = float(np.linalg.norm(X[low] - foot))
+                # a cap above the opposite facet's slope, and one below it
+                # where that facet has one (d > 1)
+                caps = [2.0 * facet_slope + 1.0] + [0.5 * facet_slope] * (d > 1)
+                for cap in caps:
+                    g = GroundMesh(d, X, [list(range(d + 1))],
+                                   speeds=[1.0 / cap])
+                    margin, lowest, t_mid = verifier._liftability_margins(
+                        g, verifier._margin_table(g), np.array([0]), t[None])
+                    assert lowest[0] == low
+                    rad = cap * cap - facet_slope * facet_slope
+                    if rad < 0:
+                        assert margin[0] == -math.inf
+                        continue
+                    want = bary @ tF + w * math.sqrt(rad)
+                    assert margin[0] + t_mid[0] == pytest.approx(
+                        want, rel=1e-12, abs=0)
 
 
 # -- array mesh checks against the object-based reference -----------------------
