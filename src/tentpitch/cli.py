@@ -115,7 +115,7 @@ def _cmd_pitch(args) -> int:
         with open(args.vtk, "w") as fh:
             fh.writelines(io_formats.vtk_pieces(mesh))
     if args.stats:
-        Path(args.stats).write_text(io_formats.dumps(st.to_dict()))
+        Path(args.stats).write_text(io_formats.write_stats_json(st))
     if args.trace:
         Path(args.trace).write_text(io_formats.write_trace_json(trace))
     print(

@@ -8,8 +8,9 @@ written with 17 significant digits so doubles round-trip losslessly.  The
 space-time JSON writer yields its file in pieces of WRITE_PIECE tokens (a
 string per scalar and per separator, with no whitespace between them) and
 renders its rows a chunk at a time, so that `pitch` holds neither the
-whole text nor whole-mesh columns.  The trace and stats files keep a space
-after each "," and ":".
+whole text nor whole-mesh columns.  The trace and stats writers format
+their members one by one, so each file's member names live in its writer
+alone, and keep a space after each "," and ":".
 
 The space-time JSON reader never holds the parsed tree of its file.  It
 decodes the top-level object one member at a time, and the patches
@@ -36,50 +37,12 @@ import numpy as np
 from .errors import MeshValidationError, ParseError
 from .ground_mesh import (GroundMesh, check_epsilon, parse_json_mesh,
                           parse_triangle)
-from .spacetime import (LiftRecord, MeshArrays, RunTrace, SpaceTimeMesh,
+from .spacetime import (LiftRecord, MeshArrays, MeshStats, RunTrace, SpaceTimeMesh,
                         element_durations, element_patch, patch_block)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _dump(obj, out: list[str]) -> None:
-    """Deterministic JSON writer with 17-significant-digit floats: one
-    token per scalar and per separator."""
-    append = out.append
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        append("[")
-        for i, v in enumerate(obj):
-            if i:
-                append(", ")
-            _dump(v, out)
-        append("]")
-    elif isinstance(obj, dict):
-        append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                append(", ")
-            out += (_quote(str(k)), ": ")
-            _dump(v, out)
-        append("}")
-    elif obj is None or obj is True or obj is False:
-        append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        append(_fmt(obj))
-    elif isinstance(obj, str):
-        append(_quote(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps(obj) -> str:
-    out: list[str] = []
-    _dump(obj, out)
-    out.append("\n")
-    return "".join(out)
 
 
 # -- reading parsed JSON ---------------------------------------------------------
@@ -112,9 +75,6 @@ class _Tracked:
             path = f"{self._path}[{key}]"
         self._last[0] = path
         return self._child(self._value[key], path)
-
-    def get(self, key, default=None):
-        return self[key] if key in self._value else default
 
     def __iter__(self):
         for i, item in enumerate(self._value):
@@ -795,6 +755,24 @@ def _trace_from_dict(data) -> RunTrace:
 
 def read_trace_json(text: str) -> RunTrace:
     return _convert(_trace_from_dict, _load_object(text))
+
+
+# -- stats json -----------------------------------------------------------------
+
+
+def write_stats_json(st: MeshStats) -> str:
+    """The run statistics as JSON: the MeshStats fields in order, with
+    build_seconds as "seconds" and the histogram sorted by patch size."""
+    histogram = ", ".join(f'"{k}": {v}' for k, v in
+                          sorted(st.patch_size_histogram.items()))
+    return (
+        f'{{"patches": {st.patches}, "elements": {st.elements}, '
+        f'"vertices": {st.vertices}, "duration_min": {_fmt(st.duration_min)}, '
+        f'"duration_max": {_fmt(st.duration_max)}, '
+        f'"duration_mean": {_fmt(st.duration_mean)}, '
+        f'"duration_ratio": {_fmt(st.duration_ratio)}, '
+        f'"patch_size_histogram": {{{histogram}}}, "seconds": {_fmt(st.build_seconds)}, '
+        f'"elements_per_second": {_fmt(st.elements_per_second)}}}\n')
 
 
 # -- legacy VTK export -----------------------------------------------------------

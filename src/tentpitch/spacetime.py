@@ -37,7 +37,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple, Optional
 
@@ -249,14 +249,6 @@ class MeshStats:
     patch_size_histogram: dict[int, int]
     build_seconds: float
     elements_per_second: float
-
-    def to_dict(self) -> dict:
-        """The fields in order; build_seconds is "seconds", the histogram by size."""
-        d = {"seconds" if k == "build_seconds" else k: v
-             for k, v in asdict(self).items()}
-        d["patch_size_histogram"] = {str(k): v for k, v in
-                                     sorted(self.patch_size_histogram.items())}
-        return d
 
 
 def element_durations(mesh: SpaceTimeMesh) -> np.ndarray:

@@ -346,10 +346,13 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
     of v (for d = 3 additionally min over the capped triangular faces),
     derived from coordinates by _progress_floors, and no lift may end
     above a ceiling (_ceilings, slack tol) in the front just before it.
-    Total patches are bounded by (T/eps) * sum(1/omega_speed) and, for
-    d = 2, total elements by six times that.  Given the mesh, the trace
-    must also be the run that built it (see _mesh_mismatch).  Each lift's
-    binding must be one a run on ground records (_foreign_binding).
+    Total patches are bounded by the sum, over the vertices v with
+    t0(v) < T, of (T - t0(v)) / (eps * omega_speed(v)) + 1: for d <= 2
+    every lift of v but its last, clamped at T, advances v by at least
+    its floor eps * omega_speed(v).  For d = 2, total elements are bounded
+    by six times that.  Given the mesh, the trace must also be the run
+    that built it (see _mesh_mismatch).  Each lift's binding must be one a
+    run on ground records (_foreign_binding).
     """
     replay, old = _trace_replay(trace)
     verts, new = replay.vertex, replay.new
@@ -373,8 +376,9 @@ def check_progress_trace(trace: RunTrace, ground: GroundMesh,
                  for i in np.flatnonzero(advance < required)]
     worst_margin = float(np.min(advance / scale, initial=math.inf))
     n_elements = int(np.diff(ground.star_offsets)[verts].sum())
-    inv_omega = float(np.sum(1.0 / omega_speed))
-    patch_budget = (T / eps) * inv_omega
+    rising = ground.initial_times < T
+    patch_budget = float(np.sum(
+        (T - ground.initial_times[rising]) / (eps * omega_speed[rising]) + 1.0))
     element_budget = 6.0 * patch_budget if ground.dim == 2 else None
     n_patches = len(trace.lifts)
     over_budget = n_patches > patch_budget
@@ -732,7 +736,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
         )
     final = replay.after(np.arange(ground.n_vertices), n_lifts - 1)
     unfinished = np.flatnonzero(final != trace.target_time)
-    if len(unfinished) and trace.target_time > 0:
+    if len(unfinished):
         v = int(unfinished[0])
         return CheckResult(
             name, False,

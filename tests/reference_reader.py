@@ -55,8 +55,6 @@ def _facet_group_path(g: int) -> str:
 
 
 def _spacetime_from_dict(data, ground) -> MeshArrays:
-    if data.get("format") != "tentpitch-stmesh":
-        raise ParseError("$.format: not a tentpitch space-time mesh file")
     (ground_dim,) = _ints([data["ground_dim"]], lambda _: "$.ground_dim")
     if ground_dim != ground.dim:
         raise MeshValidationError(
@@ -105,7 +103,12 @@ def _spacetime_from_dict(data, ground) -> MeshArrays:
 
 
 def read_spacetime_json(text: str, ground) -> MeshArrays:
-    return _convert(_spacetime_from_dict, _load_object(text), ground)
+    # before the conversion: its re-run on a path-recording stand-in
+    # reads fields by [] alone
+    data = _load_object(text)
+    if data.get("format") != "tentpitch-stmesh":
+        raise ParseError("$.format: not a tentpitch space-time mesh file")
+    return _convert(_spacetime_from_dict, data, ground)
 
 
 def assert_same_outcome(read, text: str, ground) -> None:

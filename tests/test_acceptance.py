@@ -23,14 +23,7 @@ from tentpitch import (
 from tentpitch.front import _star_constraints
 from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.pitcher import compute_lift
-from tentpitch.synthetic import (
-    delaunay_mesh,
-    jittered_grid_mesh,
-    obtuse_strip_mesh,
-    random_tet_mesh,
-    sweepline_mesh,
-    two_scale_mesh,
-)
+from tentpitch.synthetic import jittered_grid_mesh, two_scale_mesh
 from tentpitch.verifier import (
     _oracle_max_lifts,
     check_causality,
@@ -39,6 +32,12 @@ from tentpitch.verifier import (
 
 from conftest import face_caps, final_times
 from reference_geometry import gradient, single_triangle_budget
+from synthetic_meshes import (
+    delaunay_mesh,
+    obtuse_strip_mesh,
+    random_tet_mesh,
+    sweepline_mesh,
+)
 
 EPS = 0.1
 TARGET = 5.0

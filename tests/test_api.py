@@ -32,11 +32,6 @@ EXPORTS = [
     "verify",
 ]
 
-# synthetic holds the mesh generators that the tests and bench/ build
-# their fixtures with; most of them only tests call, and that is its job
-FIXTURE_MODULES = {"synthetic"}
-
-
 def test_exports():
     assert sorted(tentpitch.__all__) == EXPORTS
     assert all(hasattr(tentpitch, name) for name in EXPORTS)
@@ -68,8 +63,6 @@ def test_no_public_name_that_only_tests_reach():
     names, attrs = _references()
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem in FIXTURE_MODULES:
-            continue
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -120,7 +113,8 @@ def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_runtime_needs_numpy_alone():
-    # scipy is for the synthetic fixtures only: the CLI never loads it
+    # scipy is for the generators of test and benchmark meshes only: the
+    # CLI never loads it
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]

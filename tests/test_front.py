@@ -135,7 +135,7 @@ def _speedy_grid():
 
 
 def _tets():
-    from tentpitch.synthetic import random_tet_mesh
+    from synthetic_meshes import random_tet_mesh
 
     return random_tet_mesh(9, np.random.default_rng(3))
 
@@ -284,7 +284,7 @@ class TestApplyLift:
 
 class TestDeterminism:
     def test_greedy_identical_sequences(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(25, rng)
         cfg = PitchConfig(target_time=2.0)
@@ -295,7 +295,7 @@ class TestDeterminism:
         assert seq1 == seq2
 
     def test_mis_seeded_determinism_and_independence(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(30, rng)
         cons = precompute(mesh, 0.1)
@@ -324,7 +324,7 @@ class TestDeterminism:
                     assert b not in mesh.neighbors[a]
 
     def test_mis_different_seed_changes_order(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(40, rng)
         orders = []
@@ -337,7 +337,7 @@ class TestDeterminism:
 
 class TestTermination:
     def test_lift_count_bounded(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(20, rng)
         cons = precompute(mesh, 0.1)

@@ -9,7 +9,10 @@ non-unit speeds were recorded before the slope cap became a constant
 per element.  The st.json digests were recorded again when the
 space-time JSON dropped the space after "," and ":" (the same members
 and values in fewer bytes); the trace, VTK and verify digests did not
-change.  A change that is meant to alter these files or reports must
+change.  The verify digests were recorded again when the patch budget
+came to count each vertex's last lift, clamped at the target, and to
+count from its initial time: only the budget figures of the
+progress_trace line changed.  A change that is meant to alter these files or reports must
 say so and record new digests; a speed-up must leave them as they are.
 """
 
@@ -53,11 +56,11 @@ GOLDEN = {
 
 # name: sha256 of the stdout of `verify --mesh --ground --trace` on its outputs
 VERIFY_STDOUT = {
-    "path_d1": "9130ba7b2d8439bf894e1ad8bbf2b1e93e4908f4f2ec32c456821fff76fce491",
-    "grid_d2_greedy": "1290d3ffa0348d7a99a80e162ef857fe06f7be5b71e528533bf87aef74355982",
-    "grid_d2_mis": "182e37c0ce5674cce6b46f83afe305392cc61c45f58ffaadbbf679b0e377521a",
-    "kuhn_d3": "b27cf1b575a2f795b1e714ba4fa19f7e5a002f47534a88f409a139861d14bb5a",
-    "kuhn_d3_speeds": "1d5f2a1165637570f54852cfa858b94765cbfbdbbbad198d1a08750bf1da64af",
+    "path_d1": "0fc42c48ce291d699af234b0343c5f8b9320a983344c967f05177da2fd20123a",
+    "grid_d2_greedy": "b16bf9ab4d098ed079eed3580c3ba1511129c5fa7c845cbb40a2d1d1f9222e41",
+    "grid_d2_mis": "9f71dc32d3c5982007289e93bc70d4d1f010d9765a2cf843c5975346b7d3f431",
+    "kuhn_d3": "1168d87836cfde7fe105c3d65dfaab8de261c5b4743e123f891d4bce86e22f00",
+    "kuhn_d3_speeds": "054618cbb27523258469823fddccfeae44927d408a3e01c2ebcb159cc82e14ae",
 }
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
 from tentpitch.ground_mesh import inverse_omega_sum
-from tentpitch.synthetic import delaunay_mesh, path_mesh_1d, random_tet_mesh
 from tentpitch.verifier import _lift_statics, _progress_floors
 
 import reference_geometry as refgeo
 from conftest import face_caps
+from synthetic_meshes import delaunay_mesh, path_mesh_1d, random_tet_mesh
 
 
 def star(mesh, v):

@@ -29,7 +29,6 @@ from tentpitch.cli import main
 from tentpitch.front import TOLERANCE, _star_constraints
 from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.io_formats import (
-    dumps,
     parse_json_mesh,
     parse_triangle,
     read_spacetime_json,
@@ -48,8 +47,9 @@ DATA = Path(__file__).parent / "data"
 
 def ground_json(mesh: GroundMesh) -> str:
     """A ground mesh in the JSON input format."""
-    return dumps({"dim": mesh.dim, "vertices": mesh.vertices,
-                  "elements": mesh.elements, "speeds": mesh.speeds})
+    return json.dumps({"dim": mesh.dim, "vertices": mesh.vertices.tolist(),
+                       "elements": mesh.elements.tolist(),
+                       "speeds": mesh.speeds.tolist()})
 
 
 NODE_0BASED = """# comment line
@@ -157,7 +157,7 @@ class TestParseJsonMesh:
 
 class TestRoundTrip:
     def test_ground_mesh_roundtrip_identical(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(20, rng)
         text = ground_json(mesh)
@@ -181,10 +181,13 @@ class TestRoundTrip:
         assert tagain.lifts == trace.lifts
         assert tagain.initial_times == trace.initial_times
 
-    def test_17_digit_reals(self):
-        assert dumps(0.1) == "0.10000000000000001\n"
+    def test_17_digit_reals(self, right_triangle):
         x = 1.0 / 3.0
-        assert float(json.loads(dumps(x))) == x
+        _, trace = run(right_triangle, PitchConfig(target_time=x,
+                                                   epsilon=0.1))
+        text = write_trace_json(trace)
+        assert '"epsilon": 0.10000000000000001, ' in text
+        assert json.loads(text)["target_time"] == x
 
 
 class TestWriteVtk:
@@ -1017,6 +1020,56 @@ class TestInitialTimes:
         assert captured.err == ("error: target time 0.04 is below the initial "
                                 "time 0.05 of vertex 1\n")
         assert not out.exists()
+
+
+class TestPatchBudget:
+    """Valid runs that verify rejected while its patch budget was
+    (T/eps) * sum(1/omega): that left out each vertex's last lift, clamped
+    at T, and counted from time 0 rather than from the initial times."""
+
+    @staticmethod
+    def _grid(tmp_path):
+        from tentpitch.synthetic import jittered_grid_mesh
+
+        path = tmp_path / "grid.json"
+        path.write_text(ground_json(jittered_grid_mesh(20, 20, seed=1)))
+        return path
+
+    @staticmethod
+    def _path(tmp_path):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "dim": 1, "vertices": [[float(x)] for x in range(11)],
+            "elements": [[i, i + 1] for i in range(10)],
+            "initial_times": [-20.0] * 11}))
+        return path
+
+    # name: (ground mesh, pitch arguments, start of the progress_trace message)
+    CASES = {
+        "single_triangle": (
+            lambda tmp_path: DATA / "single_triangle.node",
+            ["--target-time", "0.05"],
+            "3 patches (budget 4.7), 3 elements (budget 28.2)"),
+        "grid_mis": (
+            _grid, ["--target-time", "0.01", "--strategy", "mis"],
+            "441 patches (budget 510.7), 2400 elements (budget 3064.1)"),
+        "path_from_minus_20": (
+            _path, ["--target-time", "1"],
+            "151 patches (budget 2321.0), 275 elements"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_valid_run_passes(self, tmp_path, capsys, name):
+        make, args, budget = self.CASES[name]
+        ground = str(make(tmp_path))
+        out, trace = str(tmp_path / "st.json"), str(tmp_path / "trace.json")
+        assert main(["pitch", "--input", ground, *args, "--out", out,
+                     "--trace", trace]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--mesh", out, "--ground", ground,
+                     "--trace", trace]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith(f"PASS progress_trace: {budget}")
 
 
 class TestForeignBindings:

@@ -52,7 +52,7 @@ def _grid():
 
 
 def _tets():
-    from tentpitch.synthetic import random_tet_mesh
+    from synthetic_meshes import random_tet_mesh
 
     return random_tet_mesh(9, np.random.default_rng(3))
 

@@ -229,7 +229,7 @@ class TestStarConstraints:
         (3, ["cone"] + ["cone", "progress"] * 3),
     ])
     def test_order_within_and_across_elements(self, d, per_element, rng):
-        from tentpitch.synthetic import delaunay_mesh, random_tet_mesh
+        from synthetic_meshes import delaunay_mesh, random_tet_mesh
 
         mesh = {1: lambda: GroundMesh(1, [[0.0], [1.0], [2.5]],
                                       [[0, 1], [1, 2]]),
@@ -278,7 +278,7 @@ class TestComputeLift:
             compute_lift(2, front)
 
     def test_monotone_in_epsilon(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(20, rng)
         values = []
@@ -299,7 +299,7 @@ class TestComputeLift:
             compute_lift(0, front)
 
     def test_progress_floor_on_random_runs(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(25, rng)
         eps = 0.1
@@ -313,7 +313,7 @@ class TestComputeLift:
                 )
 
     def test_cone_binding_is_tight(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(25, rng)
         cfg = PitchConfig(target_time=1.5)
@@ -378,7 +378,7 @@ class TestRun:
         assert len(trace.lifts) == 0
 
     def test_all_vertices_end_exactly_at_target(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         mesh2 = delaunay_mesh(20, rng)
         mesh, _ = run(mesh2, PitchConfig(target_time=1.25))
@@ -391,14 +391,14 @@ class TestRun:
         assert result.passed
 
     def test_obtuse_strip_terminates(self):
-        from tentpitch.synthetic import obtuse_strip_mesh
+        from synthetic_meshes import obtuse_strip_mesh
 
         strip = obtuse_strip_mesh(3, 175.0)
         mesh, trace = run(strip, PitchConfig(target_time=0.5))
         assert check_cone_facets(mesh).passed
 
     def test_d3_small_mesh_no_stall(self, rng):
-        from tentpitch.synthetic import random_tet_mesh
+        from synthetic_meshes import random_tet_mesh
 
         for seed in range(3):
             mesh3 = random_tet_mesh(9, np.random.default_rng(seed))
@@ -469,11 +469,8 @@ def reference_lift(v, front, config):
 
 
 def _reference_grounds():
-    from tentpitch.synthetic import (
-        delaunay_mesh,
-        jittered_grid_mesh,
-        random_tet_mesh,
-    )
+    from tentpitch.synthetic import jittered_grid_mesh
+    from synthetic_meshes import delaunay_mesh, random_tet_mesh
 
     # the unit-spaced line and the unjittered grid have equal constraints
     # on different elements, so the tie-break shows in the element
@@ -519,7 +516,7 @@ class TestInvariance:
            target=st.floats(0.3, 2.0))
     def test_patch_count_under_rigid_motion_and_scaling(self, dim, seed, mis,
                                                         scale, target):
-        from tentpitch.synthetic import delaunay_mesh, random_tet_mesh
+        from synthetic_meshes import delaunay_mesh, random_tet_mesh
 
         rng = np.random.default_rng(seed)
         if dim == 2:

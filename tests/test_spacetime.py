@@ -91,7 +91,7 @@ class TestCausalSweep:
     """The object-based reference sweep; check_causality agrees."""
 
     def test_success_on_generated_meshes(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         for seed in range(3):
             g = delaunay_mesh(20, np.random.default_rng(seed))
@@ -174,7 +174,7 @@ class TestStats:
 
 class TestFrontierConservation:
     def test_frontier_tracks_consumed_and_produced(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         g = delaunay_mesh(15, rng)
         mesh, _ = run(g, PitchConfig(target_time=0.8))
@@ -191,7 +191,7 @@ class TestFrontierConservation:
         }
 
     def test_terminal_frontier_at_target_time(self, rng):
-        from tentpitch.synthetic import delaunay_mesh
+        from synthetic_meshes import delaunay_mesh
 
         g = delaunay_mesh(15, rng)
         mesh, _ = run(g, PitchConfig(target_time=0.8))

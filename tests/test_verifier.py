@@ -54,7 +54,7 @@ from test_golden import GOLDEN, VERIFY_STDOUT
 
 @pytest.fixture
 def small_run(rng):
-    from tentpitch.synthetic import delaunay_mesh
+    from synthetic_meshes import delaunay_mesh
 
     g = delaunay_mesh(18, rng)
     mesh, trace = run(g, PitchConfig(target_time=1.0))
@@ -275,6 +275,21 @@ class TestFrontSnapshots:
         assert not result.passed
         assert "cannot clear" in result.message
 
+    def test_cut_run_to_time_zero_fails(self):
+        # a run to T = 0 from negative initial times must end every vertex
+        # at 0 too
+        g = GroundMesh(1, [[0.0], [1.0], [2.0]], [[0, 1], [1, 2]],
+                       initial_times=[-0.5, -0.5, -0.5])
+        _, trace = run(g, PitchConfig(target_time=0.0))
+        assert len(trace.lifts) == 3
+        assert check_front_snapshots(trace, g).passed
+        del trace.lifts[2:]
+        result = check_front_snapshots(trace, g)
+        assert not result.passed
+        assert result.message.startswith(
+            "replay ended with 1 vertices not at the target time")
+        assert result == reference_front_snapshots(trace, g)
+
     def test_inconsistent_trace_detected(self, small_run):
         g, _, trace = small_run
         trace.lifts[0].old_time += 0.5
@@ -411,7 +426,7 @@ def reference_front_snapshots(trace, ground, tol=1e-9):
                     details={"lift": idx, "element": e, "margin": margin},
                 )
     unfinished = [v for v, t in enumerate(times) if t != trace.target_time]
-    if unfinished and trace.target_time > 0:
+    if unfinished:
         return CheckResult(
             "front_snapshots", False,
             f"replay ended with {len(unfinished)} vertices not at the "
@@ -506,7 +521,7 @@ def _line_mesh():
 
 
 def _tet_mesh():
-    from tentpitch.synthetic import random_tet_mesh
+    from synthetic_meshes import random_tet_mesh
 
     return random_tet_mesh(9, np.random.default_rng(3))
 
