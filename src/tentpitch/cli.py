@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .ground_mesh import inverse_omega_sum, min_altitudes
+    from .ground_mesh import min_altitudes
 
     ground = _load_ground(args.input)
     # precompute's omega step alone: info prints no other constant
@@ -151,7 +151,7 @@ def _cmd_info(args) -> int:
     print(f"elements: {ground.n_elements}")
     print(f"min altitude (omega): {omega.min():.6g}")
     print(f"max altitude (omega): {omega.max():.6g}")
-    print(f"sum 1/omega: {inverse_omega_sum(omega):.6g}")
+    print(f"sum 1/omega: {(1.0 / omega).sum():.6g}")
     speeds = ground.speeds
     print(f"wave speed range: [{speeds.min():g}, {speeds.max():g}]")
     return 0

@@ -141,19 +141,17 @@ def closest_points(P, F) -> np.ndarray:
     return _closest(P, F, *hull_feet(P, F))
 
 
-def _clearance(P, F, feet, bary) -> np.ndarray:
-    dist_hull = np.linalg.norm(P - feet, axis=-1)
-    dist = np.linalg.norm(P - _closest(P, F, feet, bary), axis=-1)
-    return np.where(_inside(bary), 1.0, dist_hull / dist)
-
-
 def clearance_ratios(P, F) -> np.ndarray:
     """Ratio of hull distance to closed-facet distance for each point and
     facet, in (0, 1]; exactly 1 where the hull foot lies inside the facet.
-    Points must lie off their facet's hull."""
+    Points must lie off their facet's hull.  The d = 3 face caps of the
+    generator and of the verifier both read these ratios."""
     P = np.asarray(P, dtype=float)
     F = np.asarray(F, dtype=float)
-    return _clearance(P, F, *hull_feet(P, F))
+    feet, bary = hull_feet(P, F)
+    dist_hull = np.linalg.norm(P - feet, axis=-1)
+    dist = np.linalg.norm(P - _closest(P, F, feet, bary), axis=-1)
+    return np.where(_inside(bary), 1.0, dist_hull / dist)
 
 
 def gradient_operators(X) -> np.ndarray:

@@ -387,12 +387,6 @@ def min_altitudes(mesh: GroundMesh) -> np.ndarray:
     return _vertex_min(mesh.n_vertices, mesh.elements, altitudes)
 
 
-def inverse_omega_sum(omega: np.ndarray) -> float:
-    """Sum of 1/omega over the vertices: a run to target time T makes at
-    most (T / epsilon) times this many patches."""
-    return float(np.sum(1.0 / omega))
-
-
 def check_epsilon(epsilon: float) -> None:
     """Raise ValueError unless the progress parameter is in (0, 1/2]."""
     if not 0 < epsilon <= 0.5:

@@ -1,11 +1,14 @@
 """Independent re-checking of a finished space-time mesh and its trace.
 
-The checks deliberately avoid the generator's constraint tables.  Every
-cone test reads the gradient operators of the ground elements
-(_gradients): the facet slopes, the liftability margins and the
-ceilings on a lift (_ceilings), written once on the statics of
-_lift_statics, which the progress floor reads too: progress_trace holds
-every lift below them, and the sampled bisection is their test.
+The checks deliberately avoid the generator's constraint tables.  Their
+one geometric source is the gradient operators G of the ground elements
+and the barycentric gradients A read off G (_gradient_table).  Every
+cone test reads G (_gradients): the facet slopes, the liftability
+margins and the ceilings on a lift (_ceilings), written once on the
+statics of _lift_statics, whose altitudes 1 / |A_j| the progress floor
+reads too: progress_trace holds every lift below the ceilings, and the
+sampled bisection is their test.  Only the d = 3 face caps read another
+kernel, geometry.clearance_ratios.
 
 The mesh checks read the mesh as arrays (MeshArrays: the columns the
 space-time JSON reader returns, or that mesh_arrays takes from a mesh in
@@ -229,22 +232,31 @@ def _mesh_mismatch(trace: RunTrace, mesh: MeshArrays) -> Optional[str]:
 # -- lift ceilings ------------------------------------------------------------
 
 
-def _lift_statics(X: np.ndarray, epsilon: float):
-    """(w, G, faces) of k-simplices X (..., k+1, d), by the geometry
-    primitives: each vertex's altitude w over its opposite facet's hull
-    and the gradient operators G; for k = 3, faces = (kappa, fw, fG),
-    each face l's cap kappa as a fraction of the element's, (1 - epsilon)
-    times vertex l's clearance ratio over it, and the (w, G) of the face
-    as a triangle, with its vertices in the order facet_index(3)[l]."""
-    k = X.shape[-2] - 1
-    F = X[..., geometry.facet_index(k), :]
-    foot, bary = geometry.hull_feet(X, F)
-    w = np.sqrt(geometry.dots(X - foot, X - foot))
+def _gradient_table(X: np.ndarray):
+    """(G, A) of k-simplices X (..., k+1, d): the gradient operators G
+    (..., d, k) and the gradients A (..., k+1, d) of the barycentric
+    coordinates, A_j being G's column j - 1 for j >= 1 and minus the sum
+    of G's columns for j = 0."""
     G = geometry.gradient_operators(X)
+    Gt = np.swapaxes(G, -1, -2)
+    return G, np.concatenate([-Gt.sum(axis=-2, keepdims=True), Gt], axis=-2)
+
+
+def _lift_statics(X: np.ndarray, epsilon: float):
+    """(w, G, faces) of k-simplices X (..., k+1, d), from their
+    _gradient_table: each vertex's altitude over its opposite facet,
+    w_j = 1 / |A_j|, and the gradient operators G; for k = 3, faces =
+    (kappa, fw, fG), each face l's cap kappa as a fraction of the
+    element's, (1 - epsilon) times vertex l's clearance ratio over it,
+    and the (w, G) of the face as a triangle, with its vertices in the
+    order facet_index(3)[l]."""
+    k = X.shape[-2] - 1
+    G, A = _gradient_table(X)
+    w = 1.0 / np.sqrt(geometry.dots(A, A))
     if k < 3:
         return w, G, None
-    # clearance_ratios(X, F), on the feet already found
-    kappa = (1.0 - epsilon) * geometry._clearance(X, F, foot, bary)
+    F = X[..., geometry.facet_index(k), :]
+    kappa = (1.0 - epsilon) * geometry.clearance_ratios(X, F)
     return w, G, (kappa, *_lift_statics(F, epsilon)[:2])
 
 
@@ -651,31 +663,23 @@ def check_causality(mesh: Mesh) -> CheckResult:
 REPLAY_CHUNK = 1024
 
 
-def _margin_table(ground: GroundMesh):
-    """The ground elements' gradient operators G, and the gradients of
-    their barycentric coordinates (m, d+1, d): for vertex j >= 1 G's
-    column j - 1, for vertex 0 minus the sum of G's columns."""
-    G = geometry.gradient_operators(ground.vertices[ground.elements])
-    Gt = np.swapaxes(G, 1, 2)
-    return G, np.concatenate([-Gt.sum(axis=1, keepdims=True), Gt], axis=1)
-
-
 def _liftability_margins(ground: GroundMesh, table, elems, T):
     """Margin by which each row's lowest vertex can clear its middle one.
 
-    Row r is element elems[r] with vertex times T[r].  Lifting the lowest
-    vertex by s turns the gradient g into g + s * a, a the gradient of its
+    Row r is element elems[r] with vertex times T[r], and table is the
+    _gradient_table of the ground elements.  Lifting the lowest vertex by
+    s turns the gradient g into g + s * a, a the gradient of its
     barycentric coordinate, so its cone ceiling is its time plus the larger
     root of |g + s * a| = cap (-inf if none).  Returns (margins, lowest
     local indices, middle times).
     """
-    G, grad_lambda = table
+    G, A = table
     rows = np.arange(len(elems))
     order = np.argsort(T, axis=1, kind="stable")
     low, mid = order[:, 0], order[:, 1]
     cap = 1.0 / ground.speeds[elems]
     g = _gradients(G[elems], T)
-    a = grad_lambda[elems, low]
+    a = A[elems, low]
     aa, ag = geometry.dots(a, a), geometry.dots(a, g)
     disc = ag * ag - aa * (geometry.dots(g, g) - cap * cap)
     root = (np.sqrt(np.maximum(disc, 0.0)) - ag) / aa
@@ -706,7 +710,7 @@ def check_front_snapshots(trace: RunTrace, ground: GroundMesh,
     prev = replay.after(verts, np.arange(n_lifts) - 1)
     stale = np.flatnonzero(prev != old)
     stop = int(stale[0]) if len(stale) else n_lifts
-    table = _margin_table(ground)
+    table = _gradient_table(ground.vertices[ground.elements])
     worst = math.inf
     for start in range(0, stop, REPLAY_CHUNK):
         lifts = np.arange(start, min(start + REPLAY_CHUNK, stop))

@@ -21,7 +21,6 @@ from tentpitch import (
     stats,
 )
 from tentpitch.front import _star_constraints
-from tentpitch.ground_mesh import inverse_omega_sum
 from tentpitch.pitcher import compute_lift
 from tentpitch.synthetic import jittered_grid_mesh, two_scale_mesh
 from tentpitch.verifier import (
@@ -115,9 +114,9 @@ def pool():
                 causality_ok=causal.passed,
                 injection_seen="injected swap" in causal.message,
                 patches=len(trace.lifts),
-                patch_budget=(TARGET / EPS) * inverse_omega_sum(cons.omega),
+                patch_budget=(TARGET / EPS) * np.sum(1.0 / cons.omega),
                 elements=mesh.n_elements,
-                element_budget=(6 * TARGET / EPS) * inverse_omega_sum(cons.omega),
+                element_budget=(6 * TARGET / EPS) * np.sum(1.0 / cons.omega),
                 floor_ok=floor_ok,
                 worst_floor_margin=worst,
             )

@@ -94,13 +94,21 @@ def test_no_private_name_that_only_tests_reach():
 
 
 def test_verifier_takes_its_matrix_kernels_from_geometry():
-    # the verifier's one cone gradient is geometry.gradient_operators: a
-    # numpy.linalg call of its own would be a second derivation of it
-    tree = ast.parse((SRC / "verifier.py").read_text())
+    # the verifier's one geometric source is geometry.gradient_operators: a
+    # numpy.linalg call of its own, the hull feet or a private geometry
+    # kernel would be a second derivation of what it reads from them
+    source = (SRC / "verifier.py").read_text()
+    tree = ast.parse(source)
     linalg = [ast.unparse(node) for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr == "linalg"
               or isinstance(node, ast.alias) and "linalg" in node.name]
     assert linalg == []
+    private = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and ast.unparse(node.value) == "geometry"
+               and node.attr.startswith("_")]
+    assert private == []
+    assert "hull_feet" not in source
 
 
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:

@@ -16,7 +16,7 @@ from tentpitch import (
 )
 from tentpitch.front import TOLERANCE
 from tentpitch.geometry import facet_index
-from tentpitch.ground_mesh import inverse_omega_sum
+from tentpitch.verifier import _lift_statics, _progress_floors
 
 import reference_geometry as refgeo
 from conftest import alternating_speed_grid, with_initial_times
@@ -340,9 +340,14 @@ class TestTermination:
         from synthetic_meshes import delaunay_mesh
 
         mesh = delaunay_mesh(20, rng)
-        cons = precompute(mesh, 0.1)
-        T = 3.0
-        _, trace = run(mesh, PitchConfig(target_time=T, epsilon=0.1))
-        budget = (T / 0.1) * inverse_omega_sum(cons.omega)
+        T, eps = 3.0, 0.1
+        _, trace = run(mesh, PitchConfig(target_time=T, epsilon=eps))
+        # progress_trace's budget: every lift of v but its last, clamped
+        # at T, advances v by at least eps * omega_speed(v)
+        omega_speed, _ = _progress_floors(
+            mesh, _lift_statics(mesh.vertices[mesh.elements], eps))
+        t0 = mesh.initial_times
+        rising = t0 < T
+        budget = np.sum((T - t0[rising]) / (eps * omega_speed[rising]) + 1.0)
         assert len(trace.lifts) <= budget
         assert trace.lifts[-1].new_time == T

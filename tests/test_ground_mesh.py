@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tentpitch import GroundMesh, MeshValidationError, load, precompute
-from tentpitch.ground_mesh import inverse_omega_sum
+from tentpitch.cli import main
 from tentpitch.verifier import _lift_statics, _progress_floors
 
 import reference_geometry as refgeo
@@ -206,12 +207,20 @@ class TestPrecompute:
                     floor[old_v], rel=1e-12
                 )
 
-    def test_inverse_omega_sum_reproducible(self, right_triangle):
-        a = inverse_omega_sum(precompute(right_triangle).omega)
-        b = inverse_omega_sum(precompute(right_triangle).omega)
-        assert a == b
-        assert math.isfinite(a)
-        assert a == pytest.approx(2.0 + math.sqrt(2.0))
+    def test_inverse_omega_sum_reproducible(self, right_triangle, tmp_path,
+                                            capsys):
+        path = tmp_path / "right_triangle.json"
+        path.write_text(json.dumps({
+            "dim": 2, "vertices": right_triangle.vertices.tolist(),
+            "elements": right_triangle.elements.tolist()}))
+        printed = []
+        for _ in range(2):
+            assert main(["info", "--input", str(path)]) == 0
+            printed += [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("sum 1/omega: ")]
+        assert printed == [printed[0]] * 2
+        assert float(printed[0].split(": ")[1]) == pytest.approx(
+            2.0 + math.sqrt(2.0), rel=1e-5)
 
     def test_epsilon_guard(self, right_triangle):
         with pytest.raises(ValueError):

@@ -664,9 +664,10 @@ def _gram_slope(X, t):
 
 
 class TestOneConeGradient:
-    """The verifier's slopes and liftability ceilings, read from the
-    gradient operators, against the forms they replaced: a Gram solve per
-    facet, and the opposite facet's Gram inverse plus the hull foot."""
+    """The verifier's slopes, liftability ceilings and altitudes, read
+    from the gradient operators, against the forms they replaced: a Gram
+    solve per facet, the opposite facet's Gram inverse plus the hull foot,
+    and the distance to the hull foot."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_slope_matches_gram_solve(self, d):
@@ -681,6 +682,13 @@ class TestOneConeGradient:
     def test_ceiling_matches_hull_foot(self, d):
         rng = np.random.default_rng(20 + d)
         for X in _cross_form_simplices(d):
+            altitudes, _, faces = verifier._lift_statics(X, 0.1)
+            if d == 3:
+                # each face's in-face altitudes, its vertices in the order
+                # facet_index(3)[l]
+                want = np.array([[refgeo.altitude(X[face], p) for p in range(3)]
+                                 for face in facet_index(3)])
+                assert faces[1] == pytest.approx(want, rel=1e-12, abs=0)
             for low in range(d + 1):
                 t = rng.uniform(1.0, 2.0, size=d + 1)
                 t[low] = 0.5
@@ -689,6 +697,7 @@ class TestOneConeGradient:
                 facet_slope = _gram_slope(F, tF)
                 foot, bary = refgeo.foot(X[low], F)
                 w = float(np.linalg.norm(X[low] - foot))
+                assert altitudes[low] == pytest.approx(w, rel=1e-12, abs=0)
                 # a cap above the opposite facet's slope, and one below it
                 # where that facet has one (d > 1)
                 caps = [2.0 * facet_slope + 1.0] + [0.5 * facet_slope] * (d > 1)
@@ -696,7 +705,8 @@ class TestOneConeGradient:
                     g = GroundMesh(d, X, [list(range(d + 1))],
                                    speeds=[1.0 / cap])
                     margin, lowest, t_mid = verifier._liftability_margins(
-                        g, verifier._margin_table(g), np.array([0]), t[None])
+                        g, verifier._gradient_table(g.vertices[g.elements]),
+                        np.array([0]), t[None])
                     assert lowest[0] == low
                     rad = cap * cap - facet_slope * facet_slope
                     if rad < 0:
